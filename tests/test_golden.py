@@ -1,0 +1,114 @@
+"""Byte-for-byte stdout of cheap CLI commands, compared against tests/golden/.
+
+Each case writes its spec file to a temporary directory and runs the command
+in-process with every EPLAB_MAX_* variable removed, so only the default guards
+apply.  Reports echo descriptors but never paths, so the output does not
+depend on where the spec file lives.
+
+Regenerate the files (only on purpose, and say why in CHANGES.md) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import difflib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from eplab.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+Z4 = {"kind": "mod_n", "n": 4}
+REGULAR = {"kind": "regular"}
+KLEIN = {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 2}]}
+Z2xZ3 = {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]}
+
+# the six acceptance alphabets plus the product ring Z/2 x Z/3 over itself
+ALPHABETS = {
+    "z4": {"ring": Z4, "module": REGULAR},
+    "z4-klein": {"ring": Z4, "module": KLEIN},
+    "z4-z2": {"ring": Z4, "module": {"kind": "mod_m", "m": 2}},
+    "f2-col2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 2}},
+    "m2f2-col3": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": {"kind": "column", "k": 3}},
+    "z6": {"ring": {"kind": "mod_n", "n": 6}, "module": REGULAR},
+    "z2xz3": {"ring": Z2xZ3, "module": REGULAR},
+}
+SPECS = dict(
+    ALPHABETS,
+    **{"z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}}},
+)
+
+
+def _cases() -> dict:
+    """Golden file stem -> (argv, spec name or None)."""
+    cases = {}
+    for name in ALPHABETS:
+        for command in ("socle-report", "verify-orbit-lemma"):
+            cases[f"{command}-{name}"] = ([command], name)
+    cases["ring-info-z2xz3"] = (["ring-info"], "z2xz3")
+    cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
+    for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum"):
+        cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
+    for m, k, q in ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3)):
+        argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
+        cases[f"ep-counterexample-{m}-{k}-{q}"] = (argv, None)
+    cases["verify-midway-z4-klein"] = (["verify-midway", "--max-n", "2"], "z4-klein")
+    cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
+    cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(stem: str, workdir: str) -> str:
+    argv, spec = CASES[stem]
+    argv = list(argv)
+    if spec is not None:
+        path = os.path.join(workdir, spec + ".json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(SPECS[spec], handle)
+        argv += ["--spec", path]
+    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("EPLAB_MAX_")}
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    finally:
+        os.environ.update(saved)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_stdout_matches_golden(stem, tmp_path):
+    expected = (GOLDEN_DIR / f"{stem}.out").read_text(encoding="utf-8")
+    actual = run_case(stem, str(tmp_path))
+    if actual != expected:
+        diff = "".join(
+            difflib.unified_diff(
+                expected.splitlines(keepends=True),
+                actual.splitlines(keepends=True),
+                fromfile=f"golden/{stem}.out",
+                tofile="actual",
+            )
+        )
+        pytest.fail(f"stdout of {stem} differs from its golden file:\n{diff}")
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.out")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for stem in sorted(CASES):
+            (GOLDEN_DIR / f"{stem}.out").write_text(run_case(stem, workdir), encoding="utf-8")
+            print(stem, file=sys.stderr)
