@@ -15,6 +15,7 @@ restriction of such a transform.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -64,8 +65,12 @@ class Code:
     def size(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, word):
-        return tuple(word) in set(self.elements)
+        return tuple(word) in self._members
 
 
 def code_generate(

@@ -315,6 +315,19 @@ class Matrix:
             pivot_row += 1
         return Matrix.from_rows(f, rows) if self.rows else self
 
+    def inverse(self) -> "Matrix":
+        """Inverse of a square matrix, read off the RREF of [M | I]."""
+        n = self.rows
+        if self.cols != n:
+            raise InputError("only a square matrix has an inverse")
+        ident = Matrix.identity(self.field, n)
+        red = Matrix.from_rows(
+            self.field, [self.row(i) + ident.row(i) for i in range(n)]
+        ).rref()
+        if any(red.row(i)[:n] != ident.row(i) for i in range(n)):
+            raise InputError("matrix is singular")
+        return Matrix.from_rows(self.field, [red.row(i)[n:] for i in range(n)])
+
     def rank(self) -> int:
         red = self.rref()
         count = 0
@@ -350,20 +363,30 @@ def mat_ops(kind: str, *operands: Matrix):
     raise InputError(f"unknown matrix operation {kind!r}")
 
 
-def entries_to_index(entries: Iterable[int], q: int) -> int:
-    """Mixed-radix encoding of an entry sequence, first entry most significant."""
+def mixed_radix_join(parts: Iterable[int], radices: Iterable[int]) -> int:
+    """Mixed-radix encoding of parts, first part most significant."""
     out = 0
-    for x in entries:
-        out = out * q + x
+    for x, n in zip(parts, radices):
+        out = out * n + x
     return out
 
 
-def index_to_entries(index: int, q: int, count: int) -> tuple[int, ...]:
-    out = [0] * count
-    for pos in range(count - 1, -1, -1):
-        out[pos] = index % q
-        index //= q
+def mixed_radix_split(index: int, radices: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of mixed_radix_join: the digits of index, most significant first."""
+    out = [0] * len(radices)
+    for pos in range(len(radices) - 1, -1, -1):
+        out[pos] = index % radices[pos]
+        index //= radices[pos]
     return tuple(out)
+
+
+def entries_to_index(entries: Iterable[int], q: int) -> int:
+    """Base-q encoding of an entry sequence, first entry most significant."""
+    return mixed_radix_join(entries, itertools.repeat(q))
+
+
+def index_to_entries(index: int, q: int, count: int) -> tuple[int, ...]:
+    return mixed_radix_split(index, (q,) * count)
 
 
 def matrix_to_index(m: Matrix) -> int:

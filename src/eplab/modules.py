@@ -16,7 +16,8 @@ significant; direct sums use mixed radix, leftmost summand most significant.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Sequence
+import functools
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,
@@ -25,7 +26,13 @@ from .errors import (
     InternalConsistencyError,
     check_guard,
 )
-from .fields import FiniteField, index_to_matrix, matrix_to_index
+from .fields import (
+    FiniteField,
+    index_to_matrix,
+    matrix_to_index,
+    mixed_radix_join,
+    mixed_radix_split,
+)
 from .rings import (
     LeftIdeal,
     Ring,
@@ -169,32 +176,24 @@ def _module_direct_sum(ring: Ring, summands: Sequence[Module], guards: Guards) -
         total *= n
     check_guard(total, guards.max_order, f"module order {total}")
 
-    def split(idx):
-        parts = [0] * len(orders)
-        for pos in range(len(orders) - 1, -1, -1):
-            parts[pos] = idx % orders[pos]
-            idx //= orders[pos]
-        return parts
-
-    def join(parts):
-        idx = 0
-        for n, x in zip(orders, parts):
-            idx = idx * n + x
-        return idx
-
-    parts_of = [split(i) for i in range(total)]
+    parts_of = [mixed_radix_split(i, orders) for i in range(total)]
     add = tuple(
         tuple(
-            join([s.add(x, y) for s, x, y in zip(summands, parts_of[a], parts_of[b])])
+            mixed_radix_join(
+                [s.add(x, y) for s, x, y in zip(summands, parts_of[a], parts_of[b])], orders
+            )
             for b in range(total)
         )
         for a in range(total)
     )
     act = tuple(
-        tuple(join([s.act(r, x) for s, x in zip(summands, parts_of[a])]) for a in range(total))
+        tuple(
+            mixed_radix_join([s.act(r, x) for s, x in zip(summands, parts_of[a])], orders)
+            for a in range(total)
+        )
         for r in ring.elements()
     )
-    zero = join([s.zero for s in summands])
+    zero = mixed_radix_join([s.zero for s in summands], orders)
     return Module(
         ring, add, act, zero,
         {"kind": "direct_sum", "summands": [s.descriptor for s in summands]},
@@ -384,43 +383,45 @@ def _span_with(module: Module, current: frozenset, a: int) -> frozenset:
     return frozenset(add[s][row[a]] for s in current for row in act)
 
 
+def _greedy_generators(
+    candidates: Sequence[int],
+    span: Callable[[frozenset, int], frozenset],
+    start: Iterable[int],
+) -> tuple[int, ...]:
+    """Greedy generators covering every candidate, starting from start.
+
+    Each round adds the first candidate, in the given ascending order, whose
+    span with the current set is largest.
+    """
+    current = frozenset(start)
+    gens = []
+    while True:
+        best_a, best_span = None, current
+        for a in candidates:
+            if a not in current:
+                grown = span(current, a)
+                if best_a is None or len(grown) > len(best_span):
+                    best_a, best_span = a, grown
+        if best_a is None:
+            return tuple(gens)
+        gens.append(best_a)
+        current = best_span
+
+
 def module_generators(module: Module) -> tuple[int, ...]:
     """Small generating set by greedy maximal coverage, ties to smaller index."""
     if "generators" not in module._cache:
-        current = frozenset({module.zero})
-        gens = []
-        while len(current) < module.order:
-            best_a = None
-            best_size = -1
-            for a in module.elements():
-                if a in current:
-                    continue
-                size = len(_span_with(module, current, a))
-                if size > best_size:
-                    best_size = size
-                    best_a = a
-            gens.append(best_a)
-            current = _span_with(module, current, best_a)
-        module._cache["generators"] = tuple(gens)
+        module._cache["generators"] = _greedy_generators(
+            module.elements(), functools.partial(_span_with, module), {module.zero}
+        )
     return module._cache["generators"]
 
 
 def generators_within(module: Module, members: Sequence[int]) -> tuple[int, ...]:
     """Greedy generating set for a given submodule of the module."""
-    target = frozenset(members)
-    current = frozenset({module.zero})
-    gens = []
-    while current != target:
-        best_a = None
-        best_size = -1
-        for a in sorted(target - current):
-            size = len(_span_with(module, current, a))
-            if size > best_size:
-                best_size = size
-                best_a = a
-        gens.append(best_a)
-        current = _span_with(module, current, best_a)
-    return tuple(gens)
+    return _greedy_generators(
+        sorted(members), functools.partial(_span_with, module), {module.zero}
+    )
 
 
 def _extend_map(src: Module, dst: Module, base: dict, x: int, y: int) -> Optional[dict]:
@@ -666,21 +667,9 @@ def extend_mono(
             if f[act[r][a]] != act[r][f[a]]:
                 raise InputError("map does not commute with the ring action")
 
-    current = frozenset(members)
-    gens_rest = []
-    while len(current) < module.order:
-        best_a = None
-        best_size = -1
-        for a in module.elements():
-            if a in current:
-                continue
-            size = len(_span_with(module, current, a))
-            if size > best_size:
-                best_size = size
-                best_a = a
-        gens_rest.append(best_a)
-        current = _span_with(module, current, best_a)
-
+    gens_rest = _greedy_generators(
+        module.elements(), functools.partial(_span_with, module), members
+    )
     for injective in (True, False):
         found = next(
             iter_linear_maps(module, module, gens_rest, injective=injective, base=f),
@@ -743,28 +732,15 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     add = ring.add_table
     orders = [_additive_order(add, ring.zero, a) for a in range(n)]
 
-    current = frozenset({ring.zero})
-    gens = []
-    while len(current) < n:
-        best_a, best_size = None, -1
-        for a in range(n):
-            if a in current:
-                continue
-            span = set(current)
-            x = ring.zero
-            for _ in range(orders[a]):
-                span |= {add[s][x] for s in current}
-                x = add[x][a]
-            if len(span) > best_size:
-                best_size = len(span)
-                best_a = a
-        gens.append(best_a)
+    def additive_span(current: frozenset, a: int) -> frozenset:
         span = set()
         x = ring.zero
-        for _ in range(orders[best_a]):
+        for _ in range(orders[a]):
             span |= {add[s][x] for s in current}
-            x = add[x][best_a]
-        current = frozenset(span)
+            x = add[x][a]
+        return frozenset(span)
+
+    gens = _greedy_generators(range(n), additive_span, {ring.zero})
 
     def extend_additive(base: dict, g: int, c: int) -> Optional[dict]:
         new = dict(base)

@@ -30,7 +30,14 @@ from .errors import (
     UnsupportedConstruction,
     check_guard,
 )
-from .fields import FiniteField, Matrix, index_to_matrix, matrix_to_index
+from .fields import (
+    FiniteField,
+    Matrix,
+    index_to_matrix,
+    matrix_to_index,
+    mixed_radix_join,
+    mixed_radix_split,
+)
 
 
 class Ring:
@@ -163,37 +170,27 @@ def _ring_product(factors: Sequence[Ring]) -> Ring:
     total = 1
     for n in orders:
         total *= n
-
-    def split(idx):
-        parts = [0] * len(orders)
-        for pos in range(len(orders) - 1, -1, -1):
-            parts[pos] = idx % orders[pos]
-            idx //= orders[pos]
-        return parts
-
-    def join(parts):
-        idx = 0
-        for n, x in zip(orders, parts):
-            idx = idx * n + x
-        return idx
-
-    parts_of = [split(i) for i in range(total)]
+    parts_of = [mixed_radix_split(i, orders) for i in range(total)]
     add = tuple(
         tuple(
-            join([f.add(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])])
+            mixed_radix_join(
+                [f.add(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])], orders
+            )
             for b in range(total)
         )
         for a in range(total)
     )
     mul = tuple(
         tuple(
-            join([f.mul(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])])
+            mixed_radix_join(
+                [f.mul(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])], orders
+            )
             for b in range(total)
         )
         for a in range(total)
     )
-    zero = join([f.zero for f in factors])
-    one = join([f.one for f in factors])
+    zero = mixed_radix_join([f.zero for f in factors], orders)
+    one = mixed_radix_join([f.one for f in factors], orders)
     return Ring(add, mul, zero, one, {"kind": "product", "factors": [f.descriptor for f in factors]})
 
 
@@ -519,19 +516,12 @@ def block_projections(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[Bloc
     if kind == "product":
         factors = [ring_make(d, guards) for d in desc["factors"]]
         orders = [f.order for f in factors]
+        parts_of = [mixed_radix_split(idx, orders) for idx in range(ring.order)]
         out = []
         for pos, factor in enumerate(factors):
-            inner = block_projections(factor, guards)
-            for bp in inner:
-                proj = []
-                for idx in range(ring.order):
-                    rest = idx
-                    parts = [0] * len(orders)
-                    for j in range(len(orders) - 1, -1, -1):
-                        parts[j] = rest % orders[j]
-                        rest //= orders[j]
-                    proj.append(bp.proj[parts[pos]])
-                out.append(BlockProjection(bp.mu, bp.q, tuple(proj)))
+            for bp in block_projections(factor, guards):
+                proj = tuple(bp.proj[parts[pos]] for parts in parts_of)
+                out.append(BlockProjection(bp.mu, bp.q, proj))
         out.sort(key=lambda b: (b.q, b.mu, b.proj))
         return tuple(out)
     raise UnsupportedConstruction(

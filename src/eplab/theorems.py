@@ -35,7 +35,14 @@ from .errors import (
     InternalConsistencyError,
     UnsupportedConstruction,
 )
-from .fields import FiniteField, Matrix, factor_prime_power, index_to_matrix, matrix_to_index
+from .fields import (
+    FiniteField,
+    Matrix,
+    factor_prime_power,
+    index_to_entries,
+    index_to_matrix,
+    matrix_to_index,
+)
 from .modules import (
     Module,
     _validate_module_tables,
@@ -166,26 +173,6 @@ def _subspace_basis(field: FiniteField, members: Sequence[Word]) -> list[Word]:
     return basis
 
 
-def _matrix_inverse(m: Matrix) -> Matrix:
-    f = m.field
-    k = m.rows
-    aug = [list(m.row(i)) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, k) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("matrix is singular")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        scale = f.inv(aug[row][col])
-        aug[row] = [f.mul(scale, x) for x in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return Matrix.from_rows(f, [r[k:] for r in aug])
-
-
 def _projection_matrix(field: FiniteField, k: int, basis_v: Sequence[Word], basis_w: Sequence[Word]) -> Matrix:
     """Idempotent with column space span(basis_v) and kernel span(basis_w)."""
     cols = list(basis_v) + list(basis_w)
@@ -196,7 +183,7 @@ def _projection_matrix(field: FiniteField, k: int, basis_v: Sequence[Word], basi
     diag = Matrix.from_rows(
         field, [[1 if (i == j and i < d) else 0 for j in range(k)] for i in range(k)]
     )
-    return change.mul(diag).mul(_matrix_inverse(change))
+    return change.mul(diag).mul(change.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +225,8 @@ def pack_from_json(obj: dict) -> CounterexamplePack:
         raise InputError("pack must be a JSON object")
     if obj.get("format") != "eplab-pack/1":
         raise InputError(f"unknown pack format {obj.get('format')!r}")
+    if obj.get("construction") not in ("subspace", "pullback"):
+        raise InputError(f"unknown pack construction {obj.get('construction')!r}")
     try:
         words = lambda key: tuple(tuple(int(x) for x in w) for w in obj[key])
         return CounterexamplePack(
@@ -278,24 +267,19 @@ def _nonextension_certificate(cmap: CodeMap, guards: Guards) -> tuple[bool, str,
 
 
 def _pack_checks(
-    pack_length_ok: Optional[bool],
+    length_ok: bool,
     cp: Code,
     cm: Code,
     cmap: CodeMap,
     expected_size: int,
     guards: Guards,
-    require_zero_column: bool,
 ) -> tuple[dict, str, Optional[int]]:
-    checks = {}
-    if pack_length_ok is not None:
-        checks["length_matches_formula"] = pack_length_ok
+    checks = {"length_matches_formula": length_ok}
     checks["codes_bijective_image"] = cp.size == expected_size and cm.size == expected_size
     checks["hamming_preserved"] = map_preserves(cmap, "hamming", guards=guards)
     checks["swc_preserved"] = map_preserves(cmap, "swc", guards=guards)
-    zero_plus, zero_minus = _zero_columns(cp), _zero_columns(cm)
-    if require_zero_column:
-        checks["plus_zero_column"] = len(zero_plus) >= 1
-        checks["minus_no_zero_column"] = len(zero_minus) == 0
+    checks["plus_zero_column"] = len(_zero_columns(cp)) >= 1
+    checks["minus_no_zero_column"] = len(_zero_columns(cm)) == 0
     ok, certificate, nodes = _nonextension_certificate(cmap, guards)
     checks["no_extension"] = ok
     return checks, certificate, nodes
@@ -307,9 +291,13 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     Coordinates are indexed by subspaces V <= F_q^k with multiplicity
     q^(d(d-1)/2), even dimensions on the plus side and odd on the minus side;
     each coordinate sends a to a.P for an idempotent P projecting onto V.
-    Kernel assignments are rotated until all machine checks pass; if none
-    does, a bounded brute-force search over short codes is attempted before
-    giving up.
+    Copy t of V takes the t-th complement of V (cyclically) as the kernel of P.
+
+    The construction is a single deterministic pass.  The kernel cannot affect
+    any check: the left null space of a.P, which fixes its automorphism orbit,
+    is {y : y.a in V^perp}, so the orbit of a.P depends on a and V alone.  A
+    failed machine check is therefore an InternalConsistencyError, never a
+    reason to retry.
     """
     for name, value in (("m", m), ("k", k)):
         if not isinstance(value, int) or value < 1:
@@ -349,106 +337,67 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     gens = module_generators(alphabet)
     expected = alphabet.order
 
-    for attempt in range(8):
-        def assignment(coords):
-            chosen = []
-            for si, t in coords:
-                options = complements[si]
-                wi = options[(t + attempt) % len(options)]
-                chosen.append((si, wi))
-            return chosen
+    def assignment(coords):
+        chosen = []
+        for si, t in coords:
+            options = complements[si]
+            chosen.append((si, options[t % len(options)]))
+        return chosen
 
-        assign_plus = assignment(coords_plus)
-        assign_minus = assignment(coords_minus)
-        projs_plus = [
-            _projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_plus
-        ]
-        projs_minus = [
-            _projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_minus
-        ]
+    def word_of(a, projs):
+        return tuple(matrix_to_index(mats[a].mul(p)) for p in projs)
 
-        def word_of(a, projs):
-            return tuple(matrix_to_index(mats[a].mul(p)) for p in projs)
-
-        gens_plus = tuple(word_of(g, projs_plus) for g in gens)
-        gens_minus = tuple(word_of(g, projs_minus) for g in gens)
-        cp = code_generate(alphabet, n, gens_plus, guards)
-        cm = code_generate(alphabet, n, gens_minus, guards)
-        if set(cp.elements) != {word_of(a, projs_plus) for a in alphabet.elements()}:
-            raise InternalConsistencyError("plus code differs from the full word image")
-        if set(cm.elements) != {word_of(a, projs_minus) for a in alphabet.elements()}:
-            raise InternalConsistencyError("minus code differs from the full word image")
-        cmap = code_map_make(cp, cm, gens_minus, guards)
-
-        checks, certificate, nodes = _pack_checks(
-            True, cp, cm, cmap, expected, guards, require_zero_column=True
-        )
-        if not all(checks.values()):
-            continue
-
-        def coord_json(assign, coords):
-            out = []
-            for (si, wi), (_, t) in zip(assign, coords):
-                out.append(
-                    {
-                        "dim": dims[si],
-                        "copy": t,
-                        "subspace": [list(v) for v in subspaces[si]],
-                        "kernel": [list(v) for v in subspaces[wi]],
-                    }
-                )
-            return out
-
-        transcript = {
-            "checks": checks,
-            "required_checks": sorted(checks),
-            "certificate": certificate,
-            "search_nodes": nodes,
-            "attempt": attempt,
-            "coordinates": {
-                "plus": coord_json(assign_plus, coords_plus),
-                "minus": coord_json(assign_minus, coords_minus),
-            },
-        }
-        return CounterexamplePack(
-            ring=ring.descriptor,
-            alphabet=alphabet.descriptor,
-            length=n,
-            construction="subspace",
-            params={"m": m, "k": k, "q": q, "code_size": expected},
-            generators_plus=gens_plus,
-            generators_minus=gens_minus,
-            gen_images=gens_minus,
-            transcript=transcript,
-        )
-
-    found = _search_counterexample(alphabet, guards, guards.max_n, guards.max_gens)
-    if found is not None:
-        cp, cm, cmap, length = found
-        checks, certificate, nodes = _pack_checks(
-            None, cp, cm, cmap, cp.size, guards, require_zero_column=False
-        )
-        if all(checks.values()):
-            transcript = {
-                "checks": checks,
-                "required_checks": sorted(checks),
-                "certificate": certificate,
-                "search_nodes": nodes,
-                "coordinates": None,
-            }
-            return CounterexamplePack(
-                ring=ring.descriptor,
-                alphabet=alphabet.descriptor,
-                length=length,
-                construction="search",
-                params={"m": m, "k": k, "q": q, "code_size": cp.size},
-                generators_plus=cp.generators,
-                generators_minus=cm.generators,
-                gen_images=tuple(cmap.mapping[g] for g in cp.generators),
-                transcript=transcript,
+    def coord_json(assign, coords):
+        out = []
+        for (si, wi), (_, t) in zip(assign, coords):
+            out.append(
+                {
+                    "dim": dims[si],
+                    "copy": t,
+                    "subspace": [list(v) for v in subspaces[si]],
+                    "kernel": [list(v) for v in subspaces[wi]],
+                }
             )
-    raise UnsupportedConstruction(
-        f"no verified counterexample construction found for (m={m}, k={k}, q={q})"
+        return out
+
+    assign_plus = assignment(coords_plus)
+    assign_minus = assignment(coords_minus)
+    projs_plus = [_projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_plus]
+    projs_minus = [_projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_minus]
+    gens_plus = tuple(word_of(g, projs_plus) for g in gens)
+    gens_minus = tuple(word_of(g, projs_minus) for g in gens)
+    cp = code_generate(alphabet, n, gens_plus, guards)
+    cm = code_generate(alphabet, n, gens_minus, guards)
+    if set(cp.elements) != {word_of(a, projs_plus) for a in alphabet.elements()}:
+        raise InternalConsistencyError("plus code differs from the full word image")
+    if set(cm.elements) != {word_of(a, projs_minus) for a in alphabet.elements()}:
+        raise InternalConsistencyError("minus code differs from the full word image")
+    cmap = code_map_make(cp, cm, gens_minus, guards)
+
+    checks, certificate, nodes = _pack_checks(True, cp, cm, cmap, expected, guards)
+    if not all(checks.values()):
+        raise InternalConsistencyError(f"subspace pack failed machine checks: {checks}")
+    transcript = {
+        "checks": checks,
+        "required_checks": sorted(checks),
+        "certificate": certificate,
+        "search_nodes": nodes,
+        "attempt": 0,
+        "coordinates": {
+            "plus": coord_json(assign_plus, coords_plus),
+            "minus": coord_json(assign_minus, coords_minus),
+        },
+    }
+    return CounterexamplePack(
+        ring=ring.descriptor,
+        alphabet=alphabet.descriptor,
+        length=n,
+        construction="subspace",
+        params={"m": m, "k": k, "q": q, "code_size": expected},
+        generators_plus=gens_plus,
+        generators_minus=gens_minus,
+        gen_images=gens_minus,
+        transcript=transcript,
     )
 
 
@@ -460,18 +409,8 @@ def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> Ve
     cm = code_generate(alphabet, pack.length, pack.generators_minus, guards)
     cmap = code_map_make(cp, cm, pack.gen_images, guards)
     expected = pack.params.get("code_size", cp.size)
-    length_ok = None
-    if pack.construction in ("subspace", "pullback"):
-        length_ok = pack.length == counterexample_length(pack.params["q"], pack.params["k"])
-    checks, certificate, nodes = _pack_checks(
-        length_ok,
-        cp,
-        cm,
-        cmap,
-        expected,
-        guards,
-        require_zero_column=pack.construction in ("subspace", "pullback"),
-    )
+    length_ok = pack.length == counterexample_length(pack.params["q"], pack.params["k"])
+    checks, certificate, nodes = _pack_checks(length_ok, cp, cm, cmap, expected, guards)
     required = pack.transcript.get("required_checks", sorted(checks))
     ok = all(checks.get(name, False) for name in required)
     return VerdictReport(
@@ -623,19 +562,16 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 # bounded code enumeration shared by the sweep verifiers
 
 
-def _ambient_words(alphabet: Module, n: int) -> tuple[list[Word], list[int], list[tuple[int, ...]]]:
+def _ambient_words(
+    alphabet: Module, n: int, guards: Guards
+) -> tuple[list[Word], list[int], list[tuple[int, ...]]]:
     """Decode every ambient index into a word; also per-index Hamming weight
     and sorted orbit-label profile."""
     order = alphabet.order
-    labels = partition(alphabet, "orbit").labels
+    labels = partition(alphabet, "orbit", guards=guards).labels
     words, weights, profiles = [], [], []
     for idx in range(order**n):
-        rest = idx
-        parts = [0] * n
-        for pos in range(n - 1, -1, -1):
-            parts[pos] = rest % order
-            rest //= order
-        word = tuple(parts)
+        word = index_to_entries(idx, order, n)
         words.append(word)
         weights.append(sum(1 for c in word if c != alphabet.zero))
         profiles.append(tuple(sorted(labels[c] for c in word)))
@@ -707,7 +643,7 @@ def _sweep_lengths(alphabet: Module, guards: Guards, max_n: int, strict: bool):
                 )
             break
         ambient = direct_power(alphabet, n, guards)
-        words, weights, profiles = _ambient_words(alphabet, n)
+        words, weights, profiles = _ambient_words(alphabet, n, guards)
         yield n, ambient, words, weights, profiles
 
 
@@ -787,27 +723,7 @@ def verify_midway(
 
 
 # ---------------------------------------------------------------------------
-# sufficiency sweep and brute-force search
-
-
-def _iter_preserving_isos(alphabet: Module, guards: Guards, max_n: int, max_gens: int, strict: bool):
-    """Yield one record per linear isomorphism between enumerated codes of
-    each bounded length, with Hamming/swc preservation flags."""
-    for n, ambient, words, weights, profiles in _sweep_lengths(alphabet, guards, max_n, strict):
-        codes = _enumerate_codes(ambient, max_gens)
-        by_size: dict[int, list] = {}
-        for members, gens in codes:
-            by_size.setdefault(len(members), []).append((members, gens))
-        for size, bucket in sorted(by_size.items()):
-            for members, gens in bucket:
-                for other, _ in bucket:
-                    other_set = frozenset(other)
-                    for fmap in iter_linear_maps(
-                        ambient, ambient, gens, injective=True, target_members=other_set
-                    ):
-                        hamming_ok = all(weights[x] == weights[fmap[x]] for x in members)
-                        swc_ok = all(profiles[x] == profiles[fmap[x]] for x in members)
-                        yield n, len(codes), words, members, gens, fmap, hamming_ok, swc_ok
+# sufficiency sweep
 
 
 def verify_sufficiency(
@@ -835,51 +751,43 @@ def verify_sufficiency(
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     lengths: list[int] = []
     witness = None
-    seen_codes: dict[int, int] = {}
-    for n, total_codes, words, members, gens, fmap, _, swc_ok in _iter_preserving_isos(
-        alphabet, guards, max_n, max_gens, strict
-    ):
-        if n not in seen_codes:
-            seen_codes[n] = total_codes
-            lengths.append(n)
-        counts["isomorphisms"] += 1
-        if not swc_ok:
-            continue
-        counts["swc_preserving"] += 1
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
-        result = extension_search(cmap, guards=guards)
-        if result.transform is None:
-            witness = {
-                "length": n,
-                "generators": [list(words[g]) for g in gens],
-                "gen_images": [list(cmap.mapping[words[g]]) for g in gens],
-            }
+    for n, ambient, words, _, profiles in _sweep_lengths(alphabet, guards, max_n, strict):
+        lengths.append(n)
+        codes = _enumerate_codes(ambient, max_gens)
+        counts["codes"] += len(codes)
+        # codes come sorted by size; isomorphisms only join codes of one size
+        buckets = [list(g) for _, g in itertools.groupby(codes, key=lambda c: len(c[0]))]
+        isomorphisms = (
+            (members, gens, fmap)
+            for bucket in buckets
+            for members, gens in bucket
+            for other, _ in bucket
+            for fmap in iter_linear_maps(
+                ambient, ambient, gens, injective=True, target_members=frozenset(other)
+            )
+        )
+        for members, gens, fmap in isomorphisms:
+            counts["isomorphisms"] += 1
+            if not all(profiles[x] == profiles[fmap[x]] for x in members):
+                continue
+            counts["swc_preserving"] += 1
+            cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+            if extension_search(cmap, guards=guards).transform is None:
+                witness = {
+                    "length": n,
+                    "generators": [list(words[g]) for g in gens],
+                    "gen_images": [list(cmap.mapping[words[g]]) for g in gens],
+                }
+                break
+            counts["extended"] += 1
+        if witness is not None:
             break
-        counts["extended"] += 1
-    counts["codes"] = sum(seen_codes.values())
 
     details: dict = {"lengths": lengths, "max_generators": max_gens}
     if witness is not None:
         details["witness"] = witness
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     return VerdictReport(claim, "verified", hypotheses, counts, details)
-
-
-def _search_counterexample(
-    alphabet: Module, guards: Guards, max_n: int, max_gens: int
-) -> Optional[tuple[Code, Code, CodeMap, int]]:
-    """Brute-force hunt for a Hamming- and swc-preserving isomorphism with no
-    monomial extension, over all bounded-length codes."""
-    for n, total, words, members, gens, fmap, hamming_ok, swc_ok in _iter_preserving_isos(
-        alphabet, guards, max_n, max_gens, strict=False
-    ):
-        if not (hamming_ok and swc_ok):
-            continue
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
-        result = extension_search(cmap, guards=guards)
-        if result.transform is None:
-            return cmap.source, cmap.target, cmap, n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -944,13 +852,9 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
     cm = code_generate(alphabet, block_pack.length, gens_minus, guards)
     cmap = code_map_make(cp, cm, gens_minus, guards)
 
-    from_subspace = block_pack.construction == "subspace"
-    length_ok = (
-        block_pack.length == counterexample_length(q_block, k) if from_subspace else None
-    )
+    length_ok = block_pack.length == counterexample_length(q_block, k)
     checks, certificate, nodes = _pack_checks(
-        length_ok, cp, cm, cmap, block_alphabet.order, guards,
-        require_zero_column=from_subspace,
+        length_ok, cp, cm, cmap, block_alphabet.order, guards
     )
     if not checks["swc_preserved"]:
         raise UnsupportedConstruction(

@@ -51,6 +51,15 @@ def test_code_generate_frozen():
     assert zero.elements == ((0, 0, 0),)
 
 
+def test_code_membership_accepts_tuples_and_lists():
+    c = code_generate(z4_alphabet(), 2, [(1, 2)])
+    assert (3, 2) in c
+    assert [3, 2] in c
+    assert (1, 1) not in c
+    assert [2, 0] in c and (2, 0) in c
+    assert (0, 0, 0) not in c
+
+
 def test_code_generate_validation_and_guard():
     a = z4_alphabet()
     with pytest.raises(InputError):

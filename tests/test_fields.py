@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eplab.errors import InputError
 from eplab.fields import (
@@ -15,6 +17,8 @@ from eplab.fields import (
     mat_ops,
     matrix_to_index,
     minimal_irreducible,
+    mixed_radix_join,
+    mixed_radix_split,
     poly_string,
 )
 
@@ -210,6 +214,46 @@ def test_entry_encoding_first_entry_most_significant():
     assert index_to_matrix(f2, 2, 2, 8) == m
     for idx in range(16):
         assert matrix_to_index(index_to_matrix(f2, 2, 2, idx)) == idx
+
+
+def test_mixed_radix_first_part_most_significant():
+    radices = (2, 3, 4)
+    assert mixed_radix_join((1, 0, 0), radices) == 12
+    assert mixed_radix_join((0, 2, 3), radices) == 11
+    assert mixed_radix_split(23, radices) == (1, 2, 3)
+    assert [mixed_radix_join(mixed_radix_split(i, radices), radices) for i in range(24)] == list(
+        range(24)
+    )
+    assert index_to_entries(11, 3, 3) == mixed_radix_split(11, (3, 3, 3))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_inverse_of_every_invertible_2x2(q):
+    f = FiniteField(q)
+    ident = Matrix.identity(f, 2)
+    invertible = [m for m in _all_matrices(f, 2, 2) if m.rank() == 2]
+    assert invertible
+    for m in invertible:
+        inv = m.inverse()
+        assert m.mul(inv) == ident
+        assert inv.mul(m) == ident
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=9, max_size=9))
+def test_inverse_of_invertible_3x3_over_f4(entries):
+    f4 = FiniteField(4)
+    m = Matrix(f4, 3, 3, tuple(entries))
+    assume(m.rank() == 3)
+    assert m.mul(m.inverse()) == Matrix.identity(f4, 3)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    f2 = FiniteField(2)
+    with pytest.raises(InputError):
+        Matrix.from_rows(f2, [[1, 1], [1, 1]]).inverse()
+    with pytest.raises(InputError):
+        Matrix.from_rows(f2, [[1, 0, 0], [0, 1, 0]]).inverse()
 
 
 def test_matrix_shape_errors():

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from eplab.codes import code_generate, code_map_make
-from eplab.errors import GuardExceeded, InputError, UnsupportedConstruction
-from eplab.fields import FiniteField
-from eplab.modules import module_make
+from eplab.errors import GuardExceeded, Guards, InputError, UnsupportedConstruction
+from eplab.fields import FiniteField, index_to_matrix, matrix_to_index
+from eplab.modules import module_make, partition
 from eplab.rings import ring_make
 from eplab.theorems import (
     CounterexamplePack,
@@ -24,6 +24,7 @@ from eplab.theorems import (
     verify_orbit_lemma,
     verify_sufficiency,
 )
+from eplab.theorems import _projection_matrix, _subspace_basis
 
 
 def mod_ring(n):
@@ -155,6 +156,36 @@ def test_build_larger_packs_verify(m, k, q, length):
     assert replay_pack(pack).result == "verified"
 
 
+@pytest.mark.parametrize(
+    "m,k,q", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5)]
+)
+def test_build_is_a_single_pass(m, k, q):
+    pack = build_counterexample(m, k, q)
+    assert pack.transcript["attempt"] == 0
+    assert pack.transcript["checks"]
+    assert all(pack.transcript["checks"].values())
+    assert pack.transcript["required_checks"] == sorted(pack.transcript["checks"])
+
+
+@pytest.mark.parametrize("m,k,q", [(1, 3, 2), (2, 3, 2), (1, 2, 3)])
+def test_kernel_choice_never_changes_an_orbit(m, k, q):
+    """a.P(V, W) and a.P(V, W') share an orbit for all complements W, W' of V."""
+    field = FiniteField(q)
+    alphabet = matrix_module(m, q, k)
+    labels = partition(alphabet, "orbit").labels
+    mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
+    subspaces = enumerate_subspaces(field, k)
+    for sub in subspaces:
+        complements = [w for w in subspaces if len(sub) * len(w) == q**k and len(set(sub) & set(w)) == 1]
+        assert complements
+        orbit_rows = set()
+        for w in complements:
+            proj = _projection_matrix(field, k, _subspace_basis(field, sub), _subspace_basis(field, w))
+            assert proj.mul(proj) == proj
+            orbit_rows.add(tuple(labels[matrix_to_index(a.mul(proj))] for a in mats))
+        assert len(orbit_rows) == 1
+
+
 def test_build_validation_and_guards():
     with pytest.raises(InputError):
         build_counterexample(1, 1, 2)
@@ -180,6 +211,15 @@ def test_pack_from_json_rejects_malformed():
     del broken["generators_plus"]
     with pytest.raises(InputError):
         pack_from_json(broken)
+
+
+@pytest.mark.parametrize("construction", ["search", "", None])
+def test_pack_from_json_rejects_unknown_construction(construction):
+    pack = build_counterexample(1, 2, 2).as_json()
+    pack["construction"] = construction
+    with pytest.raises(InputError) as info:
+        pack_from_json(pack)
+    assert info.value.exit_code == 4
 
 
 def test_tampered_pack_fails_replay():
@@ -334,6 +374,16 @@ def test_midway_default_bound_caps_to_guard():
     report = verify_midway(matrix_module(2, 2, 3))
     assert report.result == "verified"
     assert report.details["lengths"] == [1]
+
+
+def test_midway_honours_a_raised_order_guard():
+    guards = Guards(max_order=128)
+    z81 = module_make(ring_make({"kind": "mod_n", "n": 81}, guards), {"kind": "regular"}, guards)
+    report = verify_midway(z81, guards, max_n=1)
+    assert report.result == "verified"
+    assert report.counts == {
+        "codes": 5, "monomorphisms": 81, "hamming_preserving": 81, "peeled": 81,
+    }
 
 
 # ---------------------------------------------------------------------------
