@@ -42,7 +42,10 @@ ALPHABETS = {
 }
 SPECS = dict(
     ALPHABETS,
-    **{"z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}}},
+    **{
+        "z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}},
+        "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
+    },
 )
 
 
@@ -60,6 +63,9 @@ def _cases() -> dict:
         argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
         cases[f"ep-counterexample-{m}-{k}-{q}"] = (argv, None)
     cases["verify-midway-z4-klein"] = (["verify-midway", "--max-n", "2"], "z4-klein")
+    # the ideal chains of Z/4 and Z/8 give peeling more than one stage
+    cases["verify-midway-z4-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4")
+    cases["verify-midway-z8-n2"] = (["verify-midway", "--max-n", "2", "--max-gens", "2"], "z8")
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
     cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
     return cases
