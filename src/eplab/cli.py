@@ -87,7 +87,7 @@ def _parse_bounds(data: dict) -> dict:
     for key in ("max_n", "max_gens"):
         if key in bounds:
             value = bounds[key]
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise InputError(f"bounds.{key} must be a positive integer")
             out[key] = value
     unknown = set(bounds) - {"max_n", "max_gens"}
@@ -136,23 +136,31 @@ def load_codes(path: str, guards: Guards):
         raise InputError("the alphabet spec needs a 'module' descriptor")
 
     length = data["length"]
-    if not isinstance(length, int) or length < 1:
+    if type(length) is not int or length < 1:
         raise InputError("length must be a positive integer")
+    if not isinstance(data["codes"], list):
+        raise InputError("codes must be a list")
     codes = {}
     for entry in data["codes"]:
         if not isinstance(entry, dict) or "name" not in entry or "generators" not in entry:
             raise InputError("each code needs 'name' and 'generators'")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise InputError(f"code name {name!r} must be a string")
         if name in codes:
             raise InputError(f"duplicate code name {name!r}")
         codes[name] = code_generate(module, length, entry["generators"], guards)
+    if not isinstance(data.get("maps", []), list):
+        raise InputError("maps must be a list")
     maps = []
     for entry in data.get("maps", []):
+        if not isinstance(entry, dict):
+            raise InputError("each map must be an object")
         for key in ("from", "to", "gen_images"):
             if key not in entry:
                 raise InputError(f"each map needs a '{key}' field")
         src, dst = entry["from"], entry["to"]
-        if src not in codes or dst not in codes:
+        if not (isinstance(src, str) and isinstance(dst, str) and src in codes and dst in codes):
             raise InputError(f"map references unknown code {src!r} or {dst!r}")
         cmap = code_map_make(codes[src], codes[dst], entry["gen_images"], guards)
         maps.append((src, dst, cmap))

@@ -33,13 +33,21 @@ Word = tuple[int, ...]
 
 
 def _validate_word(alphabet: Module, n: int, word: Sequence[int]) -> Word:
+    if not isinstance(word, (list, tuple)):
+        raise InputError(f"word {word!r} must be a list of alphabet elements")
     w = tuple(word)
     if len(w) != n:
         raise InputError(f"word length {len(w)} differs from code length {n}")
     for x in w:
-        if not isinstance(x, int) or not 0 <= x < alphabet.order:
+        if type(x) is not int or not 0 <= x < alphabet.order:
             raise InputError(f"word entry {x!r} outside alphabet of order {alphabet.order}")
     return w
+
+
+def _validate_words(alphabet: Module, n: int, words: Sequence[Sequence[int]]) -> tuple[Word, ...]:
+    if not isinstance(words, (list, tuple)):
+        raise InputError(f"expected a list of words, got {words!r}")
+    return tuple(_validate_word(alphabet, n, w) for w in words)
 
 
 def word_add(alphabet: Module, u: Word, v: Word) -> Word:
@@ -82,7 +90,7 @@ def code_generate(
     """Close the generating words under addition and the ring action."""
     if length < 1:
         raise InputError(f"code length must be positive, got {length}")
-    gens = tuple(_validate_word(alphabet, length, g) for g in generators)
+    gens = _validate_words(alphabet, length, generators)
     zero = (alphabet.zero,) * length
     members = {zero}
     ring = alphabet.ring
@@ -220,7 +228,7 @@ def code_map_make(
         raise InputError("source and target codes must share a length")
     alphabet = source.alphabet
     n = source.length
-    images = tuple(_validate_word(alphabet, n, w) for w in gen_images)
+    images = _validate_words(alphabet, n, gen_images)
     if len(images) != len(source.generators):
         raise InputError(
             f"expected {len(source.generators)} generator images, got {len(images)}"

@@ -36,6 +36,7 @@ from .fields import (
 from .rings import (
     LeftIdeal,
     Ring,
+    check_table,
     exponent_of_addition,
     jacobson_radical,
     minimal_left_ideals,
@@ -93,14 +94,10 @@ class Submodule:
 
 def _validate_module_tables(ring: Ring, add, act, zero: int) -> None:
     n = len(add)
-    if n == 0 or len(act) != ring.order:
-        raise InputError("module tables must be nonempty; act needs one row per ring element")
-    for row in add:
-        if len(row) != n or any(not 0 <= x < n for x in row):
-            raise InputError("module addition rows must have values in 0..n-1")
-    for row in act:
-        if len(row) != n or any(not 0 <= x < n for x in row):
-            raise InputError("module action rows must have values in 0..n-1")
+    if n == 0:
+        raise InputError("module tables must be nonempty")
+    check_table(add, n, n, "module addition table")
+    check_table(act, ring.order, n, "module action table")
     for a in range(n):
         if add[zero][a] != a:
             raise InputError("module zero is not an additive identity")
@@ -237,8 +234,8 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
         if not isinstance(add, list) or not isinstance(act, list):
             raise InputError("table descriptor needs 'add' and 'act' tables")
         check_guard(len(add), guards.max_order, f"module order {len(add)}")
+        check_table(add, len(add), len(add), "module addition table")
         add_t = tuple(tuple(row) for row in add)
-        act_t = tuple(tuple(row) for row in act)
         zero = None
         for z in range(len(add_t)):
             if all(add_t[z][b] == b for b in range(len(add_t))):
@@ -246,7 +243,8 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
                 break
         if zero is None:
             raise InputError("module addition table has no identity element")
-        _validate_module_tables(ring, add_t, act_t, zero)
+        _validate_module_tables(ring, add_t, act, zero)
+        act_t = tuple(tuple(row) for row in act)
         desc = {"kind": "table", "add": [list(r) for r in add_t], "act": [list(r) for r in act_t]}
         return Module(ring, add_t, act_t, zero, desc)
     raise InputError(f"unknown module kind {kind!r}")

@@ -93,14 +93,25 @@ class LeftIdeal:
         return set(self.members) <= set(other.members)
 
 
+def check_table(table, rows: int, n: int, what: str) -> None:
+    """Raise InputError unless table has the given number of rows, each a
+    list of n plain ints in 0..n-1."""
+    if not isinstance(table, (list, tuple)) or len(table) != rows or not all(
+        isinstance(row, (list, tuple))
+        and len(row) == n
+        and all(type(x) is int and 0 <= x < n for x in row)
+        for row in table
+    ):
+        raise InputError(f"{what} must have {rows} rows of {n} integers in 0..{n - 1}")
+
+
 def _validate_ring_tables(add, mul) -> tuple[int, int]:
     """Check full ring axioms on raw tables; return (zero, one)."""
     n = len(add)
-    if n == 0 or len(mul) != n:
-        raise InputError("ring tables must be nonempty and equally sized")
-    for row in list(add) + list(mul):
-        if len(row) != n or any(not 0 <= x < n for x in row):
-            raise InputError("ring table rows must be permutations of 0..n-1 sized values")
+    if n == 0:
+        raise InputError("ring tables must be nonempty")
+    check_table(add, n, n, "ring addition table")
+    check_table(mul, n, n, "ring multiplication table")
     zero = None
     for z in range(n):
         if all(add[z][b] == b for b in range(n)):
@@ -226,9 +237,9 @@ def ring_make(descriptor: dict, guards: Guards = DEFAULT_GUARDS) -> Ring:
         if not isinstance(add, list) or not isinstance(mul, list):
             raise InputError("table descriptor needs 'add' and 'mul' tables")
         check_guard(len(add), guards.max_order, f"ring order {len(add)}")
+        zero, one = _validate_ring_tables(add, mul)
         add_t = tuple(tuple(row) for row in add)
         mul_t = tuple(tuple(row) for row in mul)
-        zero, one = _validate_ring_tables(add_t, mul_t)
         desc = {"kind": "table", "add": [list(r) for r in add_t], "mul": [list(r) for r in mul_t]}
         return Ring(add_t, mul_t, zero, one, desc)
     raise InputError(f"unknown ring kind {kind!r}")

@@ -25,7 +25,6 @@ from .codes import (
     code_map_make,
     extension_search,
     map_preserves,
-    weight_profile,
 )
 from .errors import (
     DEFAULT_GUARDS,
@@ -477,14 +476,26 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 
     For each codeword pair, repeatedly pick a maximal annihilator among the
     remaining components of both words, act by a principal generator of it,
-    and check that the counts removed on the two sides balance.
+    and check that the counts removed on the two sides balance.  A pair is
+    peeled through the sorted annihilator labels of its entries, so equal
+    label multisets share one memoised peel (see _peel_labels).
     """
     claim = "every codeword peels to balanced counts at each principal annihilator stage"
     alphabet = cmap.source.alphabet
-    ring = alphabet.ring
+    labels = partition(alphabet, "annihilator", guards=guards).labels
+    keys = {
+        word: (tuple(sorted(labels[x] for x in word)), tuple(sorted(labels[y] for y in image)))
+        for word, image in cmap.mapping.items()
+    }
+    # In a unital module only 0 has annihilator R, so its label counts the
+    # zero entries, and equal-length words have equal Hamming weight exactly
+    # when those counts agree.
+    zero_label = labels[alphabet.zero]
     hypotheses = {
-        "hamming_preserved": map_preserves(cmap, "hamming", guards=guards),
-        "ring_left_pir": is_left_pir(ring, guards),
+        "hamming_preserved": all(
+            key_w.count(zero_label) == key_i.count(zero_label) for key_w, key_i in keys.values()
+        ),
+        "ring_left_pir": is_left_pir(alphabet.ring, guards),
     }
     if not all(hypotheses.values()):
         return VerdictReport(
@@ -492,63 +503,26 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
             {"note": "peeling applies to Hamming-preserving maps over left principal ideal rings"},
         )
 
-    anns = annihilator_sets(alphabet)
-    act = alphabet.act_table
-    zero = alphabet.zero
-    gen_cache: dict[frozenset, int] = {}
-
-    def generator_of(ideal: frozenset) -> int:
-        if ideal not in gen_cache:
-            gen_cache[ideal] = principal_generator(ring, LeftIdeal(tuple(sorted(ideal))))
-        return gen_cache[ideal]
-
     trace = []
     witness = None
     total_stages = 0
     for word in sorted(cmap.mapping):
         image = cmap.mapping[word]
-        rem_w = list(word)
-        rem_i = list(image)
-        steps = []
-        while rem_w or rem_i:
-            present = {anns[x] for x in rem_w} | {anns[y] for y in rem_i}
-            maximal = [i for i in present if not any(i < j for j in present)]
-            ideal = min(maximal, key=lambda i: tuple(sorted(i)))
-            e = generator_of(ideal)
-            exact_w = [x for x in rem_w if anns[x] == ideal]
-            exact_i = [y for y in rem_i if anns[y] == ideal]
-            killed_w = [x for x in rem_w if act[e][x] == zero]
-            killed_i = [y for y in rem_i if act[e][y] == zero]
-            if sorted(killed_w) != sorted(exact_w) or sorted(killed_i) != sorted(exact_i):
-                raise InternalConsistencyError(
-                    "principal generator does not isolate its maximal annihilator stage"
-                )
-            steps.append(
-                {
-                    "ideal": sorted(ideal),
-                    "generator": e,
-                    "removed_source": len(exact_w),
-                    "removed_image": len(exact_i),
-                }
-            )
-            total_stages += 1
-            if len(exact_w) != len(exact_i):
-                witness = {"word": list(word), "image": list(image), "stage": len(steps) - 1}
-                break
-            rem_w = [x for x in rem_w if anns[x] != ideal]
-            rem_i = [y for y in rem_i if anns[y] != ideal]
-        trace.append({"word": list(word), "image": list(image), "steps": steps})
-        if witness is not None:
+        steps, balanced = _peel_labels(alphabet, *keys[word])
+        total_stages += len(steps)
+        trace.append(
+            {
+                "word": list(word),
+                "image": list(image),
+                "steps": [
+                    {"ideal": list(ideal), "generator": e, "removed_source": s, "removed_image": t}
+                    for ideal, e, s, t in steps
+                ],
+            }
+        )
+        if not balanced:
+            witness = {"word": list(word), "image": list(image), "stage": len(steps) - 1}
             break
-
-    if witness is None:
-        for word, image in cmap.mapping.items():
-            pw = weight_profile(alphabet, word, "aw", guards=guards)
-            pi = weight_profile(alphabet, image, "aw", guards=guards)
-            if pw != pi:
-                raise InternalConsistencyError(
-                    "peeling balanced but annihilator profiles differ"
-                )
 
     counts = {"words": len(cmap.mapping), "stages": total_stages}
     details: dict = {"trace": trace}
@@ -556,6 +530,57 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
         details["witness"] = witness
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
+def _peel_labels(
+    alphabet: Module, key_w: tuple[int, ...], key_i: tuple[int, ...]
+) -> tuple[tuple, bool]:
+    """Peel one (word, image) pair given by the sorted annihilator labels of
+    their entries; return (steps, balanced), each step as (ideal, generator,
+    removed source, removed image).  Memoised on the alphabet.
+
+    A label is the first element with its annihilator, and a peel reads only
+    annihilators and whether the stage generator e kills an entry x.  As e
+    generates the stage ideal I, e*x = 0 iff I is contained in Ann(x), so the
+    labels peel exactly as the entries they stand for.
+    """
+    memo = alphabet._cache.setdefault("peel", {})
+    if (key_w, key_i) in memo:
+        return memo[key_w, key_i]
+    ring = alphabet.ring
+    anns = annihilator_sets(alphabet)
+    act = alphabet.act_table
+    zero = alphabet.zero
+    generators = ring._cache.setdefault("principal_generators", {})
+    rem_w = list(key_w)
+    rem_i = list(key_i)
+    steps = []
+    balanced = True
+    while rem_w or rem_i:
+        present = {anns[x] for x in rem_w} | {anns[y] for y in rem_i}
+        maximal = [i for i in present if not any(i < j for j in present)]
+        ideal = min(maximal, key=lambda i: tuple(sorted(i)))
+        if ideal not in generators:
+            generators[ideal] = principal_generator(ring, LeftIdeal(tuple(sorted(ideal))))
+        e = generators[ideal]
+        exact_w = [x for x in rem_w if anns[x] == ideal]
+        exact_i = [y for y in rem_i if anns[y] == ideal]
+        killed_w = [x for x in rem_w if act[e][x] == zero]
+        killed_i = [y for y in rem_i if act[e][y] == zero]
+        if killed_w != exact_w or killed_i != exact_i:
+            raise InternalConsistencyError(
+                "principal generator does not isolate its maximal annihilator stage"
+            )
+        steps.append((tuple(sorted(ideal)), e, len(exact_w), len(exact_i)))
+        if len(exact_w) != len(exact_i):
+            balanced = False
+            break
+        rem_w = [x for x in rem_w if anns[x] != ideal]
+        rem_i = [y for y in rem_i if anns[y] != ideal]
+    if balanced and key_w != key_i:
+        raise InternalConsistencyError("peeling balanced but annihilator profiles differ")
+    memo[key_w, key_i] = (tuple(steps), balanced)
+    return memo[key_w, key_i]
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,15 @@ def test_bad_bounds_rejected(tmp_path):
         {"ring": {"kind": "mod_n", "n": 4}, "module": {"kind": "regular"}, "bounds": {"depth": 1}},
     )
     assert run(["verify-midway", "--spec", str(path2)])[0] == 4
+    path3 = write_json(
+        tmp_path / "s3.json",
+        {
+            "ring": {"kind": "mod_n", "n": 4},
+            "module": {"kind": "regular"},
+            "bounds": {"max_n": True},
+        },
+    )
+    assert run(["verify-midway", "--spec", str(path3)])[0] == 4
 
 
 def test_codes_file_validation(tmp_path):
@@ -366,6 +375,39 @@ def test_codes_file_validation(tmp_path):
 
     no_maps = write_json(tmp_path / "c4.json", dict(base, codes=[{"name": "C", "generators": [[1]]}]))
     assert run(["ep-check-extension", "--codes", no_maps])[0] == 4
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"maps": [3]},
+        {"maps": 3},
+        {"codes": [{"name": "C", "generators": 5}]},
+        {"codes": [{"name": "C", "generators": [1]}]},
+        {"codes": [{"name": ["C"], "generators": [[1]]}]},
+        {"codes": 5},
+        {"maps": [{"from": "C", "to": "C", "gen_images": 1}]},
+        {"maps": [{"from": ["C"], "to": "C", "gen_images": [[1]]}]},
+        {"codes": [{"name": "C", "generators": [[True]]}]},
+        {"length": True},
+    ],
+    ids=[
+        "map-is-int", "maps-is-int", "generators-is-int", "generator-word-is-int",
+        "name-is-list", "codes-is-int", "gen-images-is-int", "from-is-list",
+        "word-entry-is-bool", "length-is-bool",
+    ],
+)
+def test_malformed_codes_file_exits_4(tmp_path, change):
+    data = {
+        "alphabet": {"ring": {"kind": "mod_n", "n": 4}, "module": {"kind": "regular"}},
+        "length": 1,
+        "codes": [{"name": "C", "generators": [[1]]}],
+        **change,
+    }
+    path = write_json(tmp_path / "bad.json", data)
+    rc, out, err = run(["weights", "--codes", path])
+    assert (rc, out) == (4, "")
+    assert "Traceback" not in err
 
 
 def test_alphabet_spec_needs_module(tmp_path):

@@ -40,13 +40,11 @@ ALPHABETS = {
     "z6": {"ring": {"kind": "mod_n", "n": 6}, "module": REGULAR},
     "z2xz3": {"ring": Z2xZ3, "module": REGULAR},
 }
-SPECS = dict(
-    ALPHABETS,
-    **{
-        "z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}},
-        "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
-    },
-)
+SPECS = {
+    **ALPHABETS,
+    "z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}},
+    "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
+}
 
 
 def _cases() -> dict:

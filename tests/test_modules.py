@@ -101,6 +101,26 @@ def test_table_module_validation():
         module_make(r, {"kind": "table", "add": [[0, 1], [0, 1]], "act": [[0, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [0, 1],
+        [[0, 1], 1],
+        [[0, 1], [1.0, 0]],
+        [[0, "1"], [1, 0]],
+        [[0, 1], [True, 0]],
+        [[0], [1, 0]],
+    ],
+    ids=["rows-are-ints", "one-row-is-int", "float-entry", "string-entry", "bool-entry", "ragged"],
+)
+def test_malformed_table_module_is_input_error(table):
+    r = mod_ring(2)
+    with pytest.raises(InputError):
+        module_make(r, {"kind": "table", "add": table, "act": [[0, 0], [0, 1]]})
+    with pytest.raises(InputError):
+        module_make(r, {"kind": "table", "add": [[0, 1], [1, 0]], "act": table})
+
+
 def test_submodules_of_z2z4_frozen():
     a = z2z4_over_z4()
     assert submodule_generated(a, [5]).members == (0, 2, 5, 7)

@@ -317,6 +317,25 @@ def test_table_validation_rejects_bad_input():
         ring_make({"kind": "mystery"})
 
 
+@pytest.mark.parametrize(
+    "add",
+    [
+        [0, 1],
+        [[0, 1], 1],
+        [[0, 1], [1.0, 0]],
+        [[0, "1"], [1, 0]],
+        [[0, 1], [True, 0]],
+        [[0], [1, 0]],
+    ],
+    ids=["rows-are-ints", "one-row-is-int", "float-entry", "string-entry", "bool-entry", "ragged"],
+)
+def test_malformed_table_ring_is_input_error(add):
+    with pytest.raises(InputError):
+        ring_make({"kind": "table", "add": add, "mul": [[0, 0], [0, 1]]})
+    with pytest.raises(InputError):
+        ring_make({"kind": "table", "add": [[0, 1], [1, 0]], "mul": add})
+
+
 def test_guards_on_construction():
     with pytest.raises(GuardExceeded):
         ring_make({"kind": "mod_n", "n": 100})

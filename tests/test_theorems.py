@@ -4,11 +4,23 @@ import json
 
 import pytest
 
-from eplab.codes import code_generate, code_map_make
-from eplab.errors import GuardExceeded, Guards, InputError, UnsupportedConstruction
+from eplab.codes import Code, CodeMap, code_generate, code_map_make, map_preserves, weight_profile
+from eplab.errors import (
+    GuardExceeded,
+    Guards,
+    InputError,
+    InternalConsistencyError,
+    UnsupportedConstruction,
+)
 from eplab.fields import FiniteField, index_to_matrix, matrix_to_index
-from eplab.modules import module_make, partition
-from eplab.rings import ring_make
+from eplab.modules import (
+    annihilator_sets,
+    direct_power,
+    iter_linear_maps,
+    module_make,
+    partition,
+)
+from eplab.rings import LeftIdeal, is_left_pir, principal_generator, ring_make
 from eplab.theorems import (
     CounterexamplePack,
     VerdictReport,
@@ -24,7 +36,13 @@ from eplab.theorems import (
     verify_orbit_lemma,
     verify_sufficiency,
 )
-from eplab.theorems import _projection_matrix, _subspace_basis
+from eplab.theorems import (
+    _ambient_words,
+    _code_map_from_dict,
+    _enumerate_codes,
+    _projection_matrix,
+    _subspace_basis,
+)
 
 
 def mod_ring(n):
@@ -331,6 +349,128 @@ def test_peeling_requires_principal_ideals():
     report = midway_peeling(cmap)
     assert report.result == "hypotheses-unmet"
     assert report.hypotheses["ring_left_pir"] is False
+
+
+def _peel_word_by_word(cmap, guards=Guards()):
+    """The unmemoised peel, one word at a time: the oracle for midway_peeling."""
+    claim = "every codeword peels to balanced counts at each principal annihilator stage"
+    alphabet = cmap.source.alphabet
+    ring = alphabet.ring
+    hypotheses = {
+        "hamming_preserved": map_preserves(cmap, "hamming", guards=guards),
+        "ring_left_pir": is_left_pir(ring, guards),
+    }
+    if not all(hypotheses.values()):
+        return VerdictReport(
+            claim, "hypotheses-unmet", hypotheses, {},
+            {"note": "peeling applies to Hamming-preserving maps over left principal ideal rings"},
+        )
+    anns = annihilator_sets(alphabet)
+    act = alphabet.act_table
+    zero = alphabet.zero
+    trace = []
+    witness = None
+    total_stages = 0
+    for word in sorted(cmap.mapping):
+        image = cmap.mapping[word]
+        rem_w, rem_i = list(word), list(image)
+        steps = []
+        while rem_w or rem_i:
+            present = {anns[x] for x in rem_w} | {anns[y] for y in rem_i}
+            maximal = [i for i in present if not any(i < j for j in present)]
+            ideal = min(maximal, key=lambda i: tuple(sorted(i)))
+            e = principal_generator(ring, LeftIdeal(tuple(sorted(ideal))))
+            exact_w = [x for x in rem_w if anns[x] == ideal]
+            exact_i = [y for y in rem_i if anns[y] == ideal]
+            assert sorted(x for x in rem_w if act[e][x] == zero) == sorted(exact_w)
+            assert sorted(y for y in rem_i if act[e][y] == zero) == sorted(exact_i)
+            steps.append(
+                {
+                    "ideal": sorted(ideal),
+                    "generator": e,
+                    "removed_source": len(exact_w),
+                    "removed_image": len(exact_i),
+                }
+            )
+            total_stages += 1
+            if len(exact_w) != len(exact_i):
+                witness = {"word": list(word), "image": list(image), "stage": len(steps) - 1}
+                break
+            rem_w = [x for x in rem_w if anns[x] != ideal]
+            rem_i = [y for y in rem_i if anns[y] != ideal]
+        trace.append({"word": list(word), "image": list(image), "steps": steps})
+        if witness is not None:
+            break
+    if witness is None:
+        for word, image in cmap.mapping.items():
+            assert weight_profile(alphabet, word, "aw") == weight_profile(alphabet, image, "aw")
+    counts = {"words": len(cmap.mapping), "stages": total_stages}
+    details = {"trace": trace}
+    if witness is not None:
+        details["witness"] = witness
+        return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+    return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
+def _same_report(fast, slow):
+    assert fast.result == slow.result
+    assert fast.hypotheses == slow.hypotheses
+    assert fast.counts == slow.counts
+    assert fast.details == slow.details
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [z4_klein(), module_make(mod_ring(4), {"kind": "regular"}),
+     module_make(mod_ring(8), {"kind": "regular"})],
+    ids=["z4-klein", "z4", "z8"],
+)
+def test_peeling_matches_the_word_by_word_oracle(alphabet):
+    results = {"verified": 0, "hypotheses-unmet": 0}
+    for n in (1, 2):
+        ambient = direct_power(alphabet, n)
+        words = _ambient_words(alphabet, n, Guards())[0]
+        for members, gens in _enumerate_codes(ambient, 2):
+            for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
+                cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+                fast = midway_peeling(cmap)
+                _same_report(fast, _peel_word_by_word(cmap))
+                results[fast.result] += 1
+    assert results["verified"] > 0 and results["hypotheses-unmet"] > 0
+
+
+def test_peeling_witness_matches_the_oracle():
+    # Hamming-preserving but not aw-preserving: Ann(1) = 0 while Ann(2) = 2Z/4.
+    z4reg = module_make(mod_ring(4), {"kind": "regular"})
+    source = Code(z4reg, 2, ((0, 1),), ((0, 0), (0, 1)))
+    target = Code(z4reg, 2, ((0, 2),), ((0, 0), (0, 2)))
+    cmap = CodeMap(source, target, target.generators, {(0, 0): (0, 0), (0, 1): (0, 2)})
+    identity = CodeMap(source, source, source.generators, {w: w for w in source.elements})
+    assert midway_peeling(identity).result == "verified"  # memoises the source's own labels
+    report = midway_peeling(cmap)
+    _same_report(report, _peel_word_by_word(cmap))
+    assert report.result == "counterexample"
+    assert report.details["witness"] == {"word": [0, 1], "image": [0, 2], "stage": 1}
+
+
+def test_peeling_reports_share_no_state():
+    z4reg = module_make(mod_ring(4), {"kind": "regular"})
+    code = code_generate(z4reg, 2, [[1, 2]])
+    cmap = code_map_make(code, code, [[3, 2]])
+    first = midway_peeling(cmap)
+    first.details["trace"][1]["steps"][0]["removed_source"] = 99
+    first.details["trace"][1]["steps"][0]["ideal"].append(7)
+    _same_report(midway_peeling(cmap), _peel_word_by_word(cmap))
+
+
+def test_peeling_memo_rejects_an_inconsistent_generator():
+    z4reg = module_make(mod_ring(4), {"kind": "regular"})
+    code = code_generate(z4reg, 1, [[1]])
+    cmap = code_map_make(code, code, [[1]])
+    # 1 generates R, not the stage ideal 2Z/4, so it kills nothing there
+    z4reg.ring._cache["principal_generators"] = {annihilator_sets(z4reg)[2]: 1}
+    with pytest.raises(InternalConsistencyError):
+        midway_peeling(cmap)
 
 
 # ---------------------------------------------------------------------------
