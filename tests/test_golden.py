@@ -44,6 +44,8 @@ SPECS = {
     **ALPHABETS,
     "z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}},
     "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
+    "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
+    "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
 }
 
 
@@ -64,7 +66,10 @@ def _cases() -> dict:
     # the ideal chains of Z/4 and Z/8 give peeling more than one stage
     cases["verify-midway-z4-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-midway-z8-n2"] = (["verify-midway", "--max-n", "2", "--max-gens", "2"], "z8")
+    cases["verify-midway-f2-col2-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "f2-col2")
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
+    cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")
+    cases["verify-sufficiency-f4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "f4")
     cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
     return cases
 

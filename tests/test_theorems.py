@@ -1,8 +1,12 @@
 """Theorem layer: counterexample packs, peeling, and the bounded verifiers."""
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
+
+from eplab import theorems
 
 from eplab.codes import Code, CodeMap, code_generate, code_map_make, map_preserves, weight_profile
 from eplab.errors import (
@@ -526,6 +530,97 @@ def test_midway_honours_a_raised_order_guard():
     }
 
 
+def _moves_a_word(cmap):
+    return any(word != image for word, image in cmap.mapping.items())
+
+
+def test_midway_reports_a_peeling_witness(monkeypatch):
+    real_peeling = theorems.midway_peeling
+
+    def peeling(cmap, guards):
+        report = real_peeling(cmap, guards)
+        if cmap.source.length == 2 and _moves_a_word(cmap):
+            return dataclasses.replace(report, result="counterexample")
+        return report
+
+    monkeypatch.setattr(theorems, "midway_peeling", peeling)
+    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
+    assert report.as_json() == {
+        "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
+        "result": "counterexample",
+        "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
+        "counts": {"codes": 5, "monomorphisms": 7, "hamming_preserving": 7, "peeled": 6},
+        "details": {
+            "lengths": [1, 2],
+            "max_generators": 2,
+            "witness": {
+                "length": 2,
+                "generators": [[0, 2]],
+                "gen_images": [[2, 0]],
+                "peeling": {
+                    "claim": "every codeword peels to balanced counts at each principal annihilator stage",
+                    "result": "counterexample",
+                    "hypotheses": {"hamming_preserved": True, "ring_left_pir": True},
+                    "counts": {"words": 2, "stages": 3},
+                    "details": {
+                        "trace": [
+                            {
+                                "word": [0, 0],
+                                "image": [0, 0],
+                                "steps": [
+                                    {"ideal": [0, 1, 2, 3], "generator": 1,
+                                     "removed_source": 2, "removed_image": 2},
+                                ],
+                            },
+                            {
+                                "word": [0, 2],
+                                "image": [2, 0],
+                                "steps": [
+                                    {"ideal": [0, 1, 2, 3], "generator": 1,
+                                     "removed_source": 1, "removed_image": 1},
+                                    {"ideal": [0, 2], "generator": 2,
+                                     "removed_source": 1, "removed_image": 1},
+                                ],
+                            },
+                        ]
+                    },
+                },
+            },
+        },
+    }
+
+
+def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
+    real_partition = theorems.partition
+
+    def partition(module, kind, **kwargs):
+        # every element its own orbit: x -> 3x keeps weights but not profiles
+        found = real_partition(module, kind, **kwargs)
+        if kind == "orbit":
+            return dataclasses.replace(found, labels=tuple(module.elements()))
+        return found
+
+    monkeypatch.setattr(theorems, "partition", partition)
+    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
+    assert report.as_json() == {
+        "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
+        "result": "counterexample",
+        "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
+        "counts": {"codes": 3, "monomorphisms": 4, "hamming_preserving": 3, "peeled": 3},
+        "details": {
+            "lengths": [1],
+            "max_generators": 2,
+            "witness": {
+                "length": 1,
+                "generators": [[1]],
+                "gen_images": [[3]],
+                "hamming_preserved": True,
+                "swc_preserved": False,
+            },
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # sufficiency and necessity
 
@@ -549,6 +644,29 @@ def test_sufficiency_f2_classical():
         "isomorphisms": 362,
         "swc_preserving": 63,
         "extended": 63,
+    }
+
+
+def test_sufficiency_reports_a_non_extending_map(monkeypatch):
+    real_search = theorems.extension_search
+
+    def search(cmap, guards):
+        if cmap.source.length == 2 and _moves_a_word(cmap):
+            return SimpleNamespace(transform=None, nodes=0)
+        return real_search(cmap, guards=guards)
+
+    monkeypatch.setattr(theorems, "extension_search", search)
+    report = verify_sufficiency(module_make(mod_ring(4), {"kind": "regular"}), max_n=2)
+    assert report.as_json() == {
+        "claim": "every swc-preserving code isomorphism extends to a monomial transform",
+        "result": "counterexample",
+        "hypotheses": {"socle_cyclic": True},
+        "counts": {"codes": 18, "isomorphisms": 7, "swc_preserving": 7, "extended": 6},
+        "details": {
+            "lengths": [1, 2],
+            "max_generators": 2,
+            "witness": {"length": 2, "generators": [[0, 2]], "gen_images": [[2, 0]]},
+        },
     }
 
 
