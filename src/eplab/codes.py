@@ -32,11 +32,12 @@ from .modules import AutGroup, Module, OrbitIndex, automorphism_group, partition
 Word = tuple[int, ...]
 
 
-def _validate_word(alphabet: Module, n: int, word: Sequence[int]) -> Word:
+def _validate_word(alphabet: Module, n: Optional[int], word: Sequence[int]) -> Word:
+    """The word as a tuple of alphabet elements; n None accepts any length."""
     if not isinstance(word, (list, tuple)):
         raise InputError(f"word {word!r} must be a list of alphabet elements")
     w = tuple(word)
-    if len(w) != n:
+    if n is not None and len(w) != n:
         raise InputError(f"word length {len(w)} differs from code length {n}")
     for x in w:
         if type(x) is not int or not 0 <= x < alphabet.order:
@@ -130,7 +131,7 @@ def weight_profile(
     index: Optional[OrbitIndex] = None,
     guards: Guards = DEFAULT_GUARDS,
 ) -> WeightProfile:
-    w = _validate_word(alphabet, len(word), word)
+    w = _validate_word(alphabet, None, word)
     if kind == "hamming":
         h = sum(1 for x in w if x != alphabet.zero)
         return WeightProfile("hamming", (("nonzero", h),))

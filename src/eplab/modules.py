@@ -37,9 +37,11 @@ from .rings import (
     LeftIdeal,
     Ring,
     check_table,
+    exact_exponent,
     exponent_of_addition,
     jacobson_radical,
     minimal_left_ideals,
+    ring_make,
     ring_quotient,
     wedderburn_data,
 )
@@ -706,20 +708,12 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
 # character module
 
 
-def _additive_order(add, zero: int, a: int) -> int:
-    order = 1
-    x = a
-    while x != zero:
-        x = add[x][a]
-        order += 1
-    return order
-
-
 def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     """The character module: additive maps chi: R -> Z_m (m the additive
     exponent), with left action (r.chi)(x) = chi(x*r).
 
-    Characters are indexed by the lexicographic order of their value tuples
+    The characters are the Z_m-linear maps from (R, +) to the regular Z_m
+    module.  They are indexed by the lexicographic order of their value tuples
     (chi(0), ..., chi(n-1)), so the zero character has index 0.
     """
     if "character_module" in ring._cache:
@@ -727,50 +721,15 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
     n = ring.order
     m = exponent_of_addition(ring)
-    add = ring.add_table
-    orders = [_additive_order(add, ring.zero, a) for a in range(n)]
-
-    def additive_span(current: frozenset, a: int) -> frozenset:
-        span = set()
-        x = ring.zero
-        for _ in range(orders[a]):
-            span |= {add[s][x] for s in current}
-            x = add[x][a]
-        return frozenset(span)
-
-    gens = _greedy_generators(range(n), additive_span, {ring.zero})
-
-    def extend_additive(base: dict, g: int, c: int) -> Optional[dict]:
-        new = dict(base)
-        x, v = ring.zero, 0
-        for _ in range(orders[g]):
-            for s, fs in base.items():
-                key = add[s][x]
-                val = (fs + v) % m
-                prev = new.get(key)
-                if prev is None:
-                    new[key] = val
-                elif prev != val:
-                    return None
-            x = add[x][g]
-            v = (v + c) % m
-        return new
-
-    characters = []
-
-    def rec(i, current_map):
-        if i == len(gens):
-            characters.append(tuple(current_map[x] for x in range(n)))
-            return
-        g = gens[i]
-        for c in range(m):
-            if (orders[g] * c) % m != 0:
-                continue
-            ext = extend_additive(current_map, g, c)
-            if ext is not None:
-                rec(i + 1, ext)
-
-    rec(0, {ring.zero: 0})
+    z_m = ring_make({"kind": "mod_n", "n": m}, guards)
+    multiples = [(ring.zero,) * n]  # multiples[c][a] = c*a, for c in Z_m
+    for _ in range(1, m):
+        multiples.append(tuple(ring.add(x, a) for a, x in enumerate(multiples[-1])))
+    additive = Module(z_m, ring.add_table, tuple(multiples), ring.zero, {"kind": "additive"})
+    characters = [
+        tuple(chi[x] for x in range(n))
+        for chi in iter_linear_maps(additive, _module_regular(z_m), module_generators(additive))
+    ]
     if len(characters) != n:
         raise InternalConsistencyError(
             f"character count {len(characters)} differs from ring order {n}"
@@ -874,15 +833,7 @@ def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog
             continue
         q = hom_count_from_simple(t_mod, t_mod)
         hom_count = hom_count_from_simple(t_mod, regular_bar)
-        mu, value = 0, 1
-        while value < hom_count:
-            value *= q
-            mu += 1
-        if value != hom_count:
-            raise InternalConsistencyError(
-                f"hom count {hom_count} is not a power of endomorphism order {q}"
-            )
-        entries.append(SimpleEntry(t_mod, q, mu))
+        entries.append(SimpleEntry(t_mod, q, exact_exponent(hom_count, q)))
     entries.sort(key=lambda e: (e.endo_order, e.multiplicity, e.module.order))
     shape = sorted((e.multiplicity, e.endo_order) for e in entries)
     expected = sorted(wedderburn_data(ring, guards).blocks)
@@ -930,15 +881,7 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
     rows = []
     size_check = 1
     for entry in catalog.entries:
-        count = hom_count_from_simple(entry.module, module)
-        s, value = 0, 1
-        while value < count:
-            value *= entry.endo_order
-            s += 1
-        if value != count:
-            raise InternalConsistencyError(
-                f"hom count {count} is not a power of endomorphism order {entry.endo_order}"
-            )
+        s = exact_exponent(hom_count_from_simple(entry.module, module), entry.endo_order)
         rows.append((entry.endo_order, entry.multiplicity, s, entry.module.order))
         size_check *= entry.module.order ** s
     if size_check != len(soc.members):

@@ -428,6 +428,19 @@ def _annihilator_in_ring(ring: Ring, x: int) -> frozenset[int]:
     return frozenset(r for r in ring.elements() if ring.mul(r, x) == ring.zero)
 
 
+def exact_exponent(count: int, q: int) -> int:
+    """The exponent e with q**e == count, for a count that must be a power of
+    q (a hom count over an endomorphism field of order q, or the size of a
+    subspace over F_q); any other count is an InternalConsistencyError."""
+    e, value = 0, 1
+    while value < count:
+        value *= q
+        e += 1
+    if value != count:
+        raise InternalConsistencyError(f"count {count} is not a power of {q}")
+    return e
+
+
 def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnData:
     """Matrix-block data of R/rad(R), computed from the tables themselves.
 
@@ -456,16 +469,7 @@ def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnDa
         seen_reps.append(x0)
         q = sum(1 for y in ideal.members if ann[x0] <= ann[y])
         hom_count = sum(1 for y in rbar.elements() if ann[x0] <= ann[y])
-        mu = 0
-        value = 1
-        while value < hom_count:
-            value *= q
-            mu += 1
-        if value != hom_count:
-            raise InternalConsistencyError(
-                f"hom count {hom_count} is not a power of endomorphism count {q}"
-            )
-        blocks.append((mu, q))
+        blocks.append((exact_exponent(hom_count, q), q))
     blocks.sort(key=lambda b: (b[1], b[0]))
     total = 1
     for mu, q in blocks:

@@ -61,6 +61,7 @@ from .modules import (
 from .rings import (
     LeftIdeal,
     block_projections,
+    exact_exponent,
     is_left_pir,
     principal_generator,
     ring_make,
@@ -149,15 +150,6 @@ def enumerate_subspaces(field: FiniteField, k: int) -> tuple[tuple[Word, ...], .
     return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
 
 
-def _subspace_dim(size: int, q: int) -> int:
-    d = 0
-    while q**d < size:
-        d += 1
-    if q**d != size:
-        raise InternalConsistencyError(f"subspace size {size} is not a power of {q}")
-    return d
-
-
 def _subspace_basis(field: FiniteField, members: Sequence[Word]) -> list[Word]:
     zero = members[0] if members else ()
     span = {tuple(0 for _ in zero)}
@@ -226,12 +218,26 @@ def pack_from_json(obj: dict) -> CounterexamplePack:
         raise InputError(f"unknown pack format {obj.get('format')!r}")
     if obj.get("construction") not in ("subspace", "pullback"):
         raise InputError(f"unknown pack construction {obj.get('construction')!r}")
+    for key in ("params", "transcript"):
+        if not isinstance(obj.get(key), dict):
+            raise InputError(f"pack field {key!r} must be a JSON object")
+
+    def plain_int(x):
+        # bools and floats are rejected, as in codes._validate_word
+        if type(x) is not int:
+            raise InputError(f"pack entry {x!r} must be an integer")
+        return x
+
+    def words(key):
+        if not isinstance(obj[key], list) or not all(isinstance(w, list) for w in obj[key]):
+            raise InputError(f"pack field {key!r} must be a list of words")
+        return tuple(tuple(plain_int(x) for x in w) for w in obj[key])
+
     try:
-        words = lambda key: tuple(tuple(int(x) for x in w) for w in obj[key])
         return CounterexamplePack(
             ring=obj["ring"],
             alphabet=obj["alphabet"],
-            length=int(obj["length"]),
+            length=plain_int(obj["length"]),
             construction=str(obj["construction"]),
             params=obj["params"],
             generators_plus=words("generators_plus"),
@@ -239,8 +245,8 @@ def pack_from_json(obj: dict) -> CounterexamplePack:
             gen_images=words("gen_images"),
             transcript=obj["transcript"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed pack: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"malformed pack: missing {exc}") from exc
 
 
 def _zero_columns(code: Code) -> list[int]:
@@ -309,7 +315,7 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     n = counterexample_length(q, k)
 
     subspaces = enumerate_subspaces(field, k)
-    dims = [_subspace_dim(len(s), q) for s in subspaces]
+    dims = [exact_exponent(len(s), q) for s in subspaces]
     bases = [_subspace_basis(field, s) for s in subspaces]
     complements = []
     for si, sub in enumerate(subspaces):
@@ -584,23 +590,7 @@ def _peel_labels(
 
 
 # ---------------------------------------------------------------------------
-# bounded code enumeration shared by the sweep verifiers
-
-
-def _ambient_words(
-    alphabet: Module, n: int, guards: Guards
-) -> tuple[list[Word], list[int], list[tuple[int, ...]]]:
-    """Decode every ambient index into a word; also per-index Hamming weight
-    and sorted orbit-label profile."""
-    order = alphabet.order
-    labels = partition(alphabet, "orbit", guards=guards).labels
-    words, weights, profiles = [], [], []
-    for idx in range(order**n):
-        word = index_to_entries(idx, order, n)
-        words.append(word)
-        weights.append(sum(1 for c in word if c != alphabet.zero))
-        profiles.append(tuple(sorted(labels[c] for c in word)))
-    return words, weights, profiles
+# the sweep kernel shared by the midway and sufficiency verifiers
 
 
 def _enumerate_codes(ambient: Module, max_gens: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -654,22 +644,66 @@ def _code_map_from_dict(
     return CodeMap(source, target, target.generators, mapping)
 
 
-def _sweep_lengths(alphabet: Module, guards: Guards, max_n: int, strict: bool):
-    """Yield (n, ambient, words, weights, profiles) for lengths 1..max_n.
+def _sweep(
+    alphabet: Module,
+    guards: Guards,
+    max_n: Optional[int],
+    max_gens: Optional[int],
+    counts: dict,
+    details: dict,
+    onto: bool = False,
+):
+    """Yield (n, words, weights, profiles, members, gens, fmap) for every
+    injective linear map on every code of A^n, n = 1..max_n, that needs at
+    most max_gens generators; with onto, only the maps onto a code of the
+    same size.
 
-    When a length overflows the ambient order guard: with strict (an
-    explicitly requested bound) raise, otherwise stop the sweep there.
+    words[x] is the word at ambient index x, weights[x] its Hamming weight and
+    profiles[x] its sorted orbit labels.  Visited codes are counted in
+    counts["codes"]; details gets "lengths" and "max_generators".  The bounds
+    default to the guards.  A length whose ambient order overflows the guard
+    ends the sweep, or raises when max_n was given explicitly or n = 1.
     """
+    strict = max_n is not None
+    if max_n is None:
+        max_n = guards.max_n
+    if max_gens is None:
+        max_gens = guards.max_gens
+    details.update(lengths=[], max_generators=max_gens)
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:
             if strict or n == 1:
                 raise GuardExceeded(
                     f"ambient order {alphabet.order}^{n} exceeds guard {guards.max_order}"
                 )
-            break
+            return
+        details["lengths"].append(n)
         ambient = direct_power(alphabet, n, guards)
-        words, weights, profiles = _ambient_words(alphabet, n, guards)
-        yield n, ambient, words, weights, profiles
+        labels = partition(alphabet, "orbit", guards=guards).labels
+        words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+        weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
+        profiles = [tuple(sorted(labels[c] for c in w)) for w in words]
+        codes = _enumerate_codes(ambient, max_gens)
+        for members, gens in codes:
+            counts["codes"] += 1
+            targets = [None]
+            if onto:
+                targets = [frozenset(other) for other, _ in codes if len(other) == len(members)]
+            for target in targets:
+                for fmap in iter_linear_maps(
+                    ambient, ambient, gens, injective=True, target_members=target
+                ):
+                    yield n, words, weights, profiles, members, gens, fmap
+
+
+def _witness(n: int, words: list[Word], gens: Sequence[int], fmap: dict, **extra) -> dict:
+    """The fields every sweep witness shares, followed by extra."""
+    return {
+        "length": n,
+        "generators": [list(words[g]) for g in gens],
+        "gen_images": [list(words[fmap[g]]) for g in gens],
+        **extra,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -686,11 +720,6 @@ def verify_midway(
     Hamming preservation and swc preservation coincide, certifying the forward
     direction independently through peeling."""
     claim = "Hamming preservation is equivalent to swc preservation for code monomorphisms"
-    strict = max_n is not None
-    if max_n is None:
-        max_n = guards.max_n
-    if max_gens is None:
-        max_gens = guards.max_gens
     ring = alphabet.ring
     hypotheses = {
         "ring_left_pir": is_left_pir(ring, guards),
@@ -703,47 +732,26 @@ def verify_midway(
         )
 
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
-    lengths = []
-    witness = None
-    for n, ambient, words, weights, profiles in _sweep_lengths(alphabet, guards, max_n, strict):
-        lengths.append(n)
-        for members, gens in _enumerate_codes(ambient, max_gens):
-            counts["codes"] += 1
-            for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
-                counts["monomorphisms"] += 1
-                hamming_ok = all(weights[x] == weights[fmap[x]] for x in members)
-                swc_ok = all(profiles[x] == profiles[fmap[x]] for x in members)
-                if hamming_ok != swc_ok:
-                    witness = {
-                        "length": n,
-                        "generators": [list(words[g]) for g in gens],
-                        "gen_images": [list(words[fmap[g]]) for g in gens],
-                        "hamming_preserved": hamming_ok,
-                        "swc_preserved": swc_ok,
-                    }
-                    break
-                if hamming_ok:
-                    counts["hamming_preserving"] += 1
-                    cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
-                    verdict = midway_peeling(cmap, guards)
-                    if verdict.result != "verified":
-                        witness = {
-                            "length": n,
-                            "generators": [list(words[g]) for g in gens],
-                            "gen_images": [list(words[fmap[g]]) for g in gens],
-                            "peeling": verdict.as_json(),
-                        }
-                        break
-                    counts["peeled"] += 1
-            if witness is not None:
-                break
-        if witness is not None:
-            break
-
-    details: dict = {"lengths": lengths, "max_generators": max_gens}
-    if witness is not None:
-        details["witness"] = witness
-        return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+    details: dict = {}
+    for n, words, weights, profiles, members, gens, fmap in _sweep(
+        alphabet, guards, max_n, max_gens, counts, details
+    ):
+        counts["monomorphisms"] += 1
+        hamming_ok = all(weights[x] == weights[fmap[x]] for x in members)
+        swc_ok = all(profiles[x] == profiles[fmap[x]] for x in members)
+        if hamming_ok != swc_ok:
+            details["witness"] = _witness(
+                n, words, gens, fmap, hamming_preserved=hamming_ok, swc_preserved=swc_ok
+            )
+            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+        if not hamming_ok:
+            continue
+        counts["hamming_preserving"] += 1
+        verdict = midway_peeling(_code_map_from_dict(alphabet, words, members, gens, fmap), guards)
+        if verdict.result != "verified":
+            details["witness"] = _witness(n, words, gens, fmap, peeling=verdict.as_json())
+            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+        counts["peeled"] += 1
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 
@@ -760,11 +768,6 @@ def verify_sufficiency(
     """For a cyclic-socle alphabet, check that every swc-preserving
     isomorphism between enumerated codes extends to a monomial transform."""
     claim = "every swc-preserving code isomorphism extends to a monomial transform"
-    strict = max_n is not None
-    if max_n is None:
-        max_n = guards.max_n
-    if max_gens is None:
-        max_gens = guards.max_gens
     report = socle_report(alphabet, guards)
     hypotheses = {"socle_cyclic": report.cyclic}
     if not report.cyclic:
@@ -774,44 +777,19 @@ def verify_sufficiency(
         )
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
-    lengths: list[int] = []
-    witness = None
-    for n, ambient, words, _, profiles in _sweep_lengths(alphabet, guards, max_n, strict):
-        lengths.append(n)
-        codes = _enumerate_codes(ambient, max_gens)
-        counts["codes"] += len(codes)
-        # codes come sorted by size; isomorphisms only join codes of one size
-        buckets = [list(g) for _, g in itertools.groupby(codes, key=lambda c: len(c[0]))]
-        isomorphisms = (
-            (members, gens, fmap)
-            for bucket in buckets
-            for members, gens in bucket
-            for other, _ in bucket
-            for fmap in iter_linear_maps(
-                ambient, ambient, gens, injective=True, target_members=frozenset(other)
-            )
-        )
-        for members, gens, fmap in isomorphisms:
-            counts["isomorphisms"] += 1
-            if not all(profiles[x] == profiles[fmap[x]] for x in members):
-                continue
-            counts["swc_preserving"] += 1
-            cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
-            if extension_search(cmap, guards=guards).transform is None:
-                witness = {
-                    "length": n,
-                    "generators": [list(words[g]) for g in gens],
-                    "gen_images": [list(cmap.mapping[words[g]]) for g in gens],
-                }
-                break
-            counts["extended"] += 1
-        if witness is not None:
-            break
-
-    details: dict = {"lengths": lengths, "max_generators": max_gens}
-    if witness is not None:
-        details["witness"] = witness
-        return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+    details: dict = {}
+    for n, words, _, profiles, members, gens, fmap in _sweep(
+        alphabet, guards, max_n, max_gens, counts, details, onto=True
+    ):
+        counts["isomorphisms"] += 1
+        if not all(profiles[x] == profiles[fmap[x]] for x in members):
+            continue
+        counts["swc_preserving"] += 1
+        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        if extension_search(cmap, guards=guards).transform is None:
+            details["witness"] = _witness(n, words, gens, fmap)
+            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+        counts["extended"] += 1
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 

@@ -94,6 +94,12 @@ def test_weight_profile_sums_to_length():
             assert sum(weight_profile(a, w, kind).as_dict().values()) == 3
 
 
+@pytest.mark.parametrize("kind", ["hamming", "swc", "aw"])
+def test_weight_profile_rejects_a_non_list_word(kind):
+    with pytest.raises(InputError):
+        weight_profile(z4_alphabet(), 5, kind)
+
+
 def test_monomial_apply_and_compose():
     a = z4_alphabet()
     ident = monomial_identity(a, 2)

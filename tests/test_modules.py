@@ -1,5 +1,7 @@
 """Module layer: socles, simple catalogs, automorphisms, partitions."""
 
+import json
+
 import pytest
 
 from eplab.errors import GuardExceeded, InputError
@@ -26,7 +28,7 @@ from eplab.modules import (
     submodule_generated,
     submodules_enumerate,
 )
-from eplab.rings import ring_make
+from eplab.rings import exponent_of_addition, ring_make
 
 
 def mod_ring(n):
@@ -361,6 +363,95 @@ def test_character_action_convention():
     idx = {chi: i for i, chi in enumerate(value_tuples)}
     chi_identity = idx[(0, 1, 2, 3)]
     assert chars.act(2, chi_identity) == idx[(0, 2, 0, 2)]
+
+
+def _character_tables_by_search(ring):
+    """The additive characters by a private backtracker over the additive
+    generators: the oracle for character_module's tables."""
+    n = ring.order
+    m = exponent_of_addition(ring)
+    add = ring.add_table
+
+    def additive_order(a):
+        order, x = 1, a
+        while x != ring.zero:
+            x = add[x][a]
+            order += 1
+        return order
+
+    orders = [additive_order(a) for a in range(n)]
+
+    def additive_span(current, a):
+        span, x = set(), ring.zero
+        for _ in range(orders[a]):
+            span |= {add[s][x] for s in current}
+            x = add[x][a]
+        return frozenset(span)
+
+    gens, covered = [], frozenset({ring.zero})
+    while len(covered) < n:
+        best = max(
+            (a for a in range(n) if a not in covered),
+            key=lambda a: (len(additive_span(covered, a)), -a),
+        )
+        gens.append(best)
+        covered = additive_span(covered, best)
+
+    def extend_additive(base, g, c):
+        new, x, v = dict(base), ring.zero, 0
+        for _ in range(orders[g]):
+            for s, fs in base.items():
+                key, val = add[s][x], (fs + v) % m
+                if new.setdefault(key, val) != val:
+                    return None
+            x, v = add[x][g], (v + c) % m
+        return new
+
+    characters = []
+
+    def rec(i, current):
+        if i == len(gens):
+            characters.append(tuple(current[x] for x in range(n)))
+            return
+        for c in range(m):
+            if (orders[gens[i]] * c) % m == 0:
+                ext = extend_additive(current, gens[i], c)
+                if ext is not None:
+                    rec(i + 1, ext)
+
+    rec(0, {ring.zero: 0})
+    characters.sort()
+    index = {chi: i for i, chi in enumerate(characters)}
+    add_t = tuple(
+        tuple(index[tuple((x + y) % m for x, y in zip(a, b))] for b in characters)
+        for a in characters
+    )
+    act_t = tuple(
+        tuple(index[tuple(chi[ring.mul(x, r)] for x in range(n))] for chi in characters)
+        for r in ring.elements()
+    )
+    return add_t, act_t, index[(0,) * n]
+
+
+def _field(q):
+    return {"kind": "matrix", "m": 1, "q": q}
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{"kind": "mod_n", "n": n} for n in range(2, 13)]
+    + [_field(q) for q in (2, 3, 4, 8)]
+    + [
+        {"kind": "matrix", "m": 2, "q": 2},
+        {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]},
+        {"kind": "product", "factors": [{"kind": "mod_n", "n": 4}, {"kind": "mod_n", "n": 2}]},
+    ],
+    ids=lambda d: json.dumps(d, sort_keys=True),
+)
+def test_character_module_matches_the_search_oracle(descriptor):
+    ring = ring_make(descriptor)
+    chars = character_module(ring)
+    assert (chars.add_table, chars.act_table, chars.zero) == _character_tables_by_search(ring)
 
 
 def test_embedding_search():

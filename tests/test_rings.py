@@ -5,11 +5,13 @@ import pytest
 from eplab.errors import (
     GuardExceeded,
     InputError,
+    InternalConsistencyError,
     NotPrincipalError,
     UnsupportedConstruction,
 )
 from eplab.rings import (
     block_projections,
+    exact_exponent,
     exponent_of_addition,
     is_left_ideal,
     is_left_pir,
@@ -160,6 +162,14 @@ def test_product_ring_structure():
 )
 def test_wedderburn_blocks_frozen(builder, expected):
     assert wedderburn_data(builder()).blocks == expected
+
+
+def test_exact_exponent():
+    assert [exact_exponent(count, 2) for count in (1, 2, 8)] == [0, 1, 3]
+    assert exact_exponent(16, 4) == 2
+    for count, q in ((6, 2), (8, 4), (0, 3)):
+        with pytest.raises(InternalConsistencyError):
+            exact_exponent(count, q)
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,6 @@ from eplab.errors import (
 from eplab.fields import FiniteField, index_to_matrix, matrix_to_index
 from eplab.modules import (
     annihilator_sets,
-    direct_power,
-    iter_linear_maps,
     module_make,
     partition,
 )
@@ -41,11 +39,10 @@ from eplab.theorems import (
     verify_sufficiency,
 )
 from eplab.theorems import (
-    _ambient_words,
     _code_map_from_dict,
-    _enumerate_codes,
     _projection_matrix,
     _subspace_basis,
+    _sweep,
 )
 
 
@@ -233,6 +230,27 @@ def test_pack_from_json_rejects_malformed():
     del broken["generators_plus"]
     with pytest.raises(InputError):
         pack_from_json(broken)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("params", 5),
+        ("transcript", 3),
+        ("length", 2.0),
+        ("length", True),
+        ("gen_images", [[1.7, 0]]),
+        ("generators_plus", [["1", 0]]),
+        ("generators_minus", [[True, 0]]),
+        ("generators_plus", [1]),
+    ],
+)
+def test_pack_from_json_rejects_malformed_fields(field, value):
+    pack = build_counterexample(1, 2, 2).as_json()
+    pack[field] = value
+    with pytest.raises(InputError) as info:
+        pack_from_json(pack)
+    assert info.value.exit_code == 4
 
 
 @pytest.mark.parametrize("construction", ["search", "", None])
@@ -431,15 +449,12 @@ def _same_report(fast, slow):
 )
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
-    for n in (1, 2):
-        ambient = direct_power(alphabet, n)
-        words = _ambient_words(alphabet, n, Guards())[0]
-        for members, gens in _enumerate_codes(ambient, 2):
-            for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
-                cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
-                fast = midway_peeling(cmap)
-                _same_report(fast, _peel_word_by_word(cmap))
-                results[fast.result] += 1
+    sweep = _sweep(alphabet, Guards(), 2, 2, {"codes": 0}, {})
+    for _, words, _, _, members, gens, fmap in sweep:
+        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        fast = midway_peeling(cmap)
+        _same_report(fast, _peel_word_by_word(cmap))
+        results[fast.result] += 1
     assert results["verified"] > 0 and results["hypotheses-unmet"] > 0
 
 
@@ -661,7 +676,7 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
         "result": "counterexample",
         "hypotheses": {"socle_cyclic": True},
-        "counts": {"codes": 18, "isomorphisms": 7, "swc_preserving": 7, "extended": 6},
+        "counts": {"codes": 5, "isomorphisms": 7, "swc_preserving": 7, "extended": 6},
         "details": {
             "lengths": [1, 2],
             "max_generators": 2,
