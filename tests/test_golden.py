@@ -67,7 +67,9 @@ def _cases() -> dict:
     cases["verify-midway-z4-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-midway-z8-n2"] = (["verify-midway", "--max-n", "2", "--max-gens", "2"], "z8")
     cases["verify-midway-f2-col2-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "f2-col2")
+    cases["verify-midway-z4-klein-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4-klein")
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
+    cases["verify-sufficiency-z4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")
     cases["verify-sufficiency-f4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "f4")
     cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
