@@ -519,6 +519,29 @@ class AutGroup:
         """(p after q)(x) = p[q[x]]."""
         return tuple(p[x] for x in q)
 
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The elements, in sorted order, that lie outside the subgroup
+        generated by the elements kept before them.  Each one kept at least
+        doubles that subgroup, so there are at most log2(order) of them."""
+        identity = tuple(self.module.elements())
+        gens: list[tuple[int, ...]] = []
+        reached = {identity}
+        for p in self.elements:
+            if p in reached:
+                continue
+            gens.append(p)
+            reached = {identity}
+            frontier = [identity]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    y = self.compose(g, x)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        return tuple(gens)
+
     def inverse(self, p: tuple[int, ...]) -> tuple[int, ...]:
         inv = [0] * len(p)
         for x, y in enumerate(p):

@@ -37,6 +37,7 @@ from .errors import (
 from .fields import (
     FiniteField,
     Matrix,
+    entries_to_index,
     factor_prime_power,
     index_to_entries,
     index_to_matrix,
@@ -46,6 +47,7 @@ from .modules import (
     Module,
     _validate_module_tables,
     annihilator_sets,
+    automorphism_group,
     direct_power,
     embedding_search,
     hom_count_from_simple,
@@ -227,6 +229,15 @@ def pack_from_json(obj: dict) -> CounterexamplePack:
         if type(x) is not int:
             raise InputError(f"pack entry {x!r} must be an integer")
         return x
+
+    # replay_pack reads these to recompute the length formula and the verdict
+    for key in ("q", "k"):
+        if key not in obj["params"]:
+            raise InputError(f"pack params need {key!r}")
+        plain_int(obj["params"][key])
+    required = obj["transcript"].get("required_checks", [])
+    if not isinstance(required, list) or not all(isinstance(c, str) for c in required):
+        raise InputError("pack transcript 'required_checks' must be a list of check names")
 
     def words(key):
         if not isinstance(obj[key], list) or not all(isinstance(w, list) for w in obj[key]):
@@ -644,6 +655,46 @@ def _code_map_from_dict(
     return CodeMap(source, target, target.generators, mapping)
 
 
+def _orbit_representatives(
+    alphabet: Module, words: list[Word], codes: list, guards: Guards
+) -> list[int]:
+    """reps[i] is the position of the first code in codes (the output of
+    _enumerate_codes on A^n) that lies in the orbit of codes[i] under the
+    monomial group S_n x| Aut(A)^n.
+
+    Union-find over the code list under the group's generators: the
+    transposition (0 1), the n-cycle and the generators of Aut(A) acting on
+    position 0.  An image code missing from the list breaks the closure the
+    sweep relies on and raises InternalConsistencyError.
+    """
+    n = len(words[0])
+    q = alphabet.order
+    orders = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+    perms = [[entries_to_index([w[i] for i in order], q) for w in words] for order in orders]
+    place = q ** (n - 1)
+    for sigma in automorphism_group(alphabet, guards).generators:
+        perms.append([sigma[x // place] * place + x % place for x in range(len(words))])
+    position = {members: i for i, (members, _) in enumerate(codes)}
+    parent = list(range(len(codes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, (members, _) in enumerate(codes):
+            j = position.get(tuple(sorted(perm[x] for x in members)))
+            if j is None:
+                raise InternalConsistencyError(
+                    f"a monomial image of code {i} at length {n} was not enumerated"
+                )
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(codes))]
+
+
 def _sweep(
     alphabet: Module,
     guards: Guards,
@@ -653,16 +704,25 @@ def _sweep(
     details: dict,
     onto: bool = False,
 ):
-    """Yield (n, words, weights, profiles, members, gens, fmap) for every
-    injective linear map on every code of A^n, n = 1..max_n, that needs at
+    """Yield (n, words, weights, profiles, members, gens, fmap) for the
+    injective linear maps on the codes of A^n, n = 1..max_n, that need at
     most max_gens generators; with onto, only the maps onto a code of the
     same size.
 
     words[x] is the word at ambient index x, weights[x] its Hamming weight and
-    profiles[x] its sorted orbit labels.  Visited codes are counted in
-    counts["codes"]; details gets "lengths" and "max_generators".  The bounds
-    default to the guards.  A length whose ambient order overflows the guard
-    ends the sweep, or raises when max_n was given explicitly or n = 1.
+    profiles[x] its sorted orbit labels.  Every code is visited in the order
+    of _enumerate_codes and counted in counts["codes"], but only the first
+    code of each monomial orbit (_orbit_representatives) yields its maps.
+    The sweep records how much the other entries of counts grew while the
+    caller consumed them, and each later code of the orbit adds that growth
+    and yields nothing.  This is exact when the caller's tallies and witness
+    test are invariant under moving the source code by a monomial transform
+    g, as f -> f.g maps the maps on g(C) one to one onto those on C: a
+    witness then first shows on the first code of its orbit, and the caller
+    stops at the same map, with the same counts, as on an unreduced sweep.
+    details gets "lengths" and "max_generators".  The bounds default to the
+    guards.  A length whose ambient order overflows the guard ends the
+    sweep, or raises when max_n was given explicitly or n = 1.
     """
     strict = max_n is not None
     if max_n is None:
@@ -684,8 +744,15 @@ def _sweep(
         weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
         profiles = [tuple(sorted(labels[c] for c in w)) for w in words]
         codes = _enumerate_codes(ambient, max_gens)
-        for members, gens in codes:
+        reps = _orbit_representatives(alphabet, words, codes, guards)
+        growth: dict[int, dict] = {}
+        for i, (members, gens) in enumerate(codes):
             counts["codes"] += 1
+            if reps[i] != i:
+                for key, grown in growth[reps[i]].items():
+                    counts[key] += grown
+                continue
+            before = dict(counts)
             targets = [None]
             if onto:
                 targets = [frozenset(other) for other, _ in codes if len(other) == len(members)]
@@ -694,6 +761,7 @@ def _sweep(
                     ambient, ambient, gens, injective=True, target_members=target
                 ):
                     yield n, words, weights, profiles, members, gens, fmap
+            growth[i] = {key: counts[key] - before[key] for key in counts if key != "codes"}
 
 
 def _witness(n: int, words: list[Word], gens: Sequence[int], fmap: dict, **extra) -> dict:

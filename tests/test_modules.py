@@ -254,6 +254,23 @@ def test_automorphism_group_is_a_group():
             assert AutGroup.compose(p, q) in g.index
 
 
+@pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, m23_over_m2f2])
+def test_automorphism_group_generators_generate_it(builder):
+    g = automorphism_group(builder())
+    assert all(p in g.index for p in g.generators)
+    assert 2 ** len(g.generators) <= g.order
+    reached = {tuple(g.module.elements())}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for p in g.generators:
+            y = AutGroup.compose(x, p)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == set(g.elements)
+
+
 def test_partition_frozen_z2z4():
     a = z2z4_over_z4()
     orbits = partition(a, "orbit")

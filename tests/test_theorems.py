@@ -8,7 +8,15 @@ import pytest
 
 from eplab import theorems
 
-from eplab.codes import Code, CodeMap, code_generate, code_map_make, map_preserves, weight_profile
+from eplab.codes import (
+    Code,
+    CodeMap,
+    code_generate,
+    code_map_make,
+    extension_search,
+    map_preserves,
+    weight_profile,
+)
 from eplab.errors import (
     GuardExceeded,
     Guards,
@@ -16,9 +24,12 @@ from eplab.errors import (
     InternalConsistencyError,
     UnsupportedConstruction,
 )
-from eplab.fields import FiniteField, index_to_matrix, matrix_to_index
+from eplab.fields import FiniteField, index_to_entries, index_to_matrix, matrix_to_index
 from eplab.modules import (
     annihilator_sets,
+    automorphism_group,
+    direct_power,
+    iter_linear_maps,
     module_make,
     partition,
 )
@@ -40,6 +51,8 @@ from eplab.theorems import (
 )
 from eplab.theorems import (
     _code_map_from_dict,
+    _enumerate_codes,
+    _orbit_representatives,
     _projection_matrix,
     _subspace_basis,
     _sweep,
@@ -69,6 +82,19 @@ def z2_plus_z4():
     )
 
 
+def relabelled(module, perm):
+    """The same module as a "table" descriptor, element a renamed perm[a]."""
+    order = module.order
+    add = [[0] * order for _ in range(order)]
+    act = [[0] * order for _ in module.ring.elements()]
+    for a in module.elements():
+        for b in module.elements():
+            add[perm[a]][perm[b]] = perm[module.add_table[a][b]]
+        for r in module.ring.elements():
+            act[r][perm[a]] = perm[module.act_table[r][a]]
+    return module_make(module.ring, {"kind": "table", "add": add, "act": act})
+
+
 def local_xy_ring():
     """F_2[x,y]/(x,y)^2 as a table ring; not a principal ideal ring."""
     def split(i):
@@ -88,6 +114,31 @@ def local_xy_ring():
                 (a1 * a2) % 2, (a1 * b2 + b1 * a2) % 2, (a1 * c2 + c1 * a2) % 2
             )
     return ring_make({"kind": "table", "add": add, "mul": mul})
+
+
+def _codes_of_length(alphabet, n, max_gens):
+    """(ambient A^n, its words by index, its codes as _sweep lists them)."""
+    ambient = direct_power(alphabet, n)
+    words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+    return ambient, words, _enumerate_codes(ambient, max_gens)
+
+
+def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False):
+    """Yield (words, members, gens, fmap) for every injective linear map on
+    every code of A^n, n = 1..max_n, counting codes in counts["codes"]: the
+    sweep without orbit reduction, the oracle for theorems._sweep."""
+    for n in range(1, max_n + 1):
+        ambient, words, codes = _codes_of_length(alphabet, n, max_gens)
+        for members, gens in codes:
+            counts["codes"] += 1
+            targets = [None]
+            if onto:
+                targets = [frozenset(other) for other, _ in codes if len(other) == len(members)]
+            for target in targets:
+                for fmap in iter_linear_maps(
+                    ambient, ambient, gens, injective=True, target_members=target
+                ):
+                    yield words, members, gens, fmap
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +283,9 @@ def test_pack_from_json_rejects_malformed():
         pack_from_json(broken)
 
 
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -243,11 +297,24 @@ def test_pack_from_json_rejects_malformed():
         ("generators_plus", [["1", 0]]),
         ("generators_minus", [[True, 0]]),
         ("generators_plus", [1]),
+        ("params.q", _MISSING),
+        ("params.k", _MISSING),
+        ("params.q", 2.0),
+        ("params.k", "3"),
+        ("transcript.required_checks", 5),
+        ("transcript.required_checks", [["no_extension"]]),
     ],
 )
 def test_pack_from_json_rejects_malformed_fields(field, value):
     pack = build_counterexample(1, 2, 2).as_json()
-    pack[field] = value
+    *parents, key = field.split(".")
+    target = pack
+    for parent in parents:
+        target = target[parent]
+    if value is _MISSING:
+        del target[key]
+    else:
+        target[key] = value
     with pytest.raises(InputError) as info:
         pack_from_json(pack)
     assert info.value.exit_code == 4
@@ -449,8 +516,7 @@ def _same_report(fast, slow):
 )
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
-    sweep = _sweep(alphabet, Guards(), 2, 2, {"codes": 0}, {})
-    for _, words, _, _, members, gens, fmap in sweep:
+    for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
         cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
         fast = midway_peeling(cmap)
         _same_report(fast, _peel_word_by_word(cmap))
@@ -634,6 +700,116 @@ def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
             },
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# orbit reduction against the unreduced sweep
+
+
+def _unreduced_midway_counts(alphabet, max_n, max_gens):
+    counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
+    for words, members, gens, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts):
+        counts["monomorphisms"] += 1
+        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        hamming_ok = map_preserves(cmap, "hamming")
+        assert hamming_ok == map_preserves(cmap, "swc")
+        if hamming_ok:
+            counts["hamming_preserving"] += 1
+            assert midway_peeling(cmap).result == "verified"
+            counts["peeled"] += 1
+    return counts
+
+
+def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
+    counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
+    for words, members, gens, fmap in _unreduced_sweep(
+        alphabet, max_n, max_gens, counts, onto=True
+    ):
+        counts["isomorphisms"] += 1
+        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        if map_preserves(cmap, "swc"):
+            counts["swc_preserving"] += 1
+            assert extension_search(cmap).transform is not None
+            counts["extended"] += 1
+    return counts
+
+
+def _sweep_yields(alphabet, max_n, max_gens, onto=False):
+    counts = {"codes": 0}
+    return sum(1 for _ in _sweep(alphabet, Guards(), max_n, max_gens, counts, {}, onto))
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [z4_klein(), module_make(mod_ring(4), {"kind": "regular"}),
+     module_make(mod_ring(8), {"kind": "regular"}), matrix_module(1, 2, 2),
+     relabelled(z4_klein(), [2, 0, 3, 1])],
+    ids=["z4-klein", "z4", "z8", "f2-col2", "z4-klein-relabelled"],
+)
+def test_midway_counts_match_the_unreduced_sweep(alphabet):
+    report = verify_midway(alphabet, max_n=2, max_gens=2)
+    assert report.result == "verified"
+    expected = _unreduced_midway_counts(alphabet, 2, 2)
+    assert report.counts == expected
+    assert _sweep_yields(alphabet, 2, 2) < expected["monomorphisms"]
+
+
+@pytest.mark.parametrize(
+    "alphabet,max_n",
+    [(matrix_module(1, 2, 1), 3), (module_make(mod_ring(4), {"kind": "regular"}), 2),
+     (matrix_module(1, 4, 1), 2),
+     (relabelled(module_make(mod_ring(4), {"kind": "regular"}), [3, 2, 0, 1]), 2)],
+    ids=["f2", "z4", "f4", "z4-relabelled"],
+)
+def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
+    report = verify_sufficiency(alphabet, max_n=max_n, max_gens=2)
+    assert report.result == "verified"
+    expected = _unreduced_sufficiency_counts(alphabet, max_n, 2)
+    assert report.counts == expected
+    assert _sweep_yields(alphabet, max_n, 2, onto=True) < expected["isomorphisms"]
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [z4_klein(), module_make(mod_ring(8), {"kind": "regular"}),
+     relabelled(z4_klein(), [2, 0, 3, 1])],
+    ids=["z4-klein", "z8", "z4-klein-relabelled"],
+)
+def test_orbit_representatives_match_the_whole_monomial_group(alphabet):
+    # at n = 2 the group S_2 x| Aut(A)^2 is small enough to apply element by element
+    _, words, codes = _codes_of_length(alphabet, 2, 2)
+    index = {w: x for x, w in enumerate(words)}
+    position = {members: i for i, (members, _) in enumerate(codes)}
+    auts = automorphism_group(alphabet).elements
+    expected = []
+    for members, _ in codes:
+        orbit = {
+            position[tuple(sorted(index[(s[words[x][i]], t[words[x][1 - i]])] for x in members))]
+            for i in (0, 1)
+            for s in auts
+            for t in auts
+        }
+        expected.append(min(orbit))
+    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    assert reps == expected
+    assert len(set(reps)) < len(codes)
+
+
+def test_sweep_rejects_a_code_list_not_closed_under_the_monomial_group(monkeypatch):
+    alphabet = module_make(mod_ring(4), {"kind": "regular"})
+    ambient, words, codes = _codes_of_length(alphabet, 2, 2)
+    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    dropped = max(i for i, rep in enumerate(reps) if rep != i)
+
+    def enumerate_codes(module, max_gens):
+        found = _enumerate_codes(module, max_gens)
+        if module.order == ambient.order:
+            del found[dropped]
+        return found
+
+    monkeypatch.setattr(theorems, "_enumerate_codes", enumerate_codes)
+    with pytest.raises(InternalConsistencyError):
+        verify_midway(alphabet, max_n=2, max_gens=2)
 
 
 # ---------------------------------------------------------------------------
