@@ -396,14 +396,8 @@ _HANDLERS = {
 
 
 def _guards_from(args) -> Guards:
-    overrides = {}
-    for field in dataclasses.fields(Guards):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            if value < 1:
-                raise InputError(f"--{field.name.replace('_', '-')} must be positive")
-            overrides[field.name] = value
-    return Guards.from_env(**overrides)
+    names = [field.name for field in dataclasses.fields(Guards)]
+    return Guards.from_env(**{name: getattr(args, name, None) for name in names})
 
 
 def main(argv=None) -> int:

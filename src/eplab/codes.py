@@ -22,12 +22,11 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     DEFAULT_GUARDS,
     Guards,
-    GuardExceeded,
     InputError,
     InternalConsistencyError,
     check_guard,
 )
-from .modules import AutGroup, Module, OrbitIndex, automorphism_group, partition
+from .modules import Module, OrbitIndex, automorphism_group, partition
 
 Word = tuple[int, ...]
 
@@ -160,35 +159,10 @@ class MonomialTransform:
     taus: tuple[tuple[int, ...], ...]
 
 
-def monomial_identity(alphabet: Module, n: int) -> MonomialTransform:
-    ident = tuple(alphabet.elements())
-    return MonomialTransform(tuple(range(n)), (ident,) * n)
-
-
 def monomial_apply(transform: MonomialTransform, word: Sequence[int]) -> Word:
     return tuple(
         transform.taus[i][word[transform.sigma[i]]] for i in range(len(transform.sigma))
     )
-
-
-def monomial_compose(second: MonomialTransform, first: MonomialTransform) -> MonomialTransform:
-    """The transform equal to applying first, then second."""
-    n = len(second.sigma)
-    sigma = tuple(first.sigma[second.sigma[i]] for i in range(n))
-    taus = tuple(
-        tuple(second.taus[i][first.taus[second.sigma[i]][a]] for a in range(len(first.taus[0])))
-        for i in range(n)
-    )
-    return MonomialTransform(sigma, taus)
-
-
-def monomial_is_valid(alphabet: Module, transform: MonomialTransform) -> bool:
-    from .modules import is_module_automorphism
-
-    n = len(transform.sigma)
-    if sorted(transform.sigma) != list(range(n)) or len(transform.taus) != n:
-        return False
-    return all(is_module_automorphism(alphabet, tau) for tau in transform.taus)
 
 
 # ---------------------------------------------------------------------------
@@ -289,45 +263,14 @@ def column_fingerprint(code: Code, position: int, index: OrbitIndex) -> tuple[in
 # extension search
 
 
-def group_elements(
-    alphabet: Module,
-    group: AutGroup | Sequence[Sequence[int]] | None,
-    guards: Guards = DEFAULT_GUARDS,
-) -> tuple[tuple[int, ...], ...]:
-    """Normalize a group argument to a sorted tuple of automorphisms.
-
-    An explicit list is validated and closed under composition.
-    """
-    from .modules import is_module_automorphism
-
-    if group is None:
-        return automorphism_group(alphabet, guards).elements
-    if isinstance(group, AutGroup):
-        return group.elements
-    perms = [tuple(p) for p in group]
-    for p in perms:
-        if not is_module_automorphism(alphabet, p):
-            raise InputError("supplied permutation is not an alphabet automorphism")
-    identity = tuple(alphabet.elements())
-    closed = {identity} | set(perms)
-    frontier = list(closed)
-    while frontier:
-        p = frontier.pop()
-        for q in perms:
-            r = tuple(p[x] for x in q)
-            if r not in closed:
-                closed.add(r)
-                frontier.append(r)
-        check_guard(len(closed), guards.max_nodes, "group closure size")
-    return tuple(sorted(closed))
-
-
 @dataclasses.dataclass(frozen=True)
 class ExtensionResult:
-    """Outcome of an extension search.
+    """Outcome of an extension search over Aut(A).
 
-    transform is None when no monomial transform over the group restricts to
-    the map; the search is exhaustive unless it raises GuardExceeded first.
+    transform is None exactly when no monomial transform restricts to the
+    map.  nodes is the code length when a transform is found and 0
+    otherwise: the search assigns each target position once and never
+    backtracks.
     """
 
     transform: Optional[MonomialTransform]
@@ -336,81 +279,53 @@ class ExtensionResult:
     group_order: int
 
 
-def extension_search(
-    cmap: CodeMap,
-    group: AutGroup | Sequence[Sequence[int]] | None = None,
-    guards: Guards = DEFAULT_GUARDS,
-) -> ExtensionResult:
-    """Search for a monomial transform agreeing with the code map.
+def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> ExtensionResult:
+    """Find the lexicographically least monomial transform over Aut(A) that
+    agrees with the code map, or show that none exists.
 
     By linearity a transform agrees with the map on the whole code exactly
-    when it agrees on the generators, so candidate automorphisms per position
-    pair are computed from generator columns only.  The search walks target
-    positions in increasing order and tries source positions in increasing
-    order, so a found witness is the lexicographically least one; candidate
-    sets are pre-filtered by column fingerprints over the group's orbit
-    partition.
+    when it agrees on the generators.  Some tau sends source generator column
+    j to image column i exactly when the two lie in one Aut(A)-orbit of A^k,
+    so the feasible position pairs form disjoint complete bipartite blocks.
+    Matching each target position i, in increasing order, to the first free
+    source position j of its block therefore never backtracks, finds a
+    transform exactly when one exists, and finds the least sigma; tau is the
+    first match in the sorted group.  Column fingerprints over the orbit
+    partition are a necessary condition that rules out most pairs cheaply.
     """
     alphabet = cmap.source.alphabet
     n = cmap.source.length
-    perms = group_elements(alphabet, group, guards)
-    gens = cmap.source.generators
-    images = cmap.gen_images
-
-    orbit_index = partition(alphabet, "orbit", group=perms, guards=guards)
+    perms = automorphism_group(alphabet, guards).elements
+    orbit_index = partition(alphabet, "orbit", guards=guards)
     fp_src = [column_fingerprint(cmap.source, j, orbit_index) for j in range(n)]
     fp_dst = [column_fingerprint(cmap.target, i, orbit_index) for i in range(n)]
-
-    candidates: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        for j in range(n):
-            if fp_src[j] != fp_dst[i]:
-                continue
-            taus = [
-                t
-                for t, tau in enumerate(perms)
-                if all(tau[g[j]] == fg[i] for g, fg in zip(gens, images))
-            ]
-            if taus:
-                candidates[(i, j)] = taus
-
-    feasible_j = {j for (_, j) in candidates}
-    feasible_i = {i for (i, _) in candidates}
     candidate_space = math.factorial(n) * len(perms) ** n
-    if len(feasible_j) < n or len(feasible_i) < n:
+    if sorted(fp_src) != sorted(fp_dst):
         return ExtensionResult(None, 0, candidate_space, len(perms))
 
-    nodes = 0
-    sigma = [-1] * n
+    gens = cmap.source.generators
+    images = cmap.gen_images
+    sigma: list[int] = []
+    taus: list[tuple[int, ...]] = []
     used = [False] * n
-
-    def dfs(i: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
+    for i in range(n):
         for j in range(n):
-            if used[j] or (i, j) not in candidates:
+            if used[j] or fp_src[j] != fp_dst[i]:
                 continue
-            nodes += 1
-            if nodes > guards.max_nodes:
-                raise GuardExceeded(
-                    f"extension search exceeded {guards.max_nodes} nodes"
-                )
-            sigma[i] = j
-            used[j] = True
-            if dfs(i + 1):
-                return True
-            used[j] = False
-            sigma[i] = -1
-        return False
+            column = [(g[j], fg[i]) for g, fg in zip(gens, images)]
+            tau = next((t for t in perms if all(t[x] == y for x, y in column)), None)
+            if tau is not None:
+                sigma.append(j)
+                taus.append(tau)
+                used[j] = True
+                break
+        else:
+            return ExtensionResult(None, 0, candidate_space, len(perms))
 
-    if not dfs(0):
-        return ExtensionResult(None, nodes, candidate_space, len(perms))
-    taus = tuple(perms[candidates[(i, sigma[i])][0]] for i in range(n))
-    transform = MonomialTransform(tuple(sigma), taus)
+    transform = MonomialTransform(tuple(sigma), tuple(taus))
     for word, image in cmap.mapping.items():
         if monomial_apply(transform, word) != image:
             raise InternalConsistencyError(
                 "extension search produced an inconsistent transform"
             )
-    return ExtensionResult(transform, nodes, candidate_space, len(perms))
+    return ExtensionResult(transform, n, candidate_space, len(perms))

@@ -63,7 +63,6 @@ class Guards:
     max_code     -- largest number of codewords materialized per code
     max_n        -- largest code length explored by the verifiers
     max_gens     -- largest generator count per code in verifier sweeps
-    max_nodes    -- backtracking-node budget for extension searches
     """
 
     max_order: int = 64
@@ -71,11 +70,13 @@ class Guards:
     max_code: int = 4096
     max_n: int = 3
     max_gens: int = 2
-    max_nodes: int = 2_000_000
 
     @staticmethod
     def from_env(**overrides) -> "Guards":
-        """Build guards from EPLAB_MAX_* environment variables plus overrides."""
+        """Build guards from EPLAB_MAX_* environment variables plus overrides.
+
+        Every value, from either source, must be a positive integer.
+        """
         values = {}
         for field in dataclasses.fields(Guards):
             env = os.environ.get("EPLAB_" + field.name.upper())
@@ -90,6 +91,9 @@ class Guards:
         for key, val in overrides.items():
             if val is not None:
                 values[key] = int(val)
+        for key, val in values.items():
+            if val < 1:
+                raise InputError(f"guard {key} must be positive, got {val}")
         return Guards(**values)
 
 

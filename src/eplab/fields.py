@@ -284,10 +284,6 @@ class Matrix:
                         out[arow_out + j] = f.add_table[out[arow_out + j]][mrow[b]]
         return Matrix(f, n, m, tuple(out))
 
-    def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
-
     def rref(self) -> "Matrix":
         """Reduced row echelon form via leftmost-pivot Gaussian elimination."""
         f = self.field
@@ -344,23 +340,6 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix[{body}]"
-
-
-def mat_ops(kind: str, *operands: Matrix):
-    """Dispatch basic matrix operations by name: add, mul, rref, rank."""
-    if kind == "add":
-        a, b = operands
-        return a.add(b)
-    if kind == "mul":
-        a, b = operands
-        return a.mul(b)
-    if kind == "rref":
-        (a,) = operands
-        return a.rref()
-    if kind == "rank":
-        (a,) = operands
-        return a.rank()
-    raise InputError(f"unknown matrix operation {kind!r}")
 
 
 def mixed_radix_join(parts: Iterable[int], radices: Iterable[int]) -> int:

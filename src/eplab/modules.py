@@ -603,47 +603,21 @@ class OrbitIndex:
         return {k: tuple(v) for k, v in sorted(out.items())}
 
 
-def partition(
-    module: Module,
-    kind: str,
-    group: Optional[Sequence[Sequence[int]]] = None,
-    guards: Guards = DEFAULT_GUARDS,
-) -> OrbitIndex:
+def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> OrbitIndex:
     """Partition elements by automorphism orbits ("orbit") or by equal
-    annihilator ("annihilator").
-
-    For "orbit", an explicit list of automorphisms may be supplied; orbits are
-    taken under the group they generate.  Each supplied permutation must be a
-    module automorphism.
-    """
-    cache_key = ("partition", kind) if group is None else None
-    if cache_key is not None and cache_key in module._cache:
+    annihilator ("annihilator")."""
+    cache_key = ("partition", kind)
+    if cache_key in module._cache:
         return module._cache[cache_key]
     n = module.order
     if kind == "orbit":
-        if group is None:
-            perms = automorphism_group(module, guards).elements
-        else:
-            perms = [tuple(p) for p in group]
-            for p in perms:
-                if not is_module_automorphism(module, p):
-                    raise InputError("supplied permutation is not a module automorphism")
+        perms = automorphism_group(module, guards).elements
         labels = [-1] * n
         for a in range(n):
-            if labels[a] != -1:
-                continue
-            orbit = {a}
-            frontier = [a]
-            while frontier:
-                x = frontier.pop()
-                for p in perms:
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            lab = min(orbit)
-            for x in orbit:
-                labels[x] = lab
+            if labels[a] == -1:
+                # a is the least element of its orbit {p[a] : p in Aut(A)}
+                for x in {p[a] for p in perms}:
+                    labels[x] = a
     elif kind == "annihilator":
         anns = annihilator_sets(module)
         first: dict[frozenset, int] = {}
@@ -653,8 +627,7 @@ def partition(
     else:
         raise InputError(f"unknown partition kind {kind!r}")
     out = OrbitIndex(kind, tuple(labels))
-    if cache_key is not None:
-        module._cache[cache_key] = out
+    module._cache[cache_key] = out
     return out
 
 

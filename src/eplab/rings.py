@@ -89,8 +89,6 @@ class LeftIdeal:
     def __contains__(self, x):
         return x in self.members
 
-    def is_subset(self, other: "LeftIdeal") -> bool:
-        return set(self.members) <= set(other.members)
 
 
 def check_table(table, rows: int, n: int, what: str) -> None:
@@ -274,10 +272,6 @@ def principal_left_ideal(ring: Ring, g: int) -> LeftIdeal:
     return LeftIdeal(tuple(sorted({ring.mul(r, g) for r in ring.elements()})))
 
 
-def principal_right_ideal(ring: Ring, g: int) -> LeftIdeal:
-    return LeftIdeal(tuple(sorted({ring.mul(g, r) for r in ring.elements()})))
-
-
 def _sum_of_subgroups(ring: Ring, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
     return frozenset(ring.add(x, y) for x in a for y in b)
 
@@ -326,10 +320,6 @@ def opposite_ring(ring: Ring) -> Ring:
             {"kind": "opposite", "base": ring.descriptor},
         )
     return ring._cache["opposite"]
-
-
-def right_ideals_enumerate(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[LeftIdeal, ...]:
-    return left_ideals_enumerate(opposite_ring(ring), guards)
 
 
 def is_left_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:

@@ -267,21 +267,6 @@ def _zero_columns(code: Code) -> list[int]:
     ]
 
 
-def _nonextension_certificate(cmap: CodeMap, guards: Guards) -> tuple[bool, str, Optional[int]]:
-    """Certify that cmap has no monomial extension over the full group.
-
-    Prefers the exhaustive search; when that overruns its node budget, falls
-    back to the zero-column obstruction (a column of zeros in the source code
-    cannot land on any column of a code without one).
-    """
-    try:
-        res = extension_search(cmap, guards=guards)
-        return res.transform is None, "exhaustive-search", res.nodes
-    except GuardExceeded:
-        obstructed = bool(_zero_columns(cmap.source)) and not _zero_columns(cmap.target)
-        return obstructed, "zero-column", None
-
-
 def _pack_checks(
     length_ok: bool,
     cp: Code,
@@ -289,16 +274,18 @@ def _pack_checks(
     cmap: CodeMap,
     expected_size: int,
     guards: Guards,
-) -> tuple[dict, str, Optional[int]]:
+) -> tuple[dict, dict]:
+    """The machine checks of a pack, and its non-extension certificate: the
+    extension search over Aut(A), which decides without backtracking."""
     checks = {"length_matches_formula": length_ok}
     checks["codes_bijective_image"] = cp.size == expected_size and cm.size == expected_size
     checks["hamming_preserved"] = map_preserves(cmap, "hamming", guards=guards)
     checks["swc_preserved"] = map_preserves(cmap, "swc", guards=guards)
     checks["plus_zero_column"] = len(_zero_columns(cp)) >= 1
     checks["minus_no_zero_column"] = len(_zero_columns(cm)) == 0
-    ok, certificate, nodes = _nonextension_certificate(cmap, guards)
-    checks["no_extension"] = ok
-    return checks, certificate, nodes
+    search = extension_search(cmap, guards=guards)
+    checks["no_extension"] = search.transform is None
+    return checks, {"certificate": "exhaustive-search", "search_nodes": search.nodes}
 
 
 def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS) -> CounterexamplePack:
@@ -390,14 +377,13 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
         raise InternalConsistencyError("minus code differs from the full word image")
     cmap = code_map_make(cp, cm, gens_minus, guards)
 
-    checks, certificate, nodes = _pack_checks(True, cp, cm, cmap, expected, guards)
+    checks, certificate = _pack_checks(True, cp, cm, cmap, expected, guards)
     if not all(checks.values()):
         raise InternalConsistencyError(f"subspace pack failed machine checks: {checks}")
     transcript = {
         "checks": checks,
         "required_checks": sorted(checks),
-        "certificate": certificate,
-        "search_nodes": nodes,
+        **certificate,
         "attempt": 0,
         "coordinates": {
             "plus": coord_json(assign_plus, coords_plus),
@@ -426,7 +412,7 @@ def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> Ve
     cmap = code_map_make(cp, cm, pack.gen_images, guards)
     expected = pack.params.get("code_size", cp.size)
     length_ok = pack.length == counterexample_length(pack.params["q"], pack.params["k"])
-    checks, certificate, nodes = _pack_checks(length_ok, cp, cm, cmap, expected, guards)
+    checks, certificate = _pack_checks(length_ok, cp, cm, cmap, expected, guards)
     required = pack.transcript.get("required_checks", sorted(checks))
     ok = all(checks.get(name, False) for name in required)
     return VerdictReport(
@@ -434,7 +420,7 @@ def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> Ve
         result="verified" if ok else "counterexample",
         hypotheses={},
         counts={"code_size": cp.size, "length": pack.length},
-        details={"checks": checks, "certificate": certificate, "search_nodes": nodes},
+        details={"checks": checks, **certificate},
     )
 
 
@@ -924,7 +910,7 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
     cmap = code_map_make(cp, cm, gens_minus, guards)
 
     length_ok = block_pack.length == counterexample_length(q_block, k)
-    checks, certificate, nodes = _pack_checks(
+    checks, certificate = _pack_checks(
         length_ok, cp, cm, cmap, block_alphabet.order, guards
     )
     if not checks["swc_preserved"]:
@@ -938,8 +924,7 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
     transcript = {
         "checks": checks,
         "required_checks": sorted(checks),
-        "certificate": certificate,
-        "search_nodes": nodes,
+        **certificate,
         "coordinates": block_pack.transcript["coordinates"],
         "block": {
             "q": q_block,

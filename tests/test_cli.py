@@ -1,13 +1,17 @@
 """End-to-end checks of the command line: exit codes, report shape,
 byte-stable output, and input validation."""
 
+import contextlib
+import dataclasses
 import io
 import json
-import contextlib
+import pathlib
+import re
 
 import pytest
 
 from eplab.cli import main
+from eplab.errors import Guards
 from eplab.theorems import pack_from_json, replay_pack
 
 
@@ -431,6 +435,22 @@ def test_bad_guard_flag_value(z4_spec):
     rc, _, err = run(["ring-info", "--spec", z4_spec, "--max-order", "0"])
     assert rc == 4
     assert "positive" in err
+
+
+@pytest.mark.parametrize("name, value", [("EPLAB_MAX_N", "0"), ("EPLAB_MAX_ORDER", "-3")])
+def test_bad_guard_env_value(monkeypatch, z4_spec, name, value):
+    monkeypatch.setenv(name, value)
+    rc, out, err = run(["verify-midway", "--spec", z4_spec])
+    assert rc == 4
+    assert out == ""
+    assert "positive" in err
+
+
+def test_readme_lists_every_guard_with_its_default():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Guards", 1)[1].split("\n#", 1)[0]
+    listed = {name: int(value) for name, value in re.findall(r"`(\w+)` (\d+)", section)}
+    assert listed == {field.name: field.default for field in dataclasses.fields(Guards)}
 
 
 # ---------------------------------------------------------------------------

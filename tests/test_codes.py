@@ -1,6 +1,7 @@
 """Code layer: closures, weight profiles, monomial transforms, extension search."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +14,23 @@ from eplab.codes import (
     code_map_make,
     column_fingerprint,
     extension_search,
-    group_elements,
     map_preserves,
     monomial_apply,
-    monomial_compose,
-    monomial_identity,
-    monomial_is_valid,
     MonomialTransform,
     weight_profile,
 )
 from eplab.errors import GuardExceeded, Guards, InputError
-from eplab.modules import automorphism_group, module_make, partition
+from eplab.fields import index_to_entries
+from eplab.modules import (
+    automorphism_group,
+    direct_power,
+    is_module_automorphism,
+    iter_linear_maps,
+    module_make,
+    partition,
+)
 from eplab.rings import ring_make
+from eplab.theorems import _code_map_from_dict, _enumerate_codes
 
 
 def z4_alphabet():
@@ -101,18 +107,9 @@ def test_weight_profile_rejects_a_non_list_word(kind):
 
 
 def test_monomial_apply_and_compose():
-    a = z4_alphabet()
-    ident = monomial_identity(a, 2)
-    assert monomial_apply(ident, (1, 2)) == (1, 2)
     neg = (0, 3, 2, 1)
     t = MonomialTransform((1, 0), (neg, tuple(range(4))))
     assert monomial_apply(t, (1, 2)) == (2, 1)
-    assert monomial_is_valid(a, t)
-    assert not monomial_is_valid(a, MonomialTransform((0, 0), (neg, neg)))
-    t2 = MonomialTransform((1, 0), (tuple(range(4)), neg))
-    comp = monomial_compose(t2, t)
-    for w in itertools.product(range(4), repeat=2):
-        assert monomial_apply(comp, w) == monomial_apply(t2, monomial_apply(t, w))
 
 
 def test_monomial_transforms_preserve_profiles():
@@ -248,23 +245,114 @@ def test_extension_search_matches_naive_enumeration():
     assert checked > 10
 
 
-def test_group_elements_closure():
-    a = z4_alphabet()
-    neg = (0, 3, 2, 1)
-    els = group_elements(a, [neg])
-    assert els == ((0, 1, 2, 3), (0, 3, 2, 1))
-    with pytest.raises(InputError):
-        group_elements(a, [(1, 0, 2, 3)])
-    assert group_elements(a, automorphism_group(a)) == automorphism_group(a).elements
+def _dfs_extension(cmap):
+    """The backtracking search extension_search replaced, kept as its oracle:
+    candidate automorphisms for every position pair, then a depth-first
+    search over target positions that counts each (i, j) it tries."""
+    alphabet = cmap.source.alphabet
+    n = cmap.source.length
+    perms = automorphism_group(alphabet).elements
+    gens = cmap.source.generators
+    images = cmap.gen_images
+    orbit_index = partition(alphabet, "orbit")
+    fp_src = [column_fingerprint(cmap.source, j, orbit_index) for j in range(n)]
+    fp_dst = [column_fingerprint(cmap.target, i, orbit_index) for i in range(n)]
+    candidates = {}
+    for i in range(n):
+        for j in range(n):
+            if fp_src[j] != fp_dst[i]:
+                continue
+            taus = [
+                t
+                for t, tau in enumerate(perms)
+                if all(tau[g[j]] == fg[i] for g, fg in zip(gens, images))
+            ]
+            if taus:
+                candidates[(i, j)] = taus
+    candidate_space = math.factorial(n) * len(perms) ** n
+    if len({j for _, j in candidates}) < n or len({i for i, _ in candidates}) < n:
+        return ExtensionResult(None, 0, candidate_space, len(perms))
+    nodes = 0
+    sigma = [-1] * n
+    used = [False] * n
+
+    def dfs(i):
+        nonlocal nodes
+        if i == n:
+            return True
+        for j in range(n):
+            if used[j] or (i, j) not in candidates:
+                continue
+            nodes += 1
+            sigma[i] = j
+            used[j] = True
+            if dfs(i + 1):
+                return True
+            used[j] = False
+        return False
+
+    if not dfs(0):
+        return ExtensionResult(None, nodes, candidate_space, len(perms))
+    taus = tuple(perms[candidates[(i, sigma[i])][0]] for i in range(n))
+    transform = MonomialTransform(tuple(sigma), taus)
+    return ExtensionResult(transform, nodes, candidate_space, len(perms))
 
 
-def test_extension_search_node_budget():
-    a = z4_alphabet()
-    c1 = code_generate(a, 2, [(1, 1)])
-    c2 = code_generate(a, 2, [(1, 3)])
-    f = code_map_make(c1, c2, [(1, 3)])
-    with pytest.raises(GuardExceeded):
-        extension_search(f, guards=Guards(max_nodes=1))
+def _mod_alphabet(n, module=None):
+    return module_make(ring_make({"kind": "mod_n", "n": n}), module or {"kind": "regular"})
+
+
+def _injective_code_maps(alphabet, max_n):
+    """Every injective linear map on every code of A^n, n = 1..max_n, with at
+    most 2 generators, as a CodeMap onto its image."""
+    for n in range(1, max_n + 1):
+        ambient = direct_power(alphabet, n)
+        words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+        for members, gens in _enumerate_codes(ambient, 2):
+            for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
+                yield _code_map_from_dict(alphabet, words, members, gens, fmap)
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [
+        z4_alphabet,
+        lambda: _mod_alphabet(
+            4, {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}] * 2}
+        ),
+        f2sq_alphabet,
+        lambda: module_make(ring_make({"kind": "matrix", "m": 1, "q": 4}), {"kind": "regular"}),
+        lambda: _mod_alphabet(8),
+    ],
+    ids=["z4", "z4-klein", "f2-col2", "f4", "z8"],
+)
+def test_extension_search_matches_the_backtracking_oracle(alphabet):
+    """Same verdict, witness, candidate space and group order as the DFS on
+    every map; the same node count wherever a transform exists, because the
+    DFS then never backtracks."""
+    extending = refuted = 0
+    for cmap in _injective_code_maps(alphabet(), 2):
+        fast, slow = extension_search(cmap), _dfs_extension(cmap)
+        assert fast.transform == slow.transform
+        assert (fast.candidate_space, fast.group_order) == (slow.candidate_space, slow.group_order)
+        if fast.transform is None:
+            refuted += 1
+            assert fast.nodes == 0
+        else:
+            extending += 1
+            assert fast.nodes == slow.nodes == cmap.source.length
+    assert extending > 0 and refuted > 0
+
+
+def test_extension_search_reports_no_nodes_where_the_dfs_backtracked():
+    f2 = module_make(ring_make({"kind": "mod_n", "n": 2}), {"kind": "regular"})
+    source = code_generate(f2, 3, [(0, 0, 1)])
+    target = code_generate(f2, 3, [(0, 1, 1)])
+    cmap = code_map_make(source, target, [(0, 1, 1)])
+    assert _dfs_extension(cmap).nodes == 4
+    res = extension_search(cmap)
+    assert res.transform is None
+    assert res.nodes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +369,7 @@ def test_weight_profiles_are_monomial_invariants(word, sigma, taus):
     a = z4_alphabet()
     auts = automorphism_group(a).elements
     transform = MonomialTransform(tuple(sigma), tuple(auts[t] for t in taus))
-    assert monomial_is_valid(a, transform)
+    assert all(is_module_automorphism(a, tau) for tau in transform.taus)
     image = monomial_apply(transform, word)
     for kind in ("hamming", "swc", "aw"):
         assert weight_profile(a, image, kind) == weight_profile(a, word, kind)

@@ -14,7 +14,6 @@ from eplab.fields import (
     factor_prime_power,
     index_to_entries,
     index_to_matrix,
-    mat_ops,
     matrix_to_index,
     minimal_irreducible,
     mixed_radix_join,
@@ -189,19 +188,6 @@ def test_matrix_arithmetic_matches_field():
     # hand computation: row 0 = (2*1+1*2, 2*2+1*0) = (0, 3); row 1 = (3*2, 0) = (1, 0)
     assert prod == Matrix.from_rows(f4, [[0, 3], [1, 0]])
     assert a.add(a.neg()).is_zero()
-
-
-def test_mat_ops_dispatch():
-    f2 = FiniteField(2)
-    a = Matrix.from_rows(f2, [[1, 0], [1, 1]])
-    assert mat_ops("rank", a) == 2
-    assert mat_ops("add", a, a).is_zero()
-    assert mat_ops("mul", a, Matrix.identity(f2, 2)) == a
-    assert mat_ops("rref", Matrix.from_rows(f2, [[0, 1], [0, 1]])) == Matrix.from_rows(
-        f2, [[0, 1], [0, 0]]
-    )
-    with pytest.raises(InputError):
-        mat_ops("det", a)
 
 
 def test_entry_encoding_first_entry_most_significant():

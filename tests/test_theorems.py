@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eplab import theorems
+from eplab import modules, theorems
 
 from eplab.codes import (
     Code,
@@ -271,6 +271,19 @@ def test_pack_json_roundtrip():
     pack = build_counterexample(1, 2, 2)
     restored = pack_from_json(json.loads(json.dumps(pack.as_json())))
     assert restored == pack
+
+
+def test_packs_build_and_replay_without_revalidating_automorphisms(monkeypatch):
+    """Aut(A) is validated when it is built; the pack checks trust it."""
+    def refuse(module, perm):
+        raise AssertionError("is_module_automorphism called after Aut(A) was built")
+
+    monkeypatch.setattr(modules, "is_module_automorphism", refuse)
+    pack = build_counterexample(1, 2, 2)
+    report = replay_pack(pack_from_json(json.loads(json.dumps(pack.as_json()))))
+    assert report.result == "verified"
+    assert report.details["certificate"] == "exhaustive-search"
+    assert report.details["search_nodes"] == 0
 
 
 def test_pack_from_json_rejects_malformed():
