@@ -71,12 +71,15 @@ class Guards:
     max_n: int = 3
     max_gens: int = 2
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            val = getattr(self, field.name)
+            if val < 1:
+                raise InputError(f"guard {field.name} must be positive, got {val}")
+
     @staticmethod
     def from_env(**overrides) -> "Guards":
-        """Build guards from EPLAB_MAX_* environment variables plus overrides.
-
-        Every value, from either source, must be a positive integer.
-        """
+        """Build guards from EPLAB_MAX_* environment variables plus overrides."""
         values = {}
         for field in dataclasses.fields(Guards):
             env = os.environ.get("EPLAB_" + field.name.upper())
@@ -91,9 +94,6 @@ class Guards:
         for key, val in overrides.items():
             if val is not None:
                 values[key] = int(val)
-        for key, val in values.items():
-            if val < 1:
-                raise InputError(f"guard {key} must be positive, got {val}")
         return Guards(**values)
 
 

@@ -233,17 +233,10 @@ class Matrix:
         return Matrix(field, r, c, tuple(flat))
 
     @staticmethod
-    def zero(field: FiniteField, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (0,) * (rows * cols))
-
-    @staticmethod
     def identity(field: FiniteField, n: int) -> "Matrix":
         return Matrix(
             field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
         )
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -34,7 +34,6 @@ from .fields import (
     mixed_radix_split,
 )
 from .rings import (
-    LeftIdeal,
     Ring,
     check_table,
     exact_exponent,
@@ -272,15 +271,6 @@ def submodule_generated(module: Module, gens: Iterable[int]) -> Submodule:
     return Submodule(tuple(sorted(members)))
 
 
-def is_submodule(module: Module, members: Iterable[int]) -> bool:
-    ms = set(members)
-    if module.zero not in ms:
-        return False
-    return all(module.add(a, b) in ms for a in ms for b in ms) and all(
-        module.act(r, a) in ms for r in module.ring.elements() for a in ms
-    )
-
-
 def submodules_enumerate(module: Module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodule, ...]:
     """All submodules: cyclic submodules saturated under pairwise sums."""
     key = "submodules"
@@ -299,14 +289,6 @@ def submodules_enumerate(module: Module, guards: Guards = DEFAULT_GUARDS) -> tup
         out = sorted((tuple(sorted(s)) for s in subs), key=lambda t: (len(t), t))
         module._cache[key] = tuple(Submodule(t) for t in out)
     return module._cache[key]
-
-
-def annihilator(module: Module, a: int) -> LeftIdeal:
-    """Ann(a) = {r in R : r*a = 0}, a left ideal of R."""
-    zero = module.zero
-    return LeftIdeal(
-        tuple(r for r in module.ring.elements() if module.act_table[r][a] == zero)
-    )
 
 
 def annihilator_sets(module: Module) -> tuple[frozenset, ...]:
@@ -635,65 +617,29 @@ def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> Orb
 # pseudo-injectivity
 
 
-def extend_mono(
-    module: Module,
-    sub: Submodule | Sequence[int],
-    f: dict,
-    guards: Guards = DEFAULT_GUARDS,
-) -> Optional[tuple[int, ...]]:
-    """Extend an injective linear map on a submodule to an endomorphism of the
-    whole module; returns the full map or None.
-
-    Injective extensions (automorphisms) are searched first, then arbitrary
-    endomorphisms.
-    """
-    members = tuple(sub.members) if isinstance(sub, Submodule) else tuple(sorted(sub))
-    if set(f.keys()) != set(members):
-        raise InputError("map domain does not match the submodule")
-    if not is_submodule(module, members):
-        raise InputError("domain is not a submodule")
-    if len(set(f.values())) != len(members):
-        raise InputError("map is not injective")
-    add, act = module.add_table, module.act_table
-    for a in members:
-        for b in members:
-            if f[add[a][b]] != add[f[a]][f[b]]:
-                raise InputError("map is not additive")
-        for r in module.ring.elements():
-            if f[act[r][a]] != act[r][f[a]]:
-                raise InputError("map does not commute with the ring action")
-
-    gens_rest = _greedy_generators(
-        module.elements(), functools.partial(_span_with, module), members
-    )
-    for injective in (True, False):
-        found = next(
-            iter_linear_maps(module, module, gens_rest, injective=injective, base=f),
-            None,
-        )
-        if found is not None:
-            return tuple(found[a] for a in module.elements())
-    return None
-
-
-def iter_monos_from_submodule(module: Module, members: Sequence[int]):
-    """Yield injective linear maps from a submodule of A into A."""
-    gens = generators_within(module, members)
-    yield from iter_linear_maps(module, module, gens, injective=True)
-
-
 def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
     """True when every monomorphism from a submodule into the module extends
-    to an endomorphism of the module."""
+    to an endomorphism of the module.
+
+    Each proper nonzero submodule S gets, once, greedy generators that
+    complete S to the whole module; they depend on S alone.  Each
+    monomorphism f on S then takes one search for a linear map that extends
+    f.  The search tries, for each of those generators g, every image y with
+    Ann(g) <= Ann(y), a condition every endomorphism meets, so it finds an
+    extension whenever one exists.
+    """
     if "pseudo_injective" not in module._cache:
+        span = functools.partial(_span_with, module)
         result = True
         for sub in submodules_enumerate(module, guards):
             if len(sub) in (1, module.order):
                 continue
-            for f in iter_monos_from_submodule(module, sub.members):
-                if extend_mono(module, sub, f, guards) is None:
-                    result = False
-                    break
+            gens = generators_within(module, sub.members)
+            rest = _greedy_generators(module.elements(), span, sub.members)
+            result = all(
+                next(iter_linear_maps(module, module, rest, base=f), None) is not None
+                for f in iter_linear_maps(module, module, gens, injective=True)
+            )
             if not result:
                 break
         module._cache["pseudo_injective"] = result

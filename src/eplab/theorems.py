@@ -707,14 +707,17 @@ def _sweep(
     witness then first shows on the first code of its orbit, and the caller
     stops at the same map, with the same counts, as on an unreduced sweep.
     details gets "lengths" and "max_generators".  The bounds default to the
-    guards.  A length whose ambient order overflows the guard ends the
-    sweep, or raises when max_n was given explicitly or n = 1.
+    guards and must be positive.  A length whose ambient order overflows the
+    guard ends the sweep, or raises when max_n was given explicitly or n = 1.
     """
     strict = max_n is not None
     if max_n is None:
         max_n = guards.max_n
     if max_gens is None:
         max_gens = guards.max_gens
+    for name, bound in (("max_n", max_n), ("max_gens", max_gens)):
+        if bound < 1:
+            raise InputError(f"{name} must be positive, got {bound}")
     details.update(lengths=[], max_generators=max_gens)
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:

@@ -1,23 +1,27 @@
 """Module layer: socles, simple catalogs, automorphisms, partitions."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab.errors import GuardExceeded, InputError
 from eplab.modules import (
     AutGroup,
-    annihilator,
+    _greedy_generators,
+    _span_with,
+    annihilator_sets,
     automorphism_group,
     character_module,
     embedding_search,
     embeds_into,
-    extend_mono,
+    generators_within,
     hom_count_from_simple,
     is_module_automorphism,
     is_pseudo_injective,
-    is_submodule,
-    iter_monos_from_submodule,
+    iter_linear_maps,
     minimal_submodules,
     module_generators,
     module_make,
@@ -123,6 +127,15 @@ def test_malformed_table_module_is_input_error(table):
         module_make(r, {"kind": "table", "add": [[0, 1], [1, 0]], "act": table})
 
 
+def _is_submodule(module, members):
+    ms = set(members)
+    if module.zero not in ms:
+        return False
+    return all(module.add(a, b) in ms for a in ms for b in ms) and all(
+        module.act(r, a) in ms for r in module.ring.elements() for a in ms
+    )
+
+
 def test_submodules_of_z2z4_frozen():
     a = z2z4_over_z4()
     assert submodule_generated(a, [5]).members == (0, 2, 5, 7)
@@ -139,7 +152,7 @@ def test_submodules_of_z2z4_frozen():
         (0, 2, 5, 7),
         (0, 1, 2, 3, 4, 5, 6, 7),
     ]
-    assert all(is_submodule(a, s.members) for s in subs)
+    assert all(_is_submodule(a, s.members) for s in subs)
 
 
 def test_submodules_of_column_module_match_subspace_count():
@@ -151,10 +164,11 @@ def test_submodules_of_column_module_match_subspace_count():
 
 def test_annihilators_frozen():
     a = z2z4_over_z4()
-    assert annihilator(a, 0).members == (0, 1, 2, 3)
-    assert annihilator(a, 4).members == (0, 2)
-    assert annihilator(a, 1).members == (0,)
-    assert annihilator(a, 2).members == (0, 2)
+    anns = annihilator_sets(a)
+    assert anns[0] == {0, 1, 2, 3}
+    assert anns[4] == {0, 2}
+    assert anns[1] == {0}
+    assert anns[2] == {0, 2}
 
 
 def test_socle_frozen():
@@ -310,34 +324,142 @@ def test_pseudo_injectivity_frozen():
     assert not is_pseudo_injective(z2z4_over_z4())
 
 
+def _rest_search(module, members, f):
+    """The one endomorphism search that is_pseudo_injective runs for the
+    monomorphism f on the submodule members: the first extension, or None."""
+    rest = _greedy_generators(module.elements(), functools.partial(_span_with, module), members)
+    return next(iter_linear_maps(module, module, rest, base=f), None)
+
+
 def test_failing_mono_in_z2z4():
     """(0,2) -> (1,0) embeds the order-2 submodule {0, 2} but cannot extend:
     any endomorphism sends 2A = {0, 2} into itself."""
     a = z2z4_over_z4()
-    assert extend_mono(a, (0, 2), {0: 0, 2: 4}) is None
-    assert extend_mono(a, (0, 4), {0: 0, 4: 6}) is not None
-    ext = extend_mono(a, (0, 4), {0: 0, 4: 6})
-    assert ext[4] == 6
-    assert is_module_automorphism(a, ext) or all(
-        ext[a.add(x, y)] == a.add(ext[x], ext[y]) for x in a.elements() for y in a.elements()
-    )
-
-
-def test_extend_mono_validates_input():
-    a = z2z4_over_z4()
-    with pytest.raises(InputError):
-        extend_mono(a, (0, 2), {0: 0, 2: 2, 4: 4})
-    with pytest.raises(InputError):
-        extend_mono(a, (0, 2), {0: 0, 2: 0})
-    with pytest.raises(InputError):
-        extend_mono(a, (0, 4), {0: 0, 4: 1})
+    assert _rest_search(a, (0, 2), {0: 0, 2: 4}) is None
+    ext = _rest_search(a, (0, 4), {0: 0, 4: 6})
+    assert len(ext) == a.order and ext[4] == 6
+    assert all(ext[a.add(x, y)] == a.add(ext[x], ext[y]) for x in a.elements() for y in a.elements())
+    assert all(ext[a.act(r, x)] == a.act(r, ext[x]) for r in a.ring.elements() for x in a.elements())
 
 
 def test_iter_monos_matches_annihilator_filter():
     a = z2z4_over_z4()
-    monos = list(iter_monos_from_submodule(a, (0, 2)))
+    monos = list(iter_linear_maps(a, a, generators_within(a, (0, 2)), injective=True))
     # 2 = (0,2) can map to any element with annihilator {0,2}: 2, 4, 6
     assert sorted(f[2] for f in monos) == [2, 4, 6]
+
+
+def _extend_mono_oracle(module, members, f):
+    """The former modules.extend_mono: check that f is a monomorphism on the
+    submodule, then search automorphism extensions first and arbitrary
+    endomorphisms second.  The full map as a tuple, or None."""
+    add, act = module.add_table, module.act_table
+    assert set(f) == set(members) and _is_submodule(module, members)
+    assert len(set(f.values())) == len(members)
+    for a in members:
+        assert all(f[add[a][b]] == add[f[a]][f[b]] for b in members)
+        assert all(f[act[r][a]] == act[r][f[a]] for r in module.ring.elements())
+    gens_rest = _greedy_generators(
+        module.elements(), functools.partial(_span_with, module), members
+    )
+    for injective in (True, False):
+        found = next(
+            iter_linear_maps(module, module, gens_rest, injective=injective, base=f), None
+        )
+        if found is not None:
+            return tuple(found[a] for a in module.elements())
+    return None
+
+
+def _exhaustive_pseudo_injective(module):
+    """The former modules.is_pseudo_injective: every monomorphism of every
+    proper nonzero submodule through _extend_mono_oracle."""
+    for sub in submodules_enumerate(module):
+        if len(sub) in (1, module.order):
+            continue
+        gens = generators_within(module, sub.members)
+        for f in iter_linear_maps(module, module, gens, injective=True):
+            if _extend_mono_oracle(module, sub.members, f) is None:
+                return False
+    return True
+
+
+def _descriptor_module(ring_desc, module_desc):
+    return lambda: module_make(ring_make(ring_desc), module_desc)
+
+
+PSEUDO_INJECTIVITY_CASES = [
+    ("z4", z4_regular, True),
+    ("z2+z2 over z4", z2z2_over_z4, True),
+    ("z2+z4 over z4", z2z4_over_z4, False),
+    ("m23 over m2f2", m23_over_m2f2, True),
+    ("z2 over z4", _descriptor_module({"kind": "mod_n", "n": 4}, {"kind": "mod_m", "m": 2}), True),
+    ("z6", _descriptor_module({"kind": "mod_n", "n": 6}, {"kind": "regular"}), True),
+    (
+        "f2+f2",
+        _descriptor_module(
+            {"kind": "mod_n", "n": 2},
+            {"kind": "direct_sum", "summands": [{"kind": "regular"}, {"kind": "regular"}]},
+        ),
+        True,
+    ),
+    ("z8", _descriptor_module({"kind": "mod_n", "n": 8}, {"kind": "regular"}), True),
+    (
+        "z4+z2+z2 over z4",
+        _descriptor_module(
+            {"kind": "mod_n", "n": 4},
+            {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": m} for m in (4, 2, 2)]},
+        ),
+        False,
+    ),
+    ("f2^3", _descriptor_module({"kind": "matrix", "m": 1, "q": 2}, {"kind": "column", "k": 3}), True),
+]
+
+
+@pytest.mark.parametrize(
+    "name,builder,expected", PSEUDO_INJECTIVITY_CASES, ids=[c[0] for c in PSEUDO_INJECTIVITY_CASES]
+)
+def test_pseudo_injectivity_matches_the_extend_mono_oracle(name, builder, expected):
+    assert is_pseudo_injective(builder()) is expected
+    assert _exhaustive_pseudo_injective(builder()) is expected
+
+
+def _zero_fixing_perm(data, order, zero):
+    rest = [x for x in range(order) if x != zero]
+    drawn = iter(data.draw(st.permutations(rest)))
+    return [zero if x == zero else next(drawn) for x in range(order)]
+
+
+def _permute_table(table, row_perm, col_perm, val_perm):
+    out = [[0] * len(col_perm) for _ in row_perm]
+    for r, row in enumerate(table):
+        for c, v in enumerate(row):
+            out[row_perm[r]][col_perm[c]] = val_perm[v]
+    return out
+
+
+@given(case=st.sampled_from(PSEUDO_INJECTIVITY_CASES), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_relabelled_pseudo_injectivity_matches_the_oracle(case, data):
+    """Table copies whose ring and module elements are renamed by random
+    permutations that fix zero keep their verdict, on both checks."""
+    _, builder, expected = case
+    module = builder()
+    ring = module.ring
+    pr = _zero_fixing_perm(data, ring.order, ring.zero)
+    pm = _zero_fixing_perm(data, module.order, module.zero)
+    table_ring = ring_make({
+        "kind": "table",
+        "add": _permute_table(ring.add_table, pr, pr, pr),
+        "mul": _permute_table(ring.mul_table, pr, pr, pr),
+    })
+    desc = {
+        "kind": "table",
+        "add": _permute_table(module.add_table, pm, pm, pm),
+        "act": _permute_table(module.act_table, pr, pm, pm),
+    }
+    assert is_pseudo_injective(module_make(table_ring, desc)) is expected
+    assert _exhaustive_pseudo_injective(module_make(table_ring, desc)) is expected
 
 
 def test_character_module_of_z4():

@@ -624,6 +624,20 @@ def test_midway_honours_a_raised_order_guard():
     }
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z4: verify_midway(z4, max_n=0),
+        lambda z4: verify_midway(z4, Guards(max_n=0)),
+        lambda z4: verify_sufficiency(z4, max_gens=0),
+    ],
+    ids=["midway-max_n", "midway-guard", "sufficiency-max_gens"],
+)
+def test_sweeps_reject_non_positive_bounds(call):
+    with pytest.raises(InputError, match="must be positive"):
+        call(module_make(mod_ring(4), {"kind": "regular"}))
+
+
 def _moves_a_word(cmap):
     return any(word != image for word, image in cmap.mapping.items())
 
