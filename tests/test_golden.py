@@ -46,6 +46,11 @@ SPECS = {
     "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
     "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
+    "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
+    "z4-z2z4": {
+        "ring": Z4,
+        "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
+    },
 }
 
 
@@ -56,10 +61,15 @@ def _cases() -> dict:
         for command in ("socle-report", "verify-orbit-lemma"):
             cases[f"{command}-{name}"] = ([command], name)
     cases["ring-info-z2xz3"] = (["ring-info"], "z2xz3")
+    # a non-commutative ring: its left ideals are the submodules of R acting on itself
+    cases["ring-info-m2f2"] = (["ring-info"], "m2f2")
+    # a module that is not pseudo-injective, so the orbit lemma's hypotheses fail
+    cases["verify-orbit-lemma-z4-z2z4"] = (["verify-orbit-lemma"], "z4-z2z4")
     cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
-    for m, k, q in ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3)):
+    # (1, 2, 4) is the first pack over a field that is not prime
+    for m, k, q in ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (1, 2, 4)):
         argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
         cases[f"ep-counterexample-{m}-{k}-{q}"] = (argv, None)
     cases["verify-midway-z4-klein"] = (["verify-midway", "--max-n", "2"], "z4-klein")
