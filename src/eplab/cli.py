@@ -36,8 +36,8 @@ from .rings import (
     is_left_pir,
     is_right_pir,
     jacobson_radical,
-    left_ideals_enumerate,
     ring_make,
+    submodules_enumerate,
     units,
     wedderburn_data,
 )
@@ -214,7 +214,7 @@ def _cmd_ring_info(args, guards: Guards) -> int:
         "order": ring.order,
         "unit_count": len(units(ring)),
         "radical": list(jacobson_radical(ring).members),
-        "left_ideal_count": len(left_ideals_enumerate(ring, guards)),
+        "left_ideal_count": len(submodules_enumerate(ring, guards)),
         "is_left_pir": is_left_pir(ring, guards),
         "is_right_pir": is_right_pir(ring, guards),
         "wedderburn_blocks": wedderburn_data(ring, guards).as_json(),

@@ -179,12 +179,6 @@ class CodeMap:
     gen_images: tuple[Word, ...]
     mapping: dict[Word, Word] = dataclasses.field(compare=False)
 
-    def apply(self, word: Sequence[int]) -> Word:
-        w = tuple(word)
-        if w not in self.mapping:
-            raise InputError("word is not in the source code")
-        return self.mapping[w]
-
 
 def code_map_make(
     source: Code,

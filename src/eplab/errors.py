@@ -74,6 +74,8 @@ class Guards:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             val = getattr(self, field.name)
+            if type(val) is not int:
+                raise InputError(f"guard {field.name} must be an integer, got {val!r}")
             if val < 1:
                 raise InputError(f"guard {field.name} must be positive, got {val}")
 

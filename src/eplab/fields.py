@@ -103,20 +103,6 @@ def minimal_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise InputError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
-def poly_string(coeffs: Sequence[int], var: str = "x") -> str:
-    terms = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        if d == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c) + "*"
-            terms.append(f"{head}{var}" if d == 1 else f"{head}{var}^{d}")
-    return " + ".join(terms) if terms else "0"
-
-
 class FiniteField:
     """GF(p^e) with precomputed add/mul/neg/inv tables over elements 0..q-1."""
 
@@ -252,10 +238,6 @@ class Matrix:
             tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in mul")
@@ -324,9 +306,6 @@ class Matrix:
             if any(red.row(i)):
                 count += 1
         return count
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     def __repr__(self):
         body = "; ".join(

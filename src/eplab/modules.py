@@ -35,13 +35,17 @@ from .fields import (
 )
 from .rings import (
     Ring,
+    Submodule,
+    annihilator_sets,
     check_table,
     exact_exponent,
     exponent_of_addition,
     jacobson_radical,
-    minimal_left_ideals,
+    minimal_submodules,
     ring_make,
     ring_quotient,
+    submodule_generated,
+    submodules_enumerate,
     wedderburn_data,
 )
 
@@ -78,19 +82,6 @@ class Module:
     def __repr__(self):
         kind = self.descriptor.get("kind", "?")
         return f"Module(kind={kind}, order={self.order})"
-
-
-@dataclasses.dataclass(frozen=True)
-class Submodule:
-    """A submodule given by its sorted member tuple."""
-
-    members: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
 
 
 def _validate_module_tables(ring: Ring, add, act, zero: int) -> None:
@@ -252,82 +243,7 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
 
 
 # ---------------------------------------------------------------------------
-# submodules and annihilators
-
-
-def submodule_generated(module: Module, gens: Iterable[int]) -> Submodule:
-    """Smallest submodule containing the generators.
-
-    Because the running set is a submodule at every step, one pass of
-    {s + r*g} per generator is a full closure.
-    """
-    members = {module.zero}
-    add = module.add_table
-    act = module.act_table
-    for g in gens:
-        if not 0 <= g < module.order:
-            raise InputError(f"generator {g} outside module of order {module.order}")
-        members = {add[s][row[g]] for s in members for row in act}
-    return Submodule(tuple(sorted(members)))
-
-
-def submodules_enumerate(module: Module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodule, ...]:
-    """All submodules: cyclic submodules saturated under pairwise sums."""
-    key = "submodules"
-    if key not in module._cache:
-        check_guard(module.order, guards.max_order, f"module order {module.order}")
-        add = module.add_table
-        subs = {frozenset(submodule_generated(module, [a]).members) for a in module.elements()}
-        work = list(subs)
-        while work:
-            current = work.pop()
-            for other in list(subs):
-                s = frozenset(add[x][y] for x in current for y in other)
-                if s not in subs:
-                    subs.add(s)
-                    work.append(s)
-        out = sorted((tuple(sorted(s)) for s in subs), key=lambda t: (len(t), t))
-        module._cache[key] = tuple(Submodule(t) for t in out)
-    return module._cache[key]
-
-
-def annihilator_sets(module: Module) -> tuple[frozenset, ...]:
-    """Annihilator of every element, as frozensets, cached on the module."""
-    if "anns" not in module._cache:
-        zero = module.zero
-        out = []
-        for a in module.elements():
-            out.append(
-                frozenset(r for r in module.ring.elements() if module.act_table[r][a] == zero)
-            )
-        module._cache["anns"] = tuple(out)
-    return module._cache["anns"]
-
-
-def minimal_submodules(module: Module) -> tuple[Submodule, ...]:
-    """Nonzero submodules containing no smaller nonzero submodule.
-
-    A minimal submodule is cyclic, so scanning cyclic submodules suffices.
-    """
-    zero = module.zero
-    cyclic = {}
-    for a in module.elements():
-        if a == zero:
-            continue
-        sub = submodule_generated(module, [a])
-        if len(sub) > 1:
-            cyclic.setdefault(sub.members, sub)
-    out = []
-    for members, sub in cyclic.items():
-        target = set(members)
-        if all(
-            set(submodule_generated(module, [x]).members) == target
-            for x in members
-            if x != zero
-        ):
-            out.append(sub)
-    out.sort(key=lambda s: (len(s.members), s.members))
-    return tuple(out)
+# the socle
 
 
 def socle(module: Module) -> Submodule:
@@ -523,12 +439,6 @@ class AutGroup:
                         reached.add(y)
                         frontier.append(y)
         return tuple(gens)
-
-    def inverse(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        inv = [0] * len(p)
-        for x, y in enumerate(p):
-            inv[y] = x
-        return tuple(inv)
 
 
 def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
@@ -769,7 +679,7 @@ def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog
     )
 
     entries = []
-    for ideal in minimal_left_ideals(rbar):
+    for ideal in minimal_submodules(rbar):
         t_mod = pullback(ideal.members)
         if any(hom_count_from_simple(t_mod, prev.module) > 1 for prev in entries):
             continue

@@ -45,6 +45,9 @@ class Ring:
         self.order = len(add)
         self.add_table = add
         self.mul_table = mul
+        # R acts on itself by left multiplication, so its left ideals are the
+        # submodules of this regular module
+        self.act_table = mul
         self.zero = zero
         self.one = one
         self.descriptor = descriptor
@@ -78,8 +81,8 @@ class Ring:
 
 
 @dataclasses.dataclass(frozen=True)
-class LeftIdeal:
-    """A left ideal given by its sorted member tuple (always contains 0)."""
+class Submodule:
+    """A submodule, or a left ideal, given by its sorted member tuple."""
 
     members: tuple[int, ...]
 
@@ -88,7 +91,6 @@ class LeftIdeal:
 
     def __contains__(self, x):
         return x in self.members
-
 
 
 def check_table(table, rows: int, n: int, what: str) -> None:
@@ -256,7 +258,93 @@ def units(ring: Ring) -> frozenset[int]:
     return ring._cache["units"]
 
 
-def jacobson_radical(ring: Ring) -> LeftIdeal:
+# ---------------------------------------------------------------------------
+# the submodule lattice
+#
+# These functions take a module over a ring: a modules.Module, or a Ring as
+# its own regular module, whose submodules are its left ideals.  They read
+# only add_table, act_table, zero, order and _cache.
+
+
+def submodule_generated(module, gens: Iterable[int]) -> Submodule:
+    """Smallest submodule containing the generators.
+
+    Because the running set is a submodule at every step, one pass of
+    {s + r*g} per generator is a full closure.
+    """
+    members = {module.zero}
+    add = module.add_table
+    act = module.act_table
+    for g in gens:
+        if not 0 <= g < module.order:
+            raise InputError(f"generator {g} outside module of order {module.order}")
+        members = {add[s][row[g]] for s in members for row in act}
+    return Submodule(tuple(sorted(members)))
+
+
+def submodules_enumerate(module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodule, ...]:
+    """All submodules, ordered by (size, members): cyclic submodules saturated
+    under pairwise sums."""
+    key = "submodules"
+    if key not in module._cache:
+        check_guard(module.order, guards.max_order, f"module order {module.order}")
+        add = module.add_table
+        subs = {frozenset(submodule_generated(module, [a]).members) for a in range(module.order)}
+        work = list(subs)
+        while work:
+            current = work.pop()
+            for other in list(subs):
+                s = frozenset(add[x][y] for x in current for y in other)
+                if s not in subs:
+                    subs.add(s)
+                    work.append(s)
+        out = sorted((tuple(sorted(s)) for s in subs), key=lambda t: (len(t), t))
+        module._cache[key] = tuple(Submodule(t) for t in out)
+    return module._cache[key]
+
+
+def annihilator_sets(module) -> tuple[frozenset, ...]:
+    """Annihilator of every element, as frozensets, cached on the module."""
+    if "anns" not in module._cache:
+        zero = module.zero
+        module._cache["anns"] = tuple(
+            frozenset(r for r, row in enumerate(module.act_table) if row[a] == zero)
+            for a in range(module.order)
+        )
+    return module._cache["anns"]
+
+
+def minimal_submodules(module) -> tuple[Submodule, ...]:
+    """Nonzero submodules containing no smaller nonzero submodule.
+
+    A minimal submodule is cyclic, so scanning cyclic submodules suffices.
+    """
+    zero = module.zero
+    cyclic = {}
+    for a in range(module.order):
+        if a == zero:
+            continue
+        sub = submodule_generated(module, [a])
+        if len(sub) > 1:
+            cyclic.setdefault(sub.members, sub)
+    out = []
+    for members, sub in cyclic.items():
+        target = set(members)
+        if all(
+            set(submodule_generated(module, [x]).members) == target
+            for x in members
+            if x != zero
+        ):
+            out.append(sub)
+    out.sort(key=lambda s: (len(s.members), s.members))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# radical, principal ideals and the Wedderburn blocks
+
+
+def jacobson_radical(ring: Ring) -> Submodule:
     """rad(R) = {r : 1 - s*r is a unit for every s}, by quasi-regularity."""
     if "radical" not in ring._cache:
         us = units(ring)
@@ -264,23 +352,8 @@ def jacobson_radical(ring: Ring) -> LeftIdeal:
         for r in ring.elements():
             if all(ring.sub(ring.one, ring.mul(s, r)) in us for s in ring.elements()):
                 members.append(r)
-        ring._cache["radical"] = LeftIdeal(tuple(members))
+        ring._cache["radical"] = Submodule(tuple(members))
     return ring._cache["radical"]
-
-
-def principal_left_ideal(ring: Ring, g: int) -> LeftIdeal:
-    return LeftIdeal(tuple(sorted({ring.mul(r, g) for r in ring.elements()})))
-
-
-def _sum_of_subgroups(ring: Ring, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-    return frozenset(ring.add(x, y) for x in a for y in b)
-
-
-def left_ideal_generated(ring: Ring, gens: Sequence[int]) -> LeftIdeal:
-    members = frozenset({ring.zero})
-    for g in gens:
-        members = _sum_of_subgroups(ring, members, principal_left_ideal(ring, g).members)
-    return LeftIdeal(tuple(sorted(members)))
 
 
 def is_left_ideal(ring: Ring, members: Iterable[int]) -> bool:
@@ -290,26 +363,6 @@ def is_left_ideal(ring: Ring, members: Iterable[int]) -> bool:
     return all(ring.add(a, b) in ms for a in ms for b in ms) and all(
         ring.mul(r, a) in ms for r in ring.elements() for a in ms
     )
-
-
-def left_ideals_enumerate(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[LeftIdeal, ...]:
-    """All left ideals: principal ideals saturated under pairwise sums."""
-    key = "left_ideals"
-    if key not in ring._cache:
-        check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-        ideals = {principal_left_ideal(ring, g).members for g in ring.elements()}
-        ideals = {frozenset(i) for i in ideals}
-        work = list(ideals)
-        while work:
-            current = work.pop()
-            for other in list(ideals):
-                s = _sum_of_subgroups(ring, current, other)
-                if s not in ideals:
-                    ideals.add(s)
-                    work.append(s)
-        out = sorted((tuple(sorted(i)) for i in ideals), key=lambda t: (len(t), t))
-        ring._cache[key] = tuple(LeftIdeal(t) for t in out)
-    return ring._cache[key]
 
 
 def opposite_ring(ring: Ring) -> Ring:
@@ -325,9 +378,9 @@ def opposite_ring(ring: Ring) -> Ring:
 def is_left_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:
     """True when every left ideal is principal."""
     if "left_pir" not in ring._cache:
-        principals = {principal_left_ideal(ring, g).members for g in ring.elements()}
+        principals = {submodule_generated(ring, [g]).members for g in ring.elements()}
         ring._cache["left_pir"] = all(
-            i.members in principals for i in left_ideals_enumerate(ring, guards)
+            i.members in principals for i in submodules_enumerate(ring, guards)
         )
     return ring._cache["left_pir"]
 
@@ -336,16 +389,16 @@ def is_right_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:
     return is_left_pir(opposite_ring(ring), guards)
 
 
-def principal_generator(ring: Ring, ideal: LeftIdeal) -> int:
+def principal_generator(ring: Ring, ideal: Submodule) -> int:
     """Smallest g with Rg equal to the ideal; raises if none exists."""
     target = set(ideal.members)
     for g in ideal.members:
-        if set(principal_left_ideal(ring, g).members) == target:
+        if set(submodule_generated(ring, [g]).members) == target:
             return g
     raise NotPrincipalError(f"ideal {list(ideal.members)} is not a principal left ideal")
 
 
-def ring_quotient(ring: Ring, ideal: LeftIdeal) -> tuple[Ring, tuple[int, ...]]:
+def ring_quotient(ring: Ring, ideal: Submodule) -> tuple[Ring, tuple[int, ...]]:
     """Quotient by a two-sided ideal; returns (R/I, projection table).
 
     Quotient elements are indexed by their smallest coset representative, in
@@ -379,31 +432,6 @@ def ring_quotient(ring: Ring, ideal: LeftIdeal) -> tuple[Ring, tuple[int, ...]]:
     return quotient, proj
 
 
-def minimal_left_ideals(ring: Ring) -> tuple[LeftIdeal, ...]:
-    """Nonzero left ideals containing no smaller nonzero left ideal.
-
-    A minimal left ideal is principal (generated by any nonzero member), so it
-    suffices to scan principal ideals.
-    """
-    zero = ring.zero
-    principals = {}
-    for g in ring.elements():
-        ideal = principal_left_ideal(ring, g)
-        if len(ideal) > 1:
-            principals[ideal.members] = ideal
-    out = []
-    for members, ideal in principals.items():
-        target = set(members)
-        if all(
-            set(principal_left_ideal(ring, x).members) == target
-            for x in members
-            if x != zero
-        ):
-            out.append(ideal)
-    out.sort(key=lambda i: (len(i.members), i.members))
-    return tuple(out)
-
-
 @dataclasses.dataclass(frozen=True)
 class WedderburnData:
     """Semisimple-quotient shape: blocks (mu_i, q_i), sorted by (q_i, mu_i)."""
@@ -412,10 +440,6 @@ class WedderburnData:
 
     def as_json(self):
         return [{"mu": mu, "q": q} for mu, q in self.blocks]
-
-
-def _annihilator_in_ring(ring: Ring, x: int) -> frozenset[int]:
-    return frozenset(r for r in ring.elements() if ring.mul(r, x) == ring.zero)
 
 
 def exact_exponent(count: int, q: int) -> int:
@@ -443,8 +467,8 @@ def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnDa
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
     rad = jacobson_radical(ring)
     rbar, _ = ring_quotient(ring, rad)
-    minimals = minimal_left_ideals(rbar)
-    ann = {x: _annihilator_in_ring(rbar, x) for x in rbar.elements()}
+    minimals = minimal_submodules(rbar)
+    ann = annihilator_sets(rbar)
     blocks = []
     seen_reps = []
     for ideal in minimals:

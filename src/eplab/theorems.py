@@ -15,7 +15,6 @@ nothing is emitted on trust.
 """
 
 import dataclasses
-import itertools
 from typing import Optional, Sequence
 
 from .codes import (
@@ -50,6 +49,7 @@ from .modules import (
     automorphism_group,
     direct_power,
     embedding_search,
+    generators_within,
     hom_count_from_simple,
     is_pseudo_injective,
     iter_linear_maps,
@@ -58,15 +58,16 @@ from .modules import (
     partition,
     simple_catalog,
     socle_report,
-    submodule_generated,
 )
 from .rings import (
-    LeftIdeal,
+    Submodule,
     block_projections,
     exact_exponent,
     is_left_pir,
     principal_generator,
     ring_make,
+    submodule_generated,
+    submodules_enumerate,
 )
 
 Word = tuple[int, ...]
@@ -120,50 +121,18 @@ def counterexample_length(q: int, k: int) -> int:
     return n
 
 
-def _vec_add(field: FiniteField, u: Word, v: Word) -> Word:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def _vec_scale(field: FiniteField, c: int, v: Word) -> Word:
-    return tuple(field.mul(c, a) for a in v)
-
-
-def enumerate_subspaces(field: FiniteField, k: int) -> tuple[tuple[Word, ...], ...]:
-    """All subspaces of F_q^k as sorted vector tuples, ordered by (dim, members)."""
-    zero = (0,) * k
-    vectors = [tuple(v) for v in itertools.product(range(field.q), repeat=k)]
-    seen = {frozenset({zero})}
-    frontier = list(seen)
-    while frontier:
-        grown = []
-        for sub in frontier:
-            for v in vectors:
-                if v in sub:
-                    continue
-                span = frozenset(
-                    _vec_add(field, s, _vec_scale(field, c, v))
-                    for s in sub
-                    for c in range(field.q)
-                )
-                if span not in seen:
-                    seen.add(span)
-                    grown.append(span)
-        frontier = grown
-    return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
-
-
-def _subspace_basis(field: FiniteField, members: Sequence[Word]) -> list[Word]:
-    zero = members[0] if members else ()
-    span = {tuple(0 for _ in zero)}
-    basis = []
-    for v in members:
-        if v in span:
-            continue
-        basis.append(v)
-        span = {
-            _vec_add(field, s, _vec_scale(field, c, v)) for s in span for c in range(field.q)
-        }
-    return basis
+def _subspaces(q: int, k: int, guards: Guards) -> tuple[list, list]:
+    """The subspaces of F_q^k as sorted vector tuples, ordered by (size,
+    members), and a basis of each: the submodules of F_q^k over M_1(F_q) and
+    their greedy generators.  Index order is the lex order of vectors, and in
+    a vector space the greedy pick is the first member outside the span."""
+    field_ring = ring_make({"kind": "matrix", "m": 1, "q": q}, guards)
+    space = module_make(field_ring, {"kind": "column", "k": k}, guards)
+    lattice = submodules_enumerate(space, guards)
+    vector = [index_to_entries(x, q, k) for x in space.elements()]
+    subspaces = [tuple(vector[x] for x in s.members) for s in lattice]
+    bases = [[vector[x] for x in generators_within(space, s.members)] for s in lattice]
+    return subspaces, bases
 
 
 def _projection_matrix(field: FiniteField, k: int, basis_v: Sequence[Word], basis_w: Sequence[Word]) -> Matrix:
@@ -312,9 +281,8 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     alphabet = module_make(ring, {"kind": "column", "k": k}, guards)
     n = counterexample_length(q, k)
 
-    subspaces = enumerate_subspaces(field, k)
+    subspaces, bases = _subspaces(q, k, guards)
     dims = [exact_exponent(len(s), q) for s in subspaces]
-    bases = [_subspace_basis(field, s) for s in subspaces]
     complements = []
     for si, sub in enumerate(subspaces):
         members = set(sub)
@@ -564,7 +532,7 @@ def _peel_labels(
         maximal = [i for i in present if not any(i < j for j in present)]
         ideal = min(maximal, key=lambda i: tuple(sorted(i)))
         if ideal not in generators:
-            generators[ideal] = principal_generator(ring, LeftIdeal(tuple(sorted(ideal))))
+            generators[ideal] = principal_generator(ring, Submodule(tuple(sorted(ideal))))
         e = generators[ideal]
         exact_w = [x for x in rem_w if anns[x] == ideal]
         exact_i = [y for y in rem_i if anns[y] == ideal]
@@ -681,11 +649,25 @@ def _orbit_representatives(
     return [find(i) for i in range(len(codes))]
 
 
+def _sweep_bounds(
+    guards: Guards, max_n: Optional[int], max_gens: Optional[int]
+) -> tuple[int, int, bool]:
+    """The sweep bounds (max_n, max_gens, strict).  Each defaults to its guard
+    and must be positive; strict records that max_n was given explicitly."""
+    for name, bound in (("max_n", max_n), ("max_gens", max_gens)):
+        if bound is not None and bound < 1:
+            raise InputError(f"{name} must be positive, got {bound}")
+    if max_gens is None:
+        max_gens = guards.max_gens
+    if max_n is None:
+        return guards.max_n, max_gens, False
+    return max_n, max_gens, True
+
+
 def _sweep(
     alphabet: Module,
     guards: Guards,
-    max_n: Optional[int],
-    max_gens: Optional[int],
+    bounds: tuple[int, int, bool],
     counts: dict,
     details: dict,
     onto: bool = False,
@@ -706,18 +688,11 @@ def _sweep(
     g, as f -> f.g maps the maps on g(C) one to one onto those on C: a
     witness then first shows on the first code of its orbit, and the caller
     stops at the same map, with the same counts, as on an unreduced sweep.
-    details gets "lengths" and "max_generators".  The bounds default to the
-    guards and must be positive.  A length whose ambient order overflows the
-    guard ends the sweep, or raises when max_n was given explicitly or n = 1.
+    details gets "lengths" and "max_generators".  bounds comes from
+    _sweep_bounds.  A length whose ambient order overflows the guard ends the
+    sweep, or raises when max_n was given explicitly or n = 1.
     """
-    strict = max_n is not None
-    if max_n is None:
-        max_n = guards.max_n
-    if max_gens is None:
-        max_gens = guards.max_gens
-    for name, bound in (("max_n", max_n), ("max_gens", max_gens)):
-        if bound < 1:
-            raise InputError(f"{name} must be positive, got {bound}")
+    max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:
@@ -777,6 +752,7 @@ def verify_midway(
     Hamming preservation and swc preservation coincide, certifying the forward
     direction independently through peeling."""
     claim = "Hamming preservation is equivalent to swc preservation for code monomorphisms"
+    bounds = _sweep_bounds(guards, max_n, max_gens)
     ring = alphabet.ring
     hypotheses = {
         "ring_left_pir": is_left_pir(ring, guards),
@@ -791,7 +767,7 @@ def verify_midway(
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     details: dict = {}
     for n, words, weights, profiles, members, gens, fmap in _sweep(
-        alphabet, guards, max_n, max_gens, counts, details
+        alphabet, guards, bounds, counts, details
     ):
         counts["monomorphisms"] += 1
         hamming_ok = all(weights[x] == weights[fmap[x]] for x in members)
@@ -825,6 +801,7 @@ def verify_sufficiency(
     """For a cyclic-socle alphabet, check that every swc-preserving
     isomorphism between enumerated codes extends to a monomial transform."""
     claim = "every swc-preserving code isomorphism extends to a monomial transform"
+    bounds = _sweep_bounds(guards, max_n, max_gens)
     report = socle_report(alphabet, guards)
     hypotheses = {"socle_cyclic": report.cyclic}
     if not report.cyclic:
@@ -836,7 +813,7 @@ def verify_sufficiency(
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
     for n, words, _, profiles, members, gens, fmap in _sweep(
-        alphabet, guards, max_n, max_gens, counts, details, onto=True
+        alphabet, guards, bounds, counts, details, onto=True
     ):
         counts["isomorphisms"] += 1
         if not all(profiles[x] == profiles[fmap[x]] for x in members):

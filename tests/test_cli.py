@@ -11,7 +11,7 @@ import re
 import pytest
 
 from eplab.cli import main
-from eplab.errors import Guards
+from eplab.errors import Guards, InputError
 from eplab.theorems import pack_from_json, replay_pack
 
 
@@ -444,6 +444,12 @@ def test_bad_guard_env_value(monkeypatch, z4_spec, name, value):
     assert rc == 4
     assert out == ""
     assert "positive" in err
+
+
+@pytest.mark.parametrize("value", ["3", True, 2.5], ids=["str", "bool", "float"])
+def test_guards_reject_values_that_are_not_int(value):
+    with pytest.raises(InputError, match="must be an integer"):
+        Guards(max_n=value)
 
 
 def test_readme_lists_every_guard_with_its_default():

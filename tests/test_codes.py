@@ -127,10 +127,9 @@ def test_code_map_make_and_errors():
     c1 = code_generate(a, 2, [(1, 2)])
     c2 = code_generate(a, 2, [(2, 1)])
     f = code_map_make(c1, c2, [(2, 1)])
-    assert f.apply((1, 2)) == (2, 1)
-    assert f.apply((2, 0)) == (0, 2)
-    with pytest.raises(InputError):
-        f.apply((1, 1))
+    assert f.mapping[(1, 2)] == (2, 1)
+    assert f.mapping[(2, 0)] == (0, 2)
+    assert (1, 1) not in f.mapping
     # 2*(2,0) = (0,0) but 2*(1,0) = (2,0): not a map
     bad_src = code_generate(a, 2, [(2, 0)])
     tgt = code_generate(a, 2, [(1, 0)])

@@ -1,5 +1,7 @@
 """Ring layer: frozen oracles for radicals, ideal lattices, Wedderburn data."""
 
+import itertools
+
 import pytest
 
 from eplab.errors import (
@@ -10,6 +12,7 @@ from eplab.errors import (
     UnsupportedConstruction,
 )
 from eplab.rings import (
+    annihilator_sets,
     block_projections,
     exact_exponent,
     exponent_of_addition,
@@ -17,14 +20,13 @@ from eplab.rings import (
     is_left_pir,
     is_right_pir,
     jacobson_radical,
-    left_ideal_generated,
-    left_ideals_enumerate,
-    minimal_left_ideals,
+    minimal_submodules,
     opposite_ring,
     principal_generator,
-    principal_left_ideal,
     ring_make,
     ring_quotient,
+    submodule_generated,
+    submodules_enumerate,
     units,
     wedderburn_data,
 )
@@ -80,7 +82,7 @@ def upper_triangular_ring():
 
 def radical_oracle(ring):
     """Independent method: intersect the maximal left ideals."""
-    ideals = left_ideals_enumerate(ring)
+    ideals = submodules_enumerate(ring)
     proper = [set(i.members) for i in ideals if len(i.members) < ring.order]
     maximal = [
         i for i in proper if not any(i < j for j in proper)
@@ -95,18 +97,18 @@ def test_mod6_frozen_lattice():
     r = mod_ring(6)
     assert units(r) == frozenset({1, 5})
     assert jacobson_radical(r).members == (0,)
-    ideals = [i.members for i in left_ideals_enumerate(r)]
+    ideals = [i.members for i in submodules_enumerate(r)]
     assert ideals == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
     assert is_left_pir(r)
     assert is_right_pir(r)
-    assert principal_generator(r, left_ideals_enumerate(r)[2]) == 2
-    assert principal_generator(r, left_ideals_enumerate(r)[1]) == 3
+    assert principal_generator(r, submodules_enumerate(r)[2]) == 2
+    assert principal_generator(r, submodules_enumerate(r)[1]) == 3
 
 
 def test_mod4_frozen():
     r = mod_ring(4)
     assert jacobson_radical(r).members == (0, 2)
-    assert [i.members for i in left_ideals_enumerate(r)] == [(0,), (0, 2), (0, 1, 2, 3)]
+    assert [i.members for i in submodules_enumerate(r)] == [(0,), (0, 2), (0, 1, 2, 3)]
     assert is_left_pir(r)
     quotient, proj = ring_quotient(r, jacobson_radical(r))
     assert quotient.order == 2
@@ -118,16 +120,16 @@ def test_matrix_ring_m2f2_frozen():
     assert r.order == 16
     assert len(units(r)) == 6
     assert jacobson_radical(r).members == (0,)
-    ideals = left_ideals_enumerate(r)
+    ideals = submodules_enumerate(r)
     assert len(ideals) == 5
     assert sorted(len(i.members) for i in ideals) == [1, 4, 4, 4, 16]
-    minimals = minimal_left_ideals(r)
+    minimals = minimal_submodules(r)
     assert len(minimals) == 3
     assert all(len(m.members) == 4 for m in minimals)
     assert is_left_pir(r)
     assert is_right_pir(r)
     # right ideal lattice has the same shape by column symmetry
-    right_ideals = left_ideals_enumerate(opposite_ring(r))
+    right_ideals = submodules_enumerate(opposite_ring(r))
     assert sorted(len(i.members) for i in right_ideals) == [1, 4, 4, 4, 16]
 
 
@@ -203,7 +205,7 @@ def test_radical_is_nilpotent_two_sided(builder):
         if power == {r.zero}:
             break
         power = {r.mul(a, b) for a in power for b in rad} | {r.zero}
-        power = set(left_ideal_generated(r, sorted(power)).members)
+        power = set(submodule_generated(r, sorted(power)).members)
     assert power == {r.zero}
     quotient, _ = ring_quotient(r, jacobson_radical(r))
     assert jacobson_radical(quotient).members == (quotient.zero,)
@@ -212,12 +214,12 @@ def test_radical_is_nilpotent_two_sided(builder):
 def test_ideal_lattice_closure_properties():
     for builder in (lambda: mod_ring(12), local_xy_ring, upper_triangular_ring):
         r = builder()
-        ideals = left_ideals_enumerate(r)
+        ideals = submodules_enumerate(r)
         mem = {i.members for i in ideals}
         assert all(is_left_ideal(r, i.members) for i in ideals)
         for a in ideals:
             for b in ideals:
-                s = left_ideal_generated(r, sorted(set(a.members) | set(b.members)))
+                s = submodule_generated(r, sorted(set(a.members) | set(b.members)))
                 inter = tuple(sorted(set(a.members) & set(b.members)))
                 assert s.members in mem
                 assert inter in mem
@@ -228,7 +230,7 @@ def test_local_xy_ring_is_not_pir():
     assert jacobson_radical(r).members == (0, 1, 2, 3)
     assert not is_left_pir(r)
     assert not is_right_pir(r)
-    bad = left_ideal_generated(r, [1, 2])
+    bad = submodule_generated(r, [1, 2])
     assert bad.members == (0, 1, 2, 3)
     with pytest.raises(NotPrincipalError):
         principal_generator(r, bad)
@@ -236,19 +238,19 @@ def test_local_xy_ring_is_not_pir():
 
 def test_principal_ideals_and_generators():
     r = mod_ring(6)
-    assert principal_left_ideal(r, 2).members == (0, 2, 4)
-    assert principal_left_ideal(r, 5).members == (0, 1, 2, 3, 4, 5)
-    assert left_ideal_generated(r, [2, 3]).members == (0, 1, 2, 3, 4, 5)
+    assert submodule_generated(r, [2]).members == (0, 2, 4)
+    assert submodule_generated(r, [5]).members == (0, 1, 2, 3, 4, 5)
+    assert submodule_generated(r, [2, 3]).members == (0, 1, 2, 3, 4, 5)
     r16 = matrix_ring(2, 2)
-    for ideal in minimal_left_ideals(r16):
+    for ideal in minimal_submodules(r16):
         g = principal_generator(r16, ideal)
-        assert principal_left_ideal(r16, g).members == ideal.members
+        assert submodule_generated(r16, [g]).members == ideal.members
         assert g == min(x for x in ideal.members if x != 0)
 
 
 def test_quotient_of_mod12_by_four_multiples():
     r = mod_ring(12)
-    ideal = principal_left_ideal(r, 4)
+    ideal = submodule_generated(r, [4])
     assert ideal.members == (0, 4, 8)
     quotient, proj = ring_quotient(r, ideal)
     expected = mod_ring(4)
@@ -259,7 +261,7 @@ def test_quotient_of_mod12_by_four_multiples():
 
 def test_quotient_requires_two_sided_ideal():
     r = matrix_ring(2, 2)
-    ideal = minimal_left_ideals(r)[0]
+    ideal = minimal_submodules(r)[0]
     with pytest.raises(InputError):
         ring_quotient(r, ideal)
 
@@ -355,3 +357,83 @@ def test_guards_on_construction():
         ring_make(
             {"kind": "product", "factors": [{"kind": "mod_n", "n": 9}, {"kind": "mod_n", "n": 9}]}
         )
+
+
+# ---------------------------------------------------------------------------
+# an oracle for left ideals computed on the ring side, from the principal
+# ideals Rg and sums of additive subgroups, against the module code run on
+# the ring acting on itself
+
+
+def _oracle_principal(ring, g):
+    return tuple(sorted({ring.mul(r, g) for r in ring.elements()}))
+
+
+def _oracle_sum(ring, a, b):
+    return frozenset(ring.add(x, y) for x in a for y in b)
+
+
+def _oracle_generated(ring, gens):
+    members = frozenset({ring.zero})
+    for g in gens:
+        members = _oracle_sum(ring, members, _oracle_principal(ring, g))
+    return tuple(sorted(members))
+
+
+def _oracle_left_ideals(ring):
+    ideals = {frozenset(_oracle_principal(ring, g)) for g in ring.elements()}
+    work = list(ideals)
+    while work:
+        current = work.pop()
+        for other in list(ideals):
+            s = _oracle_sum(ring, current, other)
+            if s not in ideals:
+                ideals.add(s)
+                work.append(s)
+    return sorted((tuple(sorted(i)) for i in ideals), key=lambda t: (len(t), t))
+
+
+def _oracle_minimal_left_ideals(ring):
+    principals = {_oracle_principal(ring, g) for g in ring.elements()}
+    out = [
+        members
+        for members in principals
+        if len(members) > 1
+        and all(_oracle_principal(ring, x) == members for x in members if x != ring.zero)
+    ]
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def _oracle_annihilator(ring, x):
+    return frozenset(r for r in ring.elements() if ring.mul(r, x) == ring.zero)
+
+
+ORACLE_RINGS = {
+    **{f"z{n}": (lambda n=n: mod_ring(n)) for n in range(2, 13)},
+    "m2f2": lambda: matrix_ring(2, 2),
+    "z4xz2": lambda: ring_make(
+        {"kind": "product", "factors": [{"kind": "mod_n", "n": 4}, {"kind": "mod_n", "n": 2}]}
+    ),
+    "z2xz3": lambda: ring_make(
+        {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]}
+    ),
+    "f4": lambda: matrix_ring(1, 4),
+    "f8": lambda: matrix_ring(1, 8),
+    "local-xy": local_xy_ring,
+}
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["ring", "opposite"])
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_module_lattice_matches_the_ring_side_oracle(name, opposite):
+    r = ORACLE_RINGS[name]()
+    if opposite:
+        r = opposite_ring(r)
+    assert [i.members for i in submodules_enumerate(r)] == _oracle_left_ideals(r)
+    assert [i.members for i in minimal_submodules(r)] == _oracle_minimal_left_ideals(r)
+    anns = annihilator_sets(r)
+    for x in r.elements():
+        assert submodule_generated(r, [x]).members == _oracle_principal(r, x)
+        assert anns[x] == _oracle_annihilator(r, x)
+    for gens in itertools.combinations(r.elements(), 2):
+        assert submodule_generated(r, gens).members == _oracle_generated(r, gens)

@@ -1,6 +1,7 @@
 """Theorem layer: counterexample packs, peeling, and the bounded verifiers."""
 
 import dataclasses
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -33,13 +34,12 @@ from eplab.modules import (
     module_make,
     partition,
 )
-from eplab.rings import LeftIdeal, is_left_pir, principal_generator, ring_make
+from eplab.rings import Submodule, is_left_pir, principal_generator, ring_make
 from eplab.theorems import (
     CounterexamplePack,
     VerdictReport,
     build_counterexample,
     counterexample_length,
-    enumerate_subspaces,
     midway_peeling,
     pack_from_json,
     replay_pack,
@@ -54,8 +54,9 @@ from eplab.theorems import (
     _enumerate_codes,
     _orbit_representatives,
     _projection_matrix,
-    _subspace_basis,
+    _subspaces,
     _sweep,
+    _sweep_bounds,
 )
 
 
@@ -166,14 +167,14 @@ def test_counterexample_length_validation():
 
 def test_subspace_counts():
     # Gaussian binomial totals: sum_d [k choose d]_q
-    assert len(enumerate_subspaces(FiniteField(2), 2)) == 5
-    assert len(enumerate_subspaces(FiniteField(2), 3)) == 16
-    assert len(enumerate_subspaces(FiniteField(3), 2)) == 6
+    assert len(_subspaces(2, 2, Guards())[0]) == 5
+    assert len(_subspaces(2, 3, Guards())[0]) == 16
+    assert len(_subspaces(3, 2, Guards())[0]) == 6
 
 
 def test_subspaces_are_closed_and_ordered():
     field = FiniteField(2)
-    subs = enumerate_subspaces(field, 2)
+    subs, _ = _subspaces(2, 2, Guards())
     assert subs[0] == ((0, 0),)
     assert subs[-1] == ((0, 0), (0, 1), (1, 0), (1, 1))
     sizes = [len(s) for s in subs]
@@ -183,6 +184,63 @@ def test_subspaces_are_closed_and_ordered():
         for u in members:
             for v in members:
                 assert tuple(field.add(a, b) for a, b in zip(u, v)) in members
+
+
+def _vec_add(field, u, v):
+    return tuple(field.add(a, b) for a, b in zip(u, v))
+
+
+def _vec_scale(field, c, v):
+    return tuple(field.mul(c, a) for a in v)
+
+
+def _oracle_subspaces(field, k):
+    """All subspaces of F_q^k by closing spans of vectors, ordered by (dim,
+    members): the oracle for the module lattice of F_q^k."""
+    zero = (0,) * k
+    vectors = [tuple(v) for v in itertools.product(range(field.q), repeat=k)]
+    seen = {frozenset({zero})}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for sub in frontier:
+            for v in vectors:
+                if v in sub:
+                    continue
+                span = frozenset(
+                    _vec_add(field, s, _vec_scale(field, c, v))
+                    for s in sub
+                    for c in range(field.q)
+                )
+                if span not in seen:
+                    seen.add(span)
+                    grown.append(span)
+        frontier = grown
+    return sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t))
+
+
+def _oracle_basis(field, members):
+    """The members, in order, that lie outside the span of those before them."""
+    span = {members[0]}
+    basis = []
+    for v in members:
+        if v in span:
+            continue
+        basis.append(v)
+        span = {
+            _vec_add(field, s, _vec_scale(field, c, v)) for s in span for c in range(field.q)
+        }
+    return basis
+
+
+@pytest.mark.parametrize(
+    "q,k", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (2, 3), (3, 3), (2, 4)]
+)
+def test_subspace_lattice_matches_the_vector_oracle(q, k):
+    field = FiniteField(q)
+    subspaces, bases = _subspaces(q, k, Guards())
+    assert subspaces == _oracle_subspaces(field, k)
+    assert bases == [_oracle_basis(field, s) for s in subspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +302,16 @@ def test_kernel_choice_never_changes_an_orbit(m, k, q):
     alphabet = matrix_module(m, q, k)
     labels = partition(alphabet, "orbit").labels
     mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
-    subspaces = enumerate_subspaces(field, k)
-    for sub in subspaces:
-        complements = [w for w in subspaces if len(sub) * len(w) == q**k and len(set(sub) & set(w)) == 1]
+    subspaces, bases = _subspaces(q, k, Guards())
+    for sub, basis in zip(subspaces, bases):
+        complements = [
+            wi for wi, w in enumerate(subspaces)
+            if len(sub) * len(w) == q**k and len(set(sub) & set(w)) == 1
+        ]
         assert complements
         orbit_rows = set()
-        for w in complements:
-            proj = _projection_matrix(field, k, _subspace_basis(field, sub), _subspace_basis(field, w))
+        for wi in complements:
+            proj = _projection_matrix(field, k, basis, bases[wi])
             assert proj.mul(proj) == proj
             orbit_rows.add(tuple(labels[matrix_to_index(a.mul(proj))] for a in mats))
         assert len(orbit_rows) == 1
@@ -481,7 +542,7 @@ def _peel_word_by_word(cmap, guards=Guards()):
             present = {anns[x] for x in rem_w} | {anns[y] for y in rem_i}
             maximal = [i for i in present if not any(i < j for j in present)]
             ideal = min(maximal, key=lambda i: tuple(sorted(i)))
-            e = principal_generator(ring, LeftIdeal(tuple(sorted(ideal))))
+            e = principal_generator(ring, Submodule(tuple(sorted(ideal))))
             exact_w = [x for x in rem_w if anns[x] == ideal]
             exact_i = [y for y in rem_i if anns[y] == ideal]
             assert sorted(x for x in rem_w if act[e][x] == zero) == sorted(exact_w)
@@ -630,8 +691,14 @@ def test_midway_honours_a_raised_order_guard():
         lambda z4: verify_midway(z4, max_n=0),
         lambda z4: verify_midway(z4, Guards(max_n=0)),
         lambda z4: verify_sufficiency(z4, max_gens=0),
+        # the bounds are checked before the hypotheses, which these alphabets fail
+        lambda _: verify_midway(z2_plus_z4(), max_n=0),
+        lambda _: verify_sufficiency(z4_klein(), max_gens=0),
     ],
-    ids=["midway-max_n", "midway-guard", "sufficiency-max_gens"],
+    ids=[
+        "midway-max_n", "midway-guard", "sufficiency-max_gens",
+        "midway-unmet-max_n", "sufficiency-unmet-max_gens",
+    ],
 )
 def test_sweeps_reject_non_positive_bounds(call):
     with pytest.raises(InputError, match="must be positive"):
@@ -763,7 +830,8 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
 
 def _sweep_yields(alphabet, max_n, max_gens, onto=False):
     counts = {"codes": 0}
-    return sum(1 for _ in _sweep(alphabet, Guards(), max_n, max_gens, counts, {}, onto))
+    bounds = _sweep_bounds(Guards(), max_n, max_gens)
+    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}, onto))
 
 
 @pytest.mark.parametrize(
