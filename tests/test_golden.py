@@ -7,7 +7,9 @@ depend on where the spec file lives.
 
 Regenerate the files (only on purpose, and say why in CHANGES.md) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [STEM ...]
+
+which rewrites the named files, or every file when no stem is given.
 """
 
 import contextlib
@@ -30,6 +32,24 @@ REGULAR = {"kind": "regular"}
 KLEIN = {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 2}]}
 Z2xZ3 = {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]}
 
+
+def _relabelled_z4_z2() -> dict:
+    """Z/4 (+) Z/2 over Z/4 as a table module whose element (a, b) gets index
+    RELABEL[2a + b]; the zero element sits at index 5, not 0, so discovery
+    order, sorted order and group order of its maps all differ."""
+    relabel = (5, 2, 7, 0, 3, 6, 1, 4)
+    pairs = [(a, b) for a in range(4) for b in range(2)]
+    index = {pair: relabel[i] for i, pair in enumerate(pairs)}
+    add = [[0] * 8 for _ in range(8)]
+    act = [[0] * 8 for _ in range(4)]
+    for a, b in pairs:
+        for c, d in pairs:
+            add[index[a, b]][index[c, d]] = index[(a + c) % 4, (b + d) % 2]
+        for r in range(4):
+            act[r][index[a, b]] = index[(r * a) % 4, (r * b) % 2]
+    return {"kind": "table", "add": add, "act": act}
+
+
 # the six acceptance alphabets plus the product ring Z/2 x Z/3 over itself
 ALPHABETS = {
     "z4": {"ring": Z4, "module": REGULAR},
@@ -47,6 +67,9 @@ SPECS = {
     "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
+    "z4-z2-table": {"ring": Z4, "module": _relabelled_z4_z2()},
+    # F_2^4: Aut(A) is GL(4, 2), with 20,160 elements
+    "f2-col4": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
     "z4-z2z4": {
         "ring": Z4,
         "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
@@ -66,6 +89,9 @@ def _cases() -> dict:
     # a module that is not pseudo-injective, so the orbit lemma's hypotheses fail
     cases["verify-orbit-lemma-z4-z2z4"] = (["verify-orbit-lemma"], "z4-z2z4")
     cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
+    cases["aut-group-z4-z2-table"] = (["aut-group"], "z4-z2-table")
+    cases["verify-orbit-lemma-f2-col4"] = (["verify-orbit-lemma"], "f2-col4")
+    cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
     # (1, 2, 4) is the first pack over a field that is not prime
@@ -130,6 +156,6 @@ def test_every_golden_file_has_a_case():
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for stem in sorted(CASES):
+        for stem in sys.argv[1:] or sorted(CASES):
             (GOLDEN_DIR / f"{stem}.out").write_text(run_case(stem, workdir), encoding="utf-8")
             print(stem, file=sys.stderr)
