@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,
@@ -43,7 +43,8 @@ from .rings import (
     jacobson_radical,
     minimal_submodules,
     ring_make,
-    ring_quotient,
+    semisimple_quotient,
+    span_step,
     submodule_generated,
     submodules_enumerate,
     wedderburn_data,
@@ -275,18 +276,11 @@ def socle(module: Module) -> Submodule:
 # generators and linear-map search
 
 
-def _span_with(module: Module, current: frozenset, a: int) -> frozenset:
-    add = module.add_table
-    act = module.act_table
-    return frozenset(add[s][row[a]] for s in current for row in act)
-
-
 def _greedy_generators(
-    candidates: Sequence[int],
-    span: Callable[[frozenset, int], frozenset],
-    start: Iterable[int],
+    module: Module, candidates: Sequence[int], start: Iterable[int]
 ) -> tuple[int, ...]:
-    """Greedy generators covering every candidate, starting from start.
+    """Greedy generators covering every candidate, starting from the
+    submodule start.
 
     Each round adds the first candidate, in the given ascending order, whose
     span with the current set is largest.
@@ -297,7 +291,7 @@ def _greedy_generators(
         best_a, best_span = None, current
         for a in candidates:
             if a not in current:
-                grown = span(current, a)
+                grown = span_step(module, current, a)
                 if best_a is None or len(grown) > len(best_span):
                     best_a, best_span = a, grown
         if best_a is None:
@@ -309,39 +303,46 @@ def _greedy_generators(
 def module_generators(module: Module) -> tuple[int, ...]:
     """Small generating set by greedy maximal coverage, ties to smaller index."""
     if "generators" not in module._cache:
-        module._cache["generators"] = _greedy_generators(
-            module.elements(), functools.partial(_span_with, module), {module.zero}
-        )
+        module._cache["generators"] = _greedy_generators(module, module.elements(), {module.zero})
     return module._cache["generators"]
 
 
 def generators_within(module: Module, members: Sequence[int]) -> tuple[int, ...]:
     """Greedy generating set for a given submodule of the module."""
-    return _greedy_generators(
-        sorted(members), functools.partial(_span_with, module), {module.zero}
-    )
+    return _greedy_generators(module, sorted(members), {module.zero})
 
 
-def _extend_map(src: Module, dst: Module, base: dict, x: int, y: int) -> Optional[dict]:
-    """Extend a linear map on a submodule by x -> y; None on conflict.
+def _map_plan(src: Module, gens: tuple[int, ...], domain: tuple[int, ...]):
+    """How a linear map on the submodule domain extends along gens, compiled
+    once per (gens, domain) and cached on src.  Returns (order, steps).
 
-    One pass over {s + r*x} covers the span and every linearity constraint.
+    The span C grows in discovery order: domain, then for each generator g
+    the new elements s + r*g in (r, s) order.  f(s + r*g) = f(s) + r*y is
+    well defined, and then linear, exactly when d*y = f(d*g) for every d with
+    d*g in C.  steps[i] = (checks, new) holds the pairs (d, pos(d*g)) of that
+    conductor with d*g != 0 (the candidates' annihilators cover d*g = 0) and
+    the pairs (pos(s), r) of the new elements.  order sorts the positions.
     """
-    new = dict(base)
-    sadd, sact = src.add_table, src.act_table
-    dadd, dact = dst.add_table, dst.act_table
-    for r in src.ring.elements():
-        rx = sact[r][x]
-        ry = dact[r][y]
-        for s, fs in base.items():
-            key = sadd[s][rx]
-            val = dadd[fs][ry]
-            prev = new.get(key)
-            if prev is None:
-                new[key] = val
-            elif prev != val:
-                return None
-    return new
+    key = ("map_plan", gens, domain)
+    if key not in src._cache:
+        span = list(domain)
+        pos = {x: p for p, x in enumerate(span)}
+        steps = []
+        for g in gens:
+            col = [row[g] for row in src.act_table]
+            checks = tuple((d, pos[x]) for d, x in enumerate(col) if x != src.zero and x in pos)
+            new, size = [], len(span)
+            for r, x in enumerate(col):
+                for p in range(size):
+                    s = src.add_table[span[p]][x]
+                    if s not in pos:
+                        pos[s] = len(span)
+                        span.append(s)
+                        new.append((p, r))
+            steps.append((checks, tuple(new)))
+        order = tuple(sorted(range(len(span)), key=span.__getitem__))
+        src._cache[key] = (order, tuple(steps))
+    return src._cache[key]
 
 
 def iter_linear_maps(
@@ -352,39 +353,44 @@ def iter_linear_maps(
     base: Optional[dict] = None,
     target_members: Optional[frozenset] = None,
 ):
-    """Yield all linear maps span(base, gens) -> dst, in deterministic order.
+    """Yield all linear maps span(base, gens) -> dst, in deterministic order,
+    each as the tuple of images of the span's members in ascending order.
 
     The source generators are element indices of src; base (default {0: 0})
     must already be a linear map on a submodule.  Candidate images are
     filtered by annihilator containment (equality when injective) and, when
-    target_members is given, restricted to that submodule of dst.
+    target_members is given, restricted to that submodule of dst; the
+    conductor checks of _map_plan then accept exactly the images that extend.
     """
     if base is None:
         base = {src.zero: dst.zero}
-    anns_src = annihilator_sets(src)
-    anns_dst = annihilator_sets(dst)
+    order, steps = _map_plan(src, tuple(gens), tuple(base))
+    anns_src, anns_dst = annihilator_sets(src), annihilator_sets(dst)
     pool = dst.elements() if target_members is None else sorted(target_members)
-    candidate_sets = []
-    for g in gens:
-        if injective:
-            cands = [y for y in pool if anns_dst[y] == anns_src[g]]
-        else:
-            cands = [y for y in pool if anns_src[g] <= anns_dst[y]]
-        candidate_sets.append(cands)
+    candidate_sets = [
+        [y for y in pool if anns_dst[y] == anns_src[g]] if injective
+        else [y for y in pool if anns_src[g] <= anns_dst[y]]
+        for g in gens
+    ]
+    dadd, dact = dst.add_table, dst.act_table
 
-    def rec(i, current):
-        if i == len(gens):
-            yield current
-            return
+    def rec(i, values):
+        checks, new = steps[i]
         for y in candidate_sets[i]:
-            ext = _extend_map(src, dst, current, gens[i], y)
-            if ext is None:
-                continue
-            if injective and len(set(ext.values())) != len(ext):
-                continue
-            yield from rec(i + 1, ext)
+            for d, p in checks:
+                if dact[d][y] != values[p]:
+                    break
+            else:
+                ext = values + [dadd[values[p]][dact[r][y]] for p, r in new]
+                if injective and len(set(ext)) != len(ext):
+                    continue
+                if i + 1 < len(steps):
+                    yield from rec(i + 1, ext)
+                else:
+                    yield tuple([ext[p] for p in order])
 
-    yield from rec(0, dict(base))
+    values = list(base.values())
+    yield from rec(0, values) if steps else [tuple([values[p] for p in order])]
 
 
 def hom_count_from_simple(simple: Module, target: Module) -> int:
@@ -465,10 +471,7 @@ def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGr
     if "aut_group" not in module._cache:
         check_guard(module.order, guards.max_order, f"module order {module.order}")
         gens = module_generators(module)
-        perms = []
-        for f in iter_linear_maps(module, module, gens, injective=True):
-            perms.append(tuple(f[a] for a in module.elements()))
-        perms.sort()
+        perms = sorted(iter_linear_maps(module, module, gens, injective=True))
         group = AutGroup(module, tuple(perms))
         ident = tuple(module.elements())
         if ident not in group.index:
@@ -532,22 +535,22 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
     to an endomorphism of the module.
 
     Each proper nonzero submodule S gets, once, greedy generators that
-    complete S to the whole module; they depend on S alone.  Each
-    monomorphism f on S then takes one search for a linear map that extends
-    f.  The search tries, for each of those generators g, every image y with
-    Ann(g) <= Ann(y), a condition every endomorphism meets, so it finds an
-    extension whenever one exists.
+    complete S to the whole module; they depend on S alone, and so does the
+    plan _map_plan compiles for them.  Each monomorphism f on S then takes
+    one search for a linear map that extends f.  The search tries, for each
+    of those generators g, every image y with Ann(g) <= Ann(y), a condition
+    every endomorphism meets, so it finds an extension whenever one exists.
     """
     if "pseudo_injective" not in module._cache:
-        span = functools.partial(_span_with, module)
         result = True
         for sub in submodules_enumerate(module, guards):
             if len(sub) in (1, module.order):
                 continue
             gens = generators_within(module, sub.members)
-            rest = _greedy_generators(module.elements(), span, sub.members)
+            rest = _greedy_generators(module, module.elements(), sub.members)
             result = all(
-                next(iter_linear_maps(module, module, rest, base=f), None) is not None
+                next(iter_linear_maps(module, module, rest, base=dict(zip(sub.members, f))), None)
+                is not None
                 for f in iter_linear_maps(module, module, gens, injective=True)
             )
             if not result:
@@ -578,10 +581,9 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     for _ in range(1, m):
         multiples.append(tuple(ring.add(x, a) for a, x in enumerate(multiples[-1])))
     additive = Module(z_m, ring.add_table, tuple(multiples), ring.zero, {"kind": "additive"})
-    characters = [
-        tuple(chi[x] for x in range(n))
-        for chi in iter_linear_maps(additive, _module_regular(z_m), module_generators(additive))
-    ]
+    characters = list(
+        iter_linear_maps(additive, _module_regular(z_m), module_generators(additive))
+    )
     if len(characters) != n:
         raise InternalConsistencyError(
             f"character count {len(characters)} differs from ring order {n}"
@@ -616,11 +618,7 @@ def embedding_search(
     """First injective linear map src -> dst in search order, as a tuple."""
     if src.order > dst.order:
         return None
-    gens = module_generators(src)
-    found = next(iter_linear_maps(src, dst, gens, injective=True), None)
-    if found is None:
-        return None
-    return tuple(found[a] for a in src.elements())
+    return next(iter_linear_maps(src, dst, module_generators(src), injective=True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +649,7 @@ def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog
     if "simple_catalog" in ring._cache:
         return ring._cache["simple_catalog"]
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rad = jacobson_radical(ring)
-    rbar, proj = ring_quotient(ring, rad)
+    rbar, proj, minimals = semisimple_quotient(ring)
 
     def pullback(members: Sequence[int]) -> Module:
         pos = {x: i for i, x in enumerate(members)}
@@ -679,7 +676,7 @@ def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog
     )
 
     entries = []
-    for ideal in minimal_submodules(rbar):
+    for ideal in minimals:
         t_mod = pullback(ideal.members)
         if any(hom_count_from_simple(t_mod, prev.module) > 1 for prev in entries):
             continue

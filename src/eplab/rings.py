@@ -266,19 +266,23 @@ def units(ring: Ring) -> frozenset[int]:
 # only add_table, act_table, zero, order and _cache.
 
 
+def span_step(module, members: Iterable[int], g: int) -> set[int]:
+    """{s + r*g : s in members, r in R}: the span of a submodule and g."""
+    add = module.add_table
+    return {add[s][row[g]] for s in members for row in module.act_table}
+
+
 def submodule_generated(module, gens: Iterable[int]) -> Submodule:
     """Smallest submodule containing the generators.
 
-    Because the running set is a submodule at every step, one pass of
-    {s + r*g} per generator is a full closure.
+    Because the running set is a submodule at every step, one span_step per
+    generator is a full closure.
     """
     members = {module.zero}
-    add = module.add_table
-    act = module.act_table
     for g in gens:
         if not 0 <= g < module.order:
             raise InputError(f"generator {g} outside module of order {module.order}")
-        members = {add[s][row[g]] for s in members for row in act}
+        members = span_step(module, members, g)
     return Submodule(tuple(sorted(members)))
 
 
@@ -432,6 +436,14 @@ def ring_quotient(ring: Ring, ideal: Submodule) -> tuple[Ring, tuple[int, ...]]:
     return quotient, proj
 
 
+def semisimple_quotient(ring: Ring) -> tuple[Ring, tuple[int, ...], tuple[Submodule, ...]]:
+    """R/rad(R), its projection table and its minimal left ideals, built once."""
+    if "semisimple_quotient" not in ring._cache:
+        rbar, proj = ring_quotient(ring, jacobson_radical(ring))
+        ring._cache["semisimple_quotient"] = (rbar, proj, minimal_submodules(rbar))
+    return ring._cache["semisimple_quotient"]
+
+
 @dataclasses.dataclass(frozen=True)
 class WedderburnData:
     """Semisimple-quotient shape: blocks (mu_i, q_i), sorted by (q_i, mu_i)."""
@@ -465,9 +477,7 @@ def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnDa
     if "wedderburn" in ring._cache:
         return ring._cache["wedderburn"]
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rad = jacobson_radical(ring)
-    rbar, _ = ring_quotient(ring, rad)
-    minimals = minimal_submodules(rbar)
+    rbar, _, minimals = semisimple_quotient(ring)
     ann = annihilator_sets(rbar)
     blocks = []
     seen_reps = []

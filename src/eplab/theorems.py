@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     InternalConsistencyError,
     UnsupportedConstruction,
+    check_guard,
 )
 from .fields import (
     FiniteField,
@@ -586,26 +587,24 @@ def _enumerate_codes(ambient: Module, max_gens: int) -> list[tuple[tuple[int, ..
     )
 
 
-def _code_map_from_dict(
+def _code_map_from_tuple(
     alphabet: Module,
     words: list[Word],
     members: Sequence[int],
     gens: Sequence[int],
-    fmap: dict,
+    fmap: Sequence[int],
 ) -> CodeMap:
+    """The code map of fmap, the images of the code's members in order."""
+    mapping = {words[x]: words[y] for x, y in zip(members, fmap)}
     source = Code(
-        alphabet,
-        len(words[0]),
-        tuple(words[g] for g in gens),
-        tuple(sorted(words[x] for x in members)),
+        alphabet, len(words[0]), tuple(words[g] for g in gens), tuple(sorted(mapping))
     )
     target = Code(
         alphabet,
         len(words[0]),
-        tuple(words[fmap[g]] for g in gens),
-        tuple(sorted(words[fmap[x]] for x in members)),
+        tuple(mapping[w] for w in source.generators),
+        tuple(sorted(mapping.values())),
     )
-    mapping = {words[x]: words[fmap[x]] for x in members}
     return CodeMap(source, target, target.generators, mapping)
 
 
@@ -675,7 +674,8 @@ def _sweep(
     """Yield (n, words, weights, profiles, members, gens, fmap) for the
     injective linear maps on the codes of A^n, n = 1..max_n, that need at
     most max_gens generators; with onto, only the maps onto a code of the
-    same size.
+    same size, each as the images of members in order.  A code larger than
+    the max_code guard raises GuardExceeded.
 
     words[x] is the word at ambient index x, weights[x] its Hamming weight and
     profiles[x] its sorted orbit labels.  Every code is visited in the order
@@ -711,6 +711,7 @@ def _sweep(
         reps = _orbit_representatives(alphabet, words, codes, guards)
         growth: dict[int, dict] = {}
         for i, (members, gens) in enumerate(codes):
+            check_guard(len(members), guards.max_code, "code size")
             counts["codes"] += 1
             if reps[i] != i:
                 for key, grown in growth[reps[i]].items():
@@ -728,12 +729,12 @@ def _sweep(
             growth[i] = {key: counts[key] - before[key] for key in counts if key != "codes"}
 
 
-def _witness(n: int, words: list[Word], gens: Sequence[int], fmap: dict, **extra) -> dict:
+def _witness(n: int, cmap: CodeMap, **extra) -> dict:
     """The fields every sweep witness shares, followed by extra."""
     return {
         "length": n,
-        "generators": [list(words[g]) for g in gens],
-        "gen_images": [list(words[fmap[g]]) for g in gens],
+        "generators": [list(w) for w in cmap.source.generators],
+        "gen_images": [list(w) for w in cmap.gen_images],
         **extra,
     }
 
@@ -770,19 +771,20 @@ def verify_midway(
         alphabet, guards, bounds, counts, details
     ):
         counts["monomorphisms"] += 1
-        hamming_ok = all(weights[x] == weights[fmap[x]] for x in members)
-        swc_ok = all(profiles[x] == profiles[fmap[x]] for x in members)
+        hamming_ok = all(weights[x] == weights[y] for x, y in zip(members, fmap))
+        swc_ok = all(profiles[x] == profiles[y] for x, y in zip(members, fmap))
+        if not (hamming_ok or swc_ok):
+            continue
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if hamming_ok != swc_ok:
             details["witness"] = _witness(
-                n, words, gens, fmap, hamming_preserved=hamming_ok, swc_preserved=swc_ok
+                n, cmap, hamming_preserved=hamming_ok, swc_preserved=swc_ok
             )
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        if not hamming_ok:
-            continue
         counts["hamming_preserving"] += 1
-        verdict = midway_peeling(_code_map_from_dict(alphabet, words, members, gens, fmap), guards)
+        verdict = midway_peeling(cmap, guards)
         if verdict.result != "verified":
-            details["witness"] = _witness(n, words, gens, fmap, peeling=verdict.as_json())
+            details["witness"] = _witness(n, cmap, peeling=verdict.as_json())
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["peeled"] += 1
     return VerdictReport(claim, "verified", hypotheses, counts, details)
@@ -816,12 +818,12 @@ def verify_sufficiency(
         alphabet, guards, bounds, counts, details, onto=True
     ):
         counts["isomorphisms"] += 1
-        if not all(profiles[x] == profiles[fmap[x]] for x in members):
+        if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
             continue
         counts["swc_preserving"] += 1
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if extension_search(cmap, guards=guards).transform is None:
-            details["witness"] = _witness(n, words, gens, fmap)
+            details["witness"] = _witness(n, cmap)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["extended"] += 1
     return VerdictReport(claim, "verified", hypotheses, counts, details)

@@ -287,6 +287,14 @@ def test_guard_env_variable(monkeypatch, m2f2_spec):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", ["verify-midway", "verify-sufficiency"])
+def test_sweeps_apply_the_code_size_guard(monkeypatch, z4_spec, command):
+    monkeypatch.setenv("EPLAB_MAX_CODE", "4")
+    rc, _, err = run([command, "--spec", z4_spec, "--max-n", "3", "--max-gens", "2"])
+    assert rc == 3
+    assert "code size (8) exceeds guard (4)" in err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

@@ -30,7 +30,7 @@ from eplab.modules import (
     partition,
 )
 from eplab.rings import ring_make
-from eplab.theorems import _code_map_from_dict, _enumerate_codes
+from eplab.theorems import _code_map_from_tuple, _enumerate_codes
 
 
 def z4_alphabet():
@@ -309,7 +309,7 @@ def _injective_code_maps(alphabet, max_n):
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
         for members, gens in _enumerate_codes(ambient, 2):
             for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
-                yield _code_map_from_dict(alphabet, words, members, gens, fmap)
+                yield _code_map_from_tuple(alphabet, words, members, gens, fmap)
 
 
 @pytest.mark.parametrize(

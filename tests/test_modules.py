@@ -1,20 +1,20 @@
 """Module layer: socles, simple catalogs, automorphisms, partitions."""
 
-import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eplab import modules, rings
 from eplab.errors import GuardExceeded, InputError
 from eplab.modules import (
     AutGroup,
     _greedy_generators,
-    _span_with,
     annihilator_sets,
     automorphism_group,
     character_module,
+    direct_power,
     embedding_search,
     embeds_into,
     generators_within,
@@ -33,6 +33,7 @@ from eplab.modules import (
     submodules_enumerate,
 )
 from eplab.rings import exponent_of_addition, ring_make
+from eplab.theorems import _enumerate_codes
 
 
 def mod_ring(n):
@@ -202,6 +203,16 @@ def test_simple_catalog_frozen():
     ]
 
 
+def test_simple_catalog_builds_the_semisimple_quotient_once(monkeypatch):
+    """simple_catalog and the wedderburn_data cross-check share R/rad(R)."""
+    real, calls = rings.ring_quotient, []
+    for holder in (rings, modules):  # wherever the name is bound
+        if hasattr(holder, "ring_quotient"):
+            monkeypatch.setattr(holder, "ring_quotient", lambda *a: calls.append(a) or real(*a))
+    simple_catalog(ring_make({"kind": "matrix", "m": 2, "q": 2}))
+    assert len(calls) == 1
+
+
 def test_hom_counts_from_simple():
     r = z4()
     t = simple_catalog(r).entries[0].module
@@ -326,7 +337,7 @@ def test_pseudo_injectivity_frozen():
 def _rest_search(module, members, f):
     """The one endomorphism search that is_pseudo_injective runs for the
     monomorphism f on the submodule members: the first extension, or None."""
-    rest = _greedy_generators(module.elements(), functools.partial(_span_with, module), members)
+    rest = _greedy_generators(module, module.elements(), members)
     return next(iter_linear_maps(module, module, rest, base=f), None)
 
 
@@ -344,8 +355,137 @@ def test_failing_mono_in_z2z4():
 def test_iter_monos_matches_annihilator_filter():
     a = z2z4_over_z4()
     monos = list(iter_linear_maps(a, a, generators_within(a, (0, 2)), injective=True))
-    # 2 = (0,2) can map to any element with annihilator {0,2}: 2, 4, 6
-    assert sorted(f[2] for f in monos) == [2, 4, 6]
+    # 2 = (0,2) can map to any element with annihilator {0,2}: 2, 4, 6; each
+    # map is the tuple of images of the span (0, 2)
+    assert sorted(f[1] for f in monos) == [2, 4, 6]
+
+
+def _iter_linear_maps_oracle(src, dst, gens, injective=False, base=None, target_members=None):
+    """The former modules.iter_linear_maps: each candidate image extends a
+    copy of the map's dict through one pass over {s + r*x}, which checks
+    every linearity constraint.  Yields dicts."""
+    if base is None:
+        base = {src.zero: dst.zero}
+    anns_src = annihilator_sets(src)
+    anns_dst = annihilator_sets(dst)
+    pool = dst.elements() if target_members is None else sorted(target_members)
+    candidate_sets = []
+    for g in gens:
+        if injective:
+            cands = [y for y in pool if anns_dst[y] == anns_src[g]]
+        else:
+            cands = [y for y in pool if anns_src[g] <= anns_dst[y]]
+        candidate_sets.append(cands)
+
+    def extend_map(base, x, y):
+        new = dict(base)
+        for r in src.ring.elements():
+            rx, ry = src.act(r, x), dst.act(r, y)
+            for s, fs in base.items():
+                key, val = src.add(s, rx), dst.add(fs, ry)
+                if new.setdefault(key, val) != val:
+                    return None
+        return new
+
+    def rec(i, current):
+        if i == len(gens):
+            yield current
+            return
+        for y in candidate_sets[i]:
+            ext = extend_map(current, gens[i], y)
+            if ext is None:
+                continue
+            if injective and len(set(ext.values())) != len(ext):
+                continue
+            yield from rec(i + 1, ext)
+
+    yield from rec(0, dict(base))
+
+
+def _assert_kernel_matches_oracle(src, dst, gens, **kwargs):
+    """The kernel yields the oracle's maps in the oracle's order, each as
+    the tuple of images of the sorted span; returns the number of maps."""
+    domain = list(kwargs.get("base") or [src.zero])
+    span = submodule_generated(src, domain + list(gens)).members
+    got = [dict(zip(span, f)) for f in iter_linear_maps(src, dst, gens, **kwargs)]
+    assert got == list(_iter_linear_maps_oracle(src, dst, gens, **kwargs))
+    return len(got)
+
+
+def _relabelled_klein():
+    """(Z/2)^2 over Z/4 as a table module with its zero at index 2."""
+    klein = z2z2_over_z4()
+    pm, pr = (2, 0, 3, 1), tuple(klein.ring.elements())
+    return module_make(klein.ring, {
+        "kind": "table",
+        "add": _permute_table(klein.add_table, pm, pm, pm),
+        "act": _permute_table(klein.act_table, pr, pm, pm),
+    })
+
+
+KERNEL_ALPHABETS = {
+    "z4 klein": z2z2_over_z4,
+    "z4": z4_regular,
+    "z8": lambda: module_make(mod_ring(8), {"kind": "regular"}),
+    "f2 col2": lambda: module_make(
+        ring_make({"kind": "matrix", "m": 1, "q": 2}), {"kind": "column", "k": 2}
+    ),
+    "relabelled klein": _relabelled_klein,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ALPHABETS))
+def test_iter_linear_maps_matches_the_oracle_on_every_code(name):
+    """Every code at n <= 2 with at most 2 generators: all linear maps, the
+    injective ones, and the injective ones onto each code of equal size."""
+    alphabet = KERNEL_ALPHABETS[name]()
+    for n in (1, 2):
+        ambient = direct_power(alphabet, n)
+        codes = _enumerate_codes(ambient, 2)
+        for members, gens in codes:
+            assert _assert_kernel_matches_oracle(ambient, ambient, gens) >= 1
+            assert _assert_kernel_matches_oracle(ambient, ambient, gens, injective=True) >= 1
+            for other, _ in codes:
+                if len(other) == len(members):
+                    _assert_kernel_matches_oracle(
+                        ambient, ambient, gens, injective=True, target_members=frozenset(other)
+                    )
+
+
+@pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, _relabelled_klein])
+def test_iter_linear_maps_extends_from_a_submodule_like_the_oracle(builder):
+    """Extensions of each monomorphism on a proper submodule, as
+    is_pseudo_injective searches them, with and without injectivity."""
+    module = builder()
+    for sub in submodules_enumerate(module):
+        if len(sub) in (1, module.order):
+            continue
+        rest = _greedy_generators(module, module.elements(), sub.members)
+        for f in iter_linear_maps(module, module, generators_within(module, sub.members), injective=True):
+            base = dict(zip(sub.members, f))
+            for injective in (False, True):
+                _assert_kernel_matches_oracle(module, module, rest, injective=injective, base=base)
+
+
+def _oracle_kernel(src, dst, gens, injective=False, base=None, target_members=None):
+    for f in _iter_linear_maps_oracle(src, dst, gens, injective, base, target_members):
+        yield tuple(f[x] for x in sorted(f))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{"kind": "mod_n", "n": n} for n in range(2, 13)] + [{"kind": "matrix", "m": 2, "q": 2}],
+    ids=lambda d: json.dumps(d, sort_keys=True),
+)
+def test_automorphisms_and_characters_match_the_oracle_kernel(descriptor, monkeypatch):
+    ring = ring_make(descriptor)
+    group = automorphism_group(module_make(ring, {"kind": "regular"}))
+    chars = character_module(ring)
+    monkeypatch.setattr(modules, "iter_linear_maps", _oracle_kernel)
+    ring = ring_make(descriptor)
+    assert automorphism_group(module_make(ring, {"kind": "regular"})).elements == group.elements
+    by_oracle = character_module(ring)
+    assert (by_oracle.add_table, by_oracle.act_table) == (chars.add_table, chars.act_table)
 
 
 def _extend_mono_oracle(module, members, f):
@@ -358,15 +498,13 @@ def _extend_mono_oracle(module, members, f):
     for a in members:
         assert all(f[add[a][b]] == add[f[a]][f[b]] for b in members)
         assert all(f[act[r][a]] == act[r][f[a]] for r in module.ring.elements())
-    gens_rest = _greedy_generators(
-        module.elements(), functools.partial(_span_with, module), members
-    )
+    gens_rest = _greedy_generators(module, module.elements(), members)
     for injective in (True, False):
         found = next(
             iter_linear_maps(module, module, gens_rest, injective=injective, base=f), None
         )
         if found is not None:
-            return tuple(found[a] for a in module.elements())
+            return found
     return None
 
 
@@ -378,7 +516,7 @@ def _exhaustive_pseudo_injective(module):
             continue
         gens = generators_within(module, sub.members)
         for f in iter_linear_maps(module, module, gens, injective=True):
-            if _extend_mono_oracle(module, sub.members, f) is None:
+            if _extend_mono_oracle(module, sub.members, dict(zip(sub.members, f))) is None:
                 return False
     return True
 

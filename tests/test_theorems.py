@@ -50,7 +50,7 @@ from eplab.theorems import (
     verify_sufficiency,
 )
 from eplab.theorems import (
-    _code_map_from_dict,
+    _code_map_from_tuple,
     _enumerate_codes,
     _orbit_representatives,
     _projection_matrix,
@@ -591,7 +591,7 @@ def _same_report(fast, slow):
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
     for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         fast = midway_peeling(cmap)
         _same_report(fast, _peel_word_by_word(cmap))
         results[fast.result] += 1
@@ -667,6 +667,13 @@ def test_midway_hypotheses_unmet():
 def test_midway_strict_bound_exceeds_guard():
     with pytest.raises(GuardExceeded):
         verify_midway(matrix_module(2, 2, 3), max_n=10)
+
+
+@pytest.mark.parametrize("verify", [verify_midway, verify_sufficiency])
+def test_sweeps_apply_the_code_size_guard(verify):
+    z4 = module_make(mod_ring(4), {"kind": "regular"})
+    with pytest.raises(GuardExceeded, match="code size"):
+        verify(z4, Guards(max_code=4), max_n=3, max_gens=2)
 
 
 def test_midway_default_bound_caps_to_guard():
@@ -804,7 +811,7 @@ def _unreduced_midway_counts(alphabet, max_n, max_gens):
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     for words, members, gens, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts):
         counts["monomorphisms"] += 1
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         hamming_ok = map_preserves(cmap, "hamming")
         assert hamming_ok == map_preserves(cmap, "swc")
         if hamming_ok:
@@ -820,7 +827,7 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
         alphabet, max_n, max_gens, counts, onto=True
     ):
         counts["isomorphisms"] += 1
-        cmap = _code_map_from_dict(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if map_preserves(cmap, "swc"):
             counts["swc_preserving"] += 1
             assert extension_search(cmap).transform is not None
