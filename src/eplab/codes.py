@@ -112,22 +112,10 @@ class WeightProfile:
         return dict(self.counts)
 
 
-def _index_for(alphabet: Module, kind: str, index: Optional[OrbitIndex], guards: Guards) -> OrbitIndex:
-    wanted = "orbit" if kind == "swc" else "annihilator"
-    if index is None:
-        return partition(alphabet, wanted, guards=guards)
-    if index.kind != wanted:
-        raise InputError(f"{kind} profile needs a {wanted} partition, got {index.kind}")
-    if len(index.labels) != alphabet.order:
-        raise InputError("partition does not match the alphabet")
-    return index
-
-
 def weight_profile(
     alphabet: Module,
     word: Sequence[int],
     kind: str,
-    index: Optional[OrbitIndex] = None,
     guards: Guards = DEFAULT_GUARDS,
 ) -> WeightProfile:
     w = _validate_word(alphabet, None, word)
@@ -135,7 +123,7 @@ def weight_profile(
         h = sum(1 for x in w if x != alphabet.zero)
         return WeightProfile("hamming", (("nonzero", h),))
     if kind in ("swc", "aw"):
-        idx = _index_for(alphabet, kind, index, guards)
+        idx = partition(alphabet, "orbit" if kind == "swc" else "annihilator", guards=guards)
         counts: dict[int, int] = {}
         for x in w:
             lab = idx.labels[x]
@@ -232,15 +220,12 @@ def code_map_make(
 def map_preserves(
     cmap: CodeMap,
     kind: str,
-    index: Optional[OrbitIndex] = None,
     guards: Guards = DEFAULT_GUARDS,
 ) -> bool:
     alphabet = cmap.source.alphabet
-    if kind in ("swc", "aw"):
-        index = _index_for(alphabet, kind, index, guards)
     for word, image in cmap.mapping.items():
-        if weight_profile(alphabet, word, kind, index, guards) != weight_profile(
-            alphabet, image, kind, index, guards
+        if weight_profile(alphabet, word, kind, guards) != weight_profile(
+            alphabet, image, kind, guards
         ):
             return False
     return True

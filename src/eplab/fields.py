@@ -107,8 +107,9 @@ class FiniteField:
     """GF(p^e) with precomputed add/mul/neg/inv tables over elements 0..q-1."""
 
     def __init__(self, q: int, guards: Guards = DEFAULT_GUARDS):
-        p, e = factor_prime_power(q)
+        # the guard goes first: factoring a large prime takes time linear in it
         check_guard(q, guards.max_field, f"field order {q}")
+        p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
@@ -131,12 +132,9 @@ class FiniteField:
     def _build_tables(self):
         q, p = self.q, self.p
         digits = [self._digits(a) for a in range(q)]
-        add = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                row.append(self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])]))
-            add.append(tuple(row))
+        # addition is digit-wise mod p; all radices are p, so digit order is immaterial
+        z_p = tuple(tuple((x + y) % p for y in range(p)) for x in range(p))
+        self.add_table = product_table([z_p] * self.e)
         mul = []
         for a in range(q):
             row = []
@@ -144,15 +142,8 @@ class FiniteField:
                 prod = _poly_mul(_poly_trim(digits[a]), _poly_trim(digits[b]), p)
                 row.append(self._undigits(_poly_mod(prod, self.modulus, p)))
             mul.append(tuple(row))
-        self.add_table = tuple(add)
         self.mul_table = tuple(mul)
-        neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add_table[a][b] == 0:
-                    neg[a] = b
-                    break
-        self.neg_table = tuple(neg)
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
         inv = [None] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -226,17 +217,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch in add")
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -312,6 +292,27 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix[{body}]"
+
+
+def product_table(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The componentwise table of a product of square tables: out[a][b] is the
+    mixed-radix join of tables[i][a_i][b_i], first factor most significant."""
+    out = ((0,),)
+    for t in tables:
+        n = len(t)
+        # out[a][b] = out[a // n][b // n] * n + t[a % n][b % n]
+        out = tuple(tuple(o * n + x for o in orow for x in trow) for orow in out for trow in t)
+    return out
+
+
+def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:
+    """(add, act) of the column module M_{m x k}(F_q) over M_m(F_q), both
+    indexed as matrix_to_index does; with k = m they are the ring's tables."""
+    mats = [index_to_matrix(field, m, k, i) for i in range(field.q ** (m * k))]
+    ring_mats = [index_to_matrix(field, m, m, i) for i in range(field.q ** (m * m))]
+    add = product_table([field.add_table] * (m * k))
+    act = tuple(tuple(matrix_to_index(r.mul(a)) for a in mats) for r in ring_mats)
+    return add, act
 
 
 def mixed_radix_join(parts: Iterable[int], radices: Iterable[int]) -> int:

@@ -1,7 +1,8 @@
 """Finite left modules over table rings, with socle and symmetry machinery.
 
-A Module stores a full addition table, a full action table act[r][a], and a
-descriptor.  Supported constructions over a ring R:
+A Module (rings.Module; a Ring is its own regular module) stores a full
+addition table, a full action table act[r][a], and a descriptor.  Supported
+constructions over a ring R:
 
     {"kind": "regular"}                          # R as a left module
     {"kind": "column", "k": 3}                   # M_{m x k}(F_q) over a matrix ring
@@ -26,16 +27,12 @@ from .errors import (
     InternalConsistencyError,
     check_guard,
 )
-from .fields import (
-    FiniteField,
-    index_to_matrix,
-    matrix_to_index,
-    mixed_radix_join,
-    mixed_radix_split,
-)
+from .fields import FiniteField, matrix_tables, mixed_radix_join, product_table
 from .rings import (
+    Module,
     Ring,
     Submodule,
+    additive_zero,
     annihilator_sets,
     check_table,
     exact_exponent,
@@ -51,57 +48,14 @@ from .rings import (
 )
 
 
-class Module:
-    def __init__(self, ring: Ring, add, act, zero: int, descriptor: dict):
-        self.ring = ring
-        self.order = len(add)
-        self.add_table = add
-        self.act_table = act
-        self.zero = zero
-        self.descriptor = descriptor
-        neg = [0] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if add[a][b] == zero:
-                    neg[a] = b
-                    break
-        self.neg_table = tuple(neg)
-        self._cache = {}
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def act(self, r: int, a: int) -> int:
-        return self.act_table[r][a]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def __repr__(self):
-        kind = self.descriptor.get("kind", "?")
-        return f"Module(kind={kind}, order={self.order})"
-
-
-def _validate_module_tables(ring: Ring, add, act, zero: int) -> None:
+def _validate_module_tables(ring: Ring, add, act) -> int:
+    """Check full module axioms on raw tables; return the zero."""
     n = len(add)
     if n == 0:
         raise InputError("module tables must be nonempty")
     check_table(add, n, n, "module addition table")
     check_table(act, ring.order, n, "module action table")
-    for a in range(n):
-        if add[zero][a] != a:
-            raise InputError("module zero is not an additive identity")
-        if all(add[a][b] != zero for b in range(n)):
-            raise InputError(f"module element {a} has no additive inverse")
-        for b in range(n):
-            if add[a][b] != add[b][a]:
-                raise InputError("module addition is not commutative")
-            for c in range(n):
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    raise InputError("module addition is not associative")
+    zero = additive_zero(add, "module addition table")
     if any(act[ring.one][a] != a for a in range(n)):
         raise InputError("ring identity does not act as the identity map")
     for r in ring.elements():
@@ -116,6 +70,7 @@ def _validate_module_tables(ring: Ring, add, act, zero: int) -> None:
                     raise InputError("action does not distribute over ring addition")
                 if act[ring.mul(r, s)][a] != act[r][act[s][a]]:
                     raise InputError("action is not associative with ring multiplication")
+    return zero
 
 
 def _module_regular(ring: Ring) -> Module:
@@ -129,19 +84,8 @@ def _module_column(ring: Ring, k: int, guards: Guards) -> Module:
     if k < 1:
         raise InputError(f"column count must be positive, got {k}")
     m, q = desc["m"], desc["q"]
-    order = q ** (m * k)
-    check_guard(order, guards.max_order, f"module order {q}^{m * k}")
-    field = FiniteField(q, guards)
-    mats = [index_to_matrix(field, m, k, i) for i in range(order)]
-    ring_mats = [index_to_matrix(field, m, m, i) for i in range(ring.order)]
-    add = tuple(
-        tuple(matrix_to_index(mats[a].add(mats[b])) for b in range(order))
-        for a in range(order)
-    )
-    act = tuple(
-        tuple(matrix_to_index(ring_mats[r].mul(mats[a])) for a in range(order))
-        for r in range(ring.order)
-    )
+    check_guard(q ** (m * k), guards.max_order, f"module order {q}^{m * k}")
+    add, act = matrix_tables(FiniteField(q, guards), m, k)
     return Module(ring, add, act, 0, {"kind": "column", "k": k})
 
 
@@ -166,23 +110,13 @@ def _module_direct_sum(ring: Ring, summands: Sequence[Module], guards: Guards) -
         total *= n
     check_guard(total, guards.max_order, f"module order {total}")
 
-    parts_of = [mixed_radix_split(i, orders) for i in range(total)]
-    add = tuple(
-        tuple(
-            mixed_radix_join(
-                [s.add(x, y) for s, x, y in zip(summands, parts_of[a], parts_of[b])], orders
-            )
-            for b in range(total)
+    add = product_table([s.add_table for s in summands])
+    act = ((0,),) * ring.order
+    for s in summands:
+        act = tuple(
+            tuple(o * s.order + x for o in row for x in srow)
+            for row, srow in zip(act, s.act_table)
         )
-        for a in range(total)
-    )
-    act = tuple(
-        tuple(
-            mixed_radix_join([s.act(r, x) for s, x in zip(summands, parts_of[a])], orders)
-            for a in range(total)
-        )
-        for r in ring.elements()
-    )
     zero = mixed_radix_join([s.zero for s in summands], orders)
     return Module(
         ring, add, act, zero,
@@ -227,16 +161,8 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
         if not isinstance(add, list) or not isinstance(act, list):
             raise InputError("table descriptor needs 'add' and 'act' tables")
         check_guard(len(add), guards.max_order, f"module order {len(add)}")
-        check_table(add, len(add), len(add), "module addition table")
+        zero = _validate_module_tables(ring, add, act)
         add_t = tuple(tuple(row) for row in add)
-        zero = None
-        for z in range(len(add_t)):
-            if all(add_t[z][b] == b for b in range(len(add_t))):
-                zero = z
-                break
-        if zero is None:
-            raise InputError("module addition table has no identity element")
-        _validate_module_tables(ring, add_t, act, zero)
         act_t = tuple(tuple(row) for row in act)
         desc = {"kind": "table", "add": [list(r) for r in add_t], "act": [list(r) for r in act_t]}
         return Module(ring, add_t, act_t, zero, desc)
@@ -598,12 +524,11 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
         tuple(index[tuple(chi[ring.mul(x, r)] for x in range(n))] for chi in characters)
         for r in ring.elements()
     )
-    zero = index[tuple([0] * n)]
+    zero = _validate_module_tables(ring, add_t, act_t)
     out = Module(
         ring, add_t, act_t, zero,
         {"kind": "character", "ring": ring.descriptor, "exponent": m},
     )
-    _validate_module_tables(ring, add_t, act_t, zero)
     ring._cache["character_module"] = out
     return out
 

@@ -1,8 +1,9 @@
-"""Finite unital rings as explicit operation tables.
+"""Finite unital rings and their modules as explicit operation tables.
 
-A Ring stores complete addition and multiplication tables over elements
-0..order-1 together with a JSON-ready descriptor of how it was built.
-Supported constructions:
+A Module stores complete addition and action tables over elements
+0..order-1 together with a JSON-ready descriptor of how it was built.  A
+Ring is a Module over itself whose action is its multiplication table.
+Supported ring constructions:
 
     {"kind": "mod_n",   "n": 6}
     {"kind": "matrix",  "m": 2, "q": 2}          # M_m(F_q)
@@ -33,51 +34,59 @@ from .errors import (
 from .fields import (
     FiniteField,
     Matrix,
-    index_to_matrix,
+    matrix_tables,
     matrix_to_index,
     mixed_radix_join,
     mixed_radix_split,
+    product_table,
 )
 
 
-class Ring:
-    def __init__(self, add, mul, zero, one, descriptor):
+class Module:
+    """A left module over a ring: a full addition table, a full action table
+    act[r][a] and a JSON-ready descriptor."""
+
+    def __init__(self, ring: "Ring", add, act, zero: int, descriptor: dict):
+        self.ring = ring
         self.order = len(add)
         self.add_table = add
-        self.mul_table = mul
-        # R acts on itself by left multiplication, so its left ideals are the
-        # submodules of this regular module
-        self.act_table = mul
+        self.act_table = act
         self.zero = zero
-        self.one = one
         self.descriptor = descriptor
-        neg = [0] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if add[a][b] == zero:
-                    neg[a] = b
-                    break
-        self.neg_table = tuple(neg)
+        self.neg_table = tuple(row.index(zero) for row in add)
         self._cache = {}
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+    def act(self, r: int, a: int) -> int:
+        return self.act_table[r][a]
 
     def neg(self, a: int) -> int:
         return self.neg_table[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
 
     def elements(self) -> range:
         return range(self.order)
 
     def __repr__(self):
         kind = self.descriptor.get("kind", "?")
-        return f"Ring(kind={kind}, order={self.order})"
+        return f"{type(self).__name__}(kind={kind}, order={self.order})"
+
+
+class Ring(Module):
+    """A ring, which is also its own regular module: it acts on itself by
+    left multiplication, so its left ideals are its submodules."""
+
+    def __init__(self, add, mul, zero, one, descriptor):
+        super().__init__(self, add, mul, zero, descriptor)
+        self.mul_table = mul
+        self.one = one
+
+    def mul(self, a: int, b: int) -> int:
+        return self.mul_table[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add_table[a][self.neg_table[b]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,6 +114,25 @@ def check_table(table, rows: int, n: int, what: str) -> None:
         raise InputError(f"{what} must have {rows} rows of {n} integers in 0..{n - 1}")
 
 
+def additive_zero(add, what: str) -> int:
+    """Check that a square table of plain ints is an abelian group; return
+    its identity element."""
+    n = len(add)
+    zero = next((z for z in range(n) if all(add[z][b] == b for b in range(n))), None)
+    if zero is None:
+        raise InputError(f"{what} has no identity element")
+    for a in range(n):
+        if zero not in add[a]:
+            raise InputError(f"{what}: element {a} has no inverse")
+        for b in range(n):
+            if add[a][b] != add[b][a]:
+                raise InputError(f"{what} is not commutative")
+            for c in range(n):
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    raise InputError(f"{what} is not associative")
+    return zero
+
+
 def _validate_ring_tables(add, mul) -> tuple[int, int]:
     """Check full ring axioms on raw tables; return (zero, one)."""
     n = len(add)
@@ -112,13 +140,7 @@ def _validate_ring_tables(add, mul) -> tuple[int, int]:
         raise InputError("ring tables must be nonempty")
     check_table(add, n, n, "ring addition table")
     check_table(mul, n, n, "ring multiplication table")
-    zero = None
-    for z in range(n):
-        if all(add[z][b] == b for b in range(n)):
-            zero = z
-            break
-    if zero is None:
-        raise InputError("addition table has no identity element")
+    zero = additive_zero(add, "ring addition table")
     one = None
     for u in range(n):
         if all(mul[u][b] == b and mul[b][u] == b for b in range(n)):
@@ -127,16 +149,8 @@ def _validate_ring_tables(add, mul) -> tuple[int, int]:
     if one is None:
         raise InputError("multiplication table has no identity element")
     for a in range(n):
-        if all(add[a][b] != zero for b in range(n)):
-            raise InputError(f"element {a} has no additive inverse")
-        for b in range(n):
-            if add[a][b] != add[b][a]:
-                raise InputError("addition is not commutative")
-    for a in range(n):
         for b in range(n):
             for c in range(n):
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    raise InputError("addition is not associative")
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                     raise InputError("multiplication is not associative")
                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
@@ -158,48 +172,18 @@ def _ring_matrix(m: int, q: int, guards: Guards) -> Ring:
     if m < 1:
         raise InputError(f"matrix ring size must be positive, got {m}")
     field = FiniteField(q, guards)
-    order = q ** (m * m)
-    check_guard(order, guards.max_order, f"matrix ring order {q}^{m * m}")
-    mats = [index_to_matrix(field, m, m, i) for i in range(order)]
-    add = tuple(
-        tuple(matrix_to_index(mats[a].add(mats[b])) for b in range(order))
-        for a in range(order)
-    )
-    mul = tuple(
-        tuple(matrix_to_index(mats[a].mul(mats[b])) for b in range(order))
-        for a in range(order)
-    )
-    zero = 0
+    check_guard(q ** (m * m), guards.max_order, f"matrix ring order {q}^{m * m}")
+    add, mul = matrix_tables(field, m, m)
     one = matrix_to_index(Matrix.identity(field, m))
-    return Ring(add, mul, zero, one, {"kind": "matrix", "m": m, "q": q})
+    return Ring(add, mul, 0, one, {"kind": "matrix", "m": m, "q": q})
 
 
 def _ring_product(factors: Sequence[Ring]) -> Ring:
     if not factors:
         raise InputError("product ring needs at least one factor")
     orders = [f.order for f in factors]
-    total = 1
-    for n in orders:
-        total *= n
-    parts_of = [mixed_radix_split(i, orders) for i in range(total)]
-    add = tuple(
-        tuple(
-            mixed_radix_join(
-                [f.add(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])], orders
-            )
-            for b in range(total)
-        )
-        for a in range(total)
-    )
-    mul = tuple(
-        tuple(
-            mixed_radix_join(
-                [f.mul(x, y) for f, x, y in zip(factors, parts_of[a], parts_of[b])], orders
-            )
-            for b in range(total)
-        )
-        for a in range(total)
-    )
+    add = product_table([f.add_table for f in factors])
+    mul = product_table([f.mul_table for f in factors])
     zero = mixed_radix_join([f.zero for f in factors], orders)
     one = mixed_radix_join([f.one for f in factors], orders)
     return Ring(add, mul, zero, one, {"kind": "product", "factors": [f.descriptor for f in factors]})
@@ -261,9 +245,7 @@ def units(ring: Ring) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # the submodule lattice
 #
-# These functions take a module over a ring: a modules.Module, or a Ring as
-# its own regular module, whose submodules are its left ideals.  They read
-# only add_table, act_table, zero, order and _cache.
+# These functions take a Module; on a Ring, its submodules are its left ideals.
 
 
 def span_step(module, members: Iterable[int], g: int) -> set[int]:

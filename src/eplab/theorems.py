@@ -373,20 +373,27 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
 
 
 def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> VerdictReport:
-    """Reload a pack and re-run every machine check it was emitted with."""
+    """Reload a pack and re-run every machine check; it replays as verified
+    only when all of them pass.  A transcript that lists its required checks
+    must list exactly these."""
+    q, k = pack.params["q"], pack.params["k"]
+    check_guard(q, guards.max_field, f"field order {q}")
     ring = ring_make(pack.ring, guards)
     alphabet = module_make(ring, pack.alphabet, guards)
     cp = code_generate(alphabet, pack.length, pack.generators_plus, guards)
     cm = code_generate(alphabet, pack.length, pack.generators_minus, guards)
     cmap = code_map_make(cp, cm, pack.gen_images, guards)
     expected = pack.params.get("code_size", cp.size)
-    length_ok = pack.length == counterexample_length(pack.params["q"], pack.params["k"])
+    # the formula is at least 2^(k-1), so a k that large cannot match and
+    # the product is never computed
+    length_ok = k - 1 <= pack.length.bit_length() and pack.length == counterexample_length(q, k)
     checks, certificate = _pack_checks(length_ok, cp, cm, cmap, expected, guards)
     required = pack.transcript.get("required_checks", sorted(checks))
-    ok = all(checks.get(name, False) for name in required)
+    if sorted(required) != sorted(checks):
+        raise InputError(f"pack transcript 'required_checks' must be {sorted(checks)}")
     return VerdictReport(
         claim="stored pack replays as a verified counterexample",
-        result="verified" if ok else "counterexample",
+        result="verified" if all(checks.values()) else "counterexample",
         hypotheses={},
         counts={"code_size": cp.size, "length": pack.length},
         details={"checks": checks, **certificate},
@@ -652,9 +659,14 @@ def _sweep_bounds(
     guards: Guards, max_n: Optional[int], max_gens: Optional[int]
 ) -> tuple[int, int, bool]:
     """The sweep bounds (max_n, max_gens, strict).  Each defaults to its guard
-    and must be positive; strict records that max_n was given explicitly."""
+    and must be a positive int, as a guard must; strict records that max_n
+    was given explicitly."""
     for name, bound in (("max_n", max_n), ("max_gens", max_gens)):
-        if bound is not None and bound < 1:
+        if bound is None:
+            continue
+        if type(bound) is not int:
+            raise InputError(f"{name} must be an integer, got {bound!r}")
+        if bound < 1:
             raise InputError(f"{name} must be positive, got {bound}")
     if max_gens is None:
         max_gens = guards.max_gens
@@ -835,8 +847,8 @@ def verify_sufficiency(
 
 def _pullback_module(ring, block_module: Module, proj: Sequence[int], descriptor: dict) -> Module:
     act = tuple(block_module.act_table[proj[r]] for r in ring.elements())
-    _validate_module_tables(ring, block_module.add_table, act, block_module.zero)
-    return Module(ring, block_module.add_table, act, block_module.zero, descriptor)
+    zero = _validate_module_tables(ring, block_module.add_table, act)
+    return Module(ring, block_module.add_table, act, zero, descriptor)
 
 
 def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> VerdictReport:

@@ -1,6 +1,7 @@
 """Shared fixtures; collects acceptance-criterion verdicts for the summary."""
 
 import contextlib
+import itertools
 import time
 
 import pytest
@@ -32,6 +33,20 @@ class CriterionRecorder:
             raise AssertionError(
                 f"criterion {number} exceeded its time budget: {elapsed:.2f}s > {limit}s"
             )
+
+
+@pytest.fixture
+def broken_additions():
+    """(message, table) pairs: square tables that each break one axiom of an
+    abelian group, named by the message the validators raise."""
+    perms = sorted(itertools.permutations(range(3)))
+    s3 = [[perms.index(tuple(p[x] for x in q)) for q in perms] for p in perms]
+    return [
+        ("no identity", [[0, 0], [0, 0]]),
+        ("no inverse", [[0, 1], [1, 1]]),
+        ("not commutative", s3),  # S_3 is a group, but not an abelian one
+        ("not associative", [[0, 1, 2], [1, 0, 0], [2, 0, 1]]),
+    ]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import io
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -295,8 +296,34 @@ def test_sweeps_apply_the_code_size_guard(monkeypatch, z4_spec, command):
     assert "code size (8) exceeds guard (4)" in err
 
 
+def test_a_huge_field_order_hits_the_guard_before_factoring(tmp_path):
+    spec = write_json(tmp_path / "big.json", {"ring": {"kind": "matrix", "m": 1, "q": 1000000007}})
+    for argv in (
+        ["ring-info", "--spec", spec],
+        ["ep-counterexample", "--m", "1", "--k", "2", "--q", "1000000007"],
+    ):
+        start = time.perf_counter()
+        rc, out, err = run(argv)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert "field order 1000000007 (1000000007) exceeds guard (256)" in err
+
+
 # ---------------------------------------------------------------------------
 # input errors
+
+
+def test_a_table_that_breaks_a_group_axiom_exits_4(tmp_path, broken_additions):
+    for message, add in broken_additions:
+        n = len(add)
+        spec = write_json(
+            tmp_path / "bad.json",
+            {"ring": {"kind": "table", "add": add, "mul": [[0] * n for _ in add]}},
+        )
+        rc, out, err = run(["ring-info", "--spec", spec])
+        assert (rc, out) == (4, "")
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_missing_file_is_input_error():

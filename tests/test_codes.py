@@ -89,8 +89,6 @@ def test_weight_profiles_frozen():
     assert weight_profile(a, w, "aw").counts == (("0", 1), ("1", 1), ("2", 1))
     with pytest.raises(InputError):
         weight_profile(a, w, "lee")
-    with pytest.raises(InputError):
-        weight_profile(a, w, "swc", index=partition(a, "annihilator"))
 
 
 def test_weight_profile_sums_to_length():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eplab.errors import InputError
+from eplab.errors import DEFAULT_GUARDS, InputError
 from eplab.fields import (
     FiniteField,
     Matrix,
@@ -19,6 +19,8 @@ from eplab.fields import (
     mixed_radix_join,
     mixed_radix_split,
 )
+from eplab.modules import module_make
+from eplab.rings import ring_make
 
 # Frozen expected values, derived once by hand from the stated conventions.
 EXPECTED_MODULI = {
@@ -132,6 +134,86 @@ def test_frobenius_is_additive(q):
     # multiplicative group order
     for a in range(1, q):
         assert power(a, q - 1) == 1
+
+
+def _field_add_oracle(f):
+    """Addition as the base-p digit loop of an earlier FiniteField built it:
+    digits least significant first, added mod p one by one."""
+    def digits(a):
+        out = []
+        for _ in range(f.e):
+            out.append(a % f.p)
+            a //= f.p
+        return out
+
+    def undigits(coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = out * f.p + c
+        return out
+
+    d = [digits(a) for a in range(f.q)]
+    return tuple(
+        tuple(undigits([(x + y) % f.p for x, y in zip(d[a], d[b])]) for b in range(f.q))
+        for a in range(f.q)
+    )
+
+
+def _prime_powers(limit):
+    """The prime powers in 2..limit: q is one when dividing out its least
+    prime factor leaves 1."""
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        r = q
+        while r % p == 0:
+            r //= p
+        if r == 1:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _prime_powers(32))
+def test_field_addition_matches_the_digit_loop(q):
+    f = FiniteField(q)
+    oracle = _field_add_oracle(f)
+    assert f.add_table == oracle
+    assert f.neg_table == tuple(row.index(0) for row in oracle)
+
+
+def _matrix_tables_oracle(field, m, k):
+    """The tables of M_{m x k}(F_q) over M_m(F_q) as earlier ring and column
+    builders made them: an entrywise Matrix.add, and Matrix.mul."""
+    def add(x, y):
+        return Matrix(field, m, k, tuple(field.add(a, b) for a, b in zip(x.entries, y.entries)))
+
+    mats = [index_to_matrix(field, m, k, i) for i in range(field.q ** (m * k))]
+    ring_mats = [index_to_matrix(field, m, m, i) for i in range(field.q ** (m * m))]
+    add_t = tuple(tuple(matrix_to_index(add(a, b)) for b in mats) for a in mats)
+    act_t = tuple(tuple(matrix_to_index(r.mul(a)) for a in mats) for r in ring_mats)
+    return add_t, act_t
+
+
+def _matrix_shapes_within_guards():
+    """(m, q, k) with M_m(F_q) and M_{m x k}(F_q) both within max_order."""
+    limit = DEFAULT_GUARDS.max_order
+    return [
+        (m, q, k)
+        for m in (1, 2)
+        for q in _prime_powers(limit)
+        for k in range(1, 7)
+        if q ** (m * m) <= limit and q ** (m * k) <= limit
+    ]
+
+
+@pytest.mark.parametrize("m,q,k", _matrix_shapes_within_guards())
+def test_matrix_rings_and_column_modules_match_the_matrix_oracle(m, q, k):
+    add, act = _matrix_tables_oracle(FiniteField(q), m, k)
+    ring = ring_make({"kind": "matrix", "m": m, "q": q})
+    column = module_make(ring, {"kind": "column", "k": k})
+    assert (column.add_table, column.act_table) == (add, act)
+    if k == m:
+        assert (ring.add_table, ring.mul_table) == (add, act)
 
 
 def _all_matrices(field, rows, cols):

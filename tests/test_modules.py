@@ -1,6 +1,7 @@
 """Module layer: socles, simple catalogs, automorphisms, partitions."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from eplab import modules, rings
 from eplab.errors import GuardExceeded, InputError
+from eplab.fields import mixed_radix_join, mixed_radix_split
 from eplab.modules import (
     AutGroup,
     _greedy_generators,
@@ -96,8 +98,12 @@ def test_mod_m_requires_divisor():
     assert a.act(3, 1) == 1
 
 
-def test_table_module_validation():
+def test_table_module_validation(broken_additions):
     r = mod_ring(2)
+    for message, add in broken_additions:
+        act = [[0] * len(add), list(range(len(add)))]
+        with pytest.raises(InputError, match=f"module addition table.*{message}"):
+            module_make(r, {"kind": "table", "add": add, "act": act})
     good = module_make(
         r, {"kind": "table", "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1]]}
     )
@@ -106,6 +112,44 @@ def test_table_module_validation():
         module_make(r, {"kind": "table", "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 0]]})
     with pytest.raises(InputError):
         module_make(r, {"kind": "table", "add": [[0, 1], [0, 1]], "act": [[0, 0], [0, 1]]})
+
+
+def _direct_sum_oracle(ring, summands):
+    """Direct-sum tables as an earlier builder made them: split each index
+    into mixed-radix digits, act or add in each summand, and join."""
+    orders = [s.order for s in summands]
+    parts = [mixed_radix_split(i, orders) for i in range(math.prod(orders))]
+    add = tuple(
+        tuple(
+            mixed_radix_join([s.add(x, y) for s, x, y in zip(summands, a, b)], orders)
+            for b in parts
+        )
+        for a in parts
+    )
+    act = tuple(
+        tuple(mixed_radix_join([s.act(r, x) for s, x in zip(summands, a)], orders) for a in parts)
+        for r in ring.elements()
+    )
+    return add, act, mixed_radix_join([s.zero for s in summands], orders)
+
+
+@pytest.mark.parametrize(
+    "ring_desc, summand_descs",
+    [
+        ({"kind": "mod_n", "n": 4}, [{"kind": "regular"}, {"kind": "mod_m", "m": 2}, {"kind": "regular"}]),
+        ({"kind": "mod_n", "n": 4}, [{"kind": "mod_m", "m": 2}] * 3),
+        ({"kind": "mod_n", "n": 4}, [{"kind": "character"}, {"kind": "regular"}]),
+        ({"kind": "mod_n", "n": 6}, [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 3}, {"kind": "regular"}]),
+        ({"kind": "matrix", "m": 2, "q": 2}, [{"kind": "column", "k": 1}] * 3),
+        ({"kind": "matrix", "m": 1, "q": 4}, [{"kind": "column", "k": 1}, {"kind": "column", "k": 2}]),
+    ],
+    ids=["z4-z2-z4", "z2-cubed", "character-z4", "z2-z3-z6", "m2f2-col1-cubed", "f4-col1-col2"],
+)
+def test_direct_sum_tables_match_the_mixed_radix_oracle(ring_desc, summand_descs):
+    ring = ring_make(ring_desc)
+    summed = module_make(ring, {"kind": "direct_sum", "summands": summand_descs})
+    oracle = _direct_sum_oracle(ring, [module_make(ring, d) for d in summand_descs])
+    assert (summed.add_table, summed.act_table, summed.zero) == oracle
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Ring layer: frozen oracles for radicals, ideal lattices, Wedderburn data."""
 
 import itertools
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from eplab.errors import (
     NotPrincipalError,
     UnsupportedConstruction,
 )
+from eplab.fields import mixed_radix_join, mixed_radix_split
 from eplab.rings import (
     annihilator_sets,
     block_projections,
@@ -148,6 +150,45 @@ def test_product_ring_structure():
     assert r.add(5, 4) == 0
     assert wedderburn_data(r).blocks == ((1, 2), (1, 3))
     assert is_left_pir(r)
+
+
+def _product_oracle(factors):
+    """Product tables as an earlier builder made them: split each index into
+    mixed-radix digits, apply each factor, and join the results."""
+    orders = [f.order for f in factors]
+    parts = [mixed_radix_split(i, orders) for i in range(math.prod(orders))]
+
+    def table(op):
+        return tuple(
+            tuple(
+                mixed_radix_join([op(f, x, y) for f, x, y in zip(factors, a, b)], orders)
+                for b in parts
+            )
+            for a in parts
+        )
+
+    return table(lambda f, x, y: f.add(x, y)), table(lambda f, x, y: f.mul(x, y))
+
+
+@pytest.mark.parametrize(
+    "descs",
+    [
+        [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}, {"kind": "mod_n", "n": 2}],
+        [{"kind": "mod_n", "n": 4}, {"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 2}],
+        [{"kind": "matrix", "m": 1, "q": 4}, {"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}],
+        [{"kind": "matrix", "m": 2, "q": 2}, {"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 2}],
+        [{"kind": "mod_n", "n": 2}, upper_triangular_ring().descriptor, {"kind": "mod_n", "n": 3}],
+        [
+            {"kind": "product", "factors": [{"kind": "mod_n", "n": 3}, {"kind": "mod_n", "n": 2}]},
+            {"kind": "mod_n", "n": 1},
+            {"kind": "matrix", "m": 1, "q": 5},
+        ],
+    ],
+    ids=["z2-z3-z2", "z4-z2-z2", "f4-z2-z3", "m2f2-z2-z2", "z2-upper-z3", "nested-z1-f5"],
+)
+def test_product_tables_match_the_mixed_radix_oracle(descs):
+    ring = ring_make({"kind": "product", "factors": descs})
+    assert (ring.add_table, ring.mul_table) == _product_oracle([ring_make(d) for d in descs])
 
 
 @pytest.mark.parametrize(
@@ -318,7 +359,11 @@ def test_exponent_of_addition():
     assert exponent_of_addition(matrix_ring(2, 2)) == 2
 
 
-def test_table_validation_rejects_bad_input():
+def test_table_validation_rejects_bad_input(broken_additions):
+    for message, add in broken_additions:
+        mul = [[0] * len(add) for _ in add]
+        with pytest.raises(InputError, match=f"ring addition table.*{message}"):
+            ring_make({"kind": "table", "add": add, "mul": mul})
     with pytest.raises(InputError):
         ring_make({"kind": "table", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 0]]})
     with pytest.raises(InputError):

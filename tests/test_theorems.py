@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -417,6 +418,25 @@ def test_tampered_pack_fails_replay():
         transcript=pack.transcript,
     )
     assert replay_pack(tampered).result == "counterexample"
+    # the identity map extends; a transcript that leaves out no_extension
+    # must not let it replay as verified
+    for required in ([], ["hamming_preserved"]):
+        transcript = dict(pack.transcript, required_checks=required)
+        with pytest.raises(InputError, match="required_checks"):
+            replay_pack(dataclasses.replace(tampered, transcript=transcript))
+
+
+def test_replay_bounds_its_work_on_pack_integers():
+    pack = build_counterexample(1, 2, 2)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="field order"):
+        replay_pack(dataclasses.replace(pack, params=dict(pack.params, q=1000000007)))
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    report = replay_pack(dataclasses.replace(pack, params=dict(pack.params, k=3000)))
+    assert time.perf_counter() - start < 1
+    assert report.result == "counterexample"
+    assert report.details["checks"]["length_matches_formula"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -693,22 +713,27 @@ def test_midway_honours_a_raised_order_guard():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda z4: verify_midway(z4, max_n=0),
-        lambda z4: verify_midway(z4, Guards(max_n=0)),
-        lambda z4: verify_sufficiency(z4, max_gens=0),
+        (lambda z4: verify_midway(z4, max_n=0), "must be positive"),
+        (lambda z4: verify_midway(z4, Guards(max_n=0)), "must be positive"),
+        (lambda z4: verify_sufficiency(z4, max_gens=0), "must be positive"),
         # the bounds are checked before the hypotheses, which these alphabets fail
-        lambda _: verify_midway(z2_plus_z4(), max_n=0),
-        lambda _: verify_sufficiency(z4_klein(), max_gens=0),
+        (lambda _: verify_midway(z2_plus_z4(), max_n=0), "must be positive"),
+        (lambda _: verify_sufficiency(z4_klein(), max_gens=0), "must be positive"),
+        # the type(x) is int rule of Guards: no bool, float or string
+        (lambda z4: verify_midway(z4, max_n=True), "must be an integer"),
+        (lambda z4: verify_midway(z4, max_n=2.5), "must be an integer"),
+        (lambda z4: verify_sufficiency(z4, max_gens="2"), "must be an integer"),
     ],
     ids=[
         "midway-max_n", "midway-guard", "sufficiency-max_gens",
         "midway-unmet-max_n", "sufficiency-unmet-max_gens",
+        "midway-bool", "midway-float", "sufficiency-str",
     ],
 )
-def test_sweeps_reject_non_positive_bounds(call):
-    with pytest.raises(InputError, match="must be positive"):
+def test_sweeps_reject_non_positive_bounds(call, message):
+    with pytest.raises(InputError, match=message):
         call(module_make(mod_ring(4), {"kind": "regular"}))
 
 
