@@ -70,6 +70,8 @@ SPECS = {
     "z4-z2-table": {"ring": Z4, "module": _relabelled_z4_z2()},
     # F_2^4: Aut(A) is GL(4, 2), with 20,160 elements
     "f2-col4": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
+    # F_3^3: Aut(A) is GL(3, 3), with 11,232 elements
+    "f3-col3": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 3}},
     "z4-z2z4": {
         "ring": Z4,
         "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
@@ -91,6 +93,7 @@ def _cases() -> dict:
     cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
     cases["aut-group-z4-z2-table"] = (["aut-group"], "z4-z2-table")
     cases["verify-orbit-lemma-f2-col4"] = (["verify-orbit-lemma"], "f2-col4")
+    cases["verify-orbit-lemma-f3-col3"] = (["verify-orbit-lemma"], "f3-col3")
     cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
