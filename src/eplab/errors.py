@@ -105,3 +105,15 @@ DEFAULT_GUARDS = Guards()
 def check_guard(value: int, limit: int, what: str) -> None:
     if value > limit:
         raise GuardExceeded(f"{what} ({value}) exceeds guard ({limit})")
+
+
+def check_power_guard(base: int, exponent: int, limit: int, what: str) -> None:
+    """check_guard(base ** exponent, limit, what) for base >= 2, without
+    building the power: the product stops at its first partial power above
+    limit, after at most limit.bit_length() factors, and the message holds
+    no number but the limit."""
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > limit:
+            raise GuardExceeded(f"{what} exceeds guard ({limit})")

@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     InternalConsistencyError,
     check_guard,
+    check_power_guard,
 )
 from .fields import FiniteField, matrix_tables, mixed_radix_join, product_table
 from .rings import (
@@ -84,7 +85,7 @@ def _module_column(ring: Ring, k: int, guards: Guards) -> Module:
     if k < 1:
         raise InputError(f"column count must be positive, got {k}")
     m, q = desc["m"], desc["q"]
-    check_guard(q ** (m * k), guards.max_order, f"module order {q}^{m * k}")
+    check_power_guard(q, m * k, guards.max_order, f"module order {q}^({m}*{k})")
     add, act = matrix_tables(FiniteField(q, guards), m, k)
     return Module(ring, add, act, 0, {"kind": "column", "k": k})
 
@@ -287,6 +288,8 @@ def iter_linear_maps(
     filtered by annihilator containment (equality when injective) and, when
     target_members is given, restricted to that submodule of dst; the
     conductor checks of _map_plan then accept exactly the images that extend.
+    Each partial map is linear, so it is injective exactly when no new
+    element of the span maps to zero; injective assumes an injective base.
     """
     if base is None:
         base = {src.zero: dst.zero}
@@ -298,7 +301,7 @@ def iter_linear_maps(
         else [y for y in pool if anns_src[g] <= anns_dst[y]]
         for g in gens
     ]
-    dadd, dact = dst.add_table, dst.act_table
+    dadd, dact, dzero = dst.add_table, dst.act_table, dst.zero
 
     def rec(i, values):
         checks, new = steps[i]
@@ -307,9 +310,10 @@ def iter_linear_maps(
                 if dact[d][y] != values[p]:
                     break
             else:
-                ext = values + [dadd[values[p]][dact[r][y]] for p, r in new]
-                if injective and len(set(ext)) != len(ext):
+                images = [dadd[values[p]][dact[r][y]] for p, r in new]
+                if injective and dzero in images:
                     continue
+                ext = values + images
                 if i + 1 < len(steps):
                     yield from rec(i + 1, ext)
                 else:
@@ -332,6 +336,26 @@ def hom_count_from_simple(simple: Module, target: Module) -> int:
 # automorphisms, orbit partitions
 
 
+def least_in_orbit(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
+    """out[i] is the least index joined to i by the index maps, each a
+    sequence with maps[k][j] the image of j: the first member of i's orbit
+    when the maps generate a group acting on range(size).  Union-find that
+    keeps the smaller root."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for image in maps:
+        for i, j in enumerate(image):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(size)]
+
+
 class AutGroup:
     """All module automorphisms as permutation tuples, sorted lexicographically."""
 
@@ -347,29 +371,48 @@ class AutGroup:
     @staticmethod
     def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
         """(p after q)(x) = p[q[x]]."""
-        return tuple(p[x] for x in q)
+        return tuple([p[x] for x in q])
 
     @functools.cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """The elements, in sorted order, that lie outside the subgroup
         generated by the elements kept before them.  Each one kept at least
-        doubles that subgroup, so there are at most log2(order) of them."""
-        identity = tuple(self.module.elements())
+        doubles that subgroup, so there are at most log2(order) of them.
+
+        The subgroup grows by Dimino's coset closure.  When g is kept, the
+        subgroup H reached so far becomes the union of its right cosets H*x,
+        for x = g and for each product x*s, of a coset's x and a kept s,
+        that falls outside every coset found so far; that union contains the
+        identity and is closed under right multiplication by the kept
+        elements.  reached marks positions in elements, and members lists
+        them coset by coset, each coset led by its x.
+        """
+        index, elements, compose = self.index, self.elements, self.compose
+        reached = bytearray(len(elements))
+        members = [index[tuple(self.module.elements())]]
+        reached[members[0]] = 1
         gens: list[tuple[int, ...]] = []
-        reached = {identity}
-        for p in self.elements:
-            if p in reached:
+        for pos, g in enumerate(elements):
+            if reached[pos]:
                 continue
-            gens.append(p)
-            reached = {identity}
-            frontier = [identity]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self.compose(g, x)
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
+            gens.append(g)
+            subgroup = members[:]
+
+            def add_coset(x):
+                for h in subgroup:
+                    y = index[compose(elements[h], x)]
+                    reached[y] = 1
+                    members.append(y)
+
+            add_coset(g)
+            lead = len(subgroup)
+            while lead < len(members):
+                x = elements[members[lead]]
+                for s in gens:
+                    y = index[compose(x, s)]
+                    if not reached[y]:
+                        add_coset(elements[y])
+                lead += len(subgroup)
         return tuple(gens)
 
 
@@ -460,24 +503,43 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
     """True when every monomorphism from a submodule into the module extends
     to an endomorphism of the module.
 
-    Each proper nonzero submodule S gets, once, greedy generators that
-    complete S to the whole module; they depend on S alone, and so does the
-    plan _map_plan compiles for them.  Each monomorphism f on S then takes
-    one search for a linear map that extends f.  The search tries, for each
-    of those generators g, every image y with Ann(g) <= Ann(y), a condition
-    every endomorphism meets, so it finds an extension whenever one exists.
+    For automorphisms a and b, a monomorphism f: S -> A extends exactly when
+    a*f*b^-1: b(S) -> A does, so one monomorphism per orbit suffices.  The
+    proper nonzero submodules are split into orbits under the generators of
+    Aut(A), and on the first submodule S of each orbit the monomorphisms
+    (tuples aligned with S's members) are split into orbits under left
+    composition by the same generators.  The first monomorphism f of each
+    orbit then takes one search for a linear map that extends f, along
+    greedy generators that complete S to the whole module.  The search
+    tries, for each of them g, every image y with Ann(g) <= Ann(y), a
+    condition every endomorphism meets, so it finds an extension whenever
+    one exists.
     """
     if "pseudo_injective" not in module._cache:
+        autos = automorphism_group(module, guards).generators
+        subs = [sub.members for sub in submodules_enumerate(module, guards)]
+        position = {members: i for i, members in enumerate(subs)}
+        sub_first = least_in_orbit(
+            len(subs),
+            ([position[tuple(sorted(a[x] for x in members))] for members in subs] for a in autos),
+        )
         result = True
-        for sub in submodules_enumerate(module, guards):
-            if len(sub) in (1, module.order):
+        for i, members in enumerate(subs):
+            if sub_first[i] != i or len(members) in (1, module.order):
                 continue
-            gens = generators_within(module, sub.members)
-            rest = _greedy_generators(module, module.elements(), sub.members)
+            gens = generators_within(module, members)
+            monos = list(iter_linear_maps(module, module, gens, injective=True))
+            mono_position = {f: k for k, f in enumerate(monos)}
+            mono_first = least_in_orbit(
+                len(monos),
+                ([mono_position[tuple(map(a.__getitem__, f))] for f in monos] for a in autos),
+            )
+            rest = _greedy_generators(module, module.elements(), members)
             result = all(
-                next(iter_linear_maps(module, module, rest, base=dict(zip(sub.members, f))), None)
+                next(iter_linear_maps(module, module, rest, base=dict(zip(members, f))), None)
                 is not None
-                for f in iter_linear_maps(module, module, gens, injective=True)
+                for k, f in enumerate(monos)
+                if mono_first[k] == k
             )
             if not result:
                 break

@@ -30,10 +30,12 @@ from .errors import (
     NotPrincipalError,
     UnsupportedConstruction,
     check_guard,
+    check_power_guard,
 )
 from .fields import (
     FiniteField,
     Matrix,
+    factor_prime_power,
     matrix_tables,
     matrix_to_index,
     mixed_radix_join,
@@ -171,8 +173,12 @@ def _ring_mod_n(n: int) -> Ring:
 def _ring_matrix(m: int, q: int, guards: Guards) -> Ring:
     if m < 1:
         raise InputError(f"matrix ring size must be positive, got {m}")
+    # q is checked as FiniteField checks it, so a malformed q still exits 4,
+    # and the ring order is guarded before the field's q^2 products
+    check_guard(q, guards.max_field, f"field order {q}")
+    factor_prime_power(q)
+    check_power_guard(q, m * m, guards.max_order, f"matrix ring order {q}^({m}*{m})")
     field = FiniteField(q, guards)
-    check_guard(q ** (m * m), guards.max_order, f"matrix ring order {q}^{m * m}")
     add, mul = matrix_tables(field, m, m)
     one = matrix_to_index(Matrix.identity(field, m))
     return Ring(add, mul, 0, one, {"kind": "matrix", "m": m, "q": q})

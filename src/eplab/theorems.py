@@ -54,6 +54,7 @@ from .modules import (
     hom_count_from_simple,
     is_pseudo_injective,
     iter_linear_maps,
+    least_in_orbit,
     module_generators,
     module_make,
     partition,
@@ -622,7 +623,7 @@ def _orbit_representatives(
     _enumerate_codes on A^n) that lies in the orbit of codes[i] under the
     monomial group S_n x| Aut(A)^n.
 
-    Union-find over the code list under the group's generators: the
+    least_in_orbit over the code list under the group's generators: the
     transposition (0 1), the n-cycle and the generators of Aut(A) acting on
     position 0.  An image code missing from the list breaks the closure the
     sweep relies on and raises InternalConsistencyError.
@@ -635,24 +636,17 @@ def _orbit_representatives(
     for sigma in automorphism_group(alphabet, guards).generators:
         perms.append([sigma[x // place] * place + x % place for x in range(len(words))])
     position = {members: i for i, (members, _) in enumerate(codes)}
-    parent = list(range(len(codes)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in perms:
+    def image(perm):
         for i, (members, _) in enumerate(codes):
             j = position.get(tuple(sorted(perm[x] for x in members)))
             if j is None:
                 raise InternalConsistencyError(
                     f"a monomial image of code {i} at length {n} was not enumerated"
                 )
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return [find(i) for i in range(len(codes))]
+            yield j
+
+    return least_in_orbit(len(codes), map(image, perms))
 
 
 def _sweep_bounds(

@@ -309,6 +309,30 @@ def test_a_huge_field_order_hits_the_guard_before_factoring(tmp_path):
         assert "field order 1000000007 (1000000007) exceeds guard (256)" in err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        # 3^9,000,000 has over four million digits
+        ({"ring": {"kind": "matrix", "m": 3000, "q": 3}}, "matrix ring order 3^(3000*3000)"),
+        # within max_field, but its multiplication table costs 256^2 products
+        ({"ring": {"kind": "matrix", "m": 1, "q": 256}}, "matrix ring order 256^(1*1)"),
+        (
+            {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 9000000}},
+            "module order 3^(1*9000000)",
+        ),
+    ],
+    ids=["matrix-m3000", "matrix-q256", "column-k9000000"],
+)
+def test_matrix_orders_hit_the_guard_before_they_are_computed(tmp_path, spec, message):
+    path = write_json(tmp_path / "big.json", spec)
+    start = time.perf_counter()
+    rc, out, err = run(["ring-info", "--spec", path])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert f"{message} exceeds guard (64)" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -322,21 +323,77 @@ def test_automorphism_group_is_a_group():
             assert AutGroup.compose(p, q) in g.index
 
 
-@pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, m23_over_m2f2])
-def test_automorphism_group_generators_generate_it(builder):
-    g = automorphism_group(builder())
-    assert all(p in g.index for p in g.generators)
-    assert 2 ** len(g.generators) <= g.order
-    reached = {tuple(g.module.elements())}
+def _rebuilt_generators(group):
+    """The former AutGroup.generators: keep each element, in sorted order,
+    that lies outside the subgroup generated by those kept before it, and
+    rebuild that subgroup from scratch after each one kept."""
+    identity = tuple(group.module.elements())
+    gens, reached = [], {identity}
+    for p in group.elements:
+        if p in reached:
+            continue
+        gens.append(p)
+        reached, frontier = {identity}, [identity]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = AutGroup.compose(g, x)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(gens)
+
+
+def _closure_size(group):
+    """The number of distinct products of the generators, all in the group."""
+    reached = {tuple(group.module.elements())}
     frontier = list(reached)
     while frontier:
         x = frontier.pop()
-        for p in g.generators:
-            y = AutGroup.compose(x, p)
+        for g in group.generators:
+            y = AutGroup.compose(x, g)
             if y not in reached:
+                assert y in group.index
                 reached.add(y)
                 frontier.append(y)
-    assert reached == set(g.elements)
+    return len(reached)
+
+
+def _descriptor_module(ring_desc, module_desc):
+    return lambda: module_make(ring_make(ring_desc), module_desc)
+
+
+def _column(q, k):
+    return lambda: module_make(ring_make({"kind": "matrix", "m": 1, "q": q}), {"kind": "column", "k": k})
+
+
+GENERATOR_ALPHABETS = {
+    **{f"z{n}": (lambda n=n: module_make(mod_ring(n), {"kind": "regular"})) for n in range(2, 13)},
+    "z4 klein": z2z2_over_z4,
+    "z2+z4 over z4": z2z4_over_z4,
+    "m23 over m2f2": m23_over_m2f2,
+    "f2^3": _column(2, 3),
+    "f2^4": _column(2, 4),
+    "f3^3": _column(3, 3),
+    "z8+z8": _descriptor_module(
+        {"kind": "mod_n", "n": 8},
+        {"kind": "direct_sum", "summands": [{"kind": "regular"}, {"kind": "regular"}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["named", "relabelled"])
+@pytest.mark.parametrize("name", list(GENERATOR_ALPHABETS))
+def test_generators_match_the_rebuilt_closure_oracle(name, relabel):
+    """Dimino's coset closure keeps the same generators as rebuilding the
+    subgroup after each one, and they generate all of Aut(A)."""
+    module = GENERATOR_ALPHABETS[name]()
+    if relabel:
+        module = _seeded_relabel(module, random.Random(name))
+    group = automorphism_group(module)
+    assert group.generators == _rebuilt_generators(group)
+    assert 2 ** len(group.generators) <= group.order
+    assert _closure_size(group) == group.order
 
 
 def test_partition_frozen_z2z4():
@@ -565,10 +622,6 @@ def _exhaustive_pseudo_injective(module):
     return True
 
 
-def _descriptor_module(ring_desc, module_desc):
-    return lambda: module_make(ring_make(ring_desc), module_desc)
-
-
 PSEUDO_INJECTIVITY_CASES = [
     ("z4", z4_regular, True),
     ("z2+z2 over z4", z2z2_over_z4, True),
@@ -619,6 +672,34 @@ def _permute_table(table, row_perm, col_perm, val_perm):
     return out
 
 
+def _relabelled_copy(module, pr, pm):
+    """module as a table module over a table ring, with ring element r
+    renamed pr[r] and module element a renamed pm[a]."""
+    ring = module.ring
+    table_ring = ring_make({
+        "kind": "table",
+        "add": _permute_table(ring.add_table, pr, pr, pr),
+        "mul": _permute_table(ring.mul_table, pr, pr, pr),
+    })
+    return module_make(table_ring, {
+        "kind": "table",
+        "add": _permute_table(module.add_table, pm, pm, pm),
+        "act": _permute_table(module.act_table, pr, pm, pm),
+    })
+
+
+def _seeded_relabel(module, rng):
+    """_relabelled_copy under permutations drawn from rng that fix zero."""
+    def perm(order, zero):
+        rest = [x for x in range(order) if x != zero]
+        drawn = iter(rng.sample(rest, len(rest)))
+        return [zero if x == zero else next(drawn) for x in range(order)]
+
+    return _relabelled_copy(
+        module, perm(module.ring.order, module.ring.zero), perm(module.order, module.zero)
+    )
+
+
 @given(case=st.sampled_from(PSEUDO_INJECTIVITY_CASES), data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_relabelled_pseudo_injectivity_matches_the_oracle(case, data):
@@ -629,18 +710,60 @@ def test_relabelled_pseudo_injectivity_matches_the_oracle(case, data):
     ring = module.ring
     pr = _zero_fixing_perm(data, ring.order, ring.zero)
     pm = _zero_fixing_perm(data, module.order, module.zero)
-    table_ring = ring_make({
-        "kind": "table",
-        "add": _permute_table(ring.add_table, pr, pr, pr),
-        "mul": _permute_table(ring.mul_table, pr, pr, pr),
-    })
-    desc = {
-        "kind": "table",
-        "add": _permute_table(module.add_table, pm, pm, pm),
-        "act": _permute_table(module.act_table, pr, pm, pm),
-    }
-    assert is_pseudo_injective(module_make(table_ring, desc)) is expected
-    assert _exhaustive_pseudo_injective(module_make(table_ring, desc)) is expected
+    assert is_pseudo_injective(_relabelled_copy(module, pr, pm)) is expected
+    assert _exhaustive_pseudo_injective(_relabelled_copy(module, pr, pm)) is expected
+
+
+def _orbit_pairs_by_brute_force(module):
+    """(verdict, pairs): the (submodule orbit, monomorphism orbit) pairs, with
+    orbits taken under every element of Aut(A), in the order of their first
+    members, up to the first pair whose first monomorphism does not extend
+    by _extend_mono_oracle."""
+    perms = automorphism_group(module).elements
+    seen, pairs = set(), 0
+    for sub in submodules_enumerate(module):
+        members = sub.members
+        if len(members) in (1, module.order) or members in seen:
+            continue
+        seen |= {tuple(sorted(p[x] for x in members)) for p in perms}
+        reached = set()
+        for f in iter_linear_maps(module, module, generators_within(module, members), injective=True):
+            if f in reached:
+                continue
+            reached |= {tuple(p[y] for y in f) for p in perms}
+            pairs += 1
+            if _extend_mono_oracle(module, members, dict(zip(members, f))) is None:
+                return False, pairs
+    return True, pairs
+
+
+def _counted_pseudo_injective(module, monkeypatch):
+    """(verdict, the number of extension searches, i.e. calls with base=)."""
+    searches = []
+    kernel = modules.iter_linear_maps
+
+    def counting(src, dst, gens, injective=False, base=None, target_members=None):
+        if base is not None:
+            searches.append(base)
+        return kernel(src, dst, gens, injective, base, target_members)
+
+    monkeypatch.setattr(modules, "iter_linear_maps", counting)
+    return is_pseudo_injective(module), len(searches)
+
+
+@pytest.mark.parametrize(
+    "name,builder,expected", PSEUDO_INJECTIVITY_CASES, ids=[c[0] for c in PSEUDO_INJECTIVITY_CASES]
+)
+def test_pseudo_injectivity_searches_once_per_orbit_pair(name, builder, expected, monkeypatch):
+    assert _orbit_pairs_by_brute_force(builder())[0] is expected
+    assert _counted_pseudo_injective(builder(), monkeypatch) == _orbit_pairs_by_brute_force(builder())
+
+
+def test_pseudo_injectivity_of_f2_4_takes_three_searches(monkeypatch):
+    """GL(4, 2) is transitive on the subspaces of each dimension and on the
+    monomorphisms from each of them, so one search per dimension 1, 2, 3."""
+    assert _counted_pseudo_injective(_column(2, 4)(), monkeypatch) == (True, 3)
+    assert _counted_pseudo_injective(z2z4_over_z4(), monkeypatch)[0] is False
 
 
 def test_character_module_of_z4():
