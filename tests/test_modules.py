@@ -755,8 +755,9 @@ def _counted_pseudo_injective(module, monkeypatch):
     "name,builder,expected", PSEUDO_INJECTIVITY_CASES, ids=[c[0] for c in PSEUDO_INJECTIVITY_CASES]
 )
 def test_pseudo_injectivity_searches_once_per_orbit_pair(name, builder, expected, monkeypatch):
-    assert _orbit_pairs_by_brute_force(builder())[0] is expected
-    assert _counted_pseudo_injective(builder(), monkeypatch) == _orbit_pairs_by_brute_force(builder())
+    verdict, pairs = _orbit_pairs_by_brute_force(builder())
+    assert verdict is expected
+    assert _counted_pseudo_injective(builder(), monkeypatch) == (expected, pairs)
 
 
 def test_pseudo_injectivity_of_f2_4_takes_three_searches(monkeypatch):
