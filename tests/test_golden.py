@@ -107,6 +107,10 @@ def _cases() -> dict:
     cases["verify-midway-z8-n2"] = (["verify-midway", "--max-n", "2", "--max-gens", "2"], "z8")
     cases["verify-midway-f2-col2-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "f2-col2")
     cases["verify-midway-z4-klein-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4-klein")
+    # n = 4 needs an ambient order of 256: 1,282 codes and 31,644,724 monomorphisms on Z/4
+    n4 = ["verify-midway", "--max-n", "4", "--max-gens", "2", "--max-order", "256"]
+    cases["verify-midway-z4-n4"] = (n4, "z4")
+    cases["verify-midway-f2-col2-n4"] = (n4, "f2-col2")
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
     cases["verify-sufficiency-z4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")
