@@ -15,6 +15,7 @@ nothing is emitted on trust.
 """
 
 import dataclasses
+from collections import Counter
 from typing import Optional, Sequence
 
 from .codes import (
@@ -616,18 +617,10 @@ def _code_map_from_tuple(
     return CodeMap(source, target, target.generators, mapping)
 
 
-def _orbit_representatives(
-    alphabet: Module, words: list[Word], codes: list, guards: Guards
-) -> list[int]:
-    """reps[i] is the position of the first code in codes (the output of
-    _enumerate_codes on A^n) that lies in the orbit of codes[i] under the
-    monomial group S_n x| Aut(A)^n.
-
-    least_in_orbit over the code list under the group's generators: the
-    transposition (0 1), the n-cycle and the generators of Aut(A) acting on
-    position 0.  An image code missing from the list breaks the closure the
-    sweep relies on and raises InternalConsistencyError.
-    """
+def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) -> list[list[int]]:
+    """Generators of the monomial group S_n x| Aut(A)^n as permutations of
+    the word indices: the transposition (0 1), the n-cycle and the
+    generators of Aut(A) acting on position 0."""
     n = len(words[0])
     q = alphabet.order
     orders = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
@@ -635,6 +628,18 @@ def _orbit_representatives(
     place = q ** (n - 1)
     for sigma in automorphism_group(alphabet, guards).generators:
         perms.append([sigma[x // place] * place + x % place for x in range(len(words))])
+    return perms
+
+
+def _orbit_representatives(
+    alphabet: Module, words: list[Word], codes: list, guards: Guards
+) -> list[int]:
+    """reps[i] is the position of the first code in codes (the output of
+    _enumerate_codes on A^n) that lies in the orbit of codes[i] under the
+    monomial group: least_in_orbit over the code list under
+    _monomial_generators.  An image code missing from the list breaks the
+    closure the sweep relies on and raises InternalConsistencyError.
+    """
     position = {members: i for i, (members, _) in enumerate(codes)}
 
     def image(perm):
@@ -642,11 +647,11 @@ def _orbit_representatives(
             j = position.get(tuple(sorted(perm[x] for x in members)))
             if j is None:
                 raise InternalConsistencyError(
-                    f"a monomial image of code {i} at length {n} was not enumerated"
+                    f"a monomial image of code {i} at length {len(words[0])} was not enumerated"
                 )
             yield j
 
-    return least_in_orbit(len(codes), map(image, perms))
+    return least_in_orbit(len(codes), map(image, _monomial_generators(alphabet, words, guards)))
 
 
 def _sweep_bounds(
@@ -675,25 +680,23 @@ def _sweep(
     bounds: tuple[int, int, bool],
     counts: dict,
     details: dict,
-    onto: bool = False,
 ):
-    """Yield (n, words, weights, profiles, members, gens, fmap) for the
-    injective linear maps on the codes of A^n, n = 1..max_n, that need at
-    most max_gens generators; with onto, only the maps onto a code of the
-    same size, each as the images of members in order.  A code larger than
-    the max_code guard raises GuardExceeded.
+    """Yield (n, words, weights, profiles, members, gens, fmap, weight) for
+    the isomorphisms between the codes of A^n, n = 1..max_n, that need at
+    most max_gens generators, each map as the images of members in order.
+    A code larger than the max_code guard raises GuardExceeded.
 
     words[x] is the word at ambient index x, weights[x] its Hamming weight and
-    profiles[x] its sorted orbit labels.  Every code is visited in the order
-    of _enumerate_codes and counted in counts["codes"], but only the first
-    code of each monomial orbit (_orbit_representatives) yields its maps.
-    The sweep records how much the other entries of counts grew while the
-    caller consumed them, and each later code of the orbit adds that growth
-    and yields nothing.  This is exact when the caller's tallies and witness
-    test are invariant under moving the source code by a monomial transform
-    g, as f -> f.g maps the maps on g(C) one to one onto those on C: a
-    witness then first shows on the first code of its orbit, and the caller
-    stops at the same map, with the same counts, as on an unreduced sweep.
+    profiles[x] its sorted orbit labels.  A length's codes are counted in
+    counts["codes"] when the length starts.  Then, for each pair (C, D) of
+    first codes of monomial orbits (_orbit_representatives) with |C| = |D|,
+    in list order, the maps C -> D are enumerated once, and each map the
+    caller tallies adds its pair weight |orbit(C)| * |orbit(D)| in place of 1.
+    This is exact for tallies invariant under monomial transforms g and h, as
+    f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
+    C -> h(D); and every injective map on a code is onto a listed code of
+    the same size, its image.  A witness stops the caller at the first pair
+    and map, in this order, that holds one, with the tallies made so far.
     details gets "lengths" and "max_generators".  bounds comes from
     _sweep_bounds.  A length whose ambient order overflows the guard ends the
     sweep, or raises when max_n was given explicitly or n = 1.
@@ -714,25 +717,21 @@ def _sweep(
         weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
         profiles = [tuple(sorted(labels[c] for c in w)) for w in words]
         codes = _enumerate_codes(ambient, max_gens)
-        reps = _orbit_representatives(alphabet, words, codes, guards)
-        growth: dict[int, dict] = {}
-        for i, (members, gens) in enumerate(codes):
+        counts["codes"] += len(codes)
+        # keyed by each orbit's first code, in list order
+        orbit_size = Counter(_orbit_representatives(alphabet, words, codes, guards))
+        for i in orbit_size:
+            members, gens = codes[i]
             check_guard(len(members), guards.max_code, "code size")
-            counts["codes"] += 1
-            if reps[i] != i:
-                for key, grown in growth[reps[i]].items():
-                    counts[key] += grown
-                continue
-            before = dict(counts)
-            targets = [None]
-            if onto:
-                targets = [frozenset(other) for other, _ in codes if len(other) == len(members)]
-            for target in targets:
+            for j in orbit_size:
+                target = codes[j][0]
+                if len(target) != len(members):
+                    continue
+                weight = orbit_size[i] * orbit_size[j]
                 for fmap in iter_linear_maps(
-                    ambient, ambient, gens, injective=True, target_members=target
+                    ambient, ambient, gens, injective=True, target_members=frozenset(target)
                 ):
-                    yield n, words, weights, profiles, members, gens, fmap
-            growth[i] = {key: counts[key] - before[key] for key in counts if key != "codes"}
+                    yield n, words, weights, profiles, members, gens, fmap, weight
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
@@ -773,10 +772,10 @@ def verify_midway(
 
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     details: dict = {}
-    for n, words, weights, profiles, members, gens, fmap in _sweep(
+    for n, words, weights, profiles, members, gens, fmap, weight in _sweep(
         alphabet, guards, bounds, counts, details
     ):
-        counts["monomorphisms"] += 1
+        counts["monomorphisms"] += weight
         hamming_ok = all(weights[x] == weights[y] for x, y in zip(members, fmap))
         swc_ok = all(profiles[x] == profiles[y] for x, y in zip(members, fmap))
         if not (hamming_ok or swc_ok):
@@ -787,12 +786,12 @@ def verify_midway(
                 n, cmap, hamming_preserved=hamming_ok, swc_preserved=swc_ok
             )
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        counts["hamming_preserving"] += 1
+        counts["hamming_preserving"] += weight
         verdict = midway_peeling(cmap, guards)
         if verdict.result != "verified":
             details["witness"] = _witness(n, cmap, peeling=verdict.as_json())
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        counts["peeled"] += 1
+        counts["peeled"] += weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 
@@ -820,18 +819,18 @@ def verify_sufficiency(
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
-    for n, words, _, profiles, members, gens, fmap in _sweep(
-        alphabet, guards, bounds, counts, details, onto=True
+    for n, words, _, profiles, members, gens, fmap, weight in _sweep(
+        alphabet, guards, bounds, counts, details
     ):
-        counts["isomorphisms"] += 1
+        counts["isomorphisms"] += weight
         if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
             continue
-        counts["swc_preserving"] += 1
+        counts["swc_preserving"] += weight
         cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if extension_search(cmap, guards=guards).transform is None:
             details["witness"] = _witness(n, cmap)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        counts["extended"] += 1
+        counts["extended"] += weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 

@@ -53,6 +53,7 @@ from eplab.theorems import (
 from eplab.theorems import (
     _code_map_from_tuple,
     _enumerate_codes,
+    _monomial_generators,
     _orbit_representatives,
     _projection_matrix,
     _subspaces,
@@ -751,24 +752,27 @@ def test_midway_reports_a_peeling_witness(monkeypatch):
         return report
 
     monkeypatch.setattr(theorems, "midway_peeling", peeling)
+    # _sweep tests the maps orbit pair by orbit pair, weighting each tally by
+    # the pair; the first that moves a word is (0, 1) -> (0, 3), and the 3 + 15
+    # codes of lengths 1 and 2 are counted when each length starts
     report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
     assert report.as_json() == {
         "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
         "result": "counterexample",
         "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
-        "counts": {"codes": 5, "monomorphisms": 7, "hamming_preserving": 7, "peeled": 6},
+        "counts": {"codes": 18, "monomorphisms": 22, "hamming_preserving": 18, "peeled": 14},
         "details": {
             "lengths": [1, 2],
             "max_generators": 2,
             "witness": {
                 "length": 2,
-                "generators": [[0, 2]],
-                "gen_images": [[2, 0]],
+                "generators": [[0, 1]],
+                "gen_images": [[0, 3]],
                 "peeling": {
                     "claim": "every codeword peels to balanced counts at each principal annihilator stage",
                     "result": "counterexample",
                     "hypotheses": {"hamming_preserved": True, "ring_left_pir": True},
-                    "counts": {"words": 2, "stages": 3},
+                    "counts": {"words": 4, "stages": 7},
                     "details": {
                         "trace": [
                             {
@@ -780,12 +784,32 @@ def test_midway_reports_a_peeling_witness(monkeypatch):
                                 ],
                             },
                             {
+                                "word": [0, 1],
+                                "image": [0, 3],
+                                "steps": [
+                                    {"ideal": [0, 1, 2, 3], "generator": 1,
+                                     "removed_source": 1, "removed_image": 1},
+                                    {"ideal": [0], "generator": 0,
+                                     "removed_source": 1, "removed_image": 1},
+                                ],
+                            },
+                            {
                                 "word": [0, 2],
-                                "image": [2, 0],
+                                "image": [0, 2],
                                 "steps": [
                                     {"ideal": [0, 1, 2, 3], "generator": 1,
                                      "removed_source": 1, "removed_image": 1},
                                     {"ideal": [0, 2], "generator": 2,
+                                     "removed_source": 1, "removed_image": 1},
+                                ],
+                            },
+                            {
+                                "word": [0, 3],
+                                "image": [0, 1],
+                                "steps": [
+                                    {"ideal": [0, 1, 2, 3], "generator": 1,
+                                     "removed_source": 1, "removed_image": 1},
+                                    {"ideal": [0], "generator": 0,
                                      "removed_source": 1, "removed_image": 1},
                                 ],
                             },
@@ -860,10 +884,10 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
     return counts
 
 
-def _sweep_yields(alphabet, max_n, max_gens, onto=False):
+def _sweep_yields(alphabet, max_n, max_gens):
     counts = {"codes": 0}
     bounds = _sweep_bounds(Guards(), max_n, max_gens)
-    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}, onto))
+    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}))
 
 
 @pytest.mark.parametrize(
@@ -884,16 +908,16 @@ def test_midway_counts_match_the_unreduced_sweep(alphabet):
 @pytest.mark.parametrize(
     "alphabet,max_n",
     [(matrix_module(1, 2, 1), 3), (module_make(mod_ring(4), {"kind": "regular"}), 2),
-     (matrix_module(1, 4, 1), 2),
+     (matrix_module(1, 4, 1), 2), (matrix_module(1, 8, 1), 2), (matrix_module(1, 7, 1), 2),
      (relabelled(module_make(mod_ring(4), {"kind": "regular"}), [3, 2, 0, 1]), 2)],
-    ids=["f2", "z4", "f4", "z4-relabelled"],
+    ids=["f2", "z4", "f4", "f8", "f7", "z4-relabelled"],
 )
 def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
     report = verify_sufficiency(alphabet, max_n=max_n, max_gens=2)
     assert report.result == "verified"
     expected = _unreduced_sufficiency_counts(alphabet, max_n, 2)
     assert report.counts == expected
-    assert _sweep_yields(alphabet, max_n, 2, onto=True) < expected["isomorphisms"]
+    assert _sweep_yields(alphabet, max_n, 2) < expected["isomorphisms"]
 
 
 @pytest.mark.parametrize(
@@ -920,6 +944,50 @@ def test_orbit_representatives_match_the_whole_monomial_group(alphabet):
     reps = _orbit_representatives(alphabet, words, codes, Guards())
     assert reps == expected
     assert len(set(reps)) < len(codes)
+
+
+@pytest.mark.parametrize("alphabet", [z4_klein(), matrix_module(1, 2, 2)], ids=["z4-klein", "f2-col2"])
+def test_isomorphism_counts_depend_only_on_the_orbit_pair(alphabet):
+    # the pair weight |orbit(C)| * |orbit(D)| of _sweep: every code of orbit(C)
+    # has as many isomorphisms onto each code of orbit(D)
+    ambient, words, codes = _codes_of_length(alphabet, 2, 2)
+    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    pair_counts = {}
+    for i, (members, gens) in enumerate(codes):
+        for j, (other, _) in enumerate(codes):
+            if len(other) == len(members):
+                count = sum(1 for _ in iter_linear_maps(
+                    ambient, ambient, gens, injective=True, target_members=frozenset(other)
+                ))
+                assert pair_counts.setdefault((reps[i], reps[j]), count) == count
+    assert len(set(reps)) < len(codes)
+    assert any(count > 0 for (i, j), count in pair_counts.items() if i != j)
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [module_make(mod_ring(4), {"kind": "regular"}), module_make(mod_ring(8), {"kind": "regular"}),
+     z4_klein()],
+    ids=["z4", "z8", "z4-klein"],
+)
+def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
+    # _sweep peels one map per orbit pair on behalf of every g.f
+    perms = {}
+    moved = 0
+    for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        if not map_preserves(cmap, "hamming"):
+            continue
+        report = midway_peeling(cmap)
+        n = len(words[0])
+        if n not in perms:
+            perms[n] = _monomial_generators(alphabet, words, Guards())
+        for perm in perms[n]:
+            image = _code_map_from_tuple(alphabet, words, members, gens, [perm[y] for y in fmap])
+            for peeled in (midway_peeling(image), _peel_word_by_word(image)):
+                assert (peeled.result, peeled.counts) == (report.result, report.counts)
+            moved += 1
+    assert moved > 0 and len(perms[2]) > 2
 
 
 def test_sweep_rejects_a_code_list_not_closed_under_the_monomial_group(monkeypatch):
@@ -974,16 +1042,17 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
         return real_search(cmap, guards=guards)
 
     monkeypatch.setattr(theorems, "extension_search", search)
+    # the same order and weights as test_midway_reports_a_peeling_witness
     report = verify_sufficiency(module_make(mod_ring(4), {"kind": "regular"}), max_n=2)
     assert report.as_json() == {
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
         "result": "counterexample",
         "hypotheses": {"socle_cyclic": True},
-        "counts": {"codes": 5, "isomorphisms": 7, "swc_preserving": 7, "extended": 6},
+        "counts": {"codes": 18, "isomorphisms": 22, "swc_preserving": 18, "extended": 14},
         "details": {
             "lengths": [1, 2],
             "max_generators": 2,
-            "witness": {"length": 2, "generators": [[0, 2]], "gen_images": [[2, 0]]},
+            "witness": {"length": 2, "generators": [[0, 1]], "gen_images": [[0, 3]]},
         },
     }
 
