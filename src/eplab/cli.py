@@ -72,7 +72,8 @@ def _load_json(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bytes that are not UTF-8, too many digits, or too deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object")

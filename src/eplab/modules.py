@@ -140,12 +140,12 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
         return _module_regular(ring)
     if kind == "column":
         k = descriptor.get("k")
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InputError("column descriptor needs integer field 'k'")
         return _module_column(ring, k, guards)
     if kind == "mod_m":
         m = descriptor.get("m")
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise InputError("mod_m descriptor needs integer field 'm'")
         return _module_mod_m(ring, m)
     if kind == "direct_sum":
@@ -272,6 +272,16 @@ def _map_plan(src: Module, gens: tuple[int, ...], domain: tuple[int, ...]):
     return src._cache[key]
 
 
+def _map_from_images(src: Module, dst: Module, gens: tuple[int, ...], images) -> tuple[int, ...]:
+    """The linear map on span(gens) sending gens to images, which must
+    define one, as iter_linear_maps yields it."""
+    order, steps = _map_plan(src, gens, (src.zero,))
+    values = [dst.zero]
+    for (_, new), y in zip(steps, images):
+        values += [dst.add_table[values[p]][dst.act_table[r][y]] for p, r in new]
+    return tuple([values[p] for p in order])
+
+
 def iter_linear_maps(
     src: Module,
     dst: Module,
@@ -354,6 +364,24 @@ def least_in_orbit(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
             a, b = find(i), find(j)
             parent[max(a, b)] = min(a, b)
     return [find(i) for i in range(size)]
+
+
+def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) -> list[int]:
+    """least_in_orbit over a submodule list under element permutations:
+    out[i] is the position of the first submodule in the orbit of subs[i].
+    An image missing from the list raises InternalConsistencyError."""
+    position = {s.members: i for i, s in enumerate(subs)}
+
+    def image(perm):
+        for s in subs:
+            j = position.get(tuple(sorted(perm[x] for x in s.members)))
+            if j is None:
+                raise InternalConsistencyError(
+                    f"an image of the submodule {list(s.members)} is not listed"
+                )
+            yield j
+
+    return least_in_orbit(len(subs), map(image, perms))
 
 
 class AutGroup:
@@ -506,40 +534,40 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
     For automorphisms a and b, a monomorphism f: S -> A extends exactly when
     a*f*b^-1: b(S) -> A does, so one monomorphism per orbit suffices.  The
     proper nonzero submodules are split into orbits under the generators of
-    Aut(A), and on the first submodule S of each orbit the monomorphisms
-    (tuples aligned with S's members) are split into orbits under left
-    composition by the same generators.  The first monomorphism f of each
-    orbit then takes one search for a linear map that extends f, along
-    greedy generators that complete S to the whole module.  The search
-    tries, for each of them g, every image y with Ann(g) <= Ann(y), a
-    condition every endomorphism meets, so it finds an extension whenever
-    one exists.
+    Aut(A) (submodule_orbits), and on the first submodule S of each orbit
+    the monomorphisms, each keyed by its images of S.generators, are split
+    into orbits under left composition by the same generators.  The first
+    monomorphism f of each orbit, rebuilt on S from those images, then takes
+    one search for a linear map that extends f, along greedy generators that
+    complete S to the whole module.  The search tries, for each of them g,
+    every image y with Ann(g) <= Ann(y), a condition every endomorphism
+    meets, so it finds an extension whenever one exists.
     """
     if "pseudo_injective" not in module._cache:
         autos = automorphism_group(module, guards).generators
-        subs = [sub.members for sub in submodules_enumerate(module, guards)]
-        position = {members: i for i, members in enumerate(subs)}
-        sub_first = least_in_orbit(
-            len(subs),
-            ([position[tuple(sorted(a[x] for x in members))] for members in subs] for a in autos),
-        )
+        subs = submodules_enumerate(module, guards)
         result = True
-        for i, members in enumerate(subs):
-            if sub_first[i] != i or len(members) in (1, module.order):
+        for i, first in enumerate(submodule_orbits(subs, autos)):
+            members, gens = subs[i].members, subs[i].generators
+            if first != i or len(members) in (1, module.order):
                 continue
-            gens = generators_within(module, members)
-            monos = list(iter_linear_maps(module, module, gens, injective=True))
-            mono_position = {f: k for k, f in enumerate(monos)}
+            at = [members.index(g) for g in gens]
+            maps = iter_linear_maps(module, module, gens, injective=True)
+            monos = [tuple(f[p] for p in at) for f in maps]
+            position = {f: k for k, f in enumerate(monos)}
             mono_first = least_in_orbit(
                 len(monos),
-                ([mono_position[tuple(map(a.__getitem__, f))] for f in monos] for a in autos),
+                ([position[tuple(map(a.__getitem__, f))] for f in monos] for a in autos),
             )
             rest = _greedy_generators(module, module.elements(), members)
-            result = all(
-                next(iter_linear_maps(module, module, rest, base=dict(zip(members, f))), None)
-                is not None
-                for k, f in enumerate(monos)
+            bases = (
+                dict(zip(members, _map_from_images(module, module, gens, images)))
+                for k, images in enumerate(monos)
                 if mono_first[k] == k
+            )
+            result = all(
+                next(iter_linear_maps(module, module, rest, base=base), None) is not None
+                for base in bases
             )
             if not result:
                 break

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,
@@ -93,9 +93,11 @@ class Ring(Module):
 
 @dataclasses.dataclass(frozen=True)
 class Submodule:
-    """A submodule, or a left ideal, given by its sorted member tuple."""
+    """A submodule, or a left ideal, given by its sorted member tuple; the
+    generators submodules_enumerate reached it by take no part in equality."""
 
     members: tuple[int, ...]
+    generators: tuple[int, ...] = dataclasses.field(default=(), compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -202,13 +204,13 @@ def ring_make(descriptor: dict, guards: Guards = DEFAULT_GUARDS) -> Ring:
     kind = descriptor["kind"]
     if kind == "mod_n":
         n = descriptor.get("n")
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise InputError("mod_n descriptor needs integer field 'n'")
         check_guard(n, guards.max_order, f"ring order {n}")
         return _ring_mod_n(n)
     if kind == "matrix":
         m, q = descriptor.get("m"), descriptor.get("q")
-        if not isinstance(m, int) or not isinstance(q, int):
+        if type(m) is not int or type(q) is not int:
             raise InputError("matrix descriptor needs integer fields 'm' and 'q'")
         return _ring_matrix(m, q, guards)
     if kind == "product":
@@ -274,24 +276,41 @@ def submodule_generated(module, gens: Iterable[int]) -> Submodule:
     return Submodule(tuple(sorted(members)))
 
 
-def submodules_enumerate(module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodule, ...]:
-    """All submodules, ordered by (size, members): cyclic submodules saturated
-    under pairwise sums."""
-    key = "submodules"
+def submodules_enumerate(
+    module, guards: Guards = DEFAULT_GUARDS, max_gens: Optional[int] = None
+) -> tuple[Submodule, ...]:
+    """The submodules needing at most max_gens generators (all when None),
+    ordered by (size, members), each with the generators that reached it.
+
+    Level 1 reaches each cyclic submodule Rw by its least generator w; level
+    k adds w to each submodule S new at level k-1, in the order reached, w
+    ascending.  Past level 1, w ranges over least generators only: S + Rw
+    depends on Rw alone, and no other generator of Rw comes before the least.
+    A submodule needing k generators is new at level k: its tuple is shortest.
+    """
+    key = ("submodules", max_gens)
     if key not in module._cache:
         check_guard(module.order, guards.max_order, f"module order {module.order}")
         add = module.add_table
-        subs = {frozenset(submodule_generated(module, [a]).members) for a in range(module.order)}
-        work = list(subs)
-        while work:
-            current = work.pop()
-            for other in list(subs):
-                s = frozenset(add[x][y] for x in current for y in other)
-                if s not in subs:
-                    subs.add(s)
-                    work.append(s)
-        out = sorted((tuple(sorted(s)) for s in subs), key=lambda t: (len(t), t))
-        module._cache[key] = tuple(Submodule(t) for t in out)
+        found: dict[frozenset, tuple[int, ...]] = {}
+        for w in module.elements():
+            found.setdefault(frozenset(span_step(module, (module.zero,), w)), (w,))
+        cyclic = {gens[0]: members for members, gens in found.items()}  # least w -> Rw
+        level, depth = dict(found), 1
+        while level and (max_gens is None or depth < max_gens):
+            grown = {}
+            for members, gens in level.items():
+                for w, rw in cyclic.items():
+                    if w not in members:
+                        bigger = frozenset(add[s][t] for s in members for t in rw)
+                        if bigger not in found:
+                            found[bigger] = grown[bigger] = gens + (w,)
+            level, depth = grown, depth + 1
+        out = sorted(
+            (Submodule(tuple(sorted(m)), g) for m, g in found.items()),
+            key=lambda s: (len(s.members), s.members),
+        )
+        module._cache[key] = tuple(out)
     return module._cache[key]
 
 
@@ -369,12 +388,7 @@ def opposite_ring(ring: Ring) -> Ring:
 
 def is_left_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:
     """True when every left ideal is principal."""
-    if "left_pir" not in ring._cache:
-        principals = {submodule_generated(ring, [g]).members for g in ring.elements()}
-        ring._cache["left_pir"] = all(
-            i.members in principals for i in submodules_enumerate(ring, guards)
-        )
-    return ring._cache["left_pir"]
+    return all(len(i.generators) == 1 for i in submodules_enumerate(ring, guards))
 
 
 def is_right_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:

@@ -55,12 +55,12 @@ from .modules import (
     hom_count_from_simple,
     is_pseudo_injective,
     iter_linear_maps,
-    least_in_orbit,
     module_generators,
     module_make,
     partition,
     simple_catalog,
     socle_report,
+    submodule_orbits,
 )
 from .rings import (
     Submodule,
@@ -69,7 +69,6 @@ from .rings import (
     is_left_pir,
     principal_generator,
     ring_make,
-    submodule_generated,
     submodules_enumerate,
 )
 
@@ -568,34 +567,6 @@ def _peel_labels(
 # the sweep kernel shared by the midway and sufficiency verifiers
 
 
-def _enumerate_codes(ambient: Module, max_gens: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All submodules of the ambient module needing at most max_gens
-    generators, as (sorted members, fixed generator tuple) pairs."""
-    found: dict[frozenset, tuple[int, ...]] = {}
-    level: dict[frozenset, tuple[int, ...]] = {}
-    for w in ambient.elements():
-        members = frozenset(submodule_generated(ambient, [w]).members)
-        if members not in found:
-            found[members] = (w,)
-            level[members] = (w,)
-    for _ in range(1, max_gens):
-        grown: dict[frozenset, tuple[int, ...]] = {}
-        for members, gens in level.items():
-            for w in ambient.elements():
-                if w in members:
-                    continue
-                bigger = frozenset(submodule_generated(ambient, gens + (w,)).members)
-                if bigger not in found:
-                    entry = gens + (w,)
-                    found[bigger] = entry
-                    grown[bigger] = entry
-        level = grown
-    return sorted(
-        ((tuple(sorted(m)), g) for m, g in found.items()),
-        key=lambda item: (len(item[0]), item[0]),
-    )
-
-
 def _code_map_from_tuple(
     alphabet: Module,
     words: list[Word],
@@ -631,29 +602,6 @@ def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) ->
     return perms
 
 
-def _orbit_representatives(
-    alphabet: Module, words: list[Word], codes: list, guards: Guards
-) -> list[int]:
-    """reps[i] is the position of the first code in codes (the output of
-    _enumerate_codes on A^n) that lies in the orbit of codes[i] under the
-    monomial group: least_in_orbit over the code list under
-    _monomial_generators.  An image code missing from the list breaks the
-    closure the sweep relies on and raises InternalConsistencyError.
-    """
-    position = {members: i for i, (members, _) in enumerate(codes)}
-
-    def image(perm):
-        for i, (members, _) in enumerate(codes):
-            j = position.get(tuple(sorted(perm[x] for x in members)))
-            if j is None:
-                raise InternalConsistencyError(
-                    f"a monomial image of code {i} at length {len(words[0])} was not enumerated"
-                )
-            yield j
-
-    return least_in_orbit(len(codes), map(image, _monomial_generators(alphabet, words, guards)))
-
-
 def _sweep_bounds(
     guards: Guards, max_n: Optional[int], max_gens: Optional[int]
 ) -> tuple[int, int, bool]:
@@ -686,12 +634,15 @@ def _sweep(
     most max_gens generators, each map as the images of members in order.
     A code larger than the max_code guard raises GuardExceeded.
 
-    words[x] is the word at ambient index x, weights[x] its Hamming weight and
-    profiles[x] its sorted orbit labels.  A length's codes are counted in
-    counts["codes"] when the length starts.  Then, for each pair (C, D) of
-    first codes of monomial orbits (_orbit_representatives) with |C| = |D|,
-    in list order, the maps C -> D are enumerated once, and each map the
-    caller tallies adds its pair weight |orbit(C)| * |orbit(D)| in place of 1.
+    The codes are submodules_enumerate(A^n, guards, max_gens), gens their
+    generators.  words[x] is the word at ambient index x, weights[x] its
+    Hamming weight and profiles[x] its sorted orbit labels.  A length's codes
+    are counted in counts["codes"] when the length starts and split into
+    orbits by submodule_orbits under _monomial_generators (an unlisted image
+    code raises).  Then, for each pair (C, D) of first codes of monomial
+    orbits with |C| = |D|, in list order, the maps C -> D are enumerated
+    once, and each map the caller tallies adds its pair weight
+    |orbit(C)| * |orbit(D)| in place of 1.
     This is exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
     C -> h(D); and every injective map on a code is onto a listed code of
@@ -716,15 +667,17 @@ def _sweep(
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
         weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
         profiles = [tuple(sorted(labels[c] for c in w)) for w in words]
-        codes = _enumerate_codes(ambient, max_gens)
+        codes = submodules_enumerate(ambient, guards, max_gens)
         counts["codes"] += len(codes)
         # keyed by each orbit's first code, in list order
-        orbit_size = Counter(_orbit_representatives(alphabet, words, codes, guards))
+        orbit_size = Counter(
+            submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
+        )
         for i in orbit_size:
-            members, gens = codes[i]
+            members, gens = codes[i].members, codes[i].generators
             check_guard(len(members), guards.max_code, "code size")
             for j in orbit_size:
-                target = codes[j][0]
+                target = codes[j].members
                 if len(target) != len(members):
                     continue
                 weight = orbit_size[i] * orbit_size[j]

@@ -356,9 +356,19 @@ def test_missing_file_is_input_error():
     assert "cannot read" in err
 
 
-def test_invalid_json_is_input_error(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b'{"ring": {"kind": "mod_n", "n": 4}, "note": "\xff"}',
+        b'{"ring": {"kind": "mod_n", "n": ' + b"1" * 5000 + b"}}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["syntax", "not-utf8", "5000-digit-int", "nested-100000-deep"],
+)
+def test_invalid_json_is_input_error(tmp_path, content):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     rc, _, err = run(["ring-info", "--spec", str(path)])
     assert rc == 4
     assert "not valid JSON" in err
@@ -375,11 +385,20 @@ def test_spec_without_ring_rejected(tmp_path):
     assert run(["ring-info", "--spec", str(path)])[0] == 4
 
 
-def test_semantic_mismatch_is_input_error(tmp_path):
-    path = write_json(
-        tmp_path / "s.json",
+@pytest.mark.parametrize(
+    "spec",
+    [
         {"ring": {"kind": "mod_n", "n": 4}, "module": {"kind": "column", "k": 2}},
-    )
+        # a bool is not an integer field, though Python's bool is an int
+        {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": True}},
+        {"ring": {"kind": "matrix", "m": True, "q": 2}, "module": {"kind": "regular"}},
+        {"ring": {"kind": "mod_n", "n": True}, "module": {"kind": "regular"}},
+        {"ring": {"kind": "mod_n", "n": 2}, "module": {"kind": "mod_m", "m": True}},
+    ],
+    ids=["column-over-mod-n", "bool-k", "bool-m", "bool-n", "bool-mod-m"],
+)
+def test_semantic_mismatch_is_input_error(tmp_path, spec):
+    path = write_json(tmp_path / "s.json", spec)
     assert run(["socle-report", "--spec", str(path)])[0] == 4
 
 

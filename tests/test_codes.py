@@ -29,8 +29,8 @@ from eplab.modules import (
     module_make,
     partition,
 )
-from eplab.rings import ring_make
-from eplab.theorems import _code_map_from_tuple, _enumerate_codes
+from eplab.rings import ring_make, submodules_enumerate
+from eplab.theorems import _code_map_from_tuple
 
 
 def z4_alphabet():
@@ -305,9 +305,10 @@ def _injective_code_maps(alphabet, max_n):
     for n in range(1, max_n + 1):
         ambient = direct_power(alphabet, n)
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
-        for members, gens in _enumerate_codes(ambient, 2):
+        for code in submodules_enumerate(ambient, max_gens=2):
+            gens = code.generators
             for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
-                yield _code_map_from_tuple(alphabet, words, members, gens, fmap)
+                yield _code_map_from_tuple(alphabet, words, code.members, gens, fmap)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Module layer: socles, simple catalogs, automorphisms, partitions."""
 
+import itertools
 import json
 import math
 import random
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eplab import modules, rings
-from eplab.errors import GuardExceeded, InputError
+from eplab.errors import GuardExceeded, Guards, InputError
 from eplab.fields import mixed_radix_join, mixed_radix_split
 from eplab.modules import (
     AutGroup,
     _greedy_generators,
+    _map_from_images,
     annihilator_sets,
     automorphism_group,
     character_module,
@@ -36,7 +38,6 @@ from eplab.modules import (
     submodules_enumerate,
 )
 from eplab.rings import exponent_of_addition, ring_make
-from eplab.theorems import _enumerate_codes
 
 
 def mod_ring(n):
@@ -542,15 +543,115 @@ def test_iter_linear_maps_matches_the_oracle_on_every_code(name):
     alphabet = KERNEL_ALPHABETS[name]()
     for n in (1, 2):
         ambient = direct_power(alphabet, n)
-        codes = _enumerate_codes(ambient, 2)
-        for members, gens in codes:
+        codes = submodules_enumerate(ambient, max_gens=2)
+        for code in codes:
+            gens = code.generators
             assert _assert_kernel_matches_oracle(ambient, ambient, gens) >= 1
             assert _assert_kernel_matches_oracle(ambient, ambient, gens, injective=True) >= 1
-            for other, _ in codes:
-                if len(other) == len(members):
+            for other in codes:
+                if len(other) == len(code):
                     _assert_kernel_matches_oracle(
-                        ambient, ambient, gens, injective=True, target_members=frozenset(other)
+                        ambient, ambient, gens, injective=True,
+                        target_members=frozenset(other.members),
                     )
+
+
+def _level_walk_oracle(ambient, max_gens):
+    """The former theorems._enumerate_codes: the submodules needing at most
+    max_gens generators as (members, generators) pairs.  Each level tries
+    every element against every submodule new at the level before and
+    closes each generator tuple from scratch."""
+    found, level = {}, {}
+    for w in ambient.elements():
+        members = frozenset(submodule_generated(ambient, [w]).members)
+        if members not in found:
+            found[members] = level[members] = (w,)
+    for _ in range(1, max_gens):
+        grown = {}
+        for members, gens in level.items():
+            for w in ambient.elements():
+                if w in members:
+                    continue
+                bigger = frozenset(submodule_generated(ambient, gens + (w,)).members)
+                if bigger not in found:
+                    found[bigger] = grown[bigger] = gens + (w,)
+        level = grown
+    return sorted(
+        ((tuple(sorted(m)), g) for m, g in found.items()),
+        key=lambda item: (len(item[0]), item[0]),
+    )
+
+
+def _pairwise_closure_oracle(module):
+    """The former rings.submodules_enumerate: the cyclic submodules
+    saturated under pairwise sums, in (size, members) order."""
+    add = module.add_table
+    subs = {frozenset(submodule_generated(module, [a]).members) for a in module.elements()}
+    work = list(subs)
+    while work:
+        current = work.pop()
+        for other in list(subs):
+            s = frozenset(add[x][y] for x in current for y in other)
+            if s not in subs:
+                subs.add(s)
+                work.append(s)
+    return sorted((tuple(sorted(s)) for s in subs), key=lambda t: (len(t), t))
+
+
+LEVEL_WALK_CASES = [
+    ("z4", z4_regular, 3),
+    ("z4 klein", z2z2_over_z4, 2),
+    ("f2 col2", KERNEL_ALPHABETS["f2 col2"], 2),
+    ("relabelled klein", _relabelled_klein, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name,builder,max_n", LEVEL_WALK_CASES, ids=[c[0] for c in LEVEL_WALK_CASES]
+)
+def test_lattice_walk_keeps_the_members_order_and_generators_of_the_level_oracle(
+    name, builder, max_n
+):
+    alphabet = builder()
+    for n in range(1, max_n + 1):
+        ambient = direct_power(alphabet, n)
+        for max_gens in range(1, n + 1):
+            walk = submodules_enumerate(ambient, max_gens=max_gens)
+            assert [(s.members, s.generators) for s in walk] == _level_walk_oracle(
+                ambient, max_gens
+            )
+
+
+FULL_LATTICE_CASES = {
+    "f2^4": lambda: module_make(ring_make({"kind": "matrix", "m": 1, "q": 2}), {"kind": "column", "k": 4}),
+    "z8+z8": lambda: module_make(
+        mod_ring(8), {"kind": "direct_sum", "summands": [{"kind": "regular"}] * 2}
+    ),
+    "m2f3": lambda: ring_make({"kind": "matrix", "m": 2, "q": 3}, Guards(max_order=81)),
+    "m23 over m2f2": m23_over_m2f2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LATTICE_CASES))
+def test_full_lattice_matches_the_pairwise_closure(name):
+    """The same members in the same order, and each generator tuple is a
+    shortest one: the submodules that j elements generate are exactly those
+    whose tuple has at most j entries, and the walk cut at max_gens = j."""
+    module = FULL_LATTICE_CASES[name]()
+    guards = Guards(max_order=81)
+    subs = submodules_enumerate(module, guards)
+    assert [s.members for s in subs] == _pairwise_closure_oracle(module)
+    assert all(submodule_generated(module, s.generators).members == s.members for s in subs)
+    most = max(len(s.generators) for s in subs)
+    assert most > 1 or name == "m2f3"
+    for j in range(1, most + 1):
+        within = [s for s in subs if len(s.generators) <= j]
+        assert list(submodules_enumerate(module, guards, j)) == within
+        reached = {
+            submodule_generated(module, gens).members
+            for gens in itertools.combinations_with_replacement(module.elements(), j)
+        }
+        assert reached == {s.members for s in within}
 
 
 @pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, _relabelled_klein])
@@ -758,6 +859,20 @@ def test_pseudo_injectivity_searches_once_per_orbit_pair(name, builder, expected
     verdict, pairs = _orbit_pairs_by_brute_force(builder())
     assert verdict is expected
     assert _counted_pseudo_injective(builder(), monkeypatch) == (expected, pairs)
+
+
+@pytest.mark.parametrize(
+    "builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, m23_over_m2f2, _relabelled_klein]
+)
+def test_a_linear_map_is_rebuilt_from_its_generator_images(builder):
+    """is_pseudo_injective keeps each monomorphism as its images of
+    S.generators and rebuilds the orbit firsts from them."""
+    module = builder()
+    for sub in submodules_enumerate(module):
+        gens = sub.generators
+        at = [sub.members.index(g) for g in gens]
+        for f in iter_linear_maps(module, module, gens):
+            assert _map_from_images(module, module, gens, [f[p] for p in at]) == f
 
 
 def test_pseudo_injectivity_of_f2_4_takes_three_searches(monkeypatch):

@@ -482,3 +482,17 @@ def test_module_lattice_matches_the_ring_side_oracle(name, opposite):
         assert anns[x] == _oracle_annihilator(r, x)
     for gens in itertools.combinations(r.elements(), 2):
         assert submodule_generated(r, gens).members == _oracle_generated(r, gens)
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["ring", "opposite"])
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_left_pir_matches_the_principal_set_rule(name, opposite):
+    """One generator per left ideal from the walk, against: every left
+    ideal of the oracle lattice is Rg for some g."""
+    r = ORACLE_RINGS[name]()
+    if opposite:
+        r = opposite_ring(r)
+    principals = {_oracle_principal(r, g) for g in r.elements()}
+    expected = all(members in principals for members in _oracle_left_ideals(r))
+    assert is_left_pir(r) is expected
+    assert expected is (name != "local-xy")

@@ -34,8 +34,15 @@ from eplab.modules import (
     iter_linear_maps,
     module_make,
     partition,
+    submodule_orbits,
 )
-from eplab.rings import Submodule, is_left_pir, principal_generator, ring_make
+from eplab.rings import (
+    Submodule,
+    is_left_pir,
+    principal_generator,
+    ring_make,
+    submodules_enumerate,
+)
 from eplab.theorems import (
     CounterexamplePack,
     VerdictReport,
@@ -52,9 +59,7 @@ from eplab.theorems import (
 )
 from eplab.theorems import (
     _code_map_from_tuple,
-    _enumerate_codes,
     _monomial_generators,
-    _orbit_representatives,
     _projection_matrix,
     _subspaces,
     _sweep,
@@ -120,10 +125,18 @@ def local_xy_ring():
 
 
 def _codes_of_length(alphabet, n, max_gens):
-    """(ambient A^n, its words by index, its codes as _sweep lists them)."""
+    """(ambient A^n, its words by index, its codes as _sweep lists them, as
+    (members, generators) pairs)."""
     ambient = direct_power(alphabet, n)
     words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
-    return ambient, words, _enumerate_codes(ambient, max_gens)
+    codes = submodules_enumerate(ambient, max_gens=max_gens)
+    return ambient, words, [(code.members, code.generators) for code in codes]
+
+
+def _orbit_firsts(alphabet, words, codes):
+    """The orbit split of theorems._sweep on a _codes_of_length list."""
+    subs = [Submodule(members) for members, _ in codes]
+    return submodule_orbits(subs, _monomial_generators(alphabet, words, Guards()))
 
 
 def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False):
@@ -941,7 +954,7 @@ def test_orbit_representatives_match_the_whole_monomial_group(alphabet):
             for t in auts
         }
         expected.append(min(orbit))
-    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    reps = _orbit_firsts(alphabet, words, codes)
     assert reps == expected
     assert len(set(reps)) < len(codes)
 
@@ -951,7 +964,7 @@ def test_isomorphism_counts_depend_only_on_the_orbit_pair(alphabet):
     # the pair weight |orbit(C)| * |orbit(D)| of _sweep: every code of orbit(C)
     # has as many isomorphisms onto each code of orbit(D)
     ambient, words, codes = _codes_of_length(alphabet, 2, 2)
-    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    reps = _orbit_firsts(alphabet, words, codes)
     pair_counts = {}
     for i, (members, gens) in enumerate(codes):
         for j, (other, _) in enumerate(codes):
@@ -993,17 +1006,18 @@ def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
 def test_sweep_rejects_a_code_list_not_closed_under_the_monomial_group(monkeypatch):
     alphabet = module_make(mod_ring(4), {"kind": "regular"})
     ambient, words, codes = _codes_of_length(alphabet, 2, 2)
-    reps = _orbit_representatives(alphabet, words, codes, Guards())
+    reps = _orbit_firsts(alphabet, words, codes)
     dropped = max(i for i, rep in enumerate(reps) if rep != i)
+    enumerate_all = theorems.submodules_enumerate
 
-    def enumerate_codes(module, max_gens):
-        found = _enumerate_codes(module, max_gens)
+    def dropping(module, guards, max_gens=None):
+        found = list(enumerate_all(module, guards, max_gens))
         if module.order == ambient.order:
             del found[dropped]
-        return found
+        return tuple(found)
 
-    monkeypatch.setattr(theorems, "_enumerate_codes", enumerate_codes)
-    with pytest.raises(InternalConsistencyError):
+    monkeypatch.setattr(theorems, "submodules_enumerate", dropping)
+    with pytest.raises(InternalConsistencyError, match="is not listed"):
         verify_midway(alphabet, max_n=2, max_gens=2)
 
 
