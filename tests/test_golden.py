@@ -68,6 +68,8 @@ SPECS = {
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
     "z4-z2-table": {"ring": Z4, "module": _relabelled_z4_z2()},
+    # F_2^3: Aut(A) is GL(3, 2), with 168 elements
+    "f2-col3": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 3}},
     # F_2^4: Aut(A) is GL(4, 2), with 20,160 elements
     "f2-col4": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
     # F_3^3: Aut(A) is GL(3, 3), with 11,232 elements
@@ -92,6 +94,10 @@ def _cases() -> dict:
     cases["verify-orbit-lemma-z4-z2z4"] = (["verify-orbit-lemma"], "z4-z2z4")
     cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
     cases["aut-group-z4-z2-table"] = (["aut-group"], "z4-z2-table")
+    cases["aut-group-f2-col3"] = (["aut-group"], "f2-col3")
+    # on Z/2 (+) Z/4 the orbits split the annihilator class of 2 into {2} and {4, 6}
+    cases["orbits-z4-z2z4"] = (["orbits", "--by", "orbit"], "z4-z2z4")
+    cases["orbits-f3-col3"] = (["orbits", "--by", "orbit"], "f3-col3")
     cases["verify-orbit-lemma-f2-col4"] = (["verify-orbit-lemma"], "f2-col4")
     cases["verify-orbit-lemma-f3-col3"] = (["verify-orbit-lemma"], "f3-col3")
     cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
