@@ -274,14 +274,15 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
     """
     alphabet = cmap.source.alphabet
     n = cmap.source.length
-    perms = automorphism_group(alphabet, guards).elements
+    group = automorphism_group(alphabet, guards)
     orbit_index = partition(alphabet, "orbit", guards=guards)
     fp_src = [column_fingerprint(cmap.source, j, orbit_index) for j in range(n)]
     fp_dst = [column_fingerprint(cmap.target, i, orbit_index) for i in range(n)]
-    candidate_space = math.factorial(n) * len(perms) ** n
+    candidate_space = math.factorial(n) * group.order ** n
     if sorted(fp_src) != sorted(fp_dst):
-        return ExtensionResult(None, 0, candidate_space, len(perms))
+        return ExtensionResult(None, 0, candidate_space, group.order)
 
+    perms = group.elements
     gens = cmap.source.generators
     images = cmap.gen_images
     sigma: list[int] = []
@@ -299,7 +300,7 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
                 used[j] = True
                 break
         else:
-            return ExtensionResult(None, 0, candidate_space, len(perms))
+            return ExtensionResult(None, 0, candidate_space, group.order)
 
     transform = MonomialTransform(tuple(sigma), tuple(taus))
     for word, image in cmap.mapping.items():
@@ -307,4 +308,4 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
             raise InternalConsistencyError(
                 "extension search produced an inconsistent transform"
             )
-    return ExtensionResult(transform, n, candidate_space, len(perms))
+    return ExtensionResult(transform, n, candidate_space, group.order)

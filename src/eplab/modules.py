@@ -385,16 +385,13 @@ def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) 
 
 
 class AutGroup:
-    """All module automorphisms as permutation tuples, sorted lexicographically."""
+    """Aut(A) as the order and strong generators of a stabilizer chain; the
+    sorted listing of every automorphism is built only on demand."""
 
-    def __init__(self, module: Module, elements: tuple[tuple[int, ...], ...]):
+    def __init__(self, module: Module, order: int, generators: tuple[tuple[int, ...], ...]):
         self.module = module
-        self.elements = elements
-        self.index = {p: i for i, p in enumerate(elements)}
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+        self.order = order
+        self.generators = generators
 
     @staticmethod
     def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -402,46 +399,27 @@ class AutGroup:
         return tuple([p[x] for x in q])
 
     @functools.cached_property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """The elements, in sorted order, that lie outside the subgroup
-        generated by the elements kept before them.  Each one kept at least
-        doubles that subgroup, so there are at most log2(order) of them.
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Every automorphism as a permutation tuple, sorted
+        lexicographically, checked to hold the identity, to be closed under
+        composition and to number the chain's order."""
+        module = self.module
+        gens = module_generators(module)
+        perms = tuple(sorted(iter_linear_maps(module, module, gens, injective=True)))
+        members = set(perms)
+        if tuple(module.elements()) not in members:
+            raise InternalConsistencyError("automorphism search missed the identity")
+        if any(self.compose(p, perms[-1]) not in members for p in perms):
+            raise InternalConsistencyError("automorphism set is not closed")
+        if len(perms) != self.order:
+            raise InternalConsistencyError(
+                f"{len(perms)} automorphisms listed, stabilizer chain order {self.order}"
+            )
+        return perms
 
-        The subgroup grows by Dimino's coset closure.  When g is kept, the
-        subgroup H reached so far becomes the union of its right cosets H*x,
-        for x = g and for each product x*s, of a coset's x and a kept s,
-        that falls outside every coset found so far; that union contains the
-        identity and is closed under right multiplication by the kept
-        elements.  reached marks positions in elements, and members lists
-        them coset by coset, each coset led by its x.
-        """
-        index, elements, compose = self.index, self.elements, self.compose
-        reached = bytearray(len(elements))
-        members = [index[tuple(self.module.elements())]]
-        reached[members[0]] = 1
-        gens: list[tuple[int, ...]] = []
-        for pos, g in enumerate(elements):
-            if reached[pos]:
-                continue
-            gens.append(g)
-            subgroup = members[:]
-
-            def add_coset(x):
-                for h in subgroup:
-                    y = index[compose(elements[h], x)]
-                    reached[y] = 1
-                    members.append(y)
-
-            add_coset(g)
-            lead = len(subgroup)
-            while lead < len(members):
-                x = elements[members[lead]]
-                for s in gens:
-                    y = index[compose(x, s)]
-                    if not reached[y]:
-                        add_coset(elements[y])
-                lead += len(subgroup)
-        return tuple(gens)
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.elements)}
 
 
 def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
@@ -465,18 +443,36 @@ def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
 
 
 def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
+    """Aut(A) as a stabilizer chain along module_generators(A) = (g_1..g_k)
+    (Sims 1970).  G_i, the automorphisms fixing g_1..g_{i-1}, moves g_i to
+    exactly the y for which the identity on span(g_1..g_{i-1}) extended by
+    g_i -> y extends to an automorphism, so |Aut(A)| is the product of these
+    orbit sizes.  From the deepest level up, the automorphism found for y
+    joins the generators only when y lies outside the orbit of g_i under
+    those kept so far.  Those kept at levels i..k then generate G_i, by
+    orbit-stabilizer, and each one at least doubles the group they generate,
+    so there are at most log2 |Aut(A)| of them.
+    """
     if "aut_group" not in module._cache:
         check_guard(module.order, guards.max_order, f"module order {module.order}")
         gens = module_generators(module)
-        perms = sorted(iter_linear_maps(module, module, gens, injective=True))
-        group = AutGroup(module, tuple(perms))
-        ident = tuple(module.elements())
-        if ident not in group.index:
-            raise InternalConsistencyError("automorphism search missed the identity")
-        for p in group.elements:
-            if AutGroup.compose(p, group.elements[-1]) not in group.index:
-                raise InternalConsistencyError("automorphism set is not closed")
-        module._cache["aut_group"] = group
+        spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
+        order, kept = 1, []
+        for i in reversed(range(len(gens))):
+            g, labels, size = gens[i], least_in_orbit(module.order, kept), 0
+            identity = dict(zip(spans[i], spans[i]))
+            for step in iter_linear_maps(module, module, (g,), injective=True, base=identity):
+                base = dict(zip(spans[i + 1], step))
+                rest = iter_linear_maps(module, module, gens[i + 1 :], injective=True, base=base)
+                full = next(rest, None)
+                if full is None:
+                    continue
+                size += 1
+                if labels[full[g]] != labels[g]:
+                    kept.append(full)
+                    labels = least_in_orbit(module.order, kept)
+            order *= size
+        module._cache["aut_group"] = AutGroup(module, order, tuple(kept))
     return module._cache["aut_group"]
 
 
@@ -503,13 +499,7 @@ def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> Orb
         return module._cache[cache_key]
     n = module.order
     if kind == "orbit":
-        perms = automorphism_group(module, guards).elements
-        labels = [-1] * n
-        for a in range(n):
-            if labels[a] == -1:
-                # a is the least element of its orbit {p[a] : p in Aut(A)}
-                for x in {p[a] for p in perms}:
-                    labels[x] = a
+        labels = least_in_orbit(n, automorphism_group(module, guards).generators)
     elif kind == "annihilator":
         anns = annihilator_sets(module)
         first: dict[frozenset, int] = {}

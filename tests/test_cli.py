@@ -4,15 +4,18 @@ byte-stable output, and input validation."""
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
+import math
 import pathlib
 import re
 import time
 
 import pytest
 
-from eplab.cli import main
+from eplab.cli import load_codes, main
 from eplab.errors import Guards, InputError
+from eplab.modules import AutGroup, automorphism_group
 from eplab.theorems import pack_from_json, replay_pack
 
 
@@ -207,6 +210,85 @@ def test_ep_check_extension_all_pass(tmp_path):
     rc, out, _ = run(["ep-check-extension", "--codes", path])
     assert rc == 0
     assert json.loads(out)["result"]["maps"][0]["extends"] is True
+
+
+def _extension_by_scan(cmap):
+    """(transform, group_order, candidate_space) of extension_search by a
+    scan of the sorted listing of Aut(A): the first sigma, in lexicographic
+    order, for which every target position i has an automorphism sending
+    source column sigma[i] to image column i on the generators, with each
+    tau the first such one."""
+    perms = automorphism_group(cmap.source.alphabet).elements
+    n = cmap.source.length
+    pairs = list(zip(cmap.source.generators, cmap.gen_images))
+    space = math.factorial(n) * len(perms) ** n
+    for sigma in itertools.permutations(range(n)):
+        taus = [
+            next((t for t in perms if all(t[g[j]] == fg[i] for g, fg in pairs)), None)
+            for i, j in enumerate(sigma)
+        ]
+        if None not in taus:
+            return {"sigma": list(sigma), "taus": [list(t) for t in taus]}, len(perms), space
+    return None, len(perms), space
+
+
+def test_ep_check_extension_matches_a_scan_of_the_listing(tmp_path):
+    """On Z/2 (+) Z/4 over Z/4 (element 4a + b for (a, b)), where the orbits
+    split the annihilator class {2, 4, 6}, one map extends with sigma = [1, 0]
+    and a tau that moves 1 to 5, and one does not."""
+    path = write_json(
+        tmp_path / "codes.json",
+        {
+            "alphabet": {
+                "ring": {"kind": "mod_n", "n": 4},
+                "module": {
+                    "kind": "direct_sum",
+                    "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}],
+                },
+            },
+            "length": 2,
+            "codes": [
+                {"name": "C", "generators": [[4, 1]]},
+                {"name": "D", "generators": [[5, 4]]},
+                {"name": "E", "generators": [[2, 1]]},
+            ],
+            "maps": [
+                {"from": "C", "to": "D", "gen_images": [[5, 4]]},
+                {"from": "C", "to": "E", "gen_images": [[2, 1]]},
+            ],
+        },
+    )
+    rc, out, _ = run(["ep-check-extension", "--codes", path])
+    assert rc == 1
+    reported = json.loads(out)["result"]["maps"]
+    assert [m["extends"] for m in reported] == [True, False]
+    assert reported[0]["transform"]["sigma"] == [1, 0]
+    for entry, (_, _, cmap) in zip(reported, load_codes(path, Guards())[3]):
+        scan = (entry["transform"], entry["group_order"], entry["candidate_space"])
+        assert scan == _extension_by_scan(cmap)
+
+
+def test_certify_commands_never_list_the_automorphism_group(tmp_path, monkeypatch):
+    """The orbit lemma, necessity and the F_2^4 counterexample read Aut(A)
+    only through its stabilizer chain: no group they build lists its
+    elements."""
+    groups = []
+    init = AutGroup.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        groups.append(self)
+
+    monkeypatch.setattr(AutGroup, "__init__", recording)
+    spec = write_json(
+        tmp_path / "f2-col4.json",
+        {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
+    )
+    assert run(["verify-orbit-lemma", "--spec", spec])[0] == 0
+    assert run(["verify-necessity", "--spec", spec])[0] == 1
+    assert run(["ep-counterexample", "--m", "1", "--k", "4", "--q", "2"])[0] == 1
+    assert 20160 in [g.order for g in groups]
+    assert all("elements" not in g.__dict__ for g in groups)
 
 
 # ---------------------------------------------------------------------------

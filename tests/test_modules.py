@@ -324,29 +324,8 @@ def test_automorphism_group_is_a_group():
             assert AutGroup.compose(p, q) in g.index
 
 
-def _rebuilt_generators(group):
-    """The former AutGroup.generators: keep each element, in sorted order,
-    that lies outside the subgroup generated by those kept before it, and
-    rebuild that subgroup from scratch after each one kept."""
-    identity = tuple(group.module.elements())
-    gens, reached = [], {identity}
-    for p in group.elements:
-        if p in reached:
-            continue
-        gens.append(p)
-        reached, frontier = {identity}, [identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = AutGroup.compose(g, x)
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-    return tuple(gens)
-
-
-def _closure_size(group):
-    """The number of distinct products of the generators, all in the group."""
+def _closure(group):
+    """Every product of the generators, starting from the identity."""
     reached = {tuple(group.module.elements())}
     frontier = list(reached)
     while frontier:
@@ -354,10 +333,20 @@ def _closure_size(group):
         for g in group.generators:
             y = AutGroup.compose(x, g)
             if y not in reached:
-                assert y in group.index
                 reached.add(y)
                 frontier.append(y)
-    return len(reached)
+    return reached
+
+
+def _orbit_labels_by_listing(group):
+    """The orbit labels from every element of Aut(A): each element's label
+    is the least member of its orbit {p[a] : p in Aut(A)}."""
+    labels = [-1] * group.module.order
+    for a in range(len(labels)):
+        if labels[a] == -1:
+            for x in {p[a] for p in group.elements}:
+                labels[x] = a
+    return tuple(labels)
 
 
 def _descriptor_module(ring_desc, module_desc):
@@ -386,15 +375,49 @@ GENERATOR_ALPHABETS = {
 @pytest.mark.parametrize("relabel", [False, True], ids=["named", "relabelled"])
 @pytest.mark.parametrize("name", list(GENERATOR_ALPHABETS))
 def test_generators_match_the_rebuilt_closure_oracle(name, relabel):
-    """Dimino's coset closure keeps the same generators as rebuilding the
-    subgroup after each one, and they generate all of Aut(A)."""
+    """The stabilizer chain's generators generate exactly the sorted listing
+    of Aut(A), whose length is the chain's order, and give its orbits."""
     module = GENERATOR_ALPHABETS[name]()
     if relabel:
         module = _seeded_relabel(module, random.Random(name))
     group = automorphism_group(module)
-    assert group.generators == _rebuilt_generators(group)
+    assert _closure(group) == set(group.elements)
+    assert group.order == len(group.elements)
     assert 2 ** len(group.generators) <= group.order
-    assert _closure_size(group) == group.order
+    assert partition(module, "orbit").labels == _orbit_labels_by_listing(group)
+
+
+@given(name=st.sampled_from(list(GENERATOR_ALPHABETS)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_chain_agrees_with_the_listing_on_relabelled_alphabets(name, seed):
+    """On seeded relabelled copies of the GENERATOR_ALPHABETS (all of order
+    at most 64) the chain's order is the listing's length, its generators
+    give the listing's orbits, and the orbits refine the annihilator
+    classes."""
+    module = _seeded_relabel(GENERATOR_ALPHABETS[name](), random.Random(seed))
+    group = automorphism_group(module)
+    orbits = partition(module, "orbit")
+    assert group.order == len(group.elements)
+    assert orbits.labels == _orbit_labels_by_listing(group)
+    annihilator = partition(module, "annihilator").labels
+    for members in orbits.classes().values():
+        assert len({annihilator[x] for x in members}) == 1
+
+
+@pytest.mark.parametrize("name", ["z2+z4 over z4", "m23 over m2f2", "f2^3", "z8+z8"])
+def test_chain_is_exact_along_every_generator_order(name):
+    """The chain needs only a generating tuple, not the greedy one.  Along
+    (4, 1) on Z/2 + Z/4 some partial maps do not extend: 4 = (1, 0) -> 2 =
+    (0, 2) is injective on its span, but then the image of 1 spans only 4
+    elements, so that y must not count towards the orbit of 4."""
+    greedy = GENERATOR_ALPHABETS[name]()
+    for gens in itertools.permutations(module_generators(greedy)):
+        module = GENERATOR_ALPHABETS[name]()
+        module._cache["generators"] = gens
+        group = automorphism_group(module)
+        assert group.order == len(group.elements) == automorphism_group(greedy).order
+        assert _closure(group) == set(group.elements)
+        assert partition(module, "orbit").labels == partition(greedy, "orbit").labels
 
 
 def test_partition_frozen_z2z4():
@@ -839,7 +862,10 @@ def _orbit_pairs_by_brute_force(module):
 
 
 def _counted_pseudo_injective(module, monkeypatch):
-    """(verdict, the number of extension searches, i.e. calls with base=)."""
+    """(verdict, the number of extension searches, i.e. calls with base=).
+    Aut(A) is built first, so the stabilizer chain's own searches are not
+    counted."""
+    automorphism_group(module)
     searches = []
     kernel = modules.iter_linear_maps
 
