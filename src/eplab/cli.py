@@ -9,6 +9,7 @@ fails, 2 hypotheses unmet, 3 guard exceeded or unsupported construction,
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -278,8 +279,11 @@ def _cmd_weights(args, guards: Guards) -> int:
 def _cmd_ep_counterexample(args, guards: Guards) -> int:
     pack = build_counterexample(args.m, args.k, args.q, guards)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(pack.as_json(), sort_keys=True, indent=2) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(pack.as_json(), sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     inputs = {"m": args.m, "k": args.k, "q": args.q}
     _emit("ep-counterexample", inputs, guards, {"pack": pack.as_json()})
     return 1
@@ -345,6 +349,7 @@ _cmd_verify_all = _verdict_command("verify-all", verify_all)
 # argument parsing
 
 
+@functools.cache  # built on first use; parsing leaves a parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eplab",

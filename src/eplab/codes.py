@@ -222,13 +222,16 @@ def map_preserves(
     kind: str,
     guards: Guards = DEFAULT_GUARDS,
 ) -> bool:
+    """Whether each word and its image have equal weights of this kind."""
     alphabet = cmap.source.alphabet
-    for word, image in cmap.mapping.items():
-        if weight_profile(alphabet, word, kind, guards) != weight_profile(
-            alphabet, image, kind, guards
-        ):
-            return False
-    return True
+    if kind == "hamming":
+        zero = alphabet.zero
+        return all(w.count(zero) == v.count(zero) for w, v in cmap.mapping.items())
+    if kind not in ("swc", "aw"):
+        raise InputError(f"unknown weight kind {kind!r}")
+    labels = partition(alphabet, "orbit" if kind == "swc" else "annihilator", guards=guards).labels
+    pairs = cmap.mapping.items()
+    return all(sorted(labels[x] for x in w) == sorted(labels[x] for x in v) for w, v in pairs)
 
 
 def column_fingerprint(code: Code, position: int, index: OrbitIndex) -> tuple[int, ...]:

@@ -308,11 +308,32 @@ def product_table(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int,
 def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:
     """(add, act) of the column module M_{m x k}(F_q) over M_m(F_q), both
     indexed as matrix_to_index does; with k = m they are the ring's tables."""
-    mats = [index_to_matrix(field, m, k, i) for i in range(field.q ** (m * k))]
-    ring_mats = [index_to_matrix(field, m, m, i) for i in range(field.q ** (m * m))]
     add = product_table([field.add_table] * (m * k))
-    act = tuple(tuple(matrix_to_index(r.mul(a)) for a in mats) for r in ring_mats)
+    # r.a is linear in r and in a, so products of unit matrices fix it: column
+    # i lists r.E_i for every r, and row r of act is linear in a
+    left, right = unit_matrices(field, m, m), unit_matrices(field, m, k)
+    columns = [linear_table(field, add, [u.mul(e).entries for u in left]) for e in right]
+    act = tuple(
+        linear_table(field, add, [index_to_entries(x, field.q, m * k) for x in images])
+        for images in zip(*columns)
+    )
     return add, act
+
+
+def unit_matrices(field: FiniteField, rows: int, cols: int) -> list[Matrix]:
+    """The unit matrices, entry by entry in row-major order."""
+    return [index_to_matrix(field, rows, cols, field.q**i) for i in reversed(range(rows * cols))]
+
+
+def linear_table(field: FiniteField, add, images: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Index table of the F_q-linear map sending unit vector i to images[i],
+    both sides numbered as entries_to_index does; add adds in the target."""
+    out = [0]
+    for image in images:
+        # out[v * q + c] = out[v] + c * image: one base-q digit at a time
+        scaled = [entries_to_index([c[x] for x in image], field.q) for c in field.mul_table]
+        out = [add[v][w] for v in out for w in scaled]
+    return tuple(out)
 
 
 def mixed_radix_join(parts: Iterable[int], radices: Iterable[int]) -> int:

@@ -41,8 +41,8 @@ from .fields import (
     entries_to_index,
     factor_prime_power,
     index_to_entries,
-    index_to_matrix,
-    matrix_to_index,
+    linear_table,
+    unit_matrices,
 )
 from .modules import (
     Module,
@@ -142,12 +142,10 @@ def _projection_matrix(field: FiniteField, k: int, basis_v: Sequence[Word], basi
     cols = list(basis_v) + list(basis_w)
     if len(cols) != k:
         raise InternalConsistencyError("bases do not assemble to a full frame")
-    change = Matrix.from_rows(field, [[cols[j][i] for j in range(k)] for i in range(k)])
-    d = len(basis_v)
-    diag = Matrix.from_rows(
-        field, [[1 if (i == j and i < d) else 0 for j in range(k)] for i in range(k)]
-    )
-    return change.mul(diag).mul(change.inverse())
+    rows = [[cols[j][i] for j in range(k)] for i in range(k)]
+    # P = C.D.C^-1 with D = diag(1, .., 1, 0, .., 0): C.D keeps the basis_v columns
+    kept = Matrix.from_rows(field, [row[: len(basis_v)] + [0] * len(basis_w) for row in rows])
+    return kept.mul(Matrix.from_rows(field, rows).inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +304,15 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
             f"coordinate counts {len(coords_plus)}/{len(coords_minus)} != formula {n}"
         )
 
-    mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
     gens = module_generators(alphabet)
+    units = unit_matrices(field, m, k)
     expected = alphabet.order
 
     def assignment(coords):
-        chosen = []
-        for si, t in coords:
-            options = complements[si]
-            chosen.append((si, options[t % len(options)]))
-        return chosen
+        return [(si, complements[si][t % len(complements[si])]) for si, t in coords]
 
-    def word_of(a, projs):
-        return tuple(matrix_to_index(mats[a].mul(p)) for p in projs)
+    def word_of(a, assign):
+        return tuple(tables[pair][a] for pair in assign)
 
     def coord_json(assign, coords):
         out = []
@@ -335,15 +329,17 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
 
     assign_plus = assignment(coords_plus)
     assign_minus = assignment(coords_minus)
-    projs_plus = [_projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_plus]
-    projs_minus = [_projection_matrix(field, k, bases[si], bases[wi]) for si, wi in assign_minus]
-    gens_plus = tuple(word_of(g, projs_plus) for g in gens)
-    gens_minus = tuple(word_of(g, projs_minus) for g in gens)
+    tables = {}  # one table of the linear map a -> a.P per distinct P
+    for si, wi in set(assign_plus + assign_minus):
+        p = _projection_matrix(field, k, bases[si], bases[wi])
+        tables[si, wi] = linear_table(field, alphabet.add_table, [e.mul(p).entries for e in units])
+    gens_plus = tuple(word_of(g, assign_plus) for g in gens)
+    gens_minus = tuple(word_of(g, assign_minus) for g in gens)
     cp = code_generate(alphabet, n, gens_plus, guards)
     cm = code_generate(alphabet, n, gens_minus, guards)
-    if set(cp.elements) != {word_of(a, projs_plus) for a in alphabet.elements()}:
+    if set(cp.elements) != {word_of(a, assign_plus) for a in alphabet.elements()}:
         raise InternalConsistencyError("plus code differs from the full word image")
-    if set(cm.elements) != {word_of(a, projs_minus) for a in alphabet.elements()}:
+    if set(cm.elements) != {word_of(a, assign_minus) for a in alphabet.elements()}:
         raise InternalConsistencyError("minus code differs from the full word image")
     cmap = code_map_make(cp, cm, gens_minus, guards)
 

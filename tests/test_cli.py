@@ -13,10 +13,12 @@ import time
 
 import pytest
 
+from eplab import cli
 from eplab.cli import load_codes, main
 from eplab.errors import Guards, InputError
 from eplab.modules import AutGroup, automorphism_group
 from eplab.theorems import pack_from_json, replay_pack
+from test_golden import GOLDEN_DIR, run_case
 
 
 def run(argv):
@@ -181,6 +183,15 @@ def test_ep_counterexample_emits_replayable_pack(tmp_path):
     assert json.loads(out_path.read_text()) == pack_json
     pack = pack_from_json(pack_json)
     assert replay_pack(pack).result == "verified"
+
+
+@pytest.mark.parametrize("target", ["missing/pack.json", "."], ids=["missing-dir", "a-directory"])
+def test_ep_counterexample_out_to_an_unwritable_path_exits_4(tmp_path, target):
+    path = str(tmp_path / target)
+    rc, out, err = run(["ep-counterexample", "--m", "1", "--k", "2", "--q", "2", "--out", path])
+    assert (rc, out) == (4, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_ep_check_extension_mixed(z4_codes):
@@ -589,6 +600,14 @@ def test_bad_command_line(capsys):
     assert main(["ring-info"]) == 4  # missing --spec
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["ep-counterexample", "--m", "1", "--k", "2"])[:2] == (4, "")
+    for stem in ("ring-info-m2f2", "ep-counterexample-1-2-2"):
+        expected = (GOLDEN_DIR / f"{stem}.out").read_text(encoding="utf-8")
+        assert run_case(stem, str(tmp_path)) == expected
 
 
 def test_bad_guard_flag_value(z4_spec):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 import time
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from eplab.modules import (
     automorphism_group,
     direct_power,
     iter_linear_maps,
+    module_generators,
     module_make,
     partition,
     submodule_orbits,
@@ -308,6 +310,41 @@ def test_build_is_a_single_pass(m, k, q):
     assert pack.transcript["checks"]
     assert all(pack.transcript["checks"].values())
     assert pack.transcript["required_checks"] == sorted(pack.transcript["checks"])
+
+
+def _logged(real, log):
+    def wrapper(*args):
+        log.append(real(*args))
+        return log[-1]
+
+    return wrapper
+
+
+@pytest.mark.parametrize("m,k,q", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 4), (1, 3, 3)])
+def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch):
+    """Each table of a -> a.P, filled by linearity, equals the product a.P for
+    every a; there is one per (subspace, kernel) pair, and the generator
+    words read the products of the pair each coordinate names."""
+    projections, tables = [], []
+    monkeypatch.setattr(theorems, "_projection_matrix", _logged(_projection_matrix, projections))
+    monkeypatch.setattr(theorems, "linear_table", _logged(theorems.linear_table, tables))
+    pack = build_counterexample(m, k, q)
+    field = FiniteField(q)
+    mats = [index_to_matrix(field, m, k, a) for a in range(q ** (m * k))]
+    for proj, table in zip(projections, tables, strict=True):
+        assert table == tuple(matrix_to_index(a.mul(proj)) for a in mats)
+
+    subspaces, bases = _subspaces(q, k, Guards())
+    basis = {json.dumps([list(v) for v in sub]): bases[si] for si, sub in enumerate(subspaces)}
+    gens = module_generators(matrix_module(m, q, k))
+    pairs = set()
+    for side, words in (("plus", pack.generators_plus), ("minus", pack.generators_minus)):
+        coordinates = pack.transcript["coordinates"][side]
+        coords = [(json.dumps(c["subspace"]), json.dumps(c["kernel"])) for c in coordinates]
+        pairs.update(coords)
+        projs = [_projection_matrix(field, k, basis[v], basis[w]) for v, w in coords]
+        assert words == tuple(tuple(matrix_to_index(mats[g].mul(p)) for p in projs) for g in gens)
+    assert len(tables) == len(pairs)
 
 
 @pytest.mark.parametrize("m,k,q", [(1, 3, 2), (2, 3, 2), (1, 2, 3)])
@@ -931,6 +968,31 @@ def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
     expected = _unreduced_sufficiency_counts(alphabet, max_n, 2)
     assert report.counts == expected
     assert _sweep_yields(alphabet, max_n, 2) < expected["isomorphisms"]
+
+
+def _preserves_by_profiles(cmap, kind):
+    alphabet = cmap.source.alphabet
+    return all(
+        weight_profile(alphabet, word, kind) == weight_profile(alphabet, image, kind)
+        for word, image in cmap.mapping.items()
+    )
+
+
+def test_map_preserves_matches_the_weight_profile_oracle():
+    # on Z/2 (+) Z/4 the orbits split an annihilator class, so swc and aw differ
+    table_alphabet = relabelled(z2_plus_z4(), random.Random(5).sample(range(8), 8))
+    seen = set()
+    for alphabet, max_n, max_gens in ((z4_klein(), 2, 2), (table_alphabet, 2, 1)):
+        for words, members, gens, fmap in _unreduced_sweep(alphabet, max_n, max_gens, {"codes": 0}):
+            cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+            verdicts = tuple(map_preserves(cmap, kind) for kind in ("hamming", "swc", "aw"))
+            assert verdicts == tuple(
+                _preserves_by_profiles(cmap, kind) for kind in ("hamming", "swc", "aw")
+            )
+            seen.add(verdicts)
+    assert seen == {(True, True, True), (True, False, True), (False, False, False)}
+    with pytest.raises(InputError, match="unknown weight kind"):
+        map_preserves(cmap, "lee")
 
 
 @pytest.mark.parametrize(
