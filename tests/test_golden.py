@@ -117,6 +117,14 @@ def _cases() -> dict:
     n4 = ["verify-midway", "--max-n", "4", "--max-gens", "2", "--max-order", "256"]
     cases["verify-midway-z4-n4"] = (n4, "z4")
     cases["verify-midway-f2-col2-n4"] = (n4, "f2-col2")
+    # every code of length n <= 3 over Z/4 and F_4 needs at most 3 generators
+    for name in ("z4", "f4"):
+        for command in ("verify-midway", "verify-sufficiency"):
+            argv = [command, "--max-n", "3", "--max-gens", "3"]
+            cases[f"{command}-{name}-n3-g3"] = (argv, name)
+    cases["verify-midway-f2-col2-n3-g4"] = (
+        ["verify-midway", "--max-n", "3", "--max-gens", "4"], "f2-col2"
+    )
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
     cases["verify-sufficiency-z4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")
