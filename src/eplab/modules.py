@@ -244,11 +244,11 @@ def _map_plan(src: Module, gens: tuple[int, ...], domain: tuple[int, ...]):
     once per (gens, domain) and cached on src.  Returns (order, steps).
 
     The span C grows in discovery order: domain, then for each generator g
-    the new elements s + r*g in (r, s) order.  f(s + r*g) = f(s) + r*y is
+    the new elements x = s + r*g in (r, s) order.  f(s + r*g) = f(s) + r*y is
     well defined, and then linear, exactly when d*y = f(d*g) for every d with
     d*g in C.  steps[i] = (checks, new) holds the pairs (d, pos(d*g)) of that
     conductor with d*g != 0 (the candidates' annihilators cover d*g = 0) and
-    the pairs (pos(s), r) of the new elements.  order sorts the positions.
+    the triples (pos(s), r, x) of the new elements.  order sorts the positions.
     """
     key = ("map_plan", gens, domain)
     if key not in src._cache:
@@ -265,7 +265,7 @@ def _map_plan(src: Module, gens: tuple[int, ...], domain: tuple[int, ...]):
                     if s not in pos:
                         pos[s] = len(span)
                         span.append(s)
-                        new.append((p, r))
+                        new.append((p, r, s))
             steps.append((checks, tuple(new)))
         order = tuple(sorted(range(len(span)), key=span.__getitem__))
         src._cache[key] = (order, tuple(steps))
@@ -278,7 +278,7 @@ def _map_from_images(src: Module, dst: Module, gens: tuple[int, ...], images) ->
     order, steps = _map_plan(src, gens, (src.zero,))
     values = [dst.zero]
     for (_, new), y in zip(steps, images):
-        values += [dst.add_table[values[p]][dst.act_table[r][y]] for p, r in new]
+        values += [dst.add_table[values[p]][dst.act_table[r][y]] for p, r, _ in new]
     return tuple([values[p] for p in order])
 
 
@@ -289,6 +289,7 @@ def iter_linear_maps(
     injective: bool = False,
     base: Optional[dict] = None,
     target_members: Optional[frozenset] = None,
+    key: Optional[Sequence] = None,
 ):
     """Yield all linear maps span(base, gens) -> dst, in deterministic order,
     each as the tuple of images of the span's members in ascending order.
@@ -300,6 +301,10 @@ def iter_linear_maps(
     conductor checks of _map_plan then accept exactly the images that extend.
     Each partial map is linear, so it is injective exactly when no new
     element of the span maps to zero; injective assumes an injective base.
+    With a key, a sequence over element indices, a partial map is dropped as
+    soon as a new element x of the span gets an image z with key[z] !=
+    key[x]: the maps yielded are those of the unkeyed listing that keep the
+    key on every new element, in the same order.
     """
     if base is None:
         base = {src.zero: dst.zero}
@@ -320,7 +325,17 @@ def iter_linear_maps(
                 if dact[d][y] != values[p]:
                     break
             else:
-                images = [dadd[values[p]][dact[r][y]] for p, r in new]
+                if key is None:
+                    images = [dadd[values[p]][dact[r][y]] for p, r, _ in new]
+                else:
+                    images = []
+                    for p, r, x in new:
+                        z = dadd[values[p]][dact[r][y]]
+                        if key[z] != key[x]:
+                            break
+                        images.append(z)
+                    if len(images) < len(new):
+                        continue
                 if injective and dzero in images:
                     continue
                 ext = values + images
@@ -384,6 +399,31 @@ def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) 
     return least_in_orbit(len(subs), map(image, perms))
 
 
+def isomorphism_leaders(
+    module: Module, subs: Sequence[Submodule], indices: Iterable[int]
+) -> dict[int, int]:
+    """leader[i], for i in indices, is the first j of indices with subs[j]
+    isomorphic to subs[i].  Isomorphic submodules have equal multisets of
+    element annihilators, and then S is isomorphic to T exactly when an
+    injective map S -> T exists: a first-leaf search, keyed on annihilator
+    classes, which isomorphisms preserve."""
+    anns = partition(module, "annihilator").labels
+    leader, classes = {}, {}
+    for i in indices:
+        shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
+        for j in shape:
+            maps = iter_linear_maps(
+                module, module, subs[i].generators, True, None, frozenset(subs[j].members), anns
+            )
+            if next(maps, None):
+                leader[i] = j
+                break
+        else:
+            leader[i] = i
+            shape.append(i)
+    return leader
+
+
 class AutGroup:
     """Aut(A) as the order and strong generators of a stabilizer chain; the
     sorted listing of every automorphism is built only on demand."""
@@ -442,36 +482,45 @@ def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
     return True
 
 
-def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
-    """Aut(A) as a stabilizer chain along module_generators(A) = (g_1..g_k)
-    (Sims 1970).  G_i, the automorphisms fixing g_1..g_{i-1}, moves g_i to
+def stabilizer_chain(module: Module, gens: Sequence[int]):
+    """Yield the levels, deepest first, of a stabilizer chain (Sims 1970) of
+    the automorphism group of C = span(gens) in the module, along gens =
+    (g_1..g_k).  G_i, the automorphisms fixing g_1..g_{i-1}, moves g_i to
     exactly the y for which the identity on span(g_1..g_{i-1}) extended by
-    g_i -> y extends to an automorphism, so |Aut(A)| is the product of these
-    orbit sizes.  From the deepest level up, the automorphism found for y
-    joins the generators only when y lies outside the orbit of g_i under
-    those kept so far.  Those kept at levels i..k then generate G_i, by
-    orbit-stabilizer, and each one at least doubles the group they generate,
-    so there are at most log2 |Aut(A)| of them.
+    g_i -> y extends to an automorphism; level i lists one such automorphism
+    per y, as the images of C's ascending members.  So |Aut(C)| is the
+    product of the level sizes."""
+    spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
+    target = frozenset(spans[-1])
+    for i in reversed(range(len(gens))):
+        identity, level = dict(zip(spans[i], spans[i])), []
+        for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
+            base = dict(zip(spans[i + 1], step))
+            full = next(iter_linear_maps(module, module, gens[i + 1 :], True, base, target), None)
+            if full is not None:
+                level.append(full)
+        yield level
+
+
+def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
+    """Aut(A) as the stabilizer_chain along module_generators(A).  From the
+    deepest level up, the automorphism listed for y joins the generators only
+    when y lies outside the orbit of g_i under those kept so far.  Those kept
+    at levels i..k then generate G_i, by orbit-stabilizer, and each one at
+    least doubles the group they generate, so there are at most
+    log2 |Aut(A)| of them.
     """
     if "aut_group" not in module._cache:
         check_guard(module.order, guards.max_order, f"module order {module.order}")
         gens = module_generators(module)
-        spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
         order, kept = 1, []
-        for i in reversed(range(len(gens))):
-            g, labels, size = gens[i], least_in_orbit(module.order, kept), 0
-            identity = dict(zip(spans[i], spans[i]))
-            for step in iter_linear_maps(module, module, (g,), injective=True, base=identity):
-                base = dict(zip(spans[i + 1], step))
-                rest = iter_linear_maps(module, module, gens[i + 1 :], injective=True, base=base)
-                full = next(rest, None)
-                if full is None:
-                    continue
-                size += 1
+        for g, level in zip(reversed(gens), stabilizer_chain(module, gens)):
+            order *= len(level)
+            labels = least_in_orbit(module.order, kept)
+            for full in level:
                 if labels[full[g]] != labels[g]:
                     kept.append(full)
                     labels = least_in_orbit(module.order, kept)
-            order *= size
         module._cache["aut_group"] = AutGroup(module, order, tuple(kept))
     return module._cache["aut_group"]
 

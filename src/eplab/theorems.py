@@ -15,6 +15,7 @@ nothing is emitted on trust.
 """
 
 import dataclasses
+import math
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -54,12 +55,14 @@ from .modules import (
     generators_within,
     hom_count_from_simple,
     is_pseudo_injective,
+    isomorphism_leaders,
     iter_linear_maps,
     module_generators,
     module_make,
     partition,
     simple_catalog,
     socle_report,
+    stabilizer_chain,
     submodule_orbits,
 )
 from .rings import (
@@ -624,21 +627,28 @@ def _sweep(
     bounds: tuple[int, int, bool],
     counts: dict,
     details: dict,
+    tally: str,
+    key: str,
 ):
-    """Yield (n, words, weights, profiles, members, gens, fmap, weight) for
-    the isomorphisms between the codes of A^n, n = 1..max_n, that need at
-    most max_gens generators, each map as the images of members in order.
-    A code larger than the max_code guard raises GuardExceeded.
+    """Yield (n, words, profiles, members, gens, fmap, weight) for the
+    isomorphisms between the codes of A^n, n = 1..max_n, that need at most
+    max_gens generators, each map as the images of members in order, when it
+    keeps the key weight ("hamming" or "swc") of every word.  A code larger
+    than the max_code guard raises GuardExceeded before its length is searched.
 
     The codes are submodules_enumerate(A^n, guards, max_gens), gens their
-    generators.  words[x] is the word at ambient index x, weights[x] its
-    Hamming weight and profiles[x] its sorted orbit labels.  A length's codes
-    are counted in counts["codes"] when the length starts and split into
-    orbits by submodule_orbits under _monomial_generators (an unlisted image
-    code raises).  Then, for each pair (C, D) of first codes of monomial
-    orbits with |C| = |D|, in list order, the maps C -> D are enumerated
-    once, and each map the caller tallies adds its pair weight
-    |orbit(C)| * |orbit(D)| in place of 1.
+    generators.  words[x] is the word at ambient index x and profiles[x] an
+    id of its sorted orbit labels.  A length's codes are counted in
+    counts["codes"] when the length starts and split into orbits by
+    submodule_orbits under _monomial_generators (an unlisted image code
+    raises), and the first codes of the orbits into isomorphism classes by
+    isomorphism_leaders.  Then, for each pair (C, D) of first codes of one
+    class, in list order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)|
+    to counts[tally] before its maps are visited: Iso(C, D) is the coset
+    f.Aut(C), and stabilizer_chain gives |Aut(C)|.  Its maps are enumerated
+    once, keyed on the weights, so a partial map is dropped as soon as it
+    changes the weight of one word; each map the caller tallies adds the
+    pair weight |orbit(C)| * |orbit(D)| in place of 1.
     This is exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
     C -> h(D); and every injective map on a code is onto a listed code of
@@ -661,26 +671,30 @@ def _sweep(
         ambient = direct_power(alphabet, n, guards)
         labels = partition(alphabet, "orbit", guards=guards).labels
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
-        weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
-        profiles = [tuple(sorted(labels[c] for c in w)) for w in words]
+        ids: dict = {}
+        profiles = [ids.setdefault(tuple(sorted(labels[c] for c in w)), len(ids)) for w in words]
+        keys = profiles if key == "swc" else [n - w.count(alphabet.zero) for w in words]
         codes = submodules_enumerate(ambient, guards, max_gens)
         counts["codes"] += len(codes)
+        for code in codes:
+            check_guard(len(code.members), guards.max_code, "code size")
         # keyed by each orbit's first code, in list order
         orbit_size = Counter(
             submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
         )
+        leader = isomorphism_leaders(ambient, codes, orbit_size)
+        aut = {
+            i: math.prod(map(len, stabilizer_chain(ambient, codes[i].generators)))
+            for i in set(leader.values())
+        }
         for i in orbit_size:
             members, gens = codes[i].members, codes[i].generators
-            check_guard(len(members), guards.max_code, "code size")
-            for j in orbit_size:
-                target = codes[j].members
-                if len(target) != len(members):
-                    continue
+            for j in (j for j in orbit_size if leader[j] == leader[i]):
                 weight = orbit_size[i] * orbit_size[j]
-                for fmap in iter_linear_maps(
-                    ambient, ambient, gens, injective=True, target_members=frozenset(target)
-                ):
-                    yield n, words, weights, profiles, members, gens, fmap, weight
+                counts[tally] += weight * aut[leader[i]]
+                target = frozenset(codes[j].members)
+                for fmap in iter_linear_maps(ambient, ambient, gens, True, None, target, keys):
+                    yield n, words, profiles, members, gens, fmap, weight
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
@@ -721,19 +735,14 @@ def verify_midway(
 
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     details: dict = {}
-    for n, words, weights, profiles, members, gens, fmap, weight in _sweep(
-        alphabet, guards, bounds, counts, details
+    # 0 is alone in its orbit, so swc preservation implies Hamming
+    # preservation: keying on Hamming weights loses no tallied map or witness
+    for n, words, profiles, members, gens, fmap, weight in _sweep(
+        alphabet, guards, bounds, counts, details, "monomorphisms", "hamming"
     ):
-        counts["monomorphisms"] += weight
-        hamming_ok = all(weights[x] == weights[y] for x, y in zip(members, fmap))
-        swc_ok = all(profiles[x] == profiles[y] for x, y in zip(members, fmap))
-        if not (hamming_ok or swc_ok):
-            continue
         cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
-        if hamming_ok != swc_ok:
-            details["witness"] = _witness(
-                n, cmap, hamming_preserved=hamming_ok, swc_preserved=swc_ok
-            )
+        if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
+            details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["hamming_preserving"] += weight
         verdict = midway_peeling(cmap, guards)
@@ -768,12 +777,9 @@ def verify_sufficiency(
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
-    for n, words, _, profiles, members, gens, fmap, weight in _sweep(
-        alphabet, guards, bounds, counts, details
+    for n, words, _, members, gens, fmap, weight in _sweep(
+        alphabet, guards, bounds, counts, details, "isomorphisms", "swc"
     ):
-        counts["isomorphisms"] += weight
-        if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
-            continue
         counts["swc_preserving"] += weight
         cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if extension_search(cmap, guards=guards).transform is None:

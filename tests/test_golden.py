@@ -122,9 +122,11 @@ def _cases() -> dict:
         for command in ("verify-midway", "verify-sufficiency"):
             argv = [command, "--max-n", "3", "--max-gens", "3"]
             cases[f"{command}-{name}-n3-g3"] = (argv, name)
-    cases["verify-midway-f2-col2-n3-g4"] = (
-        ["verify-midway", "--max-n", "3", "--max-gens", "4"], "f2-col2"
-    )
+    # gens <= 6 is the full lattice of F_2^6: 2,897 codes and 68,719,542,288
+    # monomorphisms over n <= 3, counted by cosets of Aut(C)
+    for gens in ("4", "6"):
+        argv = ["verify-midway", "--max-n", "3", "--max-gens", gens]
+        cases[f"verify-midway-f2-col2-n3-g{gens}"] = (argv, "f2-col2")
     cases["verify-sufficiency-z4"] = (["verify-sufficiency", "--max-n", "2"], "z4")
     cases["verify-sufficiency-z4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")

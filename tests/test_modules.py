@@ -26,6 +26,7 @@ from eplab.modules import (
     hom_count_from_simple,
     is_module_automorphism,
     is_pseudo_injective,
+    isomorphism_leaders,
     iter_linear_maps,
     minimal_submodules,
     module_generators,
@@ -34,6 +35,7 @@ from eplab.modules import (
     simple_catalog,
     socle,
     socle_report,
+    stabilizer_chain,
     submodule_generated,
     submodules_enumerate,
 )
@@ -675,6 +677,86 @@ def test_full_lattice_matches_the_pairwise_closure(name):
             for gens in itertools.combinations_with_replacement(module.elements(), j)
         }
         assert reached == {s.members for s in within}
+
+
+SWEEP_ALPHABETS = {
+    "z4 klein": z2z2_over_z4,
+    "z8": KERNEL_ALPHABETS["z8"],
+    "f4": lambda: module_make(ring_make({"kind": "matrix", "m": 1, "q": 4}), {"kind": "regular"}),
+    "f2 col2": KERNEL_ALPHABETS["f2 col2"],
+}
+
+
+def _every_code(name, max_gens=None):
+    """(ambient A^n, its codes, the Hamming weight of each ambient word) for
+    n = 1, 2 over SWEEP_ALPHABETS[name]."""
+    alphabet = SWEEP_ALPHABETS[name]()
+    for n in (1, 2):
+        ambient = direct_power(alphabet, n)
+        words = [mixed_radix_split(x, [alphabet.order] * n) for x in ambient.elements()]
+        weights = [sum(1 for c in w if c != alphabet.zero) for w in words]
+        yield ambient, submodules_enumerate(ambient, max_gens=max_gens), weights
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
+def test_keyed_maps_are_the_unkeyed_listing_filtered_by_the_key(name):
+    """Keys: Hamming weights, annihilator classes and seeded random 2- and
+    3-valued keys.  The identity keeps every key, so no listing is empty."""
+    rng = random.Random(name)
+    dropped = 0
+    for ambient, codes, weights in _every_code(name, max_gens=2):
+        keys = [
+            weights,
+            partition(ambient, "annihilator").labels,
+            [rng.randrange(2) for _ in ambient.elements()],
+            [rng.randrange(3) for _ in ambient.elements()],
+        ]
+        for code in codes:
+            # the maps that need not be injective, only where they are few
+            for injective in (True, False) if ambient.order <= 16 else (True,):
+                maps = list(iter_linear_maps(ambient, ambient, code.generators, injective))
+                for key in keys:
+                    expected = [
+                        f for f in maps if all(key[z] == key[x] for x, z in zip(code.members, f))
+                    ]
+                    got = list(iter_linear_maps(
+                        ambient, ambient, code.generators, injective, key=key
+                    ))
+                    assert got == expected and code.members in got
+                    dropped += len(maps) - len(got)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
+def test_chain_order_counts_every_automorphism_of_every_code(name):
+    for ambient, codes, _ in _every_code(name):
+        for code in codes:
+            gens, members = code.generators, frozenset(code.members)
+            listed = iter_linear_maps(ambient, ambient, gens, injective=True, target_members=members)
+            assert math.prod(map(len, stabilizer_chain(ambient, gens))) == sum(1 for _ in listed)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
+def test_isomorphism_leaders_match_the_injective_map_relation(name):
+    """C and D are isomorphic exactly when |C| = |D| and some injective
+    linear map C -> D exists; the leader of C is the first such D."""
+    classes = listed = 0
+    for ambient, codes, _ in _every_code(name):
+
+        def injects(c, d):
+            if len(c) != len(d):
+                return False
+            maps = iter_linear_maps(
+                ambient, ambient, c.generators, injective=True, target_members=frozenset(d.members)
+            )
+            return next(maps, None) is not None
+
+        leader = isomorphism_leaders(ambient, codes, range(len(codes)))
+        for i, code in enumerate(codes):
+            assert leader[i] == next(j for j, other in enumerate(codes) if injects(code, other))
+        classes += len(set(leader.values()))
+        listed += len(codes)
+    assert 4 < classes < listed
 
 
 @pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, _relabelled_klein])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -741,10 +742,19 @@ def test_midway_strict_bound_exceeds_guard():
 
 
 @pytest.mark.parametrize("verify", [verify_midway, verify_sufficiency])
-def test_sweeps_apply_the_code_size_guard(verify):
+def test_sweeps_apply_the_code_size_guard(verify, monkeypatch):
     z4 = module_make(mod_ring(4), {"kind": "regular"})
     with pytest.raises(GuardExceeded, match="code size"):
         verify(z4, Guards(max_code=4), max_n=3, max_gens=2)
+
+    def search(*args, **kwargs):
+        raise AssertionError("a length was searched before its codes were guarded")
+
+    # Z/4 itself is a code of length 1, so no search of length 1 may run
+    for name in ("isomorphism_leaders", "stabilizer_chain", "iter_linear_maps"):
+        monkeypatch.setattr(theorems, name, search)
+    with pytest.raises(GuardExceeded, match=r"code size \(4\) exceeds guard \(2\)"):
+        verify(z4, Guards(max_code=2), max_n=1)
 
 
 def test_midway_default_bound_caps_to_guard():
@@ -871,6 +881,23 @@ def test_midway_reports_a_peeling_witness(monkeypatch):
     }
 
 
+def test_a_pair_tallies_its_maps_before_they_are_visited(monkeypatch):
+    # Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the pair starts, so a
+    # witness on its first map, the identity, stops after 1 + 1 + 2 maps
+    real_peeling = theorems.midway_peeling
+
+    def peeling(cmap, guards):
+        report = real_peeling(cmap, guards)
+        if cmap.source.size == 4:
+            return dataclasses.replace(report, result="counterexample")
+        return report
+
+    monkeypatch.setattr(theorems, "midway_peeling", peeling)
+    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
+    assert report.counts == {"codes": 3, "monomorphisms": 4, "hamming_preserving": 3, "peeled": 2}
+    assert report.details["witness"]["gen_images"] == [[1]]
+
+
 def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
     real_partition = theorems.partition
 
@@ -899,6 +926,44 @@ def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
                 "swc_preserved": False,
             },
         },
+    }
+
+
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
+def _gl_order(k, q):
+    return math.prod(q**k - q**i for i in range(k))
+
+
+@pytest.mark.parametrize(
+    "alphabet,q,dims,expected",
+    [
+        (matrix_module(1, 2, 2), 2, (2, 4, 6), (2897, 68719542288, 1981977)),
+        (module_make(ring_make({"kind": "matrix", "m": 1, "q": 4}), {"kind": "regular"}),
+         4, (1, 2, 3), (53, 262404, 3087)),
+    ],
+    ids=["f2-col2", "f4"],
+)
+def test_full_lattice_counts_match_the_closed_form(alphabet, q, dims, expected):
+    # A^n = F_q^N: every code is a subspace, and a k-dimensional one has
+    # [N, k]_q images of its dimension and |GL(k, q)| isomorphisms onto each;
+    # gens <= N reaches every code, so these counts leave nothing out
+    report = verify_midway(alphabet, max_n=3, max_gens=dims[-1])
+    codes = sum(_gaussian_binomial(n, k, q) for n in dims for k in range(n + 1))
+    monos = sum(
+        _gaussian_binomial(n, k, q) ** 2 * _gl_order(k, q) for n in dims for k in range(n + 1)
+    )
+    assert (codes, monos) == expected[:2]
+    assert report.result == "verified"
+    assert report.counts == {
+        "codes": codes, "monomorphisms": monos,
+        "hamming_preserving": expected[2], "peeled": expected[2],
     }
 
 
@@ -934,10 +999,10 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
     return counts
 
 
-def _sweep_yields(alphabet, max_n, max_gens):
-    counts = {"codes": 0}
+def _sweep_yields(alphabet, max_n, max_gens, key):
+    counts = {"codes": 0, "maps": 0}
     bounds = _sweep_bounds(Guards(), max_n, max_gens)
-    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}))
+    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", key))
 
 
 @pytest.mark.parametrize(
@@ -952,7 +1017,7 @@ def test_midway_counts_match_the_unreduced_sweep(alphabet):
     assert report.result == "verified"
     expected = _unreduced_midway_counts(alphabet, 2, 2)
     assert report.counts == expected
-    assert _sweep_yields(alphabet, 2, 2) < expected["monomorphisms"]
+    assert _sweep_yields(alphabet, 2, 2, "hamming") < expected["hamming_preserving"]
 
 
 @pytest.mark.parametrize(
@@ -967,7 +1032,7 @@ def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
     assert report.result == "verified"
     expected = _unreduced_sufficiency_counts(alphabet, max_n, 2)
     assert report.counts == expected
-    assert _sweep_yields(alphabet, max_n, 2) < expected["isomorphisms"]
+    assert _sweep_yields(alphabet, max_n, 2, "swc") < expected["swc_preserving"]
 
 
 def _preserves_by_profiles(cmap, kind):
