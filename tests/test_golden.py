@@ -33,20 +33,18 @@ KLEIN = {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": 
 Z2xZ3 = {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]}
 
 
-def _relabelled_z4_z2() -> dict:
-    """Z/4 (+) Z/2 over Z/4 as a table module whose element (a, b) gets index
-    RELABEL[2a + b]; the zero element sits at index 5, not 0, so discovery
-    order, sorted order and group order of its maps all differ."""
-    relabel = (5, 2, 7, 0, 3, 6, 1, 4)
-    pairs = [(a, b) for a in range(4) for b in range(2)]
+def _relabelled_sum(m1: int, m2: int, relabel: tuple) -> dict:
+    """Z/m1 (+) Z/m2 over Z/4 as a table module whose element (a, b) gets
+    index relabel[m2*a + b]."""
+    pairs = [(a, b) for a in range(m1) for b in range(m2)]
     index = {pair: relabel[i] for i, pair in enumerate(pairs)}
-    add = [[0] * 8 for _ in range(8)]
-    act = [[0] * 8 for _ in range(4)]
+    add = [[0] * len(pairs) for _ in pairs]
+    act = [[0] * len(pairs) for _ in range(4)]
     for a, b in pairs:
         for c, d in pairs:
-            add[index[a, b]][index[c, d]] = index[(a + c) % 4, (b + d) % 2]
+            add[index[a, b]][index[c, d]] = index[(a + c) % m1, (b + d) % m2]
         for r in range(4):
-            act[r][index[a, b]] = index[(r * a) % 4, (r * b) % 2]
+            act[r][index[a, b]] = index[(r * a) % m1, (r * b) % m2]
     return {"kind": "table", "add": add, "act": act}
 
 
@@ -67,7 +65,11 @@ SPECS = {
     "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
-    "z4-z2-table": {"ring": Z4, "module": _relabelled_z4_z2()},
+    # zero sits at index 5, not 0, so discovery order, sorted order and
+    # group order of the maps all differ
+    "z4-z2-table": {"ring": Z4, "module": _relabelled_sum(4, 2, (5, 2, 7, 0, 3, 6, 1, 4))},
+    # (Z/2)^2 over Z/4 with zero at index 2
+    "z4-klein-table": {"ring": Z4, "module": _relabelled_sum(2, 2, (2, 0, 3, 1))},
     # F_2^3: Aut(A) is GL(3, 2), with 168 elements
     "f2-col3": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 3}},
     # F_2^4: Aut(A) is GL(4, 2), with 20,160 elements
@@ -111,6 +113,9 @@ def _cases() -> dict:
     # the ideal chains of Z/4 and Z/8 give peeling more than one stage
     cases["verify-midway-z4-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-midway-z8-n2"] = (["verify-midway", "--max-n", "2", "--max-gens", "2"], "z8")
+    z8n3 = ["verify-midway", "--max-n", "3", "--max-gens", "2", "--max-order", "512"]
+    cases["verify-midway-z8-n3"] = (z8n3, "z8")
+    cases["verify-midway-z4-klein-table"] = (["verify-midway", "--max-n", "2"], "z4-klein-table")
     cases["verify-midway-f2-col2-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "f2-col2")
     cases["verify-midway-z4-klein-n3"] = (["verify-midway", "--max-n", "3", "--max-gens", "2"], "z4-klein")
     # n = 4 needs an ambient order of 256: 1,282 codes and 31,644,724 monomorphisms on Z/4
