@@ -308,7 +308,14 @@ def iter_linear_maps(
     """
     if base is None:
         base = {src.zero: dst.zero}
-    order, steps = _map_plan(src, tuple(gens), tuple(base))
+    search = _map_search(src, dst, gens, injective, tuple(base), target_members, key)
+    yield from search(list(base.values()))
+
+
+def _map_search(src, dst, gens, injective, domain, target_members=None, key=None):
+    """iter_linear_maps for bases on domain, its candidate lists built once:
+    a function from a base's images, in domain order, to their extensions."""
+    order, steps = _map_plan(src, tuple(gens), domain)
     anns_src, anns_dst = annihilator_sets(src), annihilator_sets(dst)
     pool = dst.elements() if target_members is None else sorted(target_members)
     candidate_sets = [
@@ -344,8 +351,7 @@ def iter_linear_maps(
                 else:
                     yield tuple([ext[p] for p in order])
 
-    values = list(base.values())
-    yield from rec(0, values) if steps else [tuple([values[p] for p in order])]
+    return lambda values: rec(0, values) if steps else iter([tuple([values[p] for p in order])])
 
 
 def hom_count_from_simple(simple: Module, target: Module) -> int:
@@ -494,9 +500,9 @@ def stabilizer_chain(module: Module, gens: Sequence[int]):
     target = frozenset(spans[-1])
     for i in reversed(range(len(gens))):
         identity, level = dict(zip(spans[i], spans[i])), []
+        extend = _map_search(module, module, gens[i + 1 :], True, spans[i + 1], target)
         for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
-            base = dict(zip(spans[i + 1], step))
-            full = next(iter_linear_maps(module, module, gens[i + 1 :], True, base, target), None)
+            full = next(extend(list(step)), None)
             if full is not None:
                 level.append(full)
         yield level

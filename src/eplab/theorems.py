@@ -697,6 +697,22 @@ def _sweep(
                     yield n, words, profiles, members, gens, fmap, weight
 
 
+def _peels(alphabet: Module, memo: dict, words: list[Word], profiles, members, fmap) -> bool:
+    """Whether midway_peeling verifies the Hamming-preserving map fmap on
+    members, in its word order, as members ascend with their words.  memo
+    keeps a pair's _peel_labels verdict under its profile ids, which fix its
+    annihilator labels, as orbits refine annihilator classes."""
+    labels = partition(alphabet, "annihilator").labels
+    for x, y in zip(members, fmap):
+        pair = profiles[x], profiles[y]
+        if pair not in memo:
+            keys = (tuple(sorted(labels[c] for c in words[z])) for z in (x, y))
+            memo[pair] = _peel_labels(alphabet, *keys)[1]
+        if not memo[pair]:
+            return False
+    return True
+
+
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
     """The fields every sweep witness shares, followed by extra."""
     return {
@@ -719,7 +735,8 @@ def verify_midway(
 ) -> VerdictReport:
     """Sweep all codes and linear monomorphisms within bounds and assert that
     Hamming preservation and swc preservation coincide, certifying the forward
-    direction independently through peeling."""
+    direction independently through peeling (_peels).  Only a witness becomes
+    a CodeMap, with a midway_peeling report that must agree."""
     claim = "Hamming preservation is equivalent to swc preservation for code monomorphisms"
     bounds = _sweep_bounds(guards, max_n, max_gens)
     ring = alphabet.ring
@@ -737,16 +754,20 @@ def verify_midway(
     details: dict = {}
     # 0 is alone in its orbit, so swc preservation implies Hamming
     # preservation: keying on Hamming weights loses no tallied map or witness
+    memos: dict = {}  # per length, as profile ids are
     for n, words, profiles, members, gens, fmap, weight in _sweep(
         alphabet, guards, bounds, counts, details, "monomorphisms", "hamming"
     ):
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
         if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
+            cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
             details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["hamming_preserving"] += weight
-        verdict = midway_peeling(cmap, guards)
-        if verdict.result != "verified":
+        if not _peels(alphabet, memos.setdefault(n, {}), words, profiles, members, fmap):
+            cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+            verdict = midway_peeling(cmap, guards)
+            if verdict.result == "verified":
+                raise InternalConsistencyError("midway_peeling verifies a map whose peel failed")
             details["witness"] = _witness(n, cmap, peeling=verdict.as_json())
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["peeled"] += weight

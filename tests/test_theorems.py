@@ -802,37 +802,46 @@ def _moves_a_word(cmap):
     return any(word != image for word, image in cmap.mapping.items())
 
 
+def _unbalanced_at(monkeypatch, label_pair):
+    """Make _peel_labels find label_pair unbalanced, one image entry over at
+    its last stage.  Both verify_midway's memoised peel and the witness
+    report of midway_peeling go through this seam."""
+    real_peel = theorems._peel_labels
+
+    def peel(alphabet, key_w, key_i):
+        steps, balanced = real_peel(alphabet, key_w, key_i)
+        if (key_w, key_i) != label_pair:
+            return steps, balanced
+        ideal, e, removed_source, removed_image = steps[-1]
+        return steps[:-1] + ((ideal, e, removed_source, removed_image + 1),), False
+
+    monkeypatch.setattr(theorems, "_peel_labels", peel)
+
+
 def test_midway_reports_a_peeling_witness(monkeypatch):
-    real_peeling = theorems.midway_peeling
-
-    def peeling(cmap, guards):
-        report = real_peeling(cmap, guards)
-        if cmap.source.length == 2 and _moves_a_word(cmap):
-            return dataclasses.replace(report, result="counterexample")
-        return report
-
-    monkeypatch.setattr(theorems, "midway_peeling", peeling)
-    # _sweep tests the maps orbit pair by orbit pair, weighting each tally by
-    # the pair; the first that moves a word is (0, 1) -> (0, 3), and the 3 + 15
-    # codes of lengths 1 and 2 are counted when each length starts
+    # labels (0, 1) are those of a zero and a unit of Z/4; _sweep visits the
+    # maps orbit pair by orbit pair, and the first that holds such a word is
+    # the identity on the code of (0, 1), after the 3 + 15 codes of lengths 1
+    # and 2 are counted and its pair adds its tally
+    _unbalanced_at(monkeypatch, ((0, 1), (0, 1)))
     report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
     assert report.as_json() == {
         "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
         "result": "counterexample",
         "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
-        "counts": {"codes": 18, "monomorphisms": 22, "hamming_preserving": 18, "peeled": 14},
+        "counts": {"codes": 18, "monomorphisms": 22, "hamming_preserving": 14, "peeled": 10},
         "details": {
             "lengths": [1, 2],
             "max_generators": 2,
             "witness": {
                 "length": 2,
                 "generators": [[0, 1]],
-                "gen_images": [[0, 3]],
+                "gen_images": [[0, 1]],
                 "peeling": {
                     "claim": "every codeword peels to balanced counts at each principal annihilator stage",
                     "result": "counterexample",
                     "hypotheses": {"hamming_preserved": True, "ring_left_pir": True},
-                    "counts": {"words": 4, "stages": 7},
+                    "counts": {"words": 4, "stages": 3},
                     "details": {
                         "trace": [
                             {
@@ -845,35 +854,16 @@ def test_midway_reports_a_peeling_witness(monkeypatch):
                             },
                             {
                                 "word": [0, 1],
-                                "image": [0, 3],
-                                "steps": [
-                                    {"ideal": [0, 1, 2, 3], "generator": 1,
-                                     "removed_source": 1, "removed_image": 1},
-                                    {"ideal": [0], "generator": 0,
-                                     "removed_source": 1, "removed_image": 1},
-                                ],
-                            },
-                            {
-                                "word": [0, 2],
-                                "image": [0, 2],
-                                "steps": [
-                                    {"ideal": [0, 1, 2, 3], "generator": 1,
-                                     "removed_source": 1, "removed_image": 1},
-                                    {"ideal": [0, 2], "generator": 2,
-                                     "removed_source": 1, "removed_image": 1},
-                                ],
-                            },
-                            {
-                                "word": [0, 3],
                                 "image": [0, 1],
                                 "steps": [
                                     {"ideal": [0, 1, 2, 3], "generator": 1,
                                      "removed_source": 1, "removed_image": 1},
                                     {"ideal": [0], "generator": 0,
-                                     "removed_source": 1, "removed_image": 1},
+                                     "removed_source": 1, "removed_image": 2},
                                 ],
                             },
-                        ]
+                        ],
+                        "witness": {"word": [0, 1], "image": [0, 1], "stage": 1},
                     },
                 },
             },
@@ -883,19 +873,18 @@ def test_midway_reports_a_peeling_witness(monkeypatch):
 
 def test_a_pair_tallies_its_maps_before_they_are_visited(monkeypatch):
     # Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the pair starts, so a
-    # witness on its first map, the identity, stops after 1 + 1 + 2 maps
-    real_peeling = theorems.midway_peeling
-
-    def peeling(cmap, guards):
-        report = real_peeling(cmap, guards)
-        if cmap.source.size == 4:
-            return dataclasses.replace(report, result="counterexample")
-        return report
-
-    monkeypatch.setattr(theorems, "midway_peeling", peeling)
+    # witness on its first map, the identity, stops after 1 + 1 + 2 maps; the
+    # label (1,) of a unit first appears in that code
+    _unbalanced_at(monkeypatch, ((1,), (1,)))
     report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
     assert report.counts == {"codes": 3, "monomorphisms": 4, "hamming_preserving": 3, "peeled": 2}
     assert report.details["witness"]["gen_images"] == [[1]]
+
+
+def test_midway_raises_when_the_witness_report_verifies_a_rejected_peel(monkeypatch):
+    monkeypatch.setattr(theorems, "_peels", lambda *args: False)
+    with pytest.raises(InternalConsistencyError, match="midway_peeling verifies a map"):
+        verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
 
 
 def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
@@ -1005,19 +994,93 @@ def _sweep_yields(alphabet, max_n, max_gens, key):
     return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", key))
 
 
-@pytest.mark.parametrize(
-    "alphabet",
-    [z4_klein(), module_make(mod_ring(4), {"kind": "regular"}),
-     module_make(mod_ring(8), {"kind": "regular"}), matrix_module(1, 2, 2),
-     relabelled(z4_klein(), [2, 0, 3, 1])],
-    ids=["z4-klein", "z4", "z8", "f2-col2", "z4-klein-relabelled"],
-)
+MIDWAY_ALPHABETS = [
+    z4_klein(), module_make(mod_ring(4), {"kind": "regular"}),
+    module_make(mod_ring(8), {"kind": "regular"}), matrix_module(1, 2, 2),
+    relabelled(z4_klein(), [2, 0, 3, 1]),
+]
+MIDWAY_IDS = ["z4-klein", "z4", "z8", "f2-col2", "z4-klein-relabelled"]
+
+
+@pytest.mark.parametrize("alphabet", MIDWAY_ALPHABETS, ids=MIDWAY_IDS)
 def test_midway_counts_match_the_unreduced_sweep(alphabet):
     report = verify_midway(alphabet, max_n=2, max_gens=2)
     assert report.result == "verified"
     expected = _unreduced_midway_counts(alphabet, 2, 2)
     assert report.counts == expected
     assert _sweep_yields(alphabet, 2, 2, "hamming") < expected["hamming_preserving"]
+
+
+def _midway_peeling_every_map(alphabet, max_n, max_gens):
+    """(result, counts, details) of verify_midway on an alphabet that meets its
+    hypotheses, with each map the sweep yields built as a code map and peeled
+    by midway_peeling: the oracle for the sweep's memoised peel."""
+    counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
+    details = {}
+    bounds = _sweep_bounds(Guards(), max_n, max_gens)
+    for n, words, _, members, gens, fmap, weight in _sweep(
+        alphabet, Guards(), bounds, counts, details, "monomorphisms", "hamming"
+    ):
+        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        assert map_preserves(cmap, "swc")
+        counts["hamming_preserving"] += weight
+        verdict = midway_peeling(cmap)
+        if verdict.result != "verified":
+            details["witness"] = theorems._witness(n, cmap, peeling=verdict.as_json())
+            return "counterexample", counts, details
+        counts["peeled"] += weight
+    return "verified", counts, details
+
+
+def _peel_log(monkeypatch):
+    """Record every label pair _peel_labels is asked for."""
+    log = []
+    real_peel = theorems._peel_labels
+
+    def peel(alphabet, key_w, key_i):
+        log.append((key_w, key_i))
+        return real_peel(alphabet, key_w, key_i)
+
+    monkeypatch.setattr(theorems, "_peel_labels", peel)
+    return log
+
+
+@pytest.mark.parametrize("alphabet", MIDWAY_ALPHABETS, ids=MIDWAY_IDS)
+def test_the_sweep_peels_as_midway_peeling_does(alphabet, monkeypatch):
+    with monkeypatch.context() as patch:
+        fast_log = _peel_log(patch)
+        verify_midway(alphabet, max_n=2, max_gens=2)
+    with monkeypatch.context() as patch:
+        slow_log = _peel_log(patch)
+        _midway_peeling_every_map(alphabet, 2, 2)
+    # the memo asks the kernel once per pair, in the order the word-by-word
+    # peel first asks for it, over the sweep and, with a fresh memo, on each
+    # map alone.  With no fault, then with each label pair in turn peeling
+    # unbalanced, every map gets midway_peeling's verdict, and the sweep stops
+    # at the map, with the report, of the loop that peels every map with
+    # midway_peeling
+    assert fast_log == list(dict.fromkeys(slow_log))
+    bounds = _sweep_bounds(Guards(), 2, 2)
+    results = []
+    for label_pair in [None, *fast_log]:
+        with monkeypatch.context() as patch:
+            _unbalanced_at(patch, label_pair)
+            log = _peel_log(patch)
+            for _, words, profiles, members, gens, fmap, _ in _sweep(
+                alphabet, Guards(), bounds, {"codes": 0, "maps": 0}, {}, "maps", "hamming"
+            ):
+                fast = theorems._peels(alphabet, {}, words, profiles, members, fmap)
+                fast_calls = log[:]
+                del log[:]
+                cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+                slow = midway_peeling(cmap).result == "verified"
+                assert (fast, fast_calls) == (slow, list(dict.fromkeys(log)))
+                del log[:]
+            report = verify_midway(alphabet, max_n=2, max_gens=2)
+            expected = _midway_peeling_every_map(alphabet, 2, 2)
+        assert (report.result, report.counts, report.details) == expected
+        results.append(report.result)
+    assert results == ["verified"] + ["counterexample"] * len(fast_log)
 
 
 @pytest.mark.parametrize(
@@ -1183,7 +1246,9 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
         return real_search(cmap, guards=guards)
 
     monkeypatch.setattr(theorems, "extension_search", search)
-    # the same order and weights as test_midway_reports_a_peeling_witness
+    # _sweep visits the maps orbit pair by orbit pair, weighting each tally by
+    # the pair; the first that moves a word is (0, 1) -> (0, 3), and the 3 + 15
+    # codes of lengths 1 and 2 are counted when each length starts
     report = verify_sufficiency(module_make(mod_ring(4), {"kind": "regular"}), max_n=2)
     assert report.as_json() == {
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
