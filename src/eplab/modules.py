@@ -463,10 +463,6 @@ class AutGroup:
             )
         return perms
 
-    @functools.cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {p: i for i, p in enumerate(self.elements)}
-
 
 def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
     n = module.order
@@ -668,10 +664,6 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     return out
 
 
-def embeds_into(src: Module, dst: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
-    return embedding_search(src, dst, guards) is not None
-
-
 def embedding_search(
     src: Module, dst: Module, guards: Guards = DEFAULT_GUARDS
 ) -> Optional[tuple[int, ...]]:
@@ -802,7 +794,8 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
     by_generator = any(
         len(submodule_generated(module, [a])) == soc_size for a in soc.members
     )
-    by_character = embeds_into(module, character_module(module.ring, guards), guards)
+    characters = character_module(module.ring, guards)
+    by_character = embedding_search(module, characters, guards) is not None
     if not (by_multiplicity == by_generator == by_character):
         raise InternalConsistencyError(
             "cyclic-socle tests disagree: "

@@ -802,88 +802,31 @@ def _moves_a_word(cmap):
     return any(word != image for word, image in cmap.mapping.items())
 
 
-def _unbalanced_at(monkeypatch, label_pair):
-    """Make _peel_labels find label_pair unbalanced, one image entry over at
-    its last stage.  Both verify_midway's memoised peel and the witness
-    report of midway_peeling go through this seam."""
-    real_peel = theorems._peel_labels
-
-    def peel(alphabet, key_w, key_i):
-        steps, balanced = real_peel(alphabet, key_w, key_i)
-        if (key_w, key_i) != label_pair:
-            return steps, balanced
-        ideal, e, removed_source, removed_image = steps[-1]
-        return steps[:-1] + ((ideal, e, removed_source, removed_image + 1),), False
-
-    monkeypatch.setattr(theorems, "_peel_labels", peel)
+def test_a_pair_tallies_its_maps_before_they_are_visited():
+    # Z/4 at n = 1 has the codes {0}, {0, 2} and Z/4, each its own orbit and
+    # isomorphism class.  Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the
+    # pair starts, so its first map, the identity and the third yield, already
+    # sees 1 + 1 + 2 maps tallied
+    counts = {"codes": 0, "maps": 0}
+    z4 = module_make(mod_ring(4), {"kind": "regular"})
+    sweep = _sweep(z4, Guards(), _sweep_bounds(Guards(), 1, None), counts, {}, "maps", "hamming")
+    *_, members, _, fmap, weight = next(itertools.islice(sweep, 2, None))
+    assert members == fmap == (0, 1, 2, 3) and weight == 1
+    assert counts == {"codes": 3, "maps": 4}
 
 
-def test_midway_reports_a_peeling_witness(monkeypatch):
-    # labels (0, 1) are those of a zero and a unit of Z/4; _sweep visits the
-    # maps orbit pair by orbit pair, and the first that holds such a word is
-    # the identity on the code of (0, 1), after the 3 + 15 codes of lengths 1
-    # and 2 are counted and its pair adds its tally
-    _unbalanced_at(monkeypatch, ((0, 1), (0, 1)))
-    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
-    assert report.as_json() == {
-        "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
-        "result": "counterexample",
-        "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
-        "counts": {"codes": 18, "monomorphisms": 22, "hamming_preserving": 14, "peeled": 10},
-        "details": {
-            "lengths": [1, 2],
-            "max_generators": 2,
-            "witness": {
-                "length": 2,
-                "generators": [[0, 1]],
-                "gen_images": [[0, 1]],
-                "peeling": {
-                    "claim": "every codeword peels to balanced counts at each principal annihilator stage",
-                    "result": "counterexample",
-                    "hypotheses": {"hamming_preserved": True, "ring_left_pir": True},
-                    "counts": {"words": 4, "stages": 3},
-                    "details": {
-                        "trace": [
-                            {
-                                "word": [0, 0],
-                                "image": [0, 0],
-                                "steps": [
-                                    {"ideal": [0, 1, 2, 3], "generator": 1,
-                                     "removed_source": 2, "removed_image": 2},
-                                ],
-                            },
-                            {
-                                "word": [0, 1],
-                                "image": [0, 1],
-                                "steps": [
-                                    {"ideal": [0, 1, 2, 3], "generator": 1,
-                                     "removed_source": 1, "removed_image": 1},
-                                    {"ideal": [0], "generator": 0,
-                                     "removed_source": 1, "removed_image": 2},
-                                ],
-                            },
-                        ],
-                        "witness": {"word": [0, 1], "image": [0, 1], "stage": 1},
-                    },
-                },
-            },
-        },
-    }
+def test_midway_raises_when_orbits_merge_annihilator_classes(monkeypatch):
+    real_partition = theorems.partition
 
+    def partition(module, kind, **kwargs):
+        # one orbit of every element: 1 and 2 of Z/4 share it, not an annihilator
+        found = real_partition(module, kind, **kwargs)
+        if kind == "orbit":
+            return dataclasses.replace(found, labels=(0,) * module.order)
+        return found
 
-def test_a_pair_tallies_its_maps_before_they_are_visited(monkeypatch):
-    # Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the pair starts, so a
-    # witness on its first map, the identity, stops after 1 + 1 + 2 maps; the
-    # label (1,) of a unit first appears in that code
-    _unbalanced_at(monkeypatch, ((1,), (1,)))
-    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
-    assert report.counts == {"codes": 3, "monomorphisms": 4, "hamming_preserving": 3, "peeled": 2}
-    assert report.details["witness"]["gen_images"] == [[1]]
-
-
-def test_midway_raises_when_the_witness_report_verifies_a_rejected_peel(monkeypatch):
-    monkeypatch.setattr(theorems, "_peels", lambda *args: False)
-    with pytest.raises(InternalConsistencyError, match="midway_peeling verifies a map"):
+    monkeypatch.setattr(theorems, "partition", partition)
+    with pytest.raises(InternalConsistencyError, match="do not refine annihilator classes"):
         verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
 
 
@@ -1014,7 +957,7 @@ def test_midway_counts_match_the_unreduced_sweep(alphabet):
 def _midway_peeling_every_map(alphabet, max_n, max_gens):
     """(result, counts, details) of verify_midway on an alphabet that meets its
     hypotheses, with each map the sweep yields built as a code map and peeled
-    by midway_peeling: the oracle for the sweep's memoised peel."""
+    by midway_peeling: the oracle for the sweep's peeled tally."""
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     details = {}
     bounds = _sweep_bounds(Guards(), max_n, max_gens)
@@ -1032,55 +975,12 @@ def _midway_peeling_every_map(alphabet, max_n, max_gens):
     return "verified", counts, details
 
 
-def _peel_log(monkeypatch):
-    """Record every label pair _peel_labels is asked for."""
-    log = []
-    real_peel = theorems._peel_labels
-
-    def peel(alphabet, key_w, key_i):
-        log.append((key_w, key_i))
-        return real_peel(alphabet, key_w, key_i)
-
-    monkeypatch.setattr(theorems, "_peel_labels", peel)
-    return log
-
-
 @pytest.mark.parametrize("alphabet", MIDWAY_ALPHABETS, ids=MIDWAY_IDS)
-def test_the_sweep_peels_as_midway_peeling_does(alphabet, monkeypatch):
-    with monkeypatch.context() as patch:
-        fast_log = _peel_log(patch)
-        verify_midway(alphabet, max_n=2, max_gens=2)
-    with monkeypatch.context() as patch:
-        slow_log = _peel_log(patch)
-        _midway_peeling_every_map(alphabet, 2, 2)
-    # the memo asks the kernel once per pair, in the order the word-by-word
-    # peel first asks for it, over the sweep and, with a fresh memo, on each
-    # map alone.  With no fault, then with each label pair in turn peeling
-    # unbalanced, every map gets midway_peeling's verdict, and the sweep stops
-    # at the map, with the report, of the loop that peels every map with
-    # midway_peeling
-    assert fast_log == list(dict.fromkeys(slow_log))
-    bounds = _sweep_bounds(Guards(), 2, 2)
-    results = []
-    for label_pair in [None, *fast_log]:
-        with monkeypatch.context() as patch:
-            _unbalanced_at(patch, label_pair)
-            log = _peel_log(patch)
-            for _, words, profiles, members, gens, fmap, _ in _sweep(
-                alphabet, Guards(), bounds, {"codes": 0, "maps": 0}, {}, "maps", "hamming"
-            ):
-                fast = theorems._peels(alphabet, {}, words, profiles, members, fmap)
-                fast_calls = log[:]
-                del log[:]
-                cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
-                slow = midway_peeling(cmap).result == "verified"
-                assert (fast, fast_calls) == (slow, list(dict.fromkeys(log)))
-                del log[:]
-            report = verify_midway(alphabet, max_n=2, max_gens=2)
-            expected = _midway_peeling_every_map(alphabet, 2, 2)
-        assert (report.result, report.counts, report.details) == expected
-        results.append(report.result)
-    assert results == ["verified"] + ["counterexample"] * len(fast_log)
+def test_the_sweep_peels_as_midway_peeling_does(alphabet):
+    report = verify_midway(alphabet, max_n=2, max_gens=2)
+    assert (report.result, report.counts, report.details) == _midway_peeling_every_map(
+        alphabet, 2, 2
+    )
 
 
 @pytest.mark.parametrize(
