@@ -23,7 +23,7 @@ from .codes import (
     map_preserves,
     weight_profile,
 )
-from .errors import DEFAULT_GUARDS, EplabError, Guards, InputError
+from .errors import DEFAULT_GUARDS, EplabError, Guards, InputError, check_guard
 from .modules import (
     Module,
     automorphism_group,
@@ -200,7 +200,12 @@ def _need_module(module: Optional[Module], command: str) -> Module:
     return module
 
 
-def _resolve_bounds(args, bounds: dict) -> tuple[Optional[int], Optional[int]]:
+def _resolve_bounds(args, bounds: dict, guards: Guards) -> tuple[Optional[int], Optional[int]]:
+    """A flag sets its guard and its bound together; a bound taken from the
+    spec must stay within its guard."""
+    for key in ("max_n", "max_gens"):
+        if getattr(args, key) is None and key in bounds:
+            check_guard(bounds[key], getattr(guards, key), f"bounds.{key}")
     max_n = args.max_n if args.max_n is not None else bounds.get("max_n")
     max_gens = args.max_gens if args.max_gens is not None else bounds.get("max_gens")
     return max_n, max_gens
@@ -326,7 +331,7 @@ def _verdict_command(command: str, runner):
     def handler(args, guards: Guards) -> int:
         _, module, bounds, echo = load_spec(args.spec, guards)
         module = _need_module(module, command)
-        max_n, max_gens = _resolve_bounds(args, bounds)
+        max_n, max_gens = _resolve_bounds(args, bounds, guards)
         report = runner(module, guards, max_n, max_gens)
         _emit(command, dict(echo, max_n=max_n, max_gens=max_gens), guards, report.as_json())
         return report.exit_code

@@ -174,7 +174,7 @@ def module_make(ring: Ring, descriptor: dict, guards: Guards = DEFAULT_GUARDS) -
 # the socle
 
 
-def socle(module: Module) -> Submodule:
+def socle(module: Module, guards: Guards = DEFAULT_GUARDS) -> Submodule:
     """Largest semisimple submodule: the annihilator of rad(R) in the module.
 
     Cross-checked against the sum of all minimal submodules; a mismatch is an
@@ -188,7 +188,7 @@ def socle(module: Module) -> Submodule:
             for a in module.elements()
             if all(module.act_table[r][a] == zero for r in rad.members)
         )
-        atoms = minimal_submodules(module)
+        atoms = minimal_submodules(module, guards)
         union = sorted({x for s in atoms for x in s.members} | {zero})
         via_sum = submodule_generated(module, union).members
         if via_sum != members:
@@ -701,7 +701,7 @@ def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog
     if "simple_catalog" in ring._cache:
         return ring._cache["simple_catalog"]
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rbar, proj, minimals = semisimple_quotient(ring)
+    rbar, proj, minimals = semisimple_quotient(ring, guards)
 
     def pullback(members: Sequence[int]) -> Module:
         pos = {x: i for i, x in enumerate(members)}
@@ -778,7 +778,7 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
     if "socle_report" in module._cache:
         return module._cache["socle_report"]
     catalog = simple_catalog(module.ring, guards)
-    soc = socle(module)
+    soc = socle(module, guards)
     rows = []
     size_check = 1
     for entry in catalog.entries:

@@ -325,30 +325,15 @@ def annihilator_sets(module) -> tuple[frozenset, ...]:
     return module._cache["anns"]
 
 
-def minimal_submodules(module) -> tuple[Submodule, ...]:
+def minimal_submodules(module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodule, ...]:
     """Nonzero submodules containing no smaller nonzero submodule.
 
-    A minimal submodule is cyclic, so scanning cyclic submodules suffices.
+    A minimal submodule is cyclic, and every nonzero submodule contains a
+    nonzero cyclic one, so level 1 of the lattice walk suffices.
     """
-    zero = module.zero
-    cyclic = {}
-    for a in range(module.order):
-        if a == zero:
-            continue
-        sub = submodule_generated(module, [a])
-        if len(sub) > 1:
-            cyclic.setdefault(sub.members, sub)
-    out = []
-    for members, sub in cyclic.items():
-        target = set(members)
-        if all(
-            set(submodule_generated(module, [x]).members) == target
-            for x in members
-            if x != zero
-        ):
-            out.append(sub)
-    out.sort(key=lambda s: (len(s.members), s.members))
-    return tuple(out)
+    nonzero = [s for s in submodules_enumerate(module, guards, 1) if len(s) > 1]
+    sets = [frozenset(s.members) for s in nonzero]
+    return tuple(s for s, m in zip(nonzero, sets) if not any(t < m for t in sets))
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +380,15 @@ def is_right_pir(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> bool:
     return is_left_pir(opposite_ring(ring), guards)
 
 
-def principal_generator(ring: Ring, ideal: Submodule) -> int:
-    """Smallest g with Rg equal to the ideal; raises if none exists."""
-    target = set(ideal.members)
-    for g in ideal.members:
-        if set(submodule_generated(ring, [g]).members) == target:
-            return g
+def principal_generator(ring: Ring, ideal: Submodule, guards: Guards = DEFAULT_GUARDS) -> int:
+    """Smallest g with Rg equal to the ideal; raises if none exists.
+
+    Level 1 of the lattice walk reaches each Rw by its least w.
+    """
+    members = tuple(sorted(ideal.members))
+    for s in submodules_enumerate(ring, guards):
+        if s.members == members and len(s.generators) == 1:
+            return s.generators[0]
     raise NotPrincipalError(f"ideal {list(ideal.members)} is not a principal left ideal")
 
 
@@ -438,11 +426,13 @@ def ring_quotient(ring: Ring, ideal: Submodule) -> tuple[Ring, tuple[int, ...]]:
     return quotient, proj
 
 
-def semisimple_quotient(ring: Ring) -> tuple[Ring, tuple[int, ...], tuple[Submodule, ...]]:
+def semisimple_quotient(
+    ring: Ring, guards: Guards = DEFAULT_GUARDS
+) -> tuple[Ring, tuple[int, ...], tuple[Submodule, ...]]:
     """R/rad(R), its projection table and its minimal left ideals, built once."""
     if "semisimple_quotient" not in ring._cache:
         rbar, proj = ring_quotient(ring, jacobson_radical(ring))
-        ring._cache["semisimple_quotient"] = (rbar, proj, minimal_submodules(rbar))
+        ring._cache["semisimple_quotient"] = (rbar, proj, minimal_submodules(rbar, guards))
     return ring._cache["semisimple_quotient"]
 
 
@@ -479,7 +469,7 @@ def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnDa
     if "wedderburn" in ring._cache:
         return ring._cache["wedderburn"]
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rbar, _, minimals = semisimple_quotient(ring)
+    rbar, _, minimals = semisimple_quotient(ring, guards)
     ann = annihilator_sets(rbar)
     blocks = []
     seen_reps = []

@@ -416,12 +416,7 @@ def verify_orbit_lemma(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Ver
     orbits = partition(alphabet, "orbit", guards=guards)
     anns = partition(alphabet, "annihilator", guards=guards)
 
-    refinement_witness = None
-    for a in alphabet.elements():
-        rep = orbits.labels[a]
-        if anns.labels[a] != anns.labels[rep]:
-            refinement_witness = {"element": a, "orbit_label": rep}
-            break
+    violator = _orbit_refinement_violator(orbits.labels, anns.labels)
     equal = orbits.labels == anns.labels
 
     hypotheses = {"pseudo_injective": pseudo}
@@ -430,13 +425,14 @@ def verify_orbit_lemma(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Ver
         "annihilator_classes": len(anns.classes()),
     }
     details = {
-        "refinement_holds": refinement_witness is None,
+        "refinement_holds": violator is None,
         "partitions_equal": equal,
         "orbit_labels": list(orbits.labels),
         "annihilator_labels": list(anns.labels),
     }
-    if refinement_witness is not None:
-        details["refinement_witness"] = refinement_witness
+    if violator is not None:
+        rep = orbits.labels[violator]
+        details["refinement_witness"] = {"element": violator, "orbit_label": rep}
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     if not pseudo:
         return VerdictReport(claim, "hypotheses-unmet", hypotheses, counts, details)
@@ -445,6 +441,12 @@ def verify_orbit_lemma(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Ver
         details["witness"] = {"element": mism}
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
+def _orbit_refinement_violator(orbit: Sequence[int], anns: Sequence[int]) -> Optional[int]:
+    """The first element whose annihilator label differs from its orbit
+    leader's, or None when automorphism orbits refine annihilator classes."""
+    return next((a for a, rep in enumerate(orbit) if anns[a] != anns[rep]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +458,14 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 
     For each codeword pair, repeatedly pick a maximal annihilator among the
     remaining components of both words, act by a principal generator of it,
-    and check that the counts removed on the two sides balance.  A pair is
-    peeled through the sorted annihilator labels of its entries, so equal
-    label multisets share one memoised peel (see _peel_labels).
+    and check that the counts removed on the two sides balance.
     """
     claim = "every codeword peels to balanced counts at each principal annihilator stage"
     alphabet = cmap.source.alphabet
-    labels = partition(alphabet, "annihilator", guards=guards).labels
-    keys = {
-        word: (tuple(sorted(labels[x] for x in word)), tuple(sorted(labels[y] for y in image)))
-        for word, image in cmap.mapping.items()
-    }
-    # In a unital module only 0 has annihilator R, so its label counts the
-    # zero entries, and equal-length words have equal Hamming weight exactly
-    # when those counts agree.
-    zero_label = labels[alphabet.zero]
+    ring = alphabet.ring
     hypotheses = {
-        "hamming_preserved": all(
-            key_w.count(zero_label) == key_i.count(zero_label) for key_w, key_i in keys.values()
-        ),
-        "ring_left_pir": is_left_pir(alphabet.ring, guards),
+        "hamming_preserved": map_preserves(cmap, "hamming", guards=guards),
+        "ring_left_pir": is_left_pir(ring, guards),
     }
     if not all(hypotheses.values()):
         return VerdictReport(
@@ -483,26 +473,42 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
             {"note": "peeling applies to Hamming-preserving maps over left principal ideal rings"},
         )
 
+    anns = annihilator_sets(alphabet)
+    act = alphabet.act_table
+    zero = alphabet.zero
     trace = []
     witness = None
     total_stages = 0
     for word in sorted(cmap.mapping):
         image = cmap.mapping[word]
-        steps, balanced = _peel_labels(alphabet, *keys[word])
+        rems, steps = [list(word), list(image)], []
+        while any(rems):
+            present = {anns[x] for rem in rems for x in rem}
+            maximal = [i for i in present if not any(i < j for j in present)]
+            ideal = min(maximal, key=sorted)
+            members = sorted(ideal)
+            e = principal_generator(ring, Submodule(tuple(members)), guards)
+            # e generates I, and I is maximal here: e*x = 0 exactly when Ann(x) == I
+            exact = [[x for x in rem if anns[x] == ideal] for rem in rems]
+            if [[x for x in rem if act[e][x] == zero] for rem in rems] != exact:
+                raise InternalConsistencyError(
+                    "principal generator does not isolate its maximal annihilator stage"
+                )
+            source, target = map(len, exact)
+            steps.append(
+                {"ideal": members, "generator": e,
+                 "removed_source": source, "removed_image": target}
+            )
+            if source != target:
+                witness = {"word": list(word), "image": list(image), "stage": len(steps) - 1}
+                break
+            rems = [[x for x in rem if anns[x] != ideal] for rem in rems]
         total_stages += len(steps)
-        trace.append(
-            {
-                "word": list(word),
-                "image": list(image),
-                "steps": [
-                    {"ideal": list(ideal), "generator": e, "removed_source": s, "removed_image": t}
-                    for ideal, e, s, t in steps
-                ],
-            }
-        )
-        if not balanced:
-            witness = {"word": list(word), "image": list(image), "stage": len(steps) - 1}
+        trace.append({"word": list(word), "image": list(image), "steps": steps})
+        if witness is not None:
             break
+        if Counter(anns[x] for x in word) != Counter(anns[y] for y in image):
+            raise InternalConsistencyError("peeling balanced but annihilator profiles differ")
 
     counts = {"words": len(cmap.mapping), "stages": total_stages}
     details: dict = {"trace": trace}
@@ -510,57 +516,6 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
         details["witness"] = witness
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     return VerdictReport(claim, "verified", hypotheses, counts, details)
-
-
-def _peel_labels(
-    alphabet: Module, key_w: tuple[int, ...], key_i: tuple[int, ...]
-) -> tuple[tuple, bool]:
-    """Peel one (word, image) pair given by the sorted annihilator labels of
-    their entries; return (steps, balanced), each step as (ideal, generator,
-    removed source, removed image).  Memoised on the alphabet.
-
-    A label is the first element with its annihilator, and a peel reads only
-    annihilators and whether the stage generator e kills an entry x.  As e
-    generates the stage ideal I, e*x = 0 iff I is contained in Ann(x), so the
-    labels peel exactly as the entries they stand for.
-    """
-    memo = alphabet._cache.setdefault("peel", {})
-    if (key_w, key_i) in memo:
-        return memo[key_w, key_i]
-    ring = alphabet.ring
-    anns = annihilator_sets(alphabet)
-    act = alphabet.act_table
-    zero = alphabet.zero
-    generators = ring._cache.setdefault("principal_generators", {})
-    rem_w = list(key_w)
-    rem_i = list(key_i)
-    steps = []
-    balanced = True
-    while rem_w or rem_i:
-        present = {anns[x] for x in rem_w} | {anns[y] for y in rem_i}
-        maximal = [i for i in present if not any(i < j for j in present)]
-        ideal = min(maximal, key=lambda i: tuple(sorted(i)))
-        if ideal not in generators:
-            generators[ideal] = principal_generator(ring, Submodule(tuple(sorted(ideal))))
-        e = generators[ideal]
-        exact_w = [x for x in rem_w if anns[x] == ideal]
-        exact_i = [y for y in rem_i if anns[y] == ideal]
-        killed_w = [x for x in rem_w if act[e][x] == zero]
-        killed_i = [y for y in rem_i if act[e][y] == zero]
-        if killed_w != exact_w or killed_i != exact_i:
-            raise InternalConsistencyError(
-                "principal generator does not isolate its maximal annihilator stage"
-            )
-        steps.append((tuple(sorted(ideal)), e, len(exact_w), len(exact_i)))
-        if len(exact_w) != len(exact_i):
-            balanced = False
-            break
-        rem_w = [x for x in rem_w if anns[x] != ideal]
-        rem_i = [y for y in rem_i if anns[y] != ideal]
-    if balanced and key_w != key_i:
-        raise InternalConsistencyError("peeling balanced but annihilator profiles differ")
-    memo[key_w, key_i] = (tuple(steps), balanced)
-    return memo[key_w, key_i]
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +692,7 @@ def verify_midway(
         )
     orbit = partition(alphabet, "orbit", guards=guards).labels
     anns = partition(alphabet, "annihilator", guards=guards).labels
-    if any(anns[a] != anns[orbit[a]] for a in alphabet.elements()):
+    if _orbit_refinement_violator(orbit, anns) is not None:
         raise InternalConsistencyError("automorphism orbits do not refine annihilator classes")
 
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
@@ -752,8 +707,8 @@ def verify_midway(
             details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["hamming_preserving"] += weight
-        # equal orbit profiles give equal annihilator label multisets, as
-        # orbits refine annihilator classes, and _peel_labels(k, k) removes
+        # equal orbit profiles give equal annihilator multisets, as orbits
+        # refine annihilator classes, and a peel of equal multisets removes
         # equal counts at every stage: midway_peeling verifies this map
         counts["peeled"] += weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)

@@ -358,6 +358,43 @@ def test_verify_midway_flag_overrides_spec_bounds(klein_spec):
     assert json.loads(out)["result"]["details"]["lengths"] == [1]
 
 
+def test_spec_bounds_stay_within_their_guards(monkeypatch, tmp_path):
+    spec = write_json(
+        tmp_path / "f2.json",
+        {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "regular"},
+         "bounds": {"max_n": 4}},
+    )
+    rc, out, err = run(["verify-midway", "--spec", spec])
+    assert (rc, out) == (3, "")
+    assert "bounds.max_n (4) exceeds guard (3)" in err
+    monkeypatch.setenv("EPLAB_MAX_N", "4")
+    rc, out, _ = run(["verify-midway", "--spec", spec])
+    assert rc == 0
+    assert json.loads(out)["result"]["details"]["lengths"] == [1, 2, 3, 4]
+
+
+def test_reports_under_a_raised_order_guard(tmp_path):
+    """F_2^7 and F_128 have order 128: every lattice walk behind the socle
+    report and the Wedderburn blocks runs under the raised guard."""
+    spec = write_json(
+        tmp_path / "f2c7.json",
+        {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 7}},
+    )
+    rc, out, _ = run(["socle-report", "--spec", spec, "--max-order", "128"])
+    assert rc == 0
+    assert json.loads(out)["result"] == {
+        "blocks": [{"mu": 1, "q": 2, "s": 7, "simple_order": 2}],
+        "cyclic": False,
+        "methods_agree": True,
+        "socle_members": list(range(128)),
+        "socle_order": 128,
+    }
+    spec = write_json(tmp_path / "f128.json", {"ring": {"kind": "matrix", "m": 1, "q": 128}})
+    rc, out, _ = run(["ring-info", "--spec", spec, "--max-order", "128"])
+    assert rc == 0
+    assert json.loads(out)["result"]["wedderburn_blocks"] == [{"mu": 1, "q": 128}]
+
+
 def test_verify_all_klein(klein_spec):
     rc, out, _ = run(["verify-all", "--spec", klein_spec])
     assert rc == 0

@@ -39,6 +39,7 @@ from eplab.modules import (
     submodules_enumerate,
 )
 from eplab.rings import exponent_of_addition, ring_make
+from test_rings import _closure_minimal_submodules
 
 
 def mod_ring(n):
@@ -558,6 +559,26 @@ KERNEL_ALPHABETS = {
     ),
     "relabelled klein": _relabelled_klein,
 }
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [z2z2_over_z4, z2z4_over_z4, _column(2, 3), _relabelled_klein],
+    ids=["z4 klein", "z2+z4 over z4", "f2^3", "relabelled klein"],
+)
+def test_minimal_submodules_match_the_closure_oracle(builder):
+    module = builder()
+    assert minimal_submodules(module) == _closure_minimal_submodules(module)
+
+
+def test_minimal_submodules_and_the_socle_take_the_callers_guards():
+    guards = Guards(max_order=128)
+    f2 = ring_make({"kind": "matrix", "m": 1, "q": 2})
+    module = module_make(f2, {"kind": "column", "k": 7}, guards)
+    with pytest.raises(GuardExceeded):
+        minimal_submodules(module)
+    assert len(minimal_submodules(module, guards)) == 127
+    assert socle(module, guards).members == tuple(range(128))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ALPHABETS))

@@ -14,6 +14,7 @@ from eplab.errors import (
 )
 from eplab.fields import mixed_radix_join, mixed_radix_split
 from eplab.rings import (
+    Submodule,
     annihilator_sets,
     block_projections,
     exact_exponent,
@@ -496,3 +497,64 @@ def test_left_pir_matches_the_principal_set_rule(name, opposite):
     expected = all(members in principals for members in _oracle_left_ideals(r))
     assert is_left_pir(r) is expected
     assert expected is (name != "local-xy")
+
+
+# ---------------------------------------------------------------------------
+# the former closure-based bodies of minimal_submodules and
+# principal_generator, which closed every element from scratch: the oracles
+# for the lookups into the lattice walk
+
+
+def _closure_minimal_submodules(module):
+    zero = module.zero
+    cyclic = {}
+    for a in range(module.order):
+        if a == zero:
+            continue
+        sub = submodule_generated(module, [a])
+        if len(sub) > 1:
+            cyclic.setdefault(sub.members, sub)
+    out = []
+    for members, sub in cyclic.items():
+        target = set(members)
+        if all(
+            set(submodule_generated(module, [x]).members) == target
+            for x in members
+            if x != zero
+        ):
+            out.append(sub)
+    out.sort(key=lambda s: (len(s.members), s.members))
+    return tuple(out)
+
+
+def _closure_principal_generator(ring, ideal):
+    target = set(ideal.members)
+    for g in ideal.members:
+        if set(submodule_generated(ring, [g]).members) == target:
+            return g
+    raise NotPrincipalError(f"ideal {list(ideal.members)} is not a principal left ideal")
+
+
+def _generator_or_error(find, ring, ideal):
+    try:
+        return find(ring, ideal)
+    except NotPrincipalError:
+        return NotPrincipalError
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["ring", "opposite"])
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_walk_lookups_match_the_closure_oracles(name, opposite):
+    """Minimal left ideals, and the least generator of every left ideal or
+    NotPrincipalError, exactly as the closure-based bodies give them."""
+    r = ORACLE_RINGS[name]()
+    if opposite:
+        r = opposite_ring(r)
+    assert minimal_submodules(r) == _closure_minimal_submodules(r)
+    verdicts = set()
+    for members in _oracle_left_ideals(r):
+        ideal = Submodule(members)
+        expected = _generator_or_error(_closure_principal_generator, r, ideal)
+        assert _generator_or_error(principal_generator, r, ideal) == expected
+        verdicts.add(expected is NotPrincipalError)
+    assert verdicts == ({False, True} if name == "local-xy" else {False})

@@ -657,8 +657,8 @@ def _same_report(fast, slow):
 @pytest.mark.parametrize(
     "alphabet",
     [z4_klein(), module_make(mod_ring(4), {"kind": "regular"}),
-     module_make(mod_ring(8), {"kind": "regular"})],
-    ids=["z4-klein", "z4", "z8"],
+     module_make(mod_ring(8), {"kind": "regular"}), module_make(mod_ring(6), {"kind": "regular"})],
+    ids=["z4-klein", "z4", "z8", "z6"],
 )
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
@@ -677,7 +677,8 @@ def test_peeling_witness_matches_the_oracle():
     target = Code(z4reg, 2, ((0, 2),), ((0, 0), (0, 2)))
     cmap = CodeMap(source, target, target.generators, {(0, 0): (0, 0), (0, 1): (0, 2)})
     identity = CodeMap(source, source, source.generators, {w: w for w in source.elements})
-    assert midway_peeling(identity).result == "verified"  # memoises the source's own labels
+    # a peel made first must not change the witness report that follows
+    assert midway_peeling(identity).result == "verified"
     report = midway_peeling(cmap)
     _same_report(report, _peel_word_by_word(cmap))
     assert report.result == "counterexample"
@@ -694,12 +695,12 @@ def test_peeling_reports_share_no_state():
     _same_report(midway_peeling(cmap), _peel_word_by_word(cmap))
 
 
-def test_peeling_memo_rejects_an_inconsistent_generator():
+def test_peeling_rejects_an_inconsistent_generator(monkeypatch):
     z4reg = module_make(mod_ring(4), {"kind": "regular"})
     code = code_generate(z4reg, 1, [[1]])
     cmap = code_map_make(code, code, [[1]])
     # 1 generates R, not the stage ideal 2Z/4, so it kills nothing there
-    z4reg.ring._cache["principal_generators"] = {annihilator_sets(z4reg)[2]: 1}
+    monkeypatch.setattr(theorems, "principal_generator", lambda ring, ideal, guards=None: 1)
     with pytest.raises(InternalConsistencyError):
         midway_peeling(cmap)
 
@@ -1074,7 +1075,8 @@ def test_isomorphism_counts_depend_only_on_the_orbit_pair(alphabet):
     ids=["z4", "z8", "z4-klein"],
 )
 def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
-    # _sweep peels one map per orbit pair on behalf of every g.f
+    # verify_midway tallies one map per orbit pair as peeled on behalf of
+    # every g.f, so the peel must not tell g.f from f
     perms = {}
     moved = 0
     for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
