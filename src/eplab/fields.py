@@ -116,31 +116,19 @@ class FiniteField:
         self.modulus = minimal_irreducible(p, e)
         self._build_tables()
 
-    def _digits(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def _undigits(self, coeffs: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(list(coeffs) + [0] * (self.e - len(coeffs))):
-            out = out * self.p + c
-        return out
-
     def _build_tables(self):
-        q, p = self.q, self.p
-        digits = [self._digits(a) for a in range(q)]
+        q, p, e = self.q, self.p, self.e
+        # polynomial coefficients are the base-p digits, constant term first
+        digits = [index_to_entries(a, p, e)[::-1] for a in range(q)]
         # addition is digit-wise mod p; all radices are p, so digit order is immaterial
         z_p = tuple(tuple((x + y) % p for y in range(p)) for x in range(p))
-        self.add_table = product_table([z_p] * self.e)
+        self.add_table = product_table([z_p] * e)
         mul = []
         for a in range(q):
             row = []
             for b in range(q):
                 prod = _poly_mul(_poly_trim(digits[a]), _poly_trim(digits[b]), p)
-                row.append(self._undigits(_poly_mod(prod, self.modulus, p)))
+                row.append(entries_to_index(_poly_mod(prod, self.modulus, p)[::-1], p))
             mul.append(tuple(row))
         self.mul_table = tuple(mul)
         self.neg_table = tuple(row.index(0) for row in self.add_table)
@@ -238,54 +226,6 @@ class Matrix:
                     if b:
                         out[arow_out + j] = f.add_table[out[arow_out + j]][mrow[b]]
         return Matrix(f, n, m, tuple(out))
-
-    def rref(self) -> "Matrix":
-        """Reduced row echelon form via leftmost-pivot Gaussian elimination."""
-        f = self.field
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        pivot_row = 0
-        for col in range(self.cols):
-            if pivot_row >= self.rows:
-                break
-            sel = None
-            for r in range(pivot_row, self.rows):
-                if rows[r][col] != 0:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-            inv = f.inv(rows[pivot_row][col])
-            rows[pivot_row] = [f.mul(inv, x) for x in rows[pivot_row]]
-            for r in range(self.rows):
-                if r != pivot_row and rows[r][col] != 0:
-                    c = rows[r][col]
-                    rows[r] = [
-                        f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pivot_row])
-                    ]
-            pivot_row += 1
-        return Matrix.from_rows(f, rows) if self.rows else self
-
-    def inverse(self) -> "Matrix":
-        """Inverse of a square matrix, read off the RREF of [M | I]."""
-        n = self.rows
-        if self.cols != n:
-            raise InputError("only a square matrix has an inverse")
-        ident = Matrix.identity(self.field, n)
-        red = Matrix.from_rows(
-            self.field, [self.row(i) + ident.row(i) for i in range(n)]
-        ).rref()
-        if any(red.row(i)[:n] != ident.row(i) for i in range(n)):
-            raise InputError("matrix is singular")
-        return Matrix.from_rows(self.field, [red.row(i)[n:] for i in range(n)])
-
-    def rank(self) -> int:
-        red = self.rref()
-        count = 0
-        for i in range(red.rows):
-            if any(red.row(i)):
-                count += 1
-        return count
 
     def __repr__(self):
         body = "; ".join(

@@ -203,20 +203,17 @@ def socle(module: Module, guards: Guards = DEFAULT_GUARDS) -> Submodule:
 # generators and linear-map search
 
 
-def _greedy_generators(
-    module: Module, candidates: Sequence[int], start: Iterable[int]
-) -> tuple[int, ...]:
-    """Greedy generators covering every candidate, starting from the
-    submodule start.
+def _greedy_generators(module: Module, start: Iterable[int]) -> tuple[int, ...]:
+    """Greedy generators of the module, starting from the submodule start.
 
-    Each round adds the first candidate, in the given ascending order, whose
-    span with the current set is largest.
+    Each round adds the least element whose span with the current set is
+    largest.
     """
     current = frozenset(start)
     gens = []
     while True:
         best_a, best_span = None, current
-        for a in candidates:
+        for a in module.elements():
             if a not in current:
                 grown = span_step(module, current, a)
                 if best_a is None or len(grown) > len(best_span):
@@ -230,13 +227,8 @@ def _greedy_generators(
 def module_generators(module: Module) -> tuple[int, ...]:
     """Small generating set by greedy maximal coverage, ties to smaller index."""
     if "generators" not in module._cache:
-        module._cache["generators"] = _greedy_generators(module, module.elements(), {module.zero})
+        module._cache["generators"] = _greedy_generators(module, {module.zero})
     return module._cache["generators"]
-
-
-def generators_within(module: Module, members: Sequence[int]) -> tuple[int, ...]:
-    """Greedy generating set for a given submodule of the module."""
-    return _greedy_generators(module, sorted(members), {module.zero})
 
 
 def _map_plan(src: Module, gens: tuple[int, ...], domain: tuple[int, ...]):
@@ -464,26 +456,6 @@ class AutGroup:
         return perms
 
 
-def is_module_automorphism(module: Module, perm: Sequence[int]) -> bool:
-    n = module.order
-    if len(perm) != n or len(set(perm)) != n:
-        return False
-    if perm[module.zero] != module.zero:
-        return False
-    add, act = module.add_table, module.act_table
-    for a in range(n):
-        pa = perm[a]
-        for b in range(n):
-            if perm[add[a][b]] != add[pa][perm[b]]:
-                return False
-    for r in module.ring.elements():
-        row = act[r]
-        for a in range(n):
-            if perm[row[a]] != row[perm[a]]:
-                return False
-    return True
-
-
 def stabilizer_chain(module: Module, gens: Sequence[int]):
     """Yield the levels, deepest first, of a stabilizer chain (Sims 1970) of
     the automorphism group of C = span(gens) in the module, along gens =
@@ -600,7 +572,7 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
                 len(monos),
                 ([position[tuple(map(a.__getitem__, f))] for f in monos] for a in autos),
             )
-            rest = _greedy_generators(module, module.elements(), members)
+            rest = _greedy_generators(module, members)
             bases = (
                 dict(zip(members, _map_from_images(module, module, gens, images)))
                 for k, images in enumerate(monos)
@@ -790,10 +762,7 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
             f"socle order {len(soc.members)} differs from multiplicity product {size_check}"
         )
     by_multiplicity = all(s <= mu for _, mu, s, _ in rows)
-    soc_size = len(soc.members)
-    by_generator = any(
-        len(submodule_generated(module, [a])) == soc_size for a in soc.members
-    )
+    by_generator = soc in submodules_enumerate(module, guards, 1)
     characters = character_module(module.ring, guards)
     by_character = embedding_search(module, characters, guards) is not None
     if not (by_multiplicity == by_generator == by_character):

@@ -55,7 +55,6 @@ class Module:
         self.act_table = act
         self.zero = zero
         self.descriptor = descriptor
-        self.neg_table = tuple(row.index(zero) for row in add)
         self._cache = {}
 
     def add(self, a: int, b: int) -> int:
@@ -63,9 +62,6 @@ class Module:
 
     def act(self, r: int, a: int) -> int:
         return self.act_table[r][a]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -83,6 +79,7 @@ class Ring(Module):
         super().__init__(self, add, mul, zero, descriptor)
         self.mul_table = mul
         self.one = one
+        self.neg_table = tuple(row.index(zero) for row in add)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]

@@ -53,7 +53,6 @@ from .modules import (
     automorphism_group,
     direct_power,
     embedding_search,
-    generators_within,
     hom_count_from_simple,
     is_pseudo_injective,
     isomorphism_leaders,
@@ -127,29 +126,24 @@ def counterexample_length(q: int, k: int) -> int:
     return n
 
 
-def _subspaces(q: int, k: int, guards: Guards) -> tuple[list, list]:
-    """The subspaces of F_q^k as sorted vector tuples, ordered by (size,
-    members), and a basis of each: the submodules of F_q^k over M_1(F_q) and
-    their greedy generators.  Index order is the lex order of vectors, and in
-    a vector space the greedy pick is the first member outside the span."""
+def _subspaces(q: int, k: int, guards: Guards) -> tuple[list, tuple]:
+    """The subspaces of F_q^k as sorted member-index tuples, ordered by (size,
+    members), and the index add table of F_q^k: the submodules of the column
+    module F_q^k over M_1(F_q).  Index order is the lex order of vectors."""
     field_ring = ring_make({"kind": "matrix", "m": 1, "q": q}, guards)
     space = module_make(field_ring, {"kind": "column", "k": k}, guards)
-    lattice = submodules_enumerate(space, guards)
-    vector = [index_to_entries(x, q, k) for x in space.elements()]
-    subspaces = [tuple(vector[x] for x in s.members) for s in lattice]
-    bases = [[vector[x] for x in generators_within(space, s.members)] for s in lattice]
-    return subspaces, bases
+    return [s.members for s in submodules_enumerate(space, guards)], space.add_table
 
 
-def _projection_matrix(field: FiniteField, k: int, basis_v: Sequence[Word], basis_w: Sequence[Word]) -> Matrix:
-    """Idempotent with column space span(basis_v) and kernel span(basis_w)."""
-    cols = list(basis_v) + list(basis_w)
-    if len(cols) != k:
-        raise InternalConsistencyError("bases do not assemble to a full frame")
-    rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-    # P = C.D.C^-1 with D = diag(1, .., 1, 0, .., 0): C.D keeps the basis_v columns
-    kept = Matrix.from_rows(field, [row[: len(basis_v)] + [0] * len(basis_w) for row in rows])
-    return kept.mul(Matrix.from_rows(field, rows).inverse())
+def _projection(field: FiniteField, k: int, add, v: Sequence[int], w: Sequence[int]) -> Matrix:
+    """The idempotent P with column space V and kernel W, for F_q^k = V + W
+    direct, both given as member indices of the add table of F_q^k.  Each
+    vector is x + y for exactly one x in V and y in W, and P sends it to x;
+    column j of P is the image of the unit vector e_j, at index q^(k-1-j)."""
+    q = field.q
+    part = {add[x][y]: x for x in v for y in w}
+    cols = [index_to_entries(part[q ** (k - 1 - j)], q, k) for j in range(k)]
+    return Matrix(field, k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +279,7 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     alphabet = module_make(ring, {"kind": "column", "k": k}, guards)
     n = counterexample_length(q, k)
 
-    subspaces, bases = _subspaces(q, k, guards)
+    subspaces, add = _subspaces(q, k, guards)
     dims = [exact_exponent(len(s), q) for s in subspaces]
     complements = []
     for si, sub in enumerate(subspaces):
@@ -325,8 +319,8 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
                 {
                     "dim": dims[si],
                     "copy": t,
-                    "subspace": [list(v) for v in subspaces[si]],
-                    "kernel": [list(v) for v in subspaces[wi]],
+                    "subspace": [list(index_to_entries(x, q, k)) for x in subspaces[si]],
+                    "kernel": [list(index_to_entries(x, q, k)) for x in subspaces[wi]],
                 }
             )
         return out
@@ -335,7 +329,7 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     assign_minus = assignment(coords_minus)
     tables = {}  # one table of the linear map a -> a.P per distinct P
     for si, wi in set(assign_plus + assign_minus):
-        p = _projection_matrix(field, k, bases[si], bases[wi])
+        p = _projection(field, k, add, subspaces[si], subspaces[wi])
         tables[si, wi] = linear_table(field, alphabet.add_table, [e.mul(p).entries for e in units])
     gens_plus = tuple(word_of(g, assign_plus) for g in gens)
     gens_minus = tuple(word_of(g, assign_minus) for g in gens)

@@ -1,4 +1,4 @@
-"""Shared fixtures; collects acceptance-criterion verdicts for the summary."""
+"""Shared fixtures and oracles; collects acceptance-criterion verdicts for the summary."""
 
 import contextlib
 import itertools
@@ -47,6 +47,24 @@ def broken_additions():
         ("not commutative", s3),  # S_3 is a group, but not an abelian one
         ("not associative", [[0, 1, 2], [1, 0, 0], [2, 0, 1]]),
     ]
+
+
+def _is_module_automorphism(module, perm) -> bool:
+    """Whether perm is a bijection of the module that fixes zero and commutes
+    with its addition and with the action of every ring element."""
+    n = module.order
+    if len(perm) != n or len(set(perm)) != n or perm[module.zero] != module.zero:
+        return False
+    add, act = module.add_table, module.act_table
+    if any(perm[add[a][b]] != add[perm[a]][perm[b]] for a in range(n) for b in range(n)):
+        return False
+    return all(perm[row[a]] == row[perm[a]] for row in act for a in range(n))
+
+
+@pytest.fixture(scope="session")
+def is_module_automorphism():
+    """The brute-force automorphism test, the oracle for Aut(A)."""
+    return _is_module_automorphism
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from eplab.fields import index_to_entries
 from eplab.modules import (
     automorphism_group,
     direct_power,
-    is_module_automorphism,
     iter_linear_maps,
     module_make,
     partition,
@@ -363,7 +362,7 @@ def test_extension_search_reports_no_nodes_where_the_dfs_backtracked():
     taus=st.lists(st.integers(min_value=0, max_value=1), min_size=3, max_size=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_weight_profiles_are_monomial_invariants(word, sigma, taus):
+def test_weight_profiles_are_monomial_invariants(is_module_automorphism, word, sigma, taus):
     a = z4_alphabet()
     auts = automorphism_group(a).elements
     transform = MonomialTransform(tuple(sigma), tuple(auts[t] for t in taus))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eplab import modules, theorems
+from eplab import theorems
 
 from eplab.codes import (
     Code,
@@ -28,7 +28,7 @@ from eplab.errors import (
     InternalConsistencyError,
     UnsupportedConstruction,
 )
-from eplab.fields import FiniteField, index_to_entries, index_to_matrix, matrix_to_index
+from eplab.fields import FiniteField, Matrix, index_to_entries, index_to_matrix, matrix_to_index
 from eplab.modules import (
     annihilator_sets,
     automorphism_group,
@@ -41,6 +41,7 @@ from eplab.modules import (
 )
 from eplab.rings import (
     Submodule,
+    exact_exponent,
     is_left_pir,
     principal_generator,
     ring_make,
@@ -63,7 +64,7 @@ from eplab.theorems import (
 from eplab.theorems import (
     _code_map_from_tuple,
     _monomial_generators,
-    _projection_matrix,
+    _projection,
     _subspaces,
     _sweep,
     _sweep_bounds,
@@ -190,9 +191,14 @@ def test_subspace_counts():
     assert len(_subspaces(3, 2, Guards())[0]) == 6
 
 
+def _vector_subspaces(q, k):
+    """_subspaces with each member index spelled out as its vector."""
+    return [tuple(index_to_entries(x, q, k) for x in s) for s in _subspaces(q, k, Guards())[0]]
+
+
 def test_subspaces_are_closed_and_ordered():
     field = FiniteField(2)
-    subs, _ = _subspaces(2, 2, Guards())
+    subs = _vector_subspaces(2, 2)
     assert subs[0] == ((0, 0),)
     assert subs[-1] == ((0, 0), (0, 1), (1, 0), (1, 1))
     sizes = [len(s) for s in subs]
@@ -237,28 +243,40 @@ def _oracle_subspaces(field, k):
     return sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t))
 
 
-def _oracle_basis(field, members):
-    """The members, in order, that lie outside the span of those before them."""
-    span = {members[0]}
-    basis = []
-    for v in members:
-        if v in span:
-            continue
-        basis.append(v)
-        span = {
-            _vec_add(field, s, _vec_scale(field, c, v)) for s in span for c in range(field.q)
-        }
-    return basis
+SUBSPACE_SHAPES = [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (2, 3), (3, 3), (2, 4)]
 
 
-@pytest.mark.parametrize(
-    "q,k", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (2, 3), (3, 3), (2, 4)]
-)
+@pytest.mark.parametrize("q,k", SUBSPACE_SHAPES)
 def test_subspace_lattice_matches_the_vector_oracle(q, k):
+    assert _vector_subspaces(q, k) == _oracle_subspaces(FiniteField(q), k)
+
+
+def _complement_pairs(q, k, subspaces):
+    """(V, W) index pairs of subspaces with F_q^k = V + W direct."""
+    return [
+        (vi, wi)
+        for vi, v in enumerate(subspaces)
+        for wi, w in enumerate(subspaces)
+        if len(v) * len(w) == q**k and len(set(v) & set(w)) == 1
+    ]
+
+
+@pytest.mark.parametrize("q,k", SUBSPACE_SHAPES)
+def test_projection_fixes_its_subspace_and_kills_its_kernel(q, k):
+    """P.P = P, P.v = v on V and P.w = 0 on W: together they fix P."""
     field = FiniteField(q)
-    subspaces, bases = _subspaces(q, k, Guards())
-    assert subspaces == _oracle_subspaces(field, k)
-    assert bases == [_oracle_basis(field, s) for s in subspaces]
+    subspaces, add = _subspaces(q, k, Guards())
+    pairs = _complement_pairs(q, k, subspaces)
+    # a d-dimensional subspace has q^(d (k - d)) complements
+    dims = [exact_exponent(len(v), q) for v in subspaces]
+    assert len(pairs) == sum(q ** (d * (k - d)) for d in dims)
+    for vi, wi in pairs:
+        p = _projection(field, k, add, subspaces[vi], subspaces[wi])
+        assert p.mul(p) == p
+        for members, fixed in ((subspaces[vi], True), (subspaces[wi], False)):
+            for x in members:
+                column = Matrix(field, k, 1, index_to_entries(x, q, k))
+                assert p.mul(column).entries == (column.entries if fixed else (0,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +345,7 @@ def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch)
     every a; there is one per (subspace, kernel) pair, and the generator
     words read the products of the pair each coordinate names."""
     projections, tables = [], []
-    monkeypatch.setattr(theorems, "_projection_matrix", _logged(_projection_matrix, projections))
+    monkeypatch.setattr(theorems, "_projection", _logged(_projection, projections))
     monkeypatch.setattr(theorems, "linear_table", _logged(theorems.linear_table, tables))
     pack = build_counterexample(m, k, q)
     field = FiniteField(q)
@@ -335,15 +353,16 @@ def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch)
     for proj, table in zip(projections, tables, strict=True):
         assert table == tuple(matrix_to_index(a.mul(proj)) for a in mats)
 
-    subspaces, bases = _subspaces(q, k, Guards())
-    basis = {json.dumps([list(v) for v in sub]): bases[si] for si, sub in enumerate(subspaces)}
+    subspaces, add = _subspaces(q, k, Guards())
+    vectors = _vector_subspaces(q, k)
+    members = {json.dumps([list(v) for v in vs]): s for vs, s in zip(vectors, subspaces)}
     gens = module_generators(matrix_module(m, q, k))
     pairs = set()
     for side, words in (("plus", pack.generators_plus), ("minus", pack.generators_minus)):
         coordinates = pack.transcript["coordinates"][side]
         coords = [(json.dumps(c["subspace"]), json.dumps(c["kernel"])) for c in coordinates]
         pairs.update(coords)
-        projs = [_projection_matrix(field, k, basis[v], basis[w]) for v, w in coords]
+        projs = [_projection(field, k, add, members[v], members[w]) for v, w in coords]
         assert words == tuple(tuple(matrix_to_index(mats[g].mul(p)) for p in projs) for g in gens)
     assert len(tables) == len(pairs)
 
@@ -355,16 +374,14 @@ def test_kernel_choice_never_changes_an_orbit(m, k, q):
     alphabet = matrix_module(m, q, k)
     labels = partition(alphabet, "orbit").labels
     mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
-    subspaces, bases = _subspaces(q, k, Guards())
-    for sub, basis in zip(subspaces, bases):
-        complements = [
-            wi for wi, w in enumerate(subspaces)
-            if len(sub) * len(w) == q**k and len(set(sub) & set(w)) == 1
-        ]
+    subspaces, add = _subspaces(q, k, Guards())
+    pairs = _complement_pairs(q, k, subspaces)
+    for vi, sub in enumerate(subspaces):
+        complements = [wi for v, wi in pairs if v == vi]
         assert complements
         orbit_rows = set()
         for wi in complements:
-            proj = _projection_matrix(field, k, basis, bases[wi])
+            proj = _projection(field, k, add, sub, subspaces[wi])
             assert proj.mul(proj) == proj
             orbit_rows.add(tuple(labels[matrix_to_index(a.mul(proj))] for a in mats))
         assert len(orbit_rows) == 1
@@ -387,12 +404,7 @@ def test_pack_json_roundtrip():
     assert restored == pack
 
 
-def test_packs_build_and_replay_without_revalidating_automorphisms(monkeypatch):
-    """Aut(A) is validated when it is built; the pack checks trust it."""
-    def refuse(module, perm):
-        raise AssertionError("is_module_automorphism called after Aut(A) was built")
-
-    monkeypatch.setattr(modules, "is_module_automorphism", refuse)
+def test_packs_replay_through_json_by_exhaustive_search():
     pack = build_counterexample(1, 2, 2)
     report = replay_pack(pack_from_json(json.loads(json.dumps(pack.as_json()))))
     assert report.result == "verified"
