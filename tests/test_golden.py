@@ -31,6 +31,7 @@ Z4 = {"kind": "mod_n", "n": 4}
 REGULAR = {"kind": "regular"}
 KLEIN = {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 2}]}
 Z2xZ3 = {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]}
+F2xF2 = {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 2}]}
 
 
 def _relabelled_sum(m1: int, m2: int, relabel: tuple) -> dict:
@@ -45,6 +46,21 @@ def _relabelled_sum(m1: int, m2: int, relabel: tuple) -> dict:
             add[index[a, b]][index[c, d]] = index[(a + c) % m1, (b + d) % m2]
         for r in range(4):
             act[r][index[a, b]] = index[(r * a) % m1, (r * b) % m2]
+    return {"kind": "table", "add": add, "act": act}
+
+
+def _f2xf2_simples(factors: tuple) -> dict:
+    """T_f1 (+) T_f2 (+) ... over F_2 x F_2 as a table module, where T_f is F_2
+    with (a_1, a_2) acting as a_f; summand i is bit len(factors)-1-i."""
+    n = len(factors)
+    add = [[x ^ y for y in range(2 ** n)] for x in range(2 ** n)]
+    act = [
+        [
+            sum(((r >> (1 - f)) & (x >> (n - 1 - i)) & 1) << (n - 1 - i) for i, f in enumerate(factors))
+            for x in range(2 ** n)
+        ]
+        for r in range(4)
+    ]
     return {"kind": "table", "add": add, "act": act}
 
 
@@ -80,6 +96,9 @@ SPECS = {
         "ring": Z4,
         "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
     },
+    # T_1 (+) T_2 (+) T_2 over F_2 x F_2: two simples of one shape (q, mu) = (2, 1),
+    # and only the second factor's block has s > mu
+    "f2xf2-t1t2t2": {"ring": F2xF2, "module": _f2xf2_simples((0, 1, 1))},
 }
 
 
@@ -103,8 +122,9 @@ def _cases() -> dict:
     cases["verify-orbit-lemma-f2-col4"] = (["verify-orbit-lemma"], "f2-col4")
     cases["verify-orbit-lemma-f3-col3"] = (["verify-orbit-lemma"], "f3-col3")
     cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
-    for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum"):
+    for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum", "f2xf2-t1t2t2"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
+    cases["socle-report-f2xf2-t1t2t2"] = (["socle-report"], "f2xf2-t1t2t2")
     # (1, 2, 4) is the first pack over a field that is not prime
     for m, k, q in ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (1, 2, 4)):
         argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
