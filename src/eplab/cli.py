@@ -38,9 +38,9 @@ from .rings import (
     is_right_pir,
     jacobson_radical,
     ring_make,
+    simple_classes,
     submodules_enumerate,
     units,
-    wedderburn_data,
 )
 from .theorems import (
     build_counterexample,
@@ -224,7 +224,7 @@ def _cmd_ring_info(args, guards: Guards) -> int:
         "left_ideal_count": len(submodules_enumerate(ring, guards)),
         "is_left_pir": is_left_pir(ring, guards),
         "is_right_pir": is_right_pir(ring, guards),
-        "wedderburn_blocks": wedderburn_data(ring, guards).as_json(),
+        "wedderburn_blocks": [{"mu": t.mu, "q": t.q} for t in simple_classes(ring, guards)],
         "additive_exponent": exponent_of_addition(ring),
     }
     _emit("ring-info", echo, guards, result)

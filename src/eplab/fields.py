@@ -104,7 +104,7 @@ def minimal_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^e) with precomputed add/mul/neg/inv tables over elements 0..q-1."""
+    """GF(p^e) with precomputed add/mul tables over elements 0..q-1."""
 
     def __init__(self, q: int, guards: Guards = DEFAULT_GUARDS):
         # the guard goes first: factoring a large prime takes time linear in it
@@ -131,31 +131,12 @@ class FiniteField:
                 row.append(entries_to_index(_poly_mod(prod, self.modulus, p)[::-1], p))
             mul.append(tuple(row))
         self.mul_table = tuple(mul)
-        self.neg_table = tuple(row.index(0) for row in self.add_table)
-        inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = tuple(inv)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InputError("zero is not invertible")
-        return self.inv_table[a]
 
     def elements(self) -> range:
         return range(self.q)

@@ -38,14 +38,14 @@ from .rings import (
     check_table,
     exact_exponent,
     exponent_of_addition,
+    hom_count,
     jacobson_radical,
     minimal_submodules,
     ring_make,
-    semisimple_quotient,
+    simple_classes,
     span_step,
     submodule_generated,
     submodules_enumerate,
-    wedderburn_data,
 )
 
 
@@ -346,15 +346,6 @@ def _map_search(src, dst, gens, injective, domain, target_members=None, key=None
     return lambda values: rec(0, values) if steps else iter([tuple([values[p] for p in order])])
 
 
-def hom_count_from_simple(simple: Module, target: Module) -> int:
-    """|Hom(T, M)| for simple T: images of a fixed generator are exactly the
-    elements whose annihilator contains Ann(generator)."""
-    t0 = next(a for a in simple.elements() if a != simple.zero)
-    ann_t0 = annihilator_sets(simple)[t0]
-    anns = annihilator_sets(target)
-    return sum(1 for a in target.elements() if ann_t0 <= anns[a])
-
-
 # ---------------------------------------------------------------------------
 # automorphisms, orbit partitions
 
@@ -646,77 +637,7 @@ def embedding_search(
 
 
 # ---------------------------------------------------------------------------
-# simple modules and the socle report
-
-
-@dataclasses.dataclass(frozen=True)
-class SimpleEntry:
-    """One isomorphism class of simple left R-modules.
-
-    module        -- the simple as a standalone Module over R
-    endo_order    -- |End(T)|, the order of the endomorphism field
-    multiplicity  -- multiplicity of T in R/rad(R) as a left module
-    """
-
-    module: Module
-    endo_order: int
-    multiplicity: int
-
-
-@dataclasses.dataclass(frozen=True)
-class SimpleCatalog:
-    entries: tuple[SimpleEntry, ...]
-
-
-def simple_catalog(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> SimpleCatalog:
-    """All simple left R-modules, via minimal left ideals of R/rad(R)."""
-    if "simple_catalog" in ring._cache:
-        return ring._cache["simple_catalog"]
-    check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rbar, proj, minimals = semisimple_quotient(ring, guards)
-
-    def pullback(members: Sequence[int]) -> Module:
-        pos = {x: i for i, x in enumerate(members)}
-        size = len(members)
-        add = tuple(
-            tuple(pos[rbar.add(members[i], members[j])] for j in range(size))
-            for i in range(size)
-        )
-        act = tuple(
-            tuple(pos[rbar.mul(proj[r], members[i])] for i in range(size))
-            for r in ring.elements()
-        )
-        return Module(
-            ring, add, act, pos[rbar.zero],
-            {"kind": "simple", "ring": ring.descriptor, "ideal": list(members)},
-        )
-
-    regular_bar = Module(
-        ring,
-        rbar.add_table,
-        tuple(tuple(rbar.mul(proj[r], x) for x in rbar.elements()) for r in ring.elements()),
-        rbar.zero,
-        {"kind": "semisimple_quotient", "ring": ring.descriptor},
-    )
-
-    entries = []
-    for ideal in minimals:
-        t_mod = pullback(ideal.members)
-        if any(hom_count_from_simple(t_mod, prev.module) > 1 for prev in entries):
-            continue
-        q = hom_count_from_simple(t_mod, t_mod)
-        hom_count = hom_count_from_simple(t_mod, regular_bar)
-        entries.append(SimpleEntry(t_mod, q, exact_exponent(hom_count, q)))
-    entries.sort(key=lambda e: (e.endo_order, e.multiplicity, e.module.order))
-    shape = sorted((e.multiplicity, e.endo_order) for e in entries)
-    expected = sorted(wedderburn_data(ring, guards).blocks)
-    if shape != expected:
-        raise InternalConsistencyError(
-            f"simple catalog shape {shape} disagrees with block data {expected}"
-        )
-    catalog = SimpleCatalog(tuple(entries))
-    ring._cache["simple_catalog"] = catalog
-    return catalog
+# the socle report
 
 
 @dataclasses.dataclass(frozen=True)
@@ -749,14 +670,14 @@ class SocleReport:
 def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport:
     if "socle_report" in module._cache:
         return module._cache["socle_report"]
-    catalog = simple_catalog(module.ring, guards)
+    simples = simple_classes(module.ring, guards)
     soc = socle(module, guards)
     rows = []
     size_check = 1
-    for entry in catalog.entries:
-        s = exact_exponent(hom_count_from_simple(entry.module, module), entry.endo_order)
-        rows.append((entry.endo_order, entry.multiplicity, s, entry.module.order))
-        size_check *= entry.module.order ** s
+    for t in simples:
+        s = exact_exponent(hom_count(t, module), t.q)
+        rows.append((t.q, t.mu, s, t.order))
+        size_check *= t.order ** s
     if size_check != len(soc.members):
         raise InternalConsistencyError(
             f"socle order {len(soc.members)} differs from multiplicity product {size_check}"

@@ -423,26 +423,6 @@ def ring_quotient(ring: Ring, ideal: Submodule) -> tuple[Ring, tuple[int, ...]]:
     return quotient, proj
 
 
-def semisimple_quotient(
-    ring: Ring, guards: Guards = DEFAULT_GUARDS
-) -> tuple[Ring, tuple[int, ...], tuple[Submodule, ...]]:
-    """R/rad(R), its projection table and its minimal left ideals, built once."""
-    if "semisimple_quotient" not in ring._cache:
-        rbar, proj = ring_quotient(ring, jacobson_radical(ring))
-        ring._cache["semisimple_quotient"] = (rbar, proj, minimal_submodules(rbar, guards))
-    return ring._cache["semisimple_quotient"]
-
-
-@dataclasses.dataclass(frozen=True)
-class WedderburnData:
-    """Semisimple-quotient shape: blocks (mu_i, q_i), sorted by (q_i, mu_i)."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def as_json(self):
-        return [{"mu": mu, "q": q} for mu, q in self.blocks]
-
-
 def exact_exponent(count: int, q: int) -> int:
     """The exponent e with q**e == count, for a count that must be a power of
     q (a hom count over an endomorphism field of order q, or the size of a
@@ -456,44 +436,57 @@ def exact_exponent(count: int, q: int) -> int:
     return e
 
 
-def wedderburn_data(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> WedderburnData:
-    """Matrix-block data of R/rad(R), computed from the tables themselves.
+@dataclasses.dataclass(frozen=True)
+class SimpleClass:
+    """One isomorphism class of simple left R-modules T, the block
+    M_mu(F_q) of R/rad(R) it belongs to: q = |End(T)|, order = |T| and ann =
+    Ann_R(t) for one nonzero t in T, so that T is isomorphic to R/ann."""
 
-    For each isomorphism class of minimal left ideals T of the semisimple
-    quotient, |End(T)| = q_i and |Hom(T, R/rad)| = q_i^(mu_i) recover the
-    block M_{mu_i}(F_{q_i}).
+    mu: int
+    q: int
+    order: int
+    ann: frozenset[int]
+
+
+def hom_count(simple: SimpleClass, module) -> int:
+    """|Hom(T, M)|: T is R/ann, so a hom is fixed by the image m of t, which
+    may be any m with ann <= Ann(m)."""
+    return sum(1 for a in annihilator_sets(module) if simple.ann <= a)
+
+
+def simple_classes(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[SimpleClass, ...]:
+    """The simple left R-modules, one per minimal left ideal class of
+    R/rad(R), sorted by (q, mu) and cached on the ring.
+
+    For a minimal left ideal T of R/rad(R), |End(T)| = q and |Hom(T,
+    R/rad(R))| = q^mu recover its block M_mu(F_q); the annihilator of a
+    nonzero t is pulled back to R through the projection.
     """
-    if "wedderburn" in ring._cache:
-        return ring._cache["wedderburn"]
-    check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
-    rbar, _, minimals = semisimple_quotient(ring, guards)
-    ann = annihilator_sets(rbar)
-    blocks = []
-    seen_reps = []
-    for ideal in minimals:
-        x0 = next(x for x in ideal.members if x != rbar.zero)
-        # a nonzero hom between simples is an isomorphism, so ann-containment
-        # against any earlier representative detects a repeated class
-        if any(
-            any(ann[rx] <= ann[y] for y in ideal.members if y != rbar.zero)
-            for rx in seen_reps
-        ):
-            continue
-        seen_reps.append(x0)
-        q = sum(1 for y in ideal.members if ann[x0] <= ann[y])
-        hom_count = sum(1 for y in rbar.elements() if ann[x0] <= ann[y])
-        blocks.append((exact_exponent(hom_count, q), q))
-    blocks.sort(key=lambda b: (b[1], b[0]))
-    total = 1
-    for mu, q in blocks:
-        total *= q ** (mu * mu)
-    if total != rbar.order:
-        raise InternalConsistencyError(
-            f"block orders multiply to {total}, semisimple quotient has order {rbar.order}"
-        )
-    data = WedderburnData(tuple(blocks))
-    ring._cache["wedderburn"] = data
-    return data
+    if "simples" not in ring._cache:
+        check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
+        rbar, proj = ring_quotient(ring, jacobson_radical(ring))
+        anns = annihilator_sets(rbar)
+        seen, out = [], []
+        for ideal in minimal_submodules(rbar, guards):
+            nonzero = [y for y in ideal.members if y != rbar.zero]
+            # a nonzero hom between simples is an isomorphism, so
+            # ann-containment against an earlier class detects a repeat
+            if any(ann <= anns[y] for ann in seen for y in nonzero):
+                continue
+            ann = anns[nonzero[0]]
+            seen.append(ann)
+            q = sum(1 for y in ideal.members if ann <= anns[y])
+            mu = exact_exponent(sum(1 for a in anns if ann <= a), q)
+            pulled = frozenset(r for r in ring.elements() if proj[r] in ann)
+            out.append(SimpleClass(mu, q, len(ideal), pulled))
+        out.sort(key=lambda t: (t.q, t.mu))
+        total = math.prod(t.q ** (t.mu * t.mu) for t in out)
+        if total != rbar.order:
+            raise InternalConsistencyError(
+                f"block orders multiply to {total}, semisimple quotient has order {rbar.order}"
+            )
+        ring._cache["simples"] = tuple(out)
+    return ring._cache["simples"]
 
 
 @dataclasses.dataclass(frozen=True)

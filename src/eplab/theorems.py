@@ -48,19 +48,16 @@ from .fields import (
 )
 from .modules import (
     Module,
-    _validate_module_tables,
     annihilator_sets,
     automorphism_group,
     direct_power,
     embedding_search,
-    hom_count_from_simple,
     is_pseudo_injective,
     isomorphism_leaders,
     iter_linear_maps,
     module_generators,
     module_make,
     partition,
-    simple_catalog,
     socle_report,
     stabilizer_chain,
     submodule_orbits,
@@ -72,6 +69,7 @@ from .rings import (
     is_left_pir,
     principal_generator,
     ring_make,
+    simple_classes,
     submodules_enumerate,
 )
 
@@ -748,16 +746,12 @@ def verify_sufficiency(
 # necessity pipeline
 
 
-def _pullback_module(ring, block_module: Module, proj: Sequence[int], descriptor: dict) -> Module:
-    act = tuple(block_module.act_table[proj[r]] for r in ring.elements())
-    zero = _validate_module_tables(ring, block_module.add_table, act)
-    return Module(ring, block_module.add_table, act, zero, descriptor)
-
-
 def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> VerdictReport:
     """For a non-cyclic socle, build a verified counterexample pack over the
     alphabet by pulling the matrix-module construction back through the
-    matching Wedderburn block."""
+    Wedderburn block of the simple whose multiplicity s exceeds mu.  That
+    block's projection is the one whose kernel is the simple's two-sided
+    annihilator {r : rR <= ann}."""
     claim = "a non-cyclic socle admits a weight-preserving non-extendable code isomorphism"
     ring = alphabet.ring
     report = socle_report(alphabet, guards)
@@ -768,29 +762,28 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
             {"note": "the socle is cyclic, so no counterexample is guaranteed"},
         )
 
-    catalog = simple_catalog(ring, guards)
     index = next(i for i, row in enumerate(report.rows) if row[2] > row[1])
     q_block, mu, s, _ = report.rows[index]
     k = mu + 1
     block_pack = build_counterexample(mu, k, q_block, guards)
 
-    block_ring = ring_make({"kind": "matrix", "m": mu, "q": q_block}, guards)
-    block_alphabet = module_make(block_ring, {"kind": "column", "k": k}, guards)
-    block_simple = module_make(block_ring, {"kind": "column", "k": 1}, guards)
-    chosen = None
-    for bp in block_projections(ring, guards):
-        if bp.mu != mu or bp.q != q_block:
-            continue
-        simple_pull = _pullback_module(
-            ring, block_simple, bp.proj, {"kind": "pullback_probe"}
-        )
-        if hom_count_from_simple(simple_pull, catalog.entries[index].module) > 1:
-            chosen = bp
-            break
+    ann = simple_classes(ring, guards)[index].ann
+    kernel = [r for r in ring.elements() if all(x in ann for x in ring.mul_table[r])]
+    chosen = next(
+        (bp for bp in block_projections(ring, guards)
+         if [r for r, x in enumerate(bp.proj) if x == 0] == kernel),
+        None,
+    )
     if chosen is None:
         raise InternalConsistencyError("no block projection matches the violating socle block")
 
-    pulled = _pullback_module(ring, block_alphabet, chosen.proj, {"kind": "pullback_block"})
+    block_ring = ring_make({"kind": "matrix", "m": mu, "q": q_block}, guards)
+    block_alphabet = module_make(block_ring, {"kind": "column", "k": k}, guards)
+    pulled = Module(
+        ring, block_alphabet.add_table,
+        tuple(block_alphabet.act_table[x] for x in chosen.proj),
+        block_alphabet.zero, {"kind": "pullback_block"},
+    )
     iota = embedding_search(pulled, alphabet, guards)
     if iota is None:
         raise InternalConsistencyError(

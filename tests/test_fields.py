@@ -75,7 +75,6 @@ def test_f4_multiplication_oracle():
     assert f4.mul(2, 3) == 1
     assert f4.mul(3, 3) == 2
     assert f4.add(2, 3) == 1
-    assert f4.inv(2) == 3
 
 
 def test_f9_multiplication_oracle():
@@ -84,7 +83,6 @@ def test_f9_multiplication_oracle():
     assert f9.mul(3, 3) == 2
     assert f9.add(3, 3) == 6      # x + x = 2x
     assert f9.mul(3, 6) == 1      # x * 2x = 2x^2 = -2 = 1
-    assert f9.neg(1) == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
@@ -95,9 +93,9 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
-        assert f.add(a, f.neg(a)) == 0
+        assert 0 in f.add_table[a]
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert 1 in f.mul_table[a]
         for b in els:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
@@ -176,7 +174,6 @@ def test_field_addition_matches_the_digit_loop(q):
     f = FiniteField(q)
     oracle = _field_add_oracle(f)
     assert f.add_table == oracle
-    assert f.neg_table == tuple(row.index(0) for row in oracle)
 
 
 def _matrix_tables_oracle(field, m, k):

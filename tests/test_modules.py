@@ -1,4 +1,4 @@
-"""Module layer: socles, simple catalogs, automorphisms, partitions."""
+"""Module layer: socles, simple modules, automorphisms, partitions."""
 
 import itertools
 import json
@@ -21,7 +21,6 @@ from eplab.modules import (
     character_module,
     direct_power,
     embedding_search,
-    hom_count_from_simple,
     is_pseudo_injective,
     isomorphism_leaders,
     iter_linear_maps,
@@ -29,14 +28,13 @@ from eplab.modules import (
     module_generators,
     module_make,
     partition,
-    simple_catalog,
     socle,
     socle_report,
     stabilizer_chain,
     submodule_generated,
     submodules_enumerate,
 )
-from eplab.rings import exponent_of_addition, ring_make
+from eplab.rings import exponent_of_addition, hom_count, ring_make, simple_classes
 from test_rings import _closure_minimal_submodules
 
 
@@ -232,39 +230,30 @@ def test_socle_frozen():
 
 
 def test_simple_catalog_frozen():
-    cat = simple_catalog(z4())
-    assert len(cat.entries) == 1
-    entry = cat.entries[0]
-    assert (entry.endo_order, entry.multiplicity, entry.module.order) == (2, 1, 2)
-
-    cat6 = simple_catalog(mod_ring(6))
-    assert [(e.endo_order, e.multiplicity, e.module.order) for e in cat6.entries] == [
-        (2, 1, 2),
-        (3, 1, 3),
-    ]
-
-    catm = simple_catalog(ring_make({"kind": "matrix", "m": 2, "q": 2}))
-    assert [(e.endo_order, e.multiplicity, e.module.order) for e in catm.entries] == [
-        (2, 2, 4)
-    ]
+    assert [(t.q, t.mu, t.order) for t in simple_classes(z4())] == [(2, 1, 2)]
+    assert [(t.q, t.mu, t.order) for t in simple_classes(mod_ring(6))] == [(2, 1, 2), (3, 1, 3)]
+    m2f2 = ring_make({"kind": "matrix", "m": 2, "q": 2})
+    assert [(t.q, t.mu, t.order) for t in simple_classes(m2f2)] == [(2, 2, 4)]
 
 
-def test_simple_catalog_builds_the_semisimple_quotient_once(monkeypatch):
-    """simple_catalog and the wedderburn_data cross-check share R/rad(R)."""
+def test_semisimple_quotient_is_built_once_per_ring(monkeypatch):
+    """simple_classes, and every socle report that reads it, build R/rad(R)
+    once per ring."""
     real, calls = rings.ring_quotient, []
-    for holder in (rings, modules):  # wherever the name is bound
-        if hasattr(holder, "ring_quotient"):
-            monkeypatch.setattr(holder, "ring_quotient", lambda *a: calls.append(a) or real(*a))
-    simple_catalog(ring_make({"kind": "matrix", "m": 2, "q": 2}))
+    monkeypatch.setattr(rings, "ring_quotient", lambda *a: calls.append(a) or real(*a))
+    r = ring_make({"kind": "matrix", "m": 2, "q": 2})
+    simple_classes(r)
+    socle_report(module_make(r, {"kind": "regular"}))
+    socle_report(module_make(r, {"kind": "column", "k": 3}))
     assert len(calls) == 1
 
 
 def test_hom_counts_from_simple():
-    r = z4()
-    t = simple_catalog(r).entries[0].module
-    assert hom_count_from_simple(t, z4_regular()) == 2
-    assert hom_count_from_simple(t, z2z2_over_z4()) == 4
-    assert hom_count_from_simple(t, z2z4_over_z4()) == 4
+    (t,) = simple_classes(z4())
+    assert t.ann == frozenset({0, 2})
+    assert hom_count(t, z4_regular()) == 2
+    assert hom_count(t, z2z2_over_z4()) == 4
+    assert hom_count(t, z2z4_over_z4()) == 4
 
 
 @pytest.mark.parametrize(

@@ -20,13 +20,24 @@ def _load(name):
 
 
 def test_every_traced_name_resolves():
+    """Each TRACED name exists; Tracer.install, which reads it out of its
+    owner's namespace and raises KeyError on a missing one, wraps them all,
+    and uninstall removes every wrapper, as in a traced benchmark run."""
+    tracing = _load("tracing")
     missing = []
-    for layer, qualname, _ in _load("tracing").TRACED:
+    for layer, qualname, _ in tracing.TRACED:
         try:
             functools.reduce(getattr, qualname.split("."), importlib.import_module(f"eplab.{layer}"))
         except AttributeError:
             missing.append(f"{layer}.{qualname}")
     assert missing == []
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert sorted(tracer.stats) == sorted(f"{layer}.{name}" for layer, name, _ in tracing.TRACED)
+    finally:
+        tracer.uninstall()
+    assert tracer.leftover_wrappers() == []
 
 
 def _snapshot():

@@ -1,4 +1,4 @@
-"""Ring layer: frozen oracles for radicals, ideal lattices, Wedderburn data."""
+"""Ring layer: frozen oracles for radicals, ideal lattices, simple modules."""
 
 import itertools
 import math
@@ -13,12 +13,15 @@ from eplab.errors import (
     UnsupportedConstruction,
 )
 from eplab.fields import mixed_radix_join, mixed_radix_split
+from eplab.modules import character_module
 from eplab.rings import (
+    Module,
     Submodule,
     annihilator_sets,
     block_projections,
     exact_exponent,
     exponent_of_addition,
+    hom_count,
     is_left_ideal,
     is_left_pir,
     is_right_pir,
@@ -28,10 +31,10 @@ from eplab.rings import (
     principal_generator,
     ring_make,
     ring_quotient,
+    simple_classes,
     submodule_generated,
     submodules_enumerate,
     units,
-    wedderburn_data,
 )
 
 
@@ -149,7 +152,7 @@ def test_product_ring_structure():
     assert r.one == 1 * 3 + 1
     # (1,2) + (1,1) = (0,0)
     assert r.add(5, 4) == 0
-    assert wedderburn_data(r).blocks == ((1, 2), (1, 3))
+    assert [(t.mu, t.q) for t in simple_classes(r)] == [(1, 2), (1, 3)]
     assert is_left_pir(r)
 
 
@@ -205,7 +208,7 @@ def test_product_tables_match_the_mixed_radix_oracle(descs):
     ],
 )
 def test_wedderburn_blocks_frozen(builder, expected):
-    assert wedderburn_data(builder()).blocks == expected
+    assert tuple((t.mu, t.q) for t in simple_classes(builder())) == expected
 
 
 def test_exact_exponent():
@@ -334,11 +337,23 @@ def test_block_projections_structured():
 
 
 def test_block_projection_is_ring_map():
-    for builder in (lambda: mod_ring(12), lambda: matrix_ring(2, 2)):
-        r = builder()
+    """Every projection is a surjective unital ring homomorphism onto its
+    block M_mu(F_q)."""
+    z2, z3 = {"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}
+    m2f2 = {"kind": "matrix", "m": 2, "q": 2}
+    for desc in (
+        {"kind": "mod_n", "n": 12},
+        m2f2,
+        {"kind": "matrix", "m": 1, "q": 4},
+        {"kind": "product", "factors": [z2, z2]},
+        {"kind": "product", "factors": [m2f2, z2]},
+        {"kind": "product", "factors": [{"kind": "product", "factors": [z3, z2]}, {"kind": "mod_n", "n": 4}]},
+    ):
+        r = ring_make(desc)
         for bp in block_projections(r):
             block = ring_make({"kind": "matrix", "m": bp.mu, "q": bp.q})
             p = bp.proj
+            assert sorted(set(p)) == list(block.elements())
             assert p[r.one] == block.one
             assert p[r.zero] == block.zero
             for a in r.elements():
@@ -558,3 +573,97 @@ def test_walk_lookups_match_the_closure_oracles(name, opposite):
         assert _generator_or_error(principal_generator, r, ideal) == expected
         verdicts.add(expected is NotPrincipalError)
     assert verdicts == ({False, True} if name == "local-xy" else {False})
+
+
+# ---------------------------------------------------------------------------
+# the former bodies of wedderburn_data and simple_catalog, which built every
+# simple as a table module over R pulled back from R/rad(R) and counted homs
+# out of it: the oracles for the annihilator catalogue simple_classes
+
+
+def _pullback_hom_count(simple, target):
+    t0 = next(a for a in simple.elements() if a != simple.zero)
+    ann_t0 = annihilator_sets(simple)[t0]
+    anns = annihilator_sets(target)
+    return sum(1 for a in target.elements() if ann_t0 <= anns[a])
+
+
+def _pullback_simple_catalog(ring):
+    """(q, mu, T) per class of simples, T a table module over R, sorted by
+    (q, mu, |T|)."""
+    rbar, proj = ring_quotient(ring, jacobson_radical(ring))
+
+    def pullback(members):
+        pos = {x: i for i, x in enumerate(members)}
+        add = tuple(tuple(pos[rbar.add(x, y)] for y in members) for x in members)
+        act = tuple(tuple(pos[rbar.mul(proj[r], x)] for x in members) for r in ring.elements())
+        return Module(ring, add, act, pos[rbar.zero], {"kind": "simple"})
+
+    regular_bar = Module(
+        ring, rbar.add_table,
+        tuple(tuple(rbar.mul(proj[r], x) for x in rbar.elements()) for r in ring.elements()),
+        rbar.zero, {"kind": "semisimple_quotient"},
+    )
+    entries = []
+    for ideal in minimal_submodules(rbar):
+        t_mod = pullback(ideal.members)
+        if any(_pullback_hom_count(t_mod, prev) > 1 for _, _, prev in entries):
+            continue
+        q = _pullback_hom_count(t_mod, t_mod)
+        entries.append((q, exact_exponent(_pullback_hom_count(t_mod, regular_bar), q), t_mod))
+    entries.sort(key=lambda e: (e[0], e[1], e[2].order))
+    return entries
+
+
+def _wedderburn_blocks(ring):
+    """(mu, q) per block of R/rad(R), sorted by (q, mu), from the minimal
+    left ideals of the quotient."""
+    rbar, _ = ring_quotient(ring, jacobson_radical(ring))
+    ann = annihilator_sets(rbar)
+    blocks, seen_reps = [], []
+    for ideal in minimal_submodules(rbar):
+        x0 = next(x for x in ideal.members if x != rbar.zero)
+        if any(
+            any(ann[rx] <= ann[y] for y in ideal.members if y != rbar.zero)
+            for rx in seen_reps
+        ):
+            continue
+        seen_reps.append(x0)
+        q = sum(1 for y in ideal.members if ann[x0] <= ann[y])
+        homs = sum(1 for y in rbar.elements() if ann[x0] <= ann[y])
+        blocks.append((exact_exponent(homs, q), q))
+    blocks.sort(key=lambda b: (b[1], b[0]))
+    return tuple(blocks)
+
+
+SIMPLE_ORACLE_RINGS = {
+    **ORACLE_RINGS,
+    # two simples of one shape (q, mu) = (2, 1), where the order of the
+    # catalogue among equal shapes shows
+    "upper-triangular": upper_triangular_ring,
+    "f2xf2": lambda: ring_make(
+        {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 2}]}
+    ),
+    "m2f2xf2": lambda: ring_make(
+        {"kind": "product", "factors": [{"kind": "matrix", "m": 2, "q": 2}, {"kind": "mod_n", "n": 2}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["ring", "opposite"])
+@pytest.mark.parametrize("name", sorted(SIMPLE_ORACLE_RINGS))
+def test_simple_classes_match_the_pullback_oracles(name, opposite):
+    """The same (q, mu, |T|) list in the same order as the pulled-back table
+    modules, the same blocks as the Wedderburn pass, and the same hom counts
+    into the regular module, the character module and every pulled simple."""
+    r = SIMPLE_ORACLE_RINGS[name]()
+    if opposite:
+        r = opposite_ring(r)
+    simples = simple_classes(r)
+    catalog = _pullback_simple_catalog(r)
+    assert [(t.q, t.mu, t.order) for t in simples] == [(q, mu, t.order) for q, mu, t in catalog]
+    assert tuple((t.mu, t.q) for t in simples) == _wedderburn_blocks(r)
+    targets = [r, character_module(r), *(t for _, _, t in catalog)]
+    for t, (_, _, t_mod) in zip(simples, catalog):
+        assert [hom_count(t, m) for m in targets] == [_pullback_hom_count(t_mod, m) for m in targets]
+

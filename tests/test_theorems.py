@@ -30,13 +30,16 @@ from eplab.errors import (
 )
 from eplab.fields import FiniteField, Matrix, index_to_entries, index_to_matrix, matrix_to_index
 from eplab.modules import (
+    _validate_module_tables,
     annihilator_sets,
     automorphism_group,
     direct_power,
+    embedding_search,
     iter_linear_maps,
     module_generators,
     module_make,
     partition,
+    socle_report,
     submodule_orbits,
 )
 from eplab.rings import (
@@ -69,6 +72,7 @@ from eplab.theorems import (
     _sweep,
     _sweep_bounds,
 )
+from test_golden import CASES, SPECS
 
 
 def mod_ring(n):
@@ -1236,6 +1240,34 @@ def test_necessity_unsupported_for_table_rings():
     )
     with pytest.raises(UnsupportedConstruction):
         verify_necessity(klein_over_table)
+
+
+@pytest.mark.parametrize("stem", sorted(s for s in CASES if s.startswith("verify-necessity-")))
+def test_pulled_block_alphabet_is_the_violating_block(stem, monkeypatch):
+    """verify_necessity pulls M_{mu x k}(F_q) back through one block
+    projection without checking it.  On every verify-necessity golden spec
+    the pulled table satisfies the module axioms, and its socle is k copies
+    of the violating simple and nothing else."""
+    pulled = []
+
+    def spy(src, *rest):
+        pulled.append(src)
+        return embedding_search(src, *rest)
+
+    monkeypatch.setattr(theorems, "embedding_search", spy)
+    spec = SPECS[CASES[stem][1]]
+    ring = ring_make(spec["ring"])
+    alphabet = module_make(ring, spec["module"])
+    pack = pack_from_json(verify_necessity(alphabet).details["pack"])
+    (block,) = pulled
+    assert block.descriptor == {"kind": "pullback_block"}
+    assert _validate_module_tables(ring, block.add_table, block.act_table) == block.zero
+    k = pack.transcript["block"]["k"]
+    rows = socle_report(alphabet).rows
+    index = next(i for i, row in enumerate(rows) if row[2] > row[1])
+    assert [row[2] for row in socle_report(block).rows] == [
+        k if i == index else 0 for i in range(len(rows))
+    ]
 
 
 # ---------------------------------------------------------------------------
