@@ -9,7 +9,9 @@ Regenerate the files (only on purpose, and say why in CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py [STEM ...]
 
-which rewrites the named files, or every file when no stem is given.
+which rewrites the named files, or every file when no stem is given; the
+pack files that ep-counterexample writes with --out (pack-M-K-Q.json) are
+rewritten only when no stem is given.
 """
 
 import contextlib
@@ -102,6 +104,11 @@ SPECS = {
 }
 
 
+# ep-counterexample parameters (m, k, q); (1, 2, 4) is the first pack over a
+# field that is not prime
+PACKS = ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (1, 2, 4))
+
+
 def _cases() -> dict:
     """Golden file stem -> (argv, spec name or None)."""
     cases = {}
@@ -125,8 +132,7 @@ def _cases() -> dict:
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum", "f2xf2-t1t2t2"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)
     cases["socle-report-f2xf2-t1t2t2"] = (["socle-report"], "f2xf2-t1t2t2")
-    # (1, 2, 4) is the first pack over a field that is not prime
-    for m, k, q in ((1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (1, 2, 4)):
+    for m, k, q in PACKS:
         argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
         cases[f"ep-counterexample-{m}-{k}-{q}"] = (argv, None)
     cases["verify-midway-z4-klein"] = (["verify-midway", "--max-n", "2"], "z4-klein")
@@ -181,6 +187,20 @@ def run_case(stem: str, workdir: str) -> str:
     return out.getvalue()
 
 
+def run_pack(m: int, k: int, q: int, workdir: str) -> str:
+    """The text of the pack file that ep-counterexample writes with --out."""
+    path = os.path.join(workdir, "pack.json")
+    argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q), "--out", path]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _pack_path(m: int, k: int, q: int) -> pathlib.Path:
+    return GOLDEN_DIR / f"pack-{m}-{k}-{q}.json"
+
+
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_stdout_matches_golden(stem, tmp_path):
     expected = (GOLDEN_DIR / f"{stem}.out").read_text(encoding="utf-8")
@@ -197,8 +217,15 @@ def test_stdout_matches_golden(stem, tmp_path):
         pytest.fail(f"stdout of {stem} differs from its golden file:\n{diff}")
 
 
+@pytest.mark.parametrize("params", PACKS, ids=["-".join(map(str, p)) for p in PACKS])
+def test_pack_file_matches_golden(params, tmp_path):
+    expected = _pack_path(*params).read_text(encoding="utf-8")
+    assert run_pack(*params, str(tmp_path)) == expected
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.out")) == sorted(CASES)
+    assert sorted(GOLDEN_DIR.glob("pack-*.json")) == sorted(_pack_path(*p) for p in PACKS)
 
 
 if __name__ == "__main__":
@@ -207,3 +234,6 @@ if __name__ == "__main__":
         for stem in sys.argv[1:] or sorted(CASES):
             (GOLDEN_DIR / f"{stem}.out").write_text(run_case(stem, workdir), encoding="utf-8")
             print(stem, file=sys.stderr)
+        if not sys.argv[1:]:
+            for params in PACKS:
+                _pack_path(*params).write_text(run_pack(*params, workdir), encoding="utf-8")
