@@ -182,6 +182,39 @@ def load_codes(path: str, guards: Guards):
 # report plumbing
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for the types
+    reports hold: dicts with str keys, lists, tuples, str, int, bool and None.
+    Any other type raises TypeError.  A list of plain ints is one join."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            body = map(int.__repr__, obj)
+        else:
+            body = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = [_quote(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"a report cannot hold {type(obj).__name__} values")
+
+
 def _emit(command: str, inputs: dict, guards: Guards, result: dict) -> None:
     report = {
         "version": REPORT_VERSION,
@@ -191,7 +224,7 @@ def _emit(command: str, inputs: dict, guards: Guards, result: dict) -> None:
         "conventions": CONVENTIONS,
         "result": result,
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(report) + "\n")
 
 
 def _need_module(module: Optional[Module], command: str) -> Module:
@@ -286,7 +319,7 @@ def _cmd_ep_counterexample(args, guards: Guards) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(pack.as_json(), sort_keys=True, indent=2) + "\n")
+                handle.write(_dumps(pack.as_json()) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     inputs = {"m": args.m, "k": args.k, "q": args.q}

@@ -351,23 +351,32 @@ def _map_search(src, dst, gens, injective, domain, target_members=None, key=None
 
 
 def least_in_orbit(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
-    """out[i] is the least index joined to i by the index maps, each a
-    sequence with maps[k][j] the image of j: the first member of i's orbit
-    when the maps generate a group acting on range(size).  Union-find that
-    keeps the smaller root."""
-    parent = list(range(size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for image in maps:
-        for i, j in enumerate(image):
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return [find(i) for i in range(size)]
+    """out[i] is the first member of i's orbit under the group that the maps
+    generate, each a permutation of range(size) with maps[k][j] the image of
+    j; a map that is not one raises InternalConsistencyError.  One
+    breadth-first sweep per orbit: an i not yet labelled when reached is the
+    least of its orbit, and since the maps are permutations of a finite set,
+    the images reachable from i make up the whole orbit."""
+    maps = [list(m) for m in maps]
+    for m in maps:
+        hit = bytearray(size)  # hit[y] = 1 once y is an image under m
+        if len(m) == size and (not m or 0 <= min(m) and max(m) < size):
+            for y in m:
+                hit[y] = 1
+        if len(m) != size or 0 in hit:
+            raise InternalConsistencyError(f"an orbit map is not a permutation of range({size})")
+    out = [-1] * size
+    for i in range(size):
+        if out[i] < 0:
+            out[i] = i
+            queue = [i]
+            for x in queue:
+                for m in maps:
+                    y = m[x]
+                    if out[y] < 0:
+                        out[y] = i
+                        queue.append(y)
+    return out
 
 
 def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) -> list[int]:
@@ -378,7 +387,7 @@ def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) 
 
     def image(perm):
         for s in subs:
-            j = position.get(tuple(sorted(perm[x] for x in s.members)))
+            j = position.get(tuple(sorted(map(perm.__getitem__, s.members))))
             if j is None:
                 raise InternalConsistencyError(
                     f"an image of the submodule {list(s.members)} is not listed"
@@ -559,10 +568,11 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
             maps = iter_linear_maps(module, module, gens, injective=True)
             monos = [tuple(f[p] for p in at) for f in maps]
             position = {f: k for k, f in enumerate(monos)}
-            mono_first = least_in_orbit(
-                len(monos),
-                ([position[tuple(map(a.__getitem__, f))] for f in monos] for a in autos),
-            )
+            # a sends the monomorphism with generator images f to the one with
+            # images a(f), formed a column of monos at a time
+            columns = list(zip(*monos))
+            moved = (zip(*(map(a.__getitem__, c) for c in columns)) for a in autos)
+            mono_first = least_in_orbit(len(monos), (map(position.__getitem__, f) for f in moved))
             rest = _greedy_generators(module, members)
             bases = (
                 dict(zip(members, _map_from_images(module, module, gens, images)))
@@ -589,7 +599,8 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
 
     The characters are the Z_m-linear maps from (R, +) to the regular Z_m
     module.  They are indexed by the lexicographic order of their value tuples
-    (chi(0), ..., chi(n-1)), so the zero character has index 0.
+    (chi(0), ..., chi(n-1)), so the zero character, all zeros, has index 0.
+    The tables meet the module axioms by construction and are not re-checked.
     """
     if "character_module" in ring._cache:
         return ring._cache["character_module"]
@@ -618,9 +629,8 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
         tuple(index[tuple(chi[ring.mul(x, r)] for x in range(n))] for chi in characters)
         for r in ring.elements()
     )
-    zero = _validate_module_tables(ring, add_t, act_t)
     out = Module(
-        ring, add_t, act_t, zero,
+        ring, add_t, act_t, 0,
         {"kind": "character", "ring": ring.descriptor, "exponent": m},
     )
     ring._cache["character_module"] = out

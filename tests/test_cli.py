@@ -12,6 +12,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab import cli
 from eplab.cli import load_codes, main
@@ -183,6 +185,34 @@ def test_ep_counterexample_emits_replayable_pack(tmp_path):
     assert json.loads(out_path.read_text()) == pack_json
     pack = pack_from_json(pack_json)
     assert replay_pack(pack).result == "verified"
+
+
+# strings made of JSON syntax, escapes, control characters and non-ASCII
+_report_strings = st.text(
+    st.sampled_from('"\\/[]{},: \n\t\x00\x1f\x7fa1\u00e9\u2028\u2603\ud800\U0001f600')
+)
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _report_strings,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans()) | st.dictionaries(_report_strings, inner),
+    max_leaves=20,
+)
+
+
+@given(value=_report_values)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1: "a"}, {"a": {3}}, [0, 1, object()], b"x"],
+    ids=["float", "int-key", "set", "object", "bytes"],
+)
+def test_dumps_refuses_types_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 @pytest.mark.parametrize("target", ["missing/pack.json", "."], ids=["missing-dir", "a-directory"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eplab import modules, rings
-from eplab.errors import GuardExceeded, Guards, InputError
+from eplab.errors import GuardExceeded, Guards, InputError, InternalConsistencyError
 from eplab.fields import mixed_radix_join, mixed_radix_split
 from eplab.modules import (
     AutGroup,
@@ -24,6 +24,7 @@ from eplab.modules import (
     is_pseudo_injective,
     isomorphism_leaders,
     iter_linear_maps,
+    least_in_orbit,
     minimal_submodules,
     module_generators,
     module_make,
@@ -407,6 +408,48 @@ def test_chain_is_exact_along_every_generator_order(name):
         assert group.order == len(group.elements) == automorphism_group(greedy).order
         assert _closure(group) == set(group.elements)
         assert partition(module, "orbit").labels == partition(greedy, "orbit").labels
+
+
+def union_find_least_in_orbit(size, maps):
+    """The former modules.least_in_orbit: union-find over the pairs (j, m[j])
+    that keeps the smaller root, the oracle for the breadth-first sweep."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for image in maps:
+        for i, j in enumerate(image):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(size)]
+
+
+@given(
+    case=st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_least_in_orbit_matches_union_find(case):
+    size, maps = case
+    assert least_in_orbit(size, maps) == union_find_least_in_orbit(size, maps)
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [[[0, 0, 2]], [[1, 2, 3]], [[-1, 0, 1]], [[0, 1]], [[0, 1, 2, 0]], [[1, 0, 2], [2, 2, 1]]],
+    ids=["repeated-image", "out-of-range", "negative", "short", "long", "second-map"],
+)
+def test_least_in_orbit_rejects_a_map_that_is_not_a_permutation(maps):
+    """Union-find joined whatever pairs a map gave; the sweep follows images
+    forward only, which finds the orbit of a permutation but not of any
+    other map, so such a map is refused."""
+    with pytest.raises(InternalConsistencyError):
+        least_in_orbit(3, maps)
 
 
 def test_partition_frozen_z2z4():

@@ -13,7 +13,7 @@ from eplab.errors import (
     UnsupportedConstruction,
 )
 from eplab.fields import mixed_radix_join, mixed_radix_split
-from eplab.modules import character_module
+from eplab.modules import _validate_module_tables, character_module
 from eplab.rings import (
     Module,
     Submodule,
@@ -667,3 +667,15 @@ def test_simple_classes_match_the_pullback_oracles(name, opposite):
     for t, (_, _, t_mod) in zip(simples, catalog):
         assert [hom_count(t, m) for m in targets] == [_pullback_hom_count(t_mod, m) for m in targets]
 
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["ring", "opposite"])
+@pytest.mark.parametrize("name", sorted(SIMPLE_ORACLE_RINGS))
+def test_character_module_meets_the_module_axioms(name, opposite):
+    """character_module builds its tables without checking them; the full
+    axiom check runs here, and the zero character is index 0."""
+    r = SIMPLE_ORACLE_RINGS[name]()
+    if opposite:
+        r = opposite_ring(r)
+    chars = character_module(r)
+    assert chars.order == r.order
+    assert _validate_module_tables(r, chars.add_table, chars.act_table) == chars.zero == 0

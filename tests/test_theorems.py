@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eplab import theorems
+from eplab import modules, theorems
 
 from eplab.codes import (
     Code,
@@ -35,6 +35,7 @@ from eplab.modules import (
     automorphism_group,
     direct_power,
     embedding_search,
+    is_pseudo_injective,
     iter_linear_maps,
     module_generators,
     module_make,
@@ -43,6 +44,7 @@ from eplab.modules import (
     submodule_orbits,
 )
 from eplab.rings import (
+    Module,
     Submodule,
     exact_exponent,
     is_left_pir,
@@ -73,6 +75,8 @@ from eplab.theorems import (
     _sweep_bounds,
 )
 from test_golden import CASES, SPECS
+from test_modules import union_find_least_in_orbit
+from test_perfbench_targets import _load
 
 
 def mod_ring(n):
@@ -969,6 +973,50 @@ def test_midway_counts_match_the_unreduced_sweep(alphabet):
     expected = _unreduced_midway_counts(alphabet, 2, 2)
     assert report.counts == expected
     assert _sweep_yields(alphabet, 2, 2, "hamming") < expected["hamming_preserving"]
+
+
+# MIDWAY_ALPHABETS and every alphabet of the benchmark's certify workload, as
+# builders of fresh modules, so that no orbit labelling comes from a cache
+ORBIT_ALPHABETS = {
+    **{name: (lambda a=a: Module(a.ring, a.add_table, a.act_table, a.zero, a.descriptor))
+       for name, a in zip(MIDWAY_IDS, MIDWAY_ALPHABETS)},
+    **{f"certify-{name}": (lambda r=r, m=m: module_make(ring_make(r), m))
+       for name, r, m, *_ in _load("workloads").CERTIFY_ALPHABETS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_ALPHABETS))
+def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
+    """Each least_in_orbit call that partition(A, "orbit") makes, through
+    automorphism_group, that is_pseudo_injective makes, for its submodule
+    orbits and its monomorphism leaders, and that submodule_orbits makes on
+    the codes of A^n under the monomial group, gives the union-find labels.
+    n runs to 2 while A^n has at most 1,024 elements, so the alphabets of
+    order 64 stop at n = 1."""
+    sweep = modules.least_in_orbit
+    sizes = []
+
+    def checked(size, maps):
+        maps = [list(m) for m in maps]
+        out = sweep(size, maps)
+        assert out == union_find_least_in_orbit(size, maps)
+        sizes.append(size)
+        return out
+
+    monkeypatch.setattr(modules, "least_in_orbit", checked)
+    alphabet = ORBIT_ALPHABETS[name]()
+    partition(alphabet, "orbit")
+    is_pseudo_injective(alphabet)
+    guards = Guards(max_order=1024)
+    for n in (1, 2):
+        if alphabet.order**n > guards.max_order:
+            break
+        ambient = direct_power(alphabet, n, guards)
+        words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+        codes = submodules_enumerate(ambient, guards, 2)
+        submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
+        assert sizes[-1] == len(codes)
+    assert alphabet.order in sizes
 
 
 def _midway_peeling_every_map(alphabet, max_n, max_gens):
