@@ -185,24 +185,33 @@ def load_codes(path: str, guards: Guards):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, indent: str = "\n") -> str:
+def _dumps(obj, indent: str = "\n", memo: Optional[dict] = None) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for the types
     reports hold: dicts with str keys, lists, tuples, str, int, bool and None.
-    Any other type raises TypeError.  A list of plain ints is one join."""
+    Any other type raises TypeError.  A list of plain ints is one join.  A
+    list of lists met again at the same indent within one call, as a shared
+    listing is, is taken from the memo, keyed by (id, indent): obj keeps
+    every such list alive.  Lists of dicts, long and unshared, are not kept."""
+    memo = {} if memo is None else memo
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        key = (id(obj), indent)
+        if key in memo:
+            return memo[key]
         inner = indent + "  "
-        if set(map(type, obj)) == {int}:
-            body = map(int.__repr__, obj)
-        else:
-            body = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(body) + indent + "]"
+        types = set(map(type, obj))
+        if types == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+        out = "[" + inner + ("," + inner).join([_dumps(x, inner, memo) for x in obj]) + indent + "]"
+        if dict not in types:
+            memo[key] = out
+        return out
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
-        body = [_quote(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        body = [_quote(k) + ": " + _dumps(obj[k], inner, memo) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(body) + indent + "}"
     if isinstance(obj, str):
         return _quote(obj)

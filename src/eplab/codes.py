@@ -87,7 +87,8 @@ def code_generate(
     generators: Sequence[Sequence[int]],
     guards: Guards = DEFAULT_GUARDS,
 ) -> Code:
-    """Close the generating words under addition and the ring action."""
+    """Close the generating words under addition and the ring action: the
+    members grow by each distinct multiple r*g of one generator at a time."""
     if length < 1:
         raise InputError(f"code length must be positive, got {length}")
     gens = _validate_words(alphabet, length, generators)
@@ -95,7 +96,7 @@ def code_generate(
     members = {zero}
     ring = alphabet.ring
     for g in gens:
-        scaled = [word_act(alphabet, r, g) for r in ring.elements()]
+        scaled = {word_act(alphabet, r, g) for r in ring.elements()}
         members = {word_add(alphabet, s, sg) for s in members for sg in scaled}
         check_guard(len(members), guards.max_code, "code size")
     return Code(alphabet, length, gens, tuple(sorted(members)))
@@ -177,7 +178,9 @@ def code_map_make(
     """Build the linear map sending source generators to the given images.
 
     Raises InputError when the assignment is not well defined, not injective,
-    or its image is not exactly the target code.
+    or its image is not exactly the target code.  Each generator g with image
+    f(g) extends the map by the distinct pairs (r*g, r*f(g)); two pairs that
+    share r*g but not r*f(g) meet at s = 0 and raise.
     """
     if source.alphabet is not target.alphabet:
         raise InputError("source and target codes must share an alphabet")
@@ -195,9 +198,8 @@ def code_map_make(
     mapping = {zero: zero}
     for g, fg in zip(source.generators, images):
         new = {}
-        for r in ring.elements():
-            rg = word_act(alphabet, r, g)
-            rfg = word_act(alphabet, r, fg)
+        pairs = {(word_act(alphabet, r, g), word_act(alphabet, r, fg)) for r in ring.elements()}
+        for rg, rfg in pairs:
             for s, fs in mapping.items():
                 key = word_add(alphabet, s, rg)
                 val = word_add(alphabet, fs, rfg)

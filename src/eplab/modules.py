@@ -28,7 +28,7 @@ from .errors import (
     check_guard,
     check_power_guard,
 )
-from .fields import FiniteField, matrix_tables, mixed_radix_join, product_table
+from .fields import matrix_tables, mixed_radix_join, product_table
 from .rings import (
     Module,
     Ring,
@@ -86,7 +86,7 @@ def _module_column(ring: Ring, k: int, guards: Guards) -> Module:
         raise InputError(f"column count must be positive, got {k}")
     m, q = desc["m"], desc["q"]
     check_power_guard(q, m * k, guards.max_order, f"module order {q}^({m}*{k})")
-    add, act = matrix_tables(FiniteField(q, guards), m, k)
+    add, act = matrix_tables(ring.field, m, k)
     return Module(ring, add, act, 0, {"kind": "column", "k": k})
 
 
@@ -457,44 +457,52 @@ class AutGroup:
 
 
 def stabilizer_chain(module: Module, gens: Sequence[int]):
-    """Yield the levels, deepest first, of a stabilizer chain (Sims 1970) of
-    the automorphism group of C = span(gens) in the module, along gens =
-    (g_1..g_k).  G_i, the automorphisms fixing g_1..g_{i-1}, moves g_i to
-    exactly the y for which the identity on span(g_1..g_{i-1}) extended by
-    g_i -> y extends to an automorphism; level i lists one such automorphism
-    per y, as the images of C's ascending members.  So |Aut(C)| is the
-    product of the level sizes."""
+    """Yield (size, kept) for the levels, deepest first, of a stabilizer
+    chain (Sims 1970) of the automorphism group of C = span(gens) in the
+    module, along gens = (g_1..g_k).  G_i, the automorphisms fixing
+    g_1..g_{i-1}, moves g_i to exactly the y for which the identity on
+    span(g_1..g_{i-1}) extended by g_i -> y extends to an automorphism; size
+    counts those y, so |Aut(C)| is the product of the sizes.  A candidate y
+    in the orbit of g_i under the automorphisms kept so far, at this level
+    and deeper, all of them in G_i, is counted without a search; any other
+    takes one, and the automorphism it finds, as the images of C's ascending
+    members, is kept.  The kept ones at levels i..k then generate G_i, by
+    orbit-stabilizer, and each at least doubles the group they generate."""
     spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
     target = frozenset(spans[-1])
+    position = {x: p for p, x in enumerate(spans[-1])}
+    kept = []
     for i in reversed(range(len(gens))):
-        identity, level = dict(zip(spans[i], spans[i])), []
+        identity, size, level = dict(zip(spans[i], spans[i])), 0, []
         extend = _map_search(module, module, gens[i + 1 :], True, spans[i + 1], target)
+        at, orbit = spans[i + 1].index(gens[i]), {gens[i]}
         for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
-            full = next(extend(list(step)), None)
-            if full is not None:
+            if step[at] not in orbit:
+                full = next(extend(list(step)), None)
+                if full is None:
+                    continue
                 level.append(full)
-        yield level
+                kept.append(full)
+                queue = list(orbit)  # the orbit of g_i under every kept map
+                for x in queue:
+                    for h in kept:
+                        y = h[position[x]]
+                        if y not in orbit:
+                            orbit.add(y)
+                            queue.append(y)
+            size += 1
+        yield size, level
 
 
 def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
-    """Aut(A) as the stabilizer_chain along module_generators(A).  From the
-    deepest level up, the automorphism listed for y joins the generators only
-    when y lies outside the orbit of g_i under those kept so far.  Those kept
-    at levels i..k then generate G_i, by orbit-stabilizer, and each one at
-    least doubles the group they generate, so there are at most
-    log2 |Aut(A)| of them.
-    """
+    """Aut(A) as the stabilizer_chain along module_generators(A): the product
+    of its sizes and the automorphisms it kept, at most log2 |Aut(A)|."""
     if "aut_group" not in module._cache:
         check_guard(module.order, guards.max_order, f"module order {module.order}")
-        gens = module_generators(module)
         order, kept = 1, []
-        for g, level in zip(reversed(gens), stabilizer_chain(module, gens)):
-            order *= len(level)
-            labels = least_in_orbit(module.order, kept)
-            for full in level:
-                if labels[full[g]] != labels[g]:
-                    kept.append(full)
-                    labels = least_in_orbit(module.order, kept)
+        for size, level in stabilizer_chain(module, module_generators(module)):
+            order *= size
+            kept += level
         module._cache["aut_group"] = AutGroup(module, order, tuple(kept))
     return module._cache["aut_group"]
 

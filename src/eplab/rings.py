@@ -73,12 +73,14 @@ class Module:
 
 class Ring(Module):
     """A ring, which is also its own regular module: it acts on itself by
-    left multiplication, so its left ideals are its submodules."""
+    left multiplication, so its left ideals are its submodules.  A matrix
+    ring M_m(F_q) keeps its field F_q; other rings have field None."""
 
-    def __init__(self, add, mul, zero, one, descriptor):
+    def __init__(self, add, mul, zero, one, descriptor, field: Optional[FiniteField] = None):
         super().__init__(self, add, mul, zero, descriptor)
         self.mul_table = mul
         self.one = one
+        self.field = field
         self.neg_table = tuple(row.index(zero) for row in add)
 
     def mul(self, a: int, b: int) -> int:
@@ -180,7 +182,7 @@ def _ring_matrix(m: int, q: int, guards: Guards) -> Ring:
     field = FiniteField(q, guards)
     add, mul = matrix_tables(field, m, m)
     one = matrix_to_index(Matrix.identity(field, m))
-    return Ring(add, mul, 0, one, {"kind": "matrix", "m": m, "q": q})
+    return Ring(add, mul, 0, one, {"kind": "matrix", "m": m, "q": q}, field)
 
 
 def _ring_product(factors: Sequence[Ring]) -> Ring:

@@ -44,7 +44,6 @@ from .fields import (
     factor_prime_power,
     index_to_entries,
     linear_table,
-    unit_matrices,
 )
 from .modules import (
     Module,
@@ -124,12 +123,16 @@ def counterexample_length(q: int, k: int) -> int:
     return n
 
 
-def _subspaces(q: int, k: int, guards: Guards) -> tuple[list, tuple]:
-    """The subspaces of F_q^k as sorted member-index tuples, ordered by (size,
-    members), and the index add table of F_q^k: the submodules of the column
-    module F_q^k over M_1(F_q).  Index order is the lex order of vectors."""
-    field_ring = ring_make({"kind": "matrix", "m": 1, "q": q}, guards)
-    space = module_make(field_ring, {"kind": "column", "k": k}, guards)
+def _subspaces(alphabet: Module, guards: Guards) -> tuple[list, tuple]:
+    """The subspaces of F_q^k, for the alphabet M_{m x k}(F_q), as sorted
+    member-index tuples, ordered by (size, members), and the index add table
+    of F_q^k: the submodules of the column module F_q^k over M_1(F_q), which
+    is the alphabet itself when m = 1.  Index order is the lex order of
+    vectors."""
+    space, ring = alphabet, alphabet.ring
+    if ring.descriptor["m"] != 1:
+        field_ring = ring_make({"kind": "matrix", "m": 1, "q": ring.field.q}, guards)
+        space = module_make(field_ring, alphabet.descriptor, guards)
     return [s.members for s in submodules_enumerate(space, guards)], space.add_table
 
 
@@ -142,6 +145,19 @@ def _projection(field: FiniteField, k: int, add, v: Sequence[int], w: Sequence[i
     part = {add[x][y]: x for x in v for y in w}
     cols = [index_to_entries(part[q ** (k - 1 - j)], q, k) for j in range(k)]
     return Matrix(field, k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
+
+
+def _coordinate_table(field: FiniteField, m: int, add, p: Matrix) -> tuple[int, ...]:
+    """The index table of a -> a.P on M_{m x k}(F_q), for the k x k matrix P
+    and the add table of F_q^k.  The rows of P are the images of the unit
+    rows, so linear_table gives x -> x.P on F_q^k; the rows of a map
+    independently, so the table for a is the mixed-radix product of m copies
+    of that one, the first row most significant."""
+    row = linear_table(field, add, [p.row(j) for j in range(p.rows)])
+    table = row
+    for _ in range(m - 1):
+        table = tuple(t * len(row) + x for t in table for x in row)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +288,12 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
             raise InputError(f"{name} must be a positive integer, got {value!r}")
     if k <= m:
         raise InputError(f"the construction requires k > m, got k={k}, m={m}")
-    field = FiniteField(q, guards)
     ring = ring_make({"kind": "matrix", "m": m, "q": q}, guards)
     alphabet = module_make(ring, {"kind": "column", "k": k}, guards)
+    field = ring.field
     n = counterexample_length(q, k)
 
-    subspaces, add = _subspaces(q, k, guards)
+    subspaces, add = _subspaces(alphabet, guards)
     dims = [exact_exponent(len(s), q) for s in subspaces]
     complements = []
     for si, sub in enumerate(subspaces):
@@ -301,8 +317,9 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
         )
 
     gens = module_generators(alphabet)
-    units = unit_matrices(field, m, k)
     expected = alphabet.order
+    vectors = [list(index_to_entries(x, q, k)) for x in range(len(add))]
+    listings = [[vectors[x] for x in sub] for sub in subspaces]  # one list per subspace
 
     def assignment(coords):
         return [(si, complements[si][t % len(complements[si])]) for si, t in coords]
@@ -311,24 +328,17 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
         return tuple(tables[pair][a] for pair in assign)
 
     def coord_json(assign, coords):
-        out = []
-        for (si, wi), (_, t) in zip(assign, coords):
-            out.append(
-                {
-                    "dim": dims[si],
-                    "copy": t,
-                    "subspace": [list(index_to_entries(x, q, k)) for x in subspaces[si]],
-                    "kernel": [list(index_to_entries(x, q, k)) for x in subspaces[wi]],
-                }
-            )
-        return out
+        return [
+            {"dim": dims[si], "copy": t, "subspace": listings[si], "kernel": listings[wi]}
+            for (si, wi), (_, t) in zip(assign, coords)
+        ]
 
     assign_plus = assignment(coords_plus)
     assign_minus = assignment(coords_minus)
     tables = {}  # one table of the linear map a -> a.P per distinct P
     for si, wi in set(assign_plus + assign_minus):
         p = _projection(field, k, add, subspaces[si], subspaces[wi])
-        tables[si, wi] = linear_table(field, alphabet.add_table, [e.mul(p).entries for e in units])
+        tables[si, wi] = _coordinate_table(field, m, add, p)
     gens_plus = tuple(word_of(g, assign_plus) for g in gens)
     gens_minus = tuple(word_of(g, assign_minus) for g in gens)
     cp = code_generate(alphabet, n, gens_plus, guards)
@@ -632,7 +642,7 @@ def _sweep(
         )
         leader = isomorphism_leaders(ambient, codes, orbit_size)
         aut = {
-            i: math.prod(map(len, stabilizer_chain(ambient, codes[i].generators)))
+            i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
             for i in set(leader.values())
         }
         for i in orbit_size:

@@ -205,6 +205,55 @@ def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+# placeholders for one list object each; _report_strings cannot spell them
+_SHARED, _INNER = "<shared>", "<inner>"
+
+
+def _fill(template, mark, value):
+    """template with every placeholder mark replaced by the one object value."""
+    if template == mark:
+        return value
+    if isinstance(template, (list, tuple)):
+        return type(template)(_fill(x, mark, value) for x in template)
+    if isinstance(template, dict):
+        return {k: _fill(v, mark, value) for k, v in template.items()}
+    return template
+
+
+def _with_placeholder(mark):
+    return st.recursive(
+        st.just(mark) | st.integers() | _report_strings,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(_report_strings, inner),
+        max_leaves=8,
+    )
+
+
+@given(
+    inner=st.lists(st.integers() | st.lists(st.integers(), max_size=3), min_size=1),
+    shared=st.lists(_with_placeholder(_INNER), min_size=1),
+    template=_with_placeholder(_SHARED),
+)
+@settings(max_examples=100, deadline=None)
+def test_dumps_writes_a_shared_list_as_json_dumps_does(inner, shared, template):
+    """One list object in several places, at one depth, at several depths and
+    inside tuples, itself holding another shared list: the memo keyed by
+    (id, indent) changes no byte."""
+    value = _fill(template, _SHARED, _fill(shared, _INNER, inner))
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_shared_listings_as_json_dumps_does():
+    vector, other = [0, 1], [1, 1]
+    listing = [vector, other, vector]
+    value = {
+        "a": [listing, listing, (listing, [listing])],
+        "b": {"c": listing, "d": [{"e": listing, "f": vector}, (vector, listing)]},
+        "g": [[listing], listing],
+    }
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize(
     "value",
     [1.5, {1: "a"}, {"a": {3}}, [0, 1, object()], b"x"],
@@ -467,6 +516,31 @@ def test_a_huge_field_order_hits_the_guard_before_factoring(tmp_path):
         assert time.perf_counter() - start < 1
         assert (rc, out) == (3, "")
         assert "field order 1000000007 (1000000007) exceeds guard (256)" in err
+
+
+@pytest.mark.parametrize(
+    "m,k,q,code,message",
+    [
+        (1, 2, 6, 4, "field order must be a prime power, got 6"),
+        (1, 2, 0, 4, "field order must be at least 2, got 0"),
+        (1, 2, 1, 4, "field order must be at least 2, got 1"),
+        (1, 2, -3, 4, "field order must be at least 2, got -3"),
+        (1, 2, 512, 3, "field order 512 (512) exceeds guard (256)"),
+        (1, 2, 256, 3, "matrix ring order 256^(1*1) exceeds guard (64)"),
+        (0, 2, 2, 4, "m must be a positive integer, got 0"),
+        (1, 0, 2, 4, "k must be a positive integer, got 0"),
+        (2, 2, 2, 4, "the construction requires k > m, got k=2, m=2"),
+        (2, 1, 2, 4, "the construction requires k > m, got k=1, m=2"),
+        (3, 4, 2, 3, "matrix ring order 2^(3*3) exceeds guard (64)"),
+        (1, 7, 2, 3, "module order 2^(1*7) exceeds guard (64)"),
+        (1, 2, 9, 3, "module order 9^(1*2) exceeds guard (64)"),
+    ],
+)
+def test_ep_counterexample_rejects_its_arguments_in_order(m, k, q, code, message):
+    """m and k first, then the field order as FiniteField checks it, then the
+    ring and module orders: each case keeps its exit code and its message."""
+    rc, out, err = run(["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)])
+    assert (rc, out, err) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

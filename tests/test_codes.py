@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from eplab.codes import (
     monomial_apply,
     MonomialTransform,
     weight_profile,
+    word_act,
+    word_add,
 )
 from eplab.errors import GuardExceeded, Guards, InputError
 from eplab.fields import index_to_entries
@@ -140,6 +143,120 @@ def test_code_map_make_and_errors():
         code_map_make(c1, code_generate(a, 2, [(1, 1)]), [(1, 3)])
     with pytest.raises(InputError):
         code_map_make(c1, c2, [(2, 1), (0, 0)])
+
+
+def _closure_code_generate(alphabet, length, generators):
+    """The former code_generate closure, one multiple per ring element: the
+    oracle for the closure over the distinct multiples."""
+    members = {(alphabet.zero,) * length}
+    for g in generators:
+        scaled = [word_act(alphabet, r, tuple(g)) for r in alphabet.ring.elements()]
+        members = {word_add(alphabet, s, sg) for s in members for sg in scaled}
+    return tuple(sorted(members))
+
+
+def _closure_code_map(source, target, gen_images):
+    """The former code_map_make, one pair per ring element and mapped word:
+    the oracle for the closure over the distinct pairs (r*g, r*f(g))."""
+    alphabet = source.alphabet
+    zero = (alphabet.zero,) * source.length
+    if len(gen_images) != len(source.generators):
+        raise InputError(
+            f"expected {len(source.generators)} generator images, got {len(gen_images)}"
+        )
+    mapping = {zero: zero}
+    for g, fg in zip(source.generators, gen_images):
+        new = {}
+        for r in alphabet.ring.elements():
+            rg, rfg = word_act(alphabet, r, g), word_act(alphabet, r, tuple(fg))
+            for s, fs in mapping.items():
+                key, val = word_add(alphabet, s, rg), word_add(alphabet, fs, rfg)
+                prev = new.get(key)
+                if prev is None:
+                    new[key] = val
+                elif prev != val:
+                    raise InputError("generator images do not define a map")
+        mapping = new
+    if set(mapping) != set(source.elements):
+        raise InputError("generators do not generate the source code")
+    values = set(mapping.values())
+    if len(values) != len(mapping):
+        raise InputError("code map is not injective")
+    if values != set(target.elements):
+        raise InputError("code map image differs from the target code")
+    return mapping
+
+
+def _outcome(build, *args):
+    """build(*args), or the message of the InputError it raises."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        return f"raises: {exc}"
+
+
+CLOSURE_ALPHABETS = {
+    "z4": z4_alphabet,
+    "z4-klein": lambda: _mod_alphabet(
+        4, {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}] * 2}
+    ),
+    "f4": lambda: module_make(ring_make({"kind": "matrix", "m": 1, "q": 4}), {"kind": "regular"}),
+    "m2f2-col3": lambda: module_make(
+        ring_make({"kind": "matrix", "m": 2, "q": 2}), {"kind": "column", "k": 3}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_ALPHABETS))
+def test_closures_over_distinct_multiples_match_the_per_element_closures(name):
+    """Seeded random generators at n <= 3, with images that are random words,
+    a monomial transform of the generators, or their multiples by one ring
+    element r: code_generate gives the per-element closure, and code_map_make
+    the same dict, or the same error."""
+    alphabet = CLOSURE_ALPHABETS[name]()
+    rng = random.Random(name)
+    perms = automorphism_group(alphabet).elements
+    outcomes = set()
+    for n in (1, 2, 3):
+        for _ in range(40):
+            gens = [
+                tuple(rng.randrange(alphabet.order) for _ in range(n))
+                for _ in range(rng.randint(1, 2))
+            ]
+            source = code_generate(alphabet, n, gens)
+            assert source.elements == _closure_code_generate(alphabet, n, gens)
+            way = rng.choice(["random", "monomial", "multiple"])
+            if way == "random":
+                images = [tuple(rng.randrange(alphabet.order) for _ in range(n)) for _ in gens]
+            elif way == "monomial":
+                taus = tuple(rng.choice(perms) for _ in range(n))
+                transform = MonomialTransform(tuple(rng.sample(range(n), n)), taus)
+                images = [monomial_apply(transform, g) for g in gens]
+            else:
+                r = rng.randrange(alphabet.ring.order)
+                images = [word_act(alphabet, r, g) for g in gens]
+            target = code_generate(alphabet, n, images)
+            assert target.elements == _closure_code_generate(alphabet, n, images)
+            new = _outcome(lambda: code_map_make(source, target, images).mapping)
+            assert new == _outcome(_closure_code_map, source, target, images)
+            outcomes.add(new if isinstance(new, str) else "map")
+    assert "map" in outcomes and "raises: generator images do not define a map" in outcomes
+
+
+def test_pairs_sharing_a_multiple_of_the_generator_must_share_its_image():
+    """Over Z/4, g = (2, 0) with f(g) = (1, 0): r = 1 and r = 3 give the one
+    multiple r*g = (2, 0) but the images (1, 0) and (3, 0), and r = 0, 2 give
+    r*g = 0 but the images (0, 0) and (2, 0).  Among the distinct pairs both
+    clashes remain, and the map is refused as the per-element closure
+    refuses it."""
+    a = z4_alphabet()
+    source = code_generate(a, 2, [(2, 0)])
+    target = code_generate(a, 2, [(1, 0)])
+    pairs = {(word_act(a, r, (2, 0)), word_act(a, r, (1, 0))) for r in a.ring.elements()}
+    assert len(pairs) == 4 and len({rg for rg, _ in pairs}) == 2
+    message = "raises: generator images do not define a map"
+    assert _outcome(code_map_make, source, target, [(1, 0)]) == message
+    assert _outcome(_closure_code_map, source, target, [(1, 0)]) == message
 
 
 def test_map_preserves_frozen():

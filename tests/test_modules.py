@@ -428,6 +428,48 @@ def union_find_least_in_orbit(size, maps):
     return [find(i) for i in range(size)]
 
 
+def listing_stabilizer_chain(module, gens):
+    """The former modules.stabilizer_chain: one search per candidate y of
+    every level, each level listed as one automorphism per y, deepest
+    first.  The oracle for the orbit-pruned chain."""
+    spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
+    target = frozenset(spans[-1])
+    for i in reversed(range(len(gens))):
+        identity, level = dict(zip(spans[i], spans[i])), []
+        extend = modules._map_search(module, module, gens[i + 1 :], True, spans[i + 1], target)
+        for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
+            full = next(extend(list(step)), None)
+            if full is not None:
+                level.append(full)
+        yield level
+
+
+def filtered_chain_generators(module):
+    """The former automorphism_group filter over the listing chain: the
+    automorphism listed for y joins the generators when y lies outside the
+    orbit of g_i under those kept so far."""
+    gens, kept = module_generators(module), []
+    for g, level in zip(reversed(gens), listing_stabilizer_chain(module, gens)):
+        labels = union_find_least_in_orbit(module.order, kept)
+        for full in level:
+            if labels[full[g]] != labels[g]:
+                kept.append(full)
+                labels = union_find_least_in_orbit(module.order, kept)
+    return tuple(kept)
+
+
+def check_chain_against_the_listing(module, gens):
+    """Each level of the pruned chain counts as many automorphisms as the
+    listing chain lists, and keeps only listed ones; returns the sizes."""
+    sizes = []
+    for (size, kept), level in zip(
+        stabilizer_chain(module, gens), listing_stabilizer_chain(module, gens), strict=True
+    ):
+        assert size == len(level) and set(kept) <= set(level)
+        sizes.append(size)
+    return sizes
+
+
 @given(
     case=st.integers(0, 40).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))
@@ -783,7 +825,8 @@ def test_chain_order_counts_every_automorphism_of_every_code(name):
         for code in codes:
             gens, members = code.generators, frozenset(code.members)
             listed = iter_linear_maps(ambient, ambient, gens, injective=True, target_members=members)
-            assert math.prod(map(len, stabilizer_chain(ambient, gens))) == sum(1 for _ in listed)
+            sizes = [size for size, _ in stabilizer_chain(ambient, gens)]
+            assert math.prod(sizes) == sum(1 for _ in listed)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))

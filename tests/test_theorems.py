@@ -75,7 +75,11 @@ from eplab.theorems import (
     _sweep_bounds,
 )
 from test_golden import CASES, SPECS
-from test_modules import union_find_least_in_orbit
+from test_modules import (
+    check_chain_against_the_listing,
+    filtered_chain_generators,
+    union_find_least_in_orbit,
+)
 from test_perfbench_targets import _load
 
 
@@ -194,14 +198,24 @@ def test_counterexample_length_validation():
 
 def test_subspace_counts():
     # Gaussian binomial totals: sum_d [k choose d]_q
-    assert len(_subspaces(2, 2, Guards())[0]) == 5
-    assert len(_subspaces(2, 3, Guards())[0]) == 16
-    assert len(_subspaces(3, 2, Guards())[0]) == 6
+    assert len(_subspaces(matrix_module(1, 2, 2), Guards())[0]) == 5
+    assert len(_subspaces(matrix_module(1, 2, 3), Guards())[0]) == 16
+    assert len(_subspaces(matrix_module(1, 3, 2), Guards())[0]) == 6
+
+
+@pytest.mark.parametrize("m,k,q", [(2, 3, 2), (2, 3, 3), (2, 4, 2)])
+def test_subspaces_of_a_wider_alphabet_are_those_of_its_rows(m, k, q):
+    """For m > 1 the lattice is that of F_q^k, the alphabet of m = 1."""
+    guards = Guards(max_order=729)
+    ring = ring_make({"kind": "matrix", "m": m, "q": q}, guards)
+    wide = module_make(ring, {"kind": "column", "k": k}, guards)
+    assert _subspaces(wide, guards) == _subspaces(matrix_module(1, q, k), guards)
 
 
 def _vector_subspaces(q, k):
     """_subspaces with each member index spelled out as its vector."""
-    return [tuple(index_to_entries(x, q, k) for x in s) for s in _subspaces(q, k, Guards())[0]]
+    subspaces, _ = _subspaces(matrix_module(1, q, k), Guards())
+    return [tuple(index_to_entries(x, q, k) for x in s) for s in subspaces]
 
 
 def test_subspaces_are_closed_and_ordered():
@@ -273,7 +287,7 @@ def _complement_pairs(q, k, subspaces):
 def test_projection_fixes_its_subspace_and_kills_its_kernel(q, k):
     """P.P = P, P.v = v on V and P.w = 0 on W: together they fix P."""
     field = FiniteField(q)
-    subspaces, add = _subspaces(q, k, Guards())
+    subspaces, add = _subspaces(matrix_module(1, q, k), Guards())
     pairs = _complement_pairs(q, k, subspaces)
     # a d-dimensional subspace has q^(d (k - d)) complements
     dims = [exact_exponent(len(v), q) for v in subspaces]
@@ -349,19 +363,22 @@ def _logged(real, log):
 
 @pytest.mark.parametrize("m,k,q", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 4), (1, 3, 3)])
 def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch):
-    """Each table of a -> a.P, filled by linearity, equals the product a.P for
-    every a; there is one per (subspace, kernel) pair, and the generator
-    words read the products of the pair each coordinate names."""
+    """Each final table of a -> a.P, the m-fold product of the row table
+    x -> x.P, equals the product a.P for every a; there is one per
+    (subspace, kernel) pair, and the generator words read the products of
+    the pair each coordinate names."""
     projections, tables = [], []
     monkeypatch.setattr(theorems, "_projection", _logged(_projection, projections))
-    monkeypatch.setattr(theorems, "linear_table", _logged(theorems.linear_table, tables))
+    monkeypatch.setattr(
+        theorems, "_coordinate_table", _logged(theorems._coordinate_table, tables)
+    )
     pack = build_counterexample(m, k, q)
     field = FiniteField(q)
     mats = [index_to_matrix(field, m, k, a) for a in range(q ** (m * k))]
     for proj, table in zip(projections, tables, strict=True):
         assert table == tuple(matrix_to_index(a.mul(proj)) for a in mats)
 
-    subspaces, add = _subspaces(q, k, Guards())
+    subspaces, add = _subspaces(matrix_module(1, q, k), Guards())
     vectors = _vector_subspaces(q, k)
     members = {json.dumps([list(v) for v in vs]): s for vs, s in zip(vectors, subspaces)}
     gens = module_generators(matrix_module(m, q, k))
@@ -382,7 +399,7 @@ def test_kernel_choice_never_changes_an_orbit(m, k, q):
     alphabet = matrix_module(m, q, k)
     labels = partition(alphabet, "orbit").labels
     mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
-    subspaces, add = _subspaces(q, k, Guards())
+    subspaces, add = _subspaces(matrix_module(1, q, k), Guards())
     pairs = _complement_pairs(q, k, subspaces)
     for vi, sub in enumerate(subspaces):
         complements = [wi for v, wi in pairs if v == vi]
@@ -1017,6 +1034,37 @@ def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
         submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
         assert sizes[-1] == len(codes)
     assert alphabet.order in sizes
+
+
+# ORBIT_ALPHABETS plus the alphabet of every benchmark pack that is not
+# already a certify alphabet
+CHAIN_ALPHABETS = {
+    **ORBIT_ALPHABETS,
+    **{f"pack-{m},{k},{q}": (lambda m=m, k=k, q=q: matrix_module(m, q, k))
+       for (m, k, q), _ in _load("workloads").PACKS
+       if [{"kind": "matrix", "m": m, "q": q}, {"kind": "column", "k": k}]
+       not in [[r, a] for _, r, a, *_ in _load("workloads").CERTIFY_ALPHABETS]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ALPHABETS))
+def test_pruned_chain_matches_the_listing_chain(name):
+    """On the alphabet, automorphism_group keeps the generators the listing
+    chain's filter keeps, tuple for tuple, and every level of the pruned
+    chain, on the alphabet and on every code of A^n with at most two
+    generators (the benchmark's sweeps use --max-gens 2), counts the listed
+    level.  n runs to 2 while A^n has at most 1,024 elements."""
+    alphabet = CHAIN_ALPHABETS[name]()
+    assert automorphism_group(alphabet).generators == filtered_chain_generators(alphabet)
+    sizes = check_chain_against_the_listing(alphabet, module_generators(alphabet))
+    assert math.prod(sizes) == automorphism_group(alphabet).order
+    guards = Guards(max_order=1024)
+    for n in (1, 2):
+        if alphabet.order**n > guards.max_order:
+            break
+        ambient = direct_power(alphabet, n, guards)
+        for code in submodules_enumerate(ambient, guards, 2):
+            check_chain_against_the_listing(ambient, code.generators)
 
 
 def _midway_peeling_every_map(alphabet, max_n, max_gens):
