@@ -1,9 +1,10 @@
 """The sha256 of stdout of the benchmark's counterexample operations: every
 ep-counterexample pack of perfbench/workloads.PACKS and verify-necessity on
-each certify alphabet whose socle is not cyclic.  The reports are too large
-to commit as golden files (the (1,4,2) pack alone is 385 KB), so only their
-digests are pinned.  The benchmark's workload list is read by path and
-nothing is written under perfbench/.
+each certify alphabet whose socle is not cyclic, plus one larger pack.  The
+reports are too large to commit as golden files (the (1,4,2) pack alone is
+385 KB, the (1,5,2) pack 13.7 MB), so only their digests are pinned.  The
+benchmark's workload list is read by path and nothing is written under
+perfbench/.
 """
 
 import contextlib
@@ -42,6 +43,13 @@ PACK_DIGESTS = {
     (1, 4, 2): "fffbad495f10de4ff78a66857bf5a09fba47ff5cb7951fb4c2a84d332998c37c",
 }
 
+# A pack beyond the benchmark's: 374 subspaces against the 67 that the
+# largest of PACKS reaches.  Kept apart from PACK_DIGESTS, which must list
+# exactly the benchmark's packs.
+LARGE_PACK_DIGESTS = {
+    (1, 5, 2): "7ec252db48fcde58390764b9a42ac334a00c325c543f081a24ebe0444a780c88",
+}
+
 NECESSITY_DIGESTS = {
     "Z4-Z2xZ2": "46c9329bd451c6915d03f7aafe752c24c43c80768ae8e19ba8e15f024f1c7988",
     "F2^2": "969921af52c5da32d81a38e2aec0e2a2c95faaf7a044250eff656a399df38759",
@@ -75,6 +83,13 @@ def test_ep_counterexample_stdout_digest(params, monkeypatch):
     m, k, q = params
     argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
     assert _stdout_digest(argv, monkeypatch) == (1, PACK_DIGESTS[params])
+
+
+@pytest.mark.parametrize("params", sorted(LARGE_PACK_DIGESTS), ids=str)
+def test_large_ep_counterexample_stdout_digest(params, monkeypatch):
+    m, k, q = params
+    argv = ["ep-counterexample", "--m", str(m), "--k", str(k), "--q", str(q)]
+    assert _stdout_digest(argv, monkeypatch) == (1, LARGE_PACK_DIGESTS[params])
 
 
 @pytest.mark.parametrize("entry", NON_CYCLIC, ids=lambda entry: entry[0])
