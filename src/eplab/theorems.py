@@ -249,28 +249,67 @@ def _zero_columns(code: Code) -> list[int]:
 
 
 def _pack_checks(
-    length_ok: bool,
-    cp: Code,
-    cm: Code,
-    cmap: CodeMap,
-    expected_size: int,
-    guards: Guards,
-) -> tuple[dict, dict]:
-    """The machine checks of a pack, and its non-extension certificate: the
-    extension search over Aut(A), which decides without backtracking."""
-    checks = {"length_matches_formula": length_ok}
-    checks["codes_bijective_image"] = cp.size == expected_size and cm.size == expected_size
+    pack: CounterexamplePack, alphabet: Module, guards: Guards
+) -> tuple[dict, dict, CodeMap]:
+    """Run the machine checks of a pack over its alphabet.  The length
+    formula comes from params q and k, the expected code size from params
+    code_size.  Returns the checks, the non-extension certificate (the
+    extension search over Aut(A), which decides without backtracking) and
+    the checked code map."""
+    q, k = pack.params["q"], pack.params["k"]
+    cp = code_generate(alphabet, pack.length, pack.generators_plus, guards)
+    cm = code_generate(alphabet, pack.length, pack.generators_minus, guards)
+    cmap = code_map_make(cp, cm, pack.gen_images, guards)
+    expected = pack.params.get("code_size", cp.size)
+    # the formula is at least 2^(k-1), so a k that large cannot match and
+    # the product is never computed
+    checks = {
+        "length_matches_formula": k - 1 <= pack.length.bit_length()
+        and pack.length == counterexample_length(q, k)
+    }
+    checks["codes_bijective_image"] = cp.size == expected and cm.size == expected
     checks["hamming_preserved"] = map_preserves(cmap, "hamming", guards=guards)
     checks["swc_preserved"] = map_preserves(cmap, "swc", guards=guards)
     checks["plus_zero_column"] = len(_zero_columns(cp)) >= 1
     checks["minus_no_zero_column"] = len(_zero_columns(cm)) == 0
     search = extension_search(cmap, guards=guards)
     checks["no_extension"] = search.transform is None
-    return checks, {"certificate": "exhaustive-search", "search_nodes": search.nodes}
+    return checks, {"certificate": "exhaustive-search", "search_nodes": search.nodes}, cmap
+
+
+def _sealed(
+    pack: CounterexamplePack, alphabet: Module, guards: Guards, **fields
+) -> tuple[CounterexamplePack, CodeMap]:
+    """pack with its transcript, the checks, the certificate and then the
+    construction's own fields, once every check passes, and its code map.
+    A pulled-back pack that loses swc preservation is outside the verified
+    construction; any other failed check is an internal error."""
+    checks, certificate, cmap = _pack_checks(pack, alphabet, guards)
+    if pack.construction == "pullback" and not checks["swc_preserved"]:
+        raise UnsupportedConstruction(
+            "the transported codes do not preserve swc over the full alphabet "
+            "automorphism group; this alphabet is outside the verified construction"
+        )
+    if not all(checks.values()):
+        raise InternalConsistencyError(f"{pack.construction} pack failed machine checks: {checks}")
+    transcript = {"checks": checks, "required_checks": sorted(checks), **certificate, **fields}
+    return dataclasses.replace(pack, transcript=transcript), cmap
 
 
 def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS) -> CounterexamplePack:
-    """Construct and machine-verify the paired codes over A = M_{m x k}(F_q).
+    """Construct and machine-verify the paired codes over A = M_{m x k}(F_q)."""
+    for name, value in (("m", m), ("k", k)):
+        if not isinstance(value, int) or value < 1:
+            raise InputError(f"{name} must be a positive integer, got {value!r}")
+    if k <= m:
+        raise InputError(f"the construction requires k > m, got k={k}, m={m}")
+    ring = ring_make({"kind": "matrix", "m": m, "q": q}, guards)
+    alphabet = module_make(ring, {"kind": "column", "k": k}, guards)
+    return _subspace_pack(alphabet, guards)
+
+
+def _subspace_pack(alphabet: Module, guards: Guards) -> CounterexamplePack:
+    """The verified subspace pack over the column module A = M_{m x k}(F_q).
 
     Coordinates are indexed by subspaces V <= F_q^k with multiplicity
     q^(d(d-1)/2), even dimensions on the plus side and odd on the minus side;
@@ -283,25 +322,19 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     failed machine check is therefore an InternalConsistencyError, never a
     reason to retry.
     """
-    for name, value in (("m", m), ("k", k)):
-        if not isinstance(value, int) or value < 1:
-            raise InputError(f"{name} must be a positive integer, got {value!r}")
-    if k <= m:
-        raise InputError(f"the construction requires k > m, got k={k}, m={m}")
-    ring = ring_make({"kind": "matrix", "m": m, "q": q}, guards)
-    alphabet = module_make(ring, {"kind": "column", "k": k}, guards)
-    field = ring.field
-    n = counterexample_length(q, k)
+    ring = alphabet.ring
+    field, m, k = ring.field, ring.descriptor["m"], alphabet.descriptor["k"]
+    q = field.q
 
     subspaces, add = _subspaces(alphabet, guards)
     dims = [exact_exponent(len(s), q) for s in subspaces]
+    member_sets = [set(sub) for sub in subspaces]
     complements = []
-    for si, sub in enumerate(subspaces):
-        members = set(sub)
+    for members, d in zip(member_sets, dims):
         options = [
             wi
-            for wi, other in enumerate(subspaces)
-            if dims[wi] == k - dims[si] and len(members & set(other)) == 1
+            for wi, other in enumerate(member_sets)
+            if dims[wi] == k - d and len(members & other) == 1
         ]
         complements.append(options)
 
@@ -311,13 +344,12 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
         copies = q ** (d * (d - 1) // 2)
         target = coords_plus if d % 2 == 0 else coords_minus
         target.extend((si, t) for t in range(copies))
-    if len(coords_plus) != n or len(coords_minus) != n:
+    if len(coords_plus) != len(coords_minus):
         raise InternalConsistencyError(
-            f"coordinate counts {len(coords_plus)}/{len(coords_minus)} != formula {n}"
+            f"coordinate counts {len(coords_plus)}/{len(coords_minus)} differ"
         )
 
     gens = module_generators(alphabet)
-    expected = alphabet.order
     vectors = [list(index_to_entries(x, q, k)) for x in range(len(add))]
     listings = [[vectors[x] for x in sub] for sub in subspaces]  # one list per subspace
 
@@ -339,58 +371,42 @@ def build_counterexample(m: int, k: int, q: int, guards: Guards = DEFAULT_GUARDS
     for si, wi in set(assign_plus + assign_minus):
         p = _projection(field, k, add, subspaces[si], subspaces[wi])
         tables[si, wi] = _coordinate_table(field, m, add, p)
-    gens_plus = tuple(word_of(g, assign_plus) for g in gens)
     gens_minus = tuple(word_of(g, assign_minus) for g in gens)
-    cp = code_generate(alphabet, n, gens_plus, guards)
-    cm = code_generate(alphabet, n, gens_minus, guards)
-    if set(cp.elements) != {word_of(a, assign_plus) for a in alphabet.elements()}:
-        raise InternalConsistencyError("plus code differs from the full word image")
-    if set(cm.elements) != {word_of(a, assign_minus) for a in alphabet.elements()}:
-        raise InternalConsistencyError("minus code differs from the full word image")
-    cmap = code_map_make(cp, cm, gens_minus, guards)
-
-    checks, certificate = _pack_checks(True, cp, cm, cmap, expected, guards)
-    if not all(checks.values()):
-        raise InternalConsistencyError(f"subspace pack failed machine checks: {checks}")
-    transcript = {
-        "checks": checks,
-        "required_checks": sorted(checks),
-        **certificate,
-        "attempt": 0,
-        "coordinates": {
+    pack = CounterexamplePack(
+        ring=ring.descriptor,
+        alphabet=alphabet.descriptor,
+        length=len(coords_plus),
+        construction="subspace",
+        params={"m": m, "k": k, "q": q, "code_size": alphabet.order},
+        generators_plus=tuple(word_of(g, assign_plus) for g in gens),
+        generators_minus=gens_minus,
+        gen_images=gens_minus,
+        transcript={},
+    )
+    pack, cmap = _sealed(
+        pack, alphabet, guards,
+        attempt=0,
+        coordinates={
             "plus": coord_json(assign_plus, coords_plus),
             "minus": coord_json(assign_minus, coords_minus),
         },
-    }
-    return CounterexamplePack(
-        ring=ring.descriptor,
-        alphabet=alphabet.descriptor,
-        length=n,
-        construction="subspace",
-        params={"m": m, "k": k, "q": q, "code_size": expected},
-        generators_plus=gens_plus,
-        generators_minus=gens_minus,
-        gen_images=gens_minus,
-        transcript=transcript,
     )
+    sides = (("plus", cmap.source, assign_plus), ("minus", cmap.target, assign_minus))
+    for side, code, assign in sides:
+        if set(code.elements) != {word_of(a, assign) for a in alphabet.elements()}:
+            raise InternalConsistencyError(f"{side} code differs from the full word image")
+    return pack
 
 
 def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> VerdictReport:
     """Reload a pack and re-run every machine check; it replays as verified
     only when all of them pass.  A transcript that lists its required checks
     must list exactly these."""
-    q, k = pack.params["q"], pack.params["k"]
+    q = pack.params["q"]
     check_guard(q, guards.max_field, f"field order {q}")
     ring = ring_make(pack.ring, guards)
     alphabet = module_make(ring, pack.alphabet, guards)
-    cp = code_generate(alphabet, pack.length, pack.generators_plus, guards)
-    cm = code_generate(alphabet, pack.length, pack.generators_minus, guards)
-    cmap = code_map_make(cp, cm, pack.gen_images, guards)
-    expected = pack.params.get("code_size", cp.size)
-    # the formula is at least 2^(k-1), so a k that large cannot match and
-    # the product is never computed
-    length_ok = k - 1 <= pack.length.bit_length() and pack.length == counterexample_length(q, k)
-    checks, certificate = _pack_checks(length_ok, cp, cm, cmap, expected, guards)
+    checks, certificate, cmap = _pack_checks(pack, alphabet, guards)
     required = pack.transcript.get("required_checks", sorted(checks))
     if sorted(required) != sorted(checks):
         raise InputError(f"pack transcript 'required_checks' must be {sorted(checks)}")
@@ -398,7 +414,7 @@ def replay_pack(pack: CounterexamplePack, guards: Guards = DEFAULT_GUARDS) -> Ve
         claim="stored pack replays as a verified counterexample",
         result="verified" if all(checks.values()) else "counterexample",
         hypotheses={},
-        counts={"code_size": cp.size, "length": pack.length},
+        counts={"code_size": cmap.source.size, "length": pack.length},
         details={"checks": checks, **certificate},
     )
 
@@ -509,8 +525,6 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
         trace.append({"word": list(word), "image": list(image), "steps": steps})
         if witness is not None:
             break
-        if Counter(anns[x] for x in word) != Counter(anns[y] for y in image):
-            raise InternalConsistencyError("peeling balanced but annihilator profiles differ")
 
     counts = {"words": len(cmap.mapping), "stages": total_stages}
     details: dict = {"trace": trace}
@@ -775,7 +789,9 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
     index = next(i for i, row in enumerate(report.rows) if row[2] > row[1])
     q_block, mu, s, _ = report.rows[index]
     k = mu + 1
-    block_pack = build_counterexample(mu, k, q_block, guards)
+    block_ring = ring_make({"kind": "matrix", "m": mu, "q": q_block}, guards)
+    block_alphabet = module_make(block_ring, {"kind": "column", "k": k}, guards)
+    block_pack = _subspace_pack(block_alphabet, guards)
 
     ann = simple_classes(ring, guards)[index].ann
     kernel = [r for r in ring.elements() if all(x in ann for x in ring.mul_table[r])]
@@ -787,8 +803,6 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
     if chosen is None:
         raise InternalConsistencyError("no block projection matches the violating socle block")
 
-    block_ring = ring_make({"kind": "matrix", "m": mu, "q": q_block}, guards)
-    block_alphabet = module_make(block_ring, {"kind": "column", "k": k}, guards)
     pulled = Module(
         ring, block_alphabet.add_table,
         tuple(block_alphabet.act_table[x] for x in chosen.proj),
@@ -800,33 +814,23 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
             "socle multiplicity guarantees an embedding of the pulled-back block module"
         )
 
-    def transport(word: Word) -> Word:
-        return tuple(iota[c] for c in word)
+    def transport(words: tuple[Word, ...]) -> tuple[Word, ...]:
+        return tuple(tuple(iota[c] for c in word) for word in words)
 
-    gens_plus = tuple(transport(w) for w in block_pack.generators_plus)
-    gens_minus = tuple(transport(w) for w in block_pack.generators_minus)
-    cp = code_generate(alphabet, block_pack.length, gens_plus, guards)
-    cm = code_generate(alphabet, block_pack.length, gens_minus, guards)
-    cmap = code_map_make(cp, cm, gens_minus, guards)
-
-    length_ok = block_pack.length == counterexample_length(q_block, k)
-    checks, certificate = _pack_checks(
-        length_ok, cp, cm, cmap, block_alphabet.order, guards
+    gens_minus = transport(block_pack.generators_minus)
+    transported = dataclasses.replace(
+        block_pack,
+        ring=ring.descriptor,
+        alphabet=alphabet.descriptor,
+        construction="pullback",
+        generators_plus=transport(block_pack.generators_plus),
+        generators_minus=gens_minus,
+        gen_images=gens_minus,
     )
-    if not checks["swc_preserved"]:
-        raise UnsupportedConstruction(
-            "the transported codes do not preserve swc over the full alphabet "
-            "automorphism group; this alphabet is outside the verified construction"
-        )
-    if not all(checks.values()):
-        raise InternalConsistencyError(f"transported pack failed machine checks: {checks}")
-
-    transcript = {
-        "checks": checks,
-        "required_checks": sorted(checks),
-        **certificate,
-        "coordinates": block_pack.transcript["coordinates"],
-        "block": {
+    pack, cmap = _sealed(
+        transported, alphabet, guards,
+        coordinates=block_pack.transcript["coordinates"],
+        block={
             "q": q_block,
             "mu": mu,
             "s": s,
@@ -834,19 +838,8 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
             "embedding": list(iota),
             "construction": block_pack.construction,
         },
-    }
-    pack = CounterexamplePack(
-        ring=ring.descriptor,
-        alphabet=alphabet.descriptor,
-        length=block_pack.length,
-        construction="pullback",
-        params={"m": mu, "k": k, "q": q_block, "code_size": block_alphabet.order},
-        generators_plus=gens_plus,
-        generators_minus=gens_minus,
-        gen_images=gens_minus,
-        transcript=transcript,
     )
-    counts = {"length": pack.length, "code_size": cp.size, "socle_blocks": len(report.rows)}
+    counts = {"length": pack.length, "code_size": cmap.source.size, "socle_blocks": len(report.rows)}
     return VerdictReport(
         claim, "counterexample", hypotheses, counts, {"pack": pack.as_json()}
     )

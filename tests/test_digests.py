@@ -2,8 +2,9 @@
 ep-counterexample pack of perfbench/workloads.PACKS and verify-necessity on
 each certify alphabet whose socle is not cyclic, plus one larger pack.  The
 reports are too large to commit as golden files (the (1,4,2) pack alone is
-385 KB, the (1,5,2) pack 13.7 MB), so only their digests are pinned.  The
-benchmark's workload list is read by path and nothing is written under
+385 KB, the (1,5,2) pack 13.7 MB), so only their digests are pinned, and
+each of their packs must replay to the checks its own transcript records.
+The benchmark's workload list is read by path and nothing is written under
 perfbench/.
 """
 
@@ -17,6 +18,9 @@ import pathlib
 import pytest
 
 from eplab.cli import main
+from eplab.modules import module_make
+from eplab.rings import ring_make
+from eplab.theorems import build_counterexample, pack_from_json, replay_pack, verify_necessity
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
@@ -99,3 +103,28 @@ def test_verify_necessity_stdout_digest(entry, tmp_path, monkeypatch):
     spec.write_text(json.dumps({"ring": ring, "module": module}))
     argv = ["verify-necessity", "--spec", str(spec)]
     assert _stdout_digest(argv, monkeypatch) == (1, NECESSITY_DIGESTS[name])
+
+
+def _replays_to_its_transcript(pack_json):
+    pack = pack_from_json(json.loads(json.dumps(pack_json)))
+    transcript = pack.transcript
+    report = replay_pack(pack)
+    assert report.result == "verified"
+    assert report.details == {
+        "checks": transcript["checks"],
+        "certificate": transcript["certificate"],
+        "search_nodes": transcript["search_nodes"],
+    }
+    assert transcript["required_checks"] == sorted(transcript["checks"])
+
+
+@pytest.mark.parametrize("params", [params for params, _ in WORKLOADS.PACKS], ids=str)
+def test_ep_counterexample_pack_replays_to_its_transcript(params):
+    _replays_to_its_transcript(build_counterexample(*params).as_json())
+
+
+@pytest.mark.parametrize("entry", NON_CYCLIC, ids=lambda entry: entry[0])
+def test_verify_necessity_pack_replays_to_its_transcript(entry):
+    _, ring, module = entry[:3]
+    report = verify_necessity(module_make(ring_make(ring), module))
+    _replays_to_its_transcript(report.details["pack"])

@@ -1297,6 +1297,21 @@ def test_necessity_klein_pipeline():
     assert replay_pack(pack).result == "verified"
 
 
+def test_necessity_builds_the_block_ring_once(monkeypatch):
+    """The block pack and the pulled-back block alphabet share one
+    M_mu(F_q) and one column module."""
+    matrix_rings = []
+
+    def counted(descriptor, *rest):
+        if descriptor.get("kind") == "matrix":
+            matrix_rings.append(descriptor)
+        return ring_make(descriptor, *rest)
+
+    monkeypatch.setattr(theorems, "ring_make", counted)
+    assert verify_necessity(z4_klein()).result == "counterexample"
+    assert matrix_rings == [{"kind": "matrix", "m": 1, "q": 2}]
+
+
 def test_necessity_f2_square():
     report = verify_necessity(matrix_module(1, 2, 2))
     assert report.result == "counterexample"
