@@ -474,6 +474,18 @@ def test_reports_under_a_raised_order_guard(tmp_path):
     assert json.loads(out)["result"]["wedderburn_blocks"] == [{"mu": 1, "q": 128}]
 
 
+def test_orbit_lemma_on_f3_4_needs_a_raised_order_guard(tmp_path):
+    """F_3^4 has order 81: under the default guard of 64 the orbit lemma
+    exits 3 before any search, with this one line on stderr."""
+    spec = write_json(
+        tmp_path / "f3c4.json",
+        {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 4}},
+    )
+    assert run(["verify-orbit-lemma", "--spec", spec]) == (
+        3, "", "error: module order 3^(1*4) exceeds guard (64)\n"
+    )
+
+
 def test_verify_all_klein(klein_spec):
     rc, out, _ = run(["verify-all", "--spec", klein_spec])
     assert rc == 0

@@ -94,6 +94,9 @@ SPECS = {
     "f2-col4": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
     # F_3^3: Aut(A) is GL(3, 3), with 11,232 elements
     "f3-col3": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 3}},
+    # F_2^5: its proper subspaces have 651,961 monomorphisms into it
+    "f2-col5": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 5}},
+    "f3-col4": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 4}},
     "z4-z2z4": {
         "ring": Z4,
         "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
@@ -128,6 +131,10 @@ def _cases() -> dict:
     cases["orbits-f3-col3"] = (["orbits", "--by", "orbit"], "f3-col3")
     cases["verify-orbit-lemma-f2-col4"] = (["verify-orbit-lemma"], "f2-col4")
     cases["verify-orbit-lemma-f3-col3"] = (["verify-orbit-lemma"], "f3-col3")
+    # explicit cases, so that no socle-report goldens come with them; F_3^4
+    # has order 81, above the default guard of 64
+    cases["verify-orbit-lemma-f2-col5"] = (["verify-orbit-lemma"], "f2-col5")
+    cases["verify-orbit-lemma-f3-col4"] = (["verify-orbit-lemma", "--max-order", "81"], "f3-col4")
     cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum", "f2xf2-t1t2t2"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)

@@ -533,6 +533,19 @@ def test_pseudo_injectivity_frozen():
     assert not is_pseudo_injective(z2z4_over_z4())
 
 
+def test_pseudo_injectivity_checks_the_order_guard_before_any_search(monkeypatch):
+    """Above max_order, is_pseudo_injective raises GuardExceeded before it
+    walks a lattice of the ring or the module, or lists a map."""
+    def refused(*args, **kwargs):
+        raise AssertionError("searched above the order guard")
+
+    module = _column(2, 4)()
+    for name in ("submodules_enumerate", "iter_linear_maps", "stabilizer_chain"):
+        monkeypatch.setattr(modules, name, refused)
+    with pytest.raises(GuardExceeded, match=r"^module order 16 \(16\) exceeds guard \(8\)$"):
+        is_pseudo_injective(module, Guards(max_order=8))
+
+
 def _rest_search(module, members, f):
     """The one endomorphism search that is_pseudo_injective runs for the
     monomorphism f on the submodule members: the first extension, or None."""
