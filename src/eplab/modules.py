@@ -548,9 +548,42 @@ def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> Orb
 # pseudo-injectivity
 
 
+def _is_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
+    """Baer's criterion: the module A is injective exactly when every linear
+    map f from a left ideal I of R into A is x -> x*a for some a in A.  The
+    ideals 0 and R pass for every A, so only the proper nonzero ones are
+    checked, each map f as the images of I's ascending members."""
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
+    ring, act = module.ring, module.act_table
+    for ideal in submodules_enumerate(ring, guards):
+        members = ideal.members
+        if len(members) in (1, ring.order):
+            continue
+        multiplications = {tuple([act[x][a] for x in members]) for a in module.elements()}
+        for f in iter_linear_maps(ring, module, ideal.generators):
+            if f not in multiplications:
+                return False
+    return True
+
+
 def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
     """True when every monomorphism from a submodule into the module extends
     to an endomorphism of the module.
+
+    An injective module is pseudo-injective, and _is_injective decides
+    injectivity on the left ideals of R.  Only a module that fails it takes
+    the monomorphism search over its own submodules,
+    _pseudo_injective_by_search.
+    """
+    if "pseudo_injective" not in module._cache:
+        module._cache["pseudo_injective"] = (
+            _is_injective(module, guards) or _pseudo_injective_by_search(module, guards)
+        )
+    return module._cache["pseudo_injective"]
+
+
+def _pseudo_injective_by_search(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
+    """is_pseudo_injective by search over the submodules of the module.
 
     For automorphisms a and b, a monomorphism f: S -> A extends exactly when
     a*f*b^-1: b(S) -> A does, so one monomorphism per orbit suffices.  The
@@ -564,37 +597,33 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
     every image y with Ann(g) <= Ann(y), a condition every endomorphism
     meets, so it finds an extension whenever one exists.
     """
-    if "pseudo_injective" not in module._cache:
-        autos = automorphism_group(module, guards).generators
-        subs = submodules_enumerate(module, guards)
-        result = True
-        for i, first in enumerate(submodule_orbits(subs, autos)):
-            members, gens = subs[i].members, subs[i].generators
-            if first != i or len(members) in (1, module.order):
-                continue
-            at = [members.index(g) for g in gens]
-            maps = iter_linear_maps(module, module, gens, injective=True)
-            monos = [tuple(f[p] for p in at) for f in maps]
-            position = {f: k for k, f in enumerate(monos)}
-            # a sends the monomorphism with generator images f to the one with
-            # images a(f), formed a column of monos at a time
-            columns = list(zip(*monos))
-            moved = (zip(*(map(a.__getitem__, c) for c in columns)) for a in autos)
-            mono_first = least_in_orbit(len(monos), (map(position.__getitem__, f) for f in moved))
-            rest = _greedy_generators(module, members)
-            bases = (
-                dict(zip(members, _map_from_images(module, module, gens, images)))
-                for k, images in enumerate(monos)
-                if mono_first[k] == k
-            )
-            result = all(
-                next(iter_linear_maps(module, module, rest, base=base), None) is not None
-                for base in bases
-            )
-            if not result:
-                break
-        module._cache["pseudo_injective"] = result
-    return module._cache["pseudo_injective"]
+    autos = automorphism_group(module, guards).generators
+    subs = submodules_enumerate(module, guards)
+    for i, first in enumerate(submodule_orbits(subs, autos)):
+        members, gens = subs[i].members, subs[i].generators
+        if first != i or len(members) in (1, module.order):
+            continue
+        at = [members.index(g) for g in gens]
+        maps = iter_linear_maps(module, module, gens, injective=True)
+        monos = [tuple(f[p] for p in at) for f in maps]
+        position = {f: k for k, f in enumerate(monos)}
+        # a sends the monomorphism with generator images f to the one with
+        # images a(f), formed a column of monos at a time
+        columns = list(zip(*monos))
+        moved = (zip(*(map(a.__getitem__, c) for c in columns)) for a in autos)
+        mono_first = least_in_orbit(len(monos), (map(position.__getitem__, f) for f in moved))
+        rest = _greedy_generators(module, members)
+        bases = (
+            dict(zip(members, _map_from_images(module, module, gens, images)))
+            for k, images in enumerate(monos)
+            if mono_first[k] == k
+        )
+        if not all(
+            next(iter_linear_maps(module, module, rest, base=base), None) is not None
+            for base in bases
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ SPECS = {
     # F_2^5: its proper subspaces have 651,961 monomorphisms into it
     "f2-col5": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 5}},
     "f3-col4": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 4}},
+    "f2-col6": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 6}},
+    "f2-col7": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 7}},
     "z4-z2z4": {
         "ring": Z4,
         "module": {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}, {"kind": "mod_m", "m": 4}]},
@@ -135,6 +137,10 @@ def _cases() -> dict:
     # has order 81, above the default guard of 64
     cases["verify-orbit-lemma-f2-col5"] = (["verify-orbit-lemma"], "f2-col5")
     cases["verify-orbit-lemma-f3-col4"] = (["verify-orbit-lemma", "--max-order", "81"], "f3-col4")
+    # F_2^6 and F_2^7 are decided by Baer's criterion alone: the monomorphism
+    # search on F_2^6 does not finish in 300 s
+    cases["verify-orbit-lemma-f2-col6"] = (["verify-orbit-lemma"], "f2-col6")
+    cases["verify-orbit-lemma-f2-col7"] = (["verify-orbit-lemma", "--max-order", "128"], "f2-col7")
     cases["verify-necessity-f2-col4"] = (["verify-necessity"], "f2-col4")
     for name in ("z4-klein", "f2-col2", "m2f2-col3", "z2xz3-sum", "f2xf2-t1t2t2"):
         cases[f"verify-necessity-{name}"] = (["verify-necessity"], name)

@@ -36,7 +36,7 @@ from eplab.modules import (
     submodules_enumerate,
 )
 from eplab.rings import exponent_of_addition, hom_count, ring_make, simple_classes
-from test_rings import _closure_minimal_submodules
+from test_rings import _closure_minimal_submodules, local_xy_ring
 
 
 def mod_ring(n):
@@ -1019,7 +1019,65 @@ PSEUDO_INJECTIVITY_CASES = [
 )
 def test_pseudo_injectivity_matches_the_extend_mono_oracle(name, builder, expected):
     assert is_pseudo_injective(builder()) is expected
+    assert modules._pseudo_injective_by_search(builder()) is expected
     assert _exhaustive_pseudo_injective(builder()) is expected
+
+
+def _injective_by_brute_force(module):
+    """Injectivity of A, checked on F = R (+) R without Baer: every linear
+    map from a submodule S of F into A, listed by the dict-based oracle
+    kernel, is the restriction of one of the |A|^2 maps (r, s) -> r*a + s*b.
+    Each proper nonzero left ideal I of R sits in F as I (+) 0, so this
+    implies Baer's criterion, and an injective A passes it."""
+    ring, add, act = module.ring, module.add_table, module.act_table
+    free = direct_power(module_make(ring, {"kind": "regular"}), 2)
+    for sub in submodules_enumerate(free):
+        pairs = [divmod(x, ring.order) for x in sub.members]
+        restrictions = {
+            tuple(add[act[r][a]][act[s][b]] for r, s in pairs)
+            for a in module.elements()
+            for b in module.elements()
+        }
+        for f in _iter_linear_maps_oracle(free, module, sub.generators):
+            if tuple(f[x] for x in sub.members) not in restrictions:
+                return False
+    return True
+
+
+def _mod_n(n, descriptor):
+    return _descriptor_module({"kind": "mod_n", "n": n}, descriptor)
+
+
+# rings of order at most 8 and modules of order at most 8, injective or not
+TINY_INJECTIVITY_CASES = {
+    "z4": (z4_regular, True),
+    "z2 over z4": (_mod_n(4, {"kind": "mod_m", "m": 2}), False),
+    "z2+z2 over z4": (z2z2_over_z4, False),
+    "z2+z4 over z4": (z2z4_over_z4, False),
+    "z8": (_mod_n(8, {"kind": "regular"}), True),
+    "z4 over z8": (_mod_n(8, {"kind": "mod_m", "m": 4}), False),
+    "z6": (_mod_n(6, {"kind": "regular"}), True),
+    "z2 over z6": (_mod_n(6, {"kind": "mod_m", "m": 2}), True),
+    "f2^3": (_column(2, 3), True),
+    "f4": (_descriptor_module({"kind": "matrix", "m": 1, "q": 4}, {"kind": "regular"}), True),
+    "local-xy": (lambda: module_make(local_xy_ring(), {"kind": "regular"}), False),
+    "local-xy character": (lambda: character_module(local_xy_ring()), True),
+    "z2 over local-xy": (
+        lambda: module_make(local_xy_ring(), {
+            "kind": "table", "add": [[0, 1], [1, 0]], "act": [[0, 0]] * 4 + [[0, 1]] * 4,
+        }),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_INJECTIVITY_CASES))
+def test_baer_matches_injectivity_on_r_plus_r(name):
+    """Baer's criterion on the left ideals of R says injective exactly when
+    every map from a submodule of R (+) R into A extends to R (+) R."""
+    builder, expected = TINY_INJECTIVITY_CASES[name]
+    assert _injective_by_brute_force(builder()) is expected
+    assert modules._is_injective(builder()) is expected
 
 
 def _zero_fixing_perm(data, order, zero):
@@ -1068,14 +1126,19 @@ def _seeded_relabel(module, rng):
 @settings(max_examples=15, deadline=None)
 def test_relabelled_pseudo_injectivity_matches_the_oracle(case, data):
     """Table copies whose ring and module elements are renamed by random
-    permutations that fix zero keep their verdict, on both checks."""
+    permutations that fix zero keep their verdict, on every check, and keep
+    Baer's verdict too, which implies the search's."""
     _, builder, expected = case
     module = builder()
     ring = module.ring
     pr = _zero_fixing_perm(data, ring.order, ring.zero)
     pm = _zero_fixing_perm(data, module.order, module.zero)
     assert is_pseudo_injective(_relabelled_copy(module, pr, pm)) is expected
+    assert modules._pseudo_injective_by_search(_relabelled_copy(module, pr, pm)) is expected
     assert _exhaustive_pseudo_injective(_relabelled_copy(module, pr, pm)) is expected
+    injective = modules._is_injective(_relabelled_copy(module, pr, pm))
+    assert injective is modules._is_injective(module)
+    assert expected or not injective
 
 
 def _orbit_pairs_by_brute_force(module):
@@ -1101,10 +1164,11 @@ def _orbit_pairs_by_brute_force(module):
     return True, pairs
 
 
-def _counted_pseudo_injective(module, monkeypatch):
-    """(verdict, the number of extension searches, i.e. calls with base=).
-    Aut(A) is built first, so the stabilizer chain's own searches are not
-    counted."""
+def _counted_pseudo_injective(module, monkeypatch, check=modules._pseudo_injective_by_search):
+    """(verdict of check, the number of extension searches, i.e. calls with
+    base=).  Aut(A) is built first, so the stabilizer chain's own searches
+    are not counted, and neither are Baer's maps from left ideals, which
+    take no base."""
     automorphism_group(module)
     searches = []
     kernel = modules.iter_linear_maps
@@ -1115,7 +1179,7 @@ def _counted_pseudo_injective(module, monkeypatch):
         return kernel(src, dst, gens, injective, base, target_members)
 
     monkeypatch.setattr(modules, "iter_linear_maps", counting)
-    return is_pseudo_injective(module), len(searches)
+    return check(module), len(searches)
 
 
 @pytest.mark.parametrize(
@@ -1146,6 +1210,19 @@ def test_pseudo_injectivity_of_f2_4_takes_three_searches(monkeypatch):
     monomorphisms from each of them, so one search per dimension 1, 2, 3."""
     assert _counted_pseudo_injective(_column(2, 4)(), monkeypatch) == (True, 3)
     assert _counted_pseudo_injective(z2z4_over_z4(), monkeypatch)[0] is False
+
+
+def test_only_a_module_that_fails_baer_takes_the_search(monkeypatch):
+    """F_2^4 is injective, so is_pseudo_injective searches nothing on it;
+    (Z/2)^2 over Z/4 is not, and takes the search's one search per orbit
+    pair."""
+    assert modules._is_injective(_column(2, 4)())
+    assert _counted_pseudo_injective(_column(2, 4)(), monkeypatch, is_pseudo_injective) == (True, 0)
+    assert not modules._is_injective(z2z2_over_z4())
+    verdict, pairs = _orbit_pairs_by_brute_force(z2z2_over_z4())
+    assert verdict is True and pairs > 0
+    counted = _counted_pseudo_injective(z2z2_over_z4(), monkeypatch, is_pseudo_injective)
+    assert counted == (True, pairs)
 
 
 def test_character_module_of_z4():

@@ -33,9 +33,9 @@ from eplab.modules import (
     _validate_module_tables,
     annihilator_sets,
     automorphism_group,
+    character_module,
     direct_power,
     embedding_search,
-    is_pseudo_injective,
     iter_linear_maps,
     module_generators,
     module_make,
@@ -81,6 +81,7 @@ from test_modules import (
     union_find_least_in_orbit,
 )
 from test_perfbench_targets import _load
+from test_rings import ORACLE_RINGS
 
 
 def mod_ring(n):
@@ -1005,11 +1006,11 @@ ORBIT_ALPHABETS = {
 @pytest.mark.parametrize("name", sorted(ORBIT_ALPHABETS))
 def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
     """Each least_in_orbit call that partition(A, "orbit") makes, through
-    automorphism_group, that is_pseudo_injective makes, for its submodule
-    orbits and its monomorphism leaders, and that submodule_orbits makes on
-    the codes of A^n under the monomial group, gives the union-find labels.
-    n runs to 2 while A^n has at most 1,024 elements, so the alphabets of
-    order 64 stop at n = 1."""
+    automorphism_group, that the pseudo-injectivity search makes, for its
+    submodule orbits and its monomorphism leaders, and that submodule_orbits
+    makes on the codes of A^n under the monomial group, gives the union-find
+    labels.  n runs to 2 while A^n has at most 1,024 elements, so the
+    alphabets of order 64 stop at n = 1."""
     sweep = modules.least_in_orbit
     sizes = []
 
@@ -1023,7 +1024,7 @@ def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
     monkeypatch.setattr(modules, "least_in_orbit", checked)
     alphabet = ORBIT_ALPHABETS[name]()
     partition(alphabet, "orbit")
-    is_pseudo_injective(alphabet)
+    modules._pseudo_injective_by_search(alphabet)
     guards = Guards(max_order=1024)
     for n in (1, 2):
         if alphabet.order**n > guards.max_order:
@@ -1034,6 +1035,28 @@ def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
         submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
         assert sizes[-1] == len(codes)
     assert alphabet.order in sizes
+
+
+# ORBIT_ALPHABETS plus the regular and character modules of every
+# ORACLE_RINGS ring
+GATE_ALPHABETS = {
+    **ORBIT_ALPHABETS,
+    **{f"{name}-regular": (lambda r=r: module_make(r(), {"kind": "regular"}))
+       for name, r in ORACLE_RINGS.items()},
+    **{f"{name}-character": (lambda r=r: character_module(r()))
+       for name, r in ORACLE_RINGS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_ALPHABETS))
+def test_an_alphabet_that_passes_baer_is_pseudo_injective_by_search(name):
+    """Baer's gate says injective only where the monomorphism search says
+    pseudo-injective.  The character module of R is injective, so the gate
+    passes it."""
+    alphabet = GATE_ALPHABETS[name]()
+    injective = modules._is_injective(alphabet)
+    assert modules._pseudo_injective_by_search(alphabet) or not injective
+    assert injective or not name.endswith("-character")
 
 
 # ORBIT_ALPHABETS plus the alphabet of every benchmark pack that is not
