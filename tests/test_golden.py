@@ -82,6 +82,8 @@ SPECS = {
     "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
     "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
+    "f7": {"ring": {"kind": "matrix", "m": 1, "q": 7}, "module": REGULAR},
+    "f8": {"ring": {"kind": "matrix", "m": 1, "q": 8}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
     # zero sits at index 5, not 0, so discovery order, sorted order and
     # group order of the maps all differ
@@ -175,6 +177,13 @@ def _cases() -> dict:
     cases["verify-sufficiency-z4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "z4")
     cases["verify-sufficiency-f2-n5"] = (["verify-sufficiency", "--max-n", "5", "--max-gens", "2"], "f2")
     cases["verify-sufficiency-f4-n3"] = (["verify-sufficiency", "--max-n", "3", "--max-gens", "2"], "f4")
+    # the two sufficiency alphabets of the benchmark with no other golden
+    for name in ("f7", "f8"):
+        argv = ["verify-sufficiency", "--max-n", "2", "--max-gens", "2"]
+        cases[f"verify-sufficiency-{name}-n2"] = (argv, name)
+    # gens <= 6 is the full lattice of F_2^n for n <= 6: 3,289 codes
+    f2n6 = ["verify-sufficiency", "--max-n", "6", "--max-gens", "6", "--max-order", "64"]
+    cases["verify-sufficiency-f2-n6-g6"] = (f2n6, "f2")
     cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
     return cases
 
