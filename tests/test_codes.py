@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eplab.codes import (
     Code,
+    CodeMap,
     ExtensionResult,
     code_generate,
     code_map_make,
@@ -22,7 +23,7 @@ from eplab.codes import (
     word_act,
     word_add,
 )
-from eplab.errors import GuardExceeded, Guards, InputError
+from eplab.errors import GuardExceeded, Guards, InputError, InternalConsistencyError
 from eplab.fields import index_to_entries
 from eplab.modules import (
     automorphism_group,
@@ -320,6 +321,23 @@ def test_extension_search_zero_column_obstruction():
     res = extension_search(f)
     assert res.transform is None
     assert res.nodes == 0
+
+
+def test_extension_search_rejects_a_transform_that_misses_a_word():
+    """A map that agrees with the identity on the generators of F_2^3 but
+    swaps the images of (1, 1, 0) and (1, 0, 1), two words with one swc
+    profile, is not linear: the identity found from the generators must fail
+    the check on the whole code."""
+    f2 = module_make(ring_make({"kind": "mod_n", "n": 2}), {"kind": "regular"})
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    code = code_generate(f2, 3, gens)
+    identity = code_map_make(code, code, gens)
+    assert extension_search(identity).transform.sigma == (0, 1, 2)
+    mapping = dict(identity.mapping)
+    mapping[(1, 1, 0)], mapping[(1, 0, 1)] = (1, 0, 1), (1, 1, 0)
+    assert map_preserves(CodeMap(code, code, identity.gen_images, mapping), "swc")
+    with pytest.raises(InternalConsistencyError, match="inconsistent transform"):
+        extension_search(CodeMap(code, code, identity.gen_images, mapping))
 
 
 def _naive_extension(cmap, perms):
