@@ -77,8 +77,22 @@ class Code:
     def _members(self) -> frozenset:
         return frozenset(self.elements)
 
+    @functools.cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column i holds position i of every word, in the order of elements."""
+        return tuple(zip(*self.elements))
+
     def __contains__(self, word):
         return tuple(word) in self._members
+
+    def column_fingerprints(self, index: OrbitIndex) -> tuple[tuple[int, ...], ...]:
+        """column_fingerprint at every position, computed once per code and
+        partition kind."""
+        cache = self.__dict__.setdefault("_fingerprints", {})
+        if index.kind not in cache:
+            label = index.labels.__getitem__
+            cache[index.kind] = tuple(tuple(sorted(map(label, c))) for c in self._columns)
+        return cache[index.kind]
 
 
 def code_generate(
@@ -275,20 +289,23 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
     source position j of its block therefore never backtracks, finds a
     transform exactly when one exists, and finds the least sigma; tau is the
     first match in the sorted group.  Column fingerprints over the orbit
-    partition are a necessary condition that rules out most pairs cheaply.
+    partition, which each code computes once, are a necessary condition that
+    rules out most pairs cheaply.  A transform found is checked on every word,
+    one column at a time: tau_i must send source column sigma[i] to image
+    column i.
     """
-    alphabet = cmap.source.alphabet
-    n = cmap.source.length
-    group = automorphism_group(alphabet, guards)
-    orbit_index = partition(alphabet, "orbit", guards=guards)
-    fp_src = [column_fingerprint(cmap.source, j, orbit_index) for j in range(n)]
-    fp_dst = [column_fingerprint(cmap.target, i, orbit_index) for i in range(n)]
+    source = cmap.source
+    n = source.length
+    group = automorphism_group(source.alphabet, guards)
+    orbit_index = partition(source.alphabet, "orbit", guards=guards)
+    fp_src = source.column_fingerprints(orbit_index)
+    fp_dst = cmap.target.column_fingerprints(orbit_index)
     candidate_space = math.factorial(n) * group.order ** n
     if sorted(fp_src) != sorted(fp_dst):
         return ExtensionResult(None, 0, candidate_space, group.order)
 
     perms = group.elements
-    gens = cmap.source.generators
+    gens = source.generators
     images = cmap.gen_images
     sigma: list[int] = []
     taus: list[tuple[int, ...]] = []
@@ -307,10 +324,11 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
         else:
             return ExtensionResult(None, 0, candidate_space, group.order)
 
-    transform = MonomialTransform(tuple(sigma), tuple(taus))
-    for word, image in cmap.mapping.items():
-        if monomial_apply(transform, word) != image:
+    image_columns = tuple(zip(*map(cmap.mapping.__getitem__, source.elements)))
+    for tau, j, image in zip(taus, sigma, image_columns):
+        if tuple(map(tau.__getitem__, source._columns[j])) != image:
             raise InternalConsistencyError(
                 "extension search produced an inconsistent transform"
             )
+    transform = MonomialTransform(tuple(sigma), tuple(taus))
     return ExtensionResult(transform, n, candidate_space, group.order)

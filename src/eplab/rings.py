@@ -285,7 +285,10 @@ def submodules_enumerate(
     k adds w to each submodule S new at level k-1, in the order reached, w
     ascending.  Past level 1, w ranges over least generators only: S + Rw
     depends on Rw alone, and no other generator of Rw comes before the least.
-    A submodule needing k generators is new at level k: its tuple is shortest.
+    It also depends on the coset w + S alone, as R(w + s) lies in S + Rw and
+    Rw in S + R(w + s), so each coset is spanned once, by its first w; the
+    others would only reach a sum already found.  A submodule needing k
+    generators is new at level k: its tuple is shortest.
     """
     key = ("submodules", max_gens)
     if key not in module._cache:
@@ -299,8 +302,10 @@ def submodules_enumerate(
         while level and (max_gens is None or depth < max_gens):
             grown = {}
             for members, gens in level.items():
+                seen = set(members)  # the cosets w + S spanned so far, S first
                 for w, rw in cyclic.items():
-                    if w not in members:
+                    if w not in seen:
+                        seen.update(add[w][s] for s in members)
                         bigger = frozenset(add[s][t] for s in members for t in rw)
                         if bigger not in found:
                             found[bigger] = grown[bigger] = gens + (w,)

@@ -538,25 +538,40 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 # the sweep kernel shared by the midway and sufficiency verifiers
 
 
-def _code_map_from_tuple(
-    alphabet: Module,
-    words: list[Word],
-    members: Sequence[int],
-    gens: Sequence[int],
-    fmap: Sequence[int],
-) -> CodeMap:
-    """The code map of fmap, the images of the code's members in order."""
-    mapping = {words[x]: words[y] for x, y in zip(members, fmap)}
-    source = Code(
-        alphabet, len(words[0]), tuple(words[g] for g in gens), tuple(sorted(mapping))
-    )
-    target = Code(
-        alphabet,
-        len(words[0]),
-        tuple(mapping[w] for w in source.generators),
-        tuple(sorted(mapping.values())),
-    )
-    return CodeMap(source, target, target.generators, mapping)
+@dataclasses.dataclass
+class _Lattice:
+    """One length n of a sweep: words[x] is the word at ambient index x of
+    A^n, profiles[x] an id of its sorted orbit labels, and codes the
+    submodules_enumerate list.  code(k) builds codes[k] as a Code the first
+    time it is asked for, so every map of the length that starts or ends at
+    it shares one Code and its column fingerprints.  Ascending indices are
+    ascending words, so a code's elements follow its members."""
+
+    alphabet: Module
+    words: list[Word]
+    profiles: list[int]
+    codes: tuple[Submodule, ...]
+    built: dict[int, Code] = dataclasses.field(default_factory=dict)
+
+    def code(self, k: int) -> Code:
+        if k not in self.built:
+            words, sub = self.words, self.codes[k]
+            self.built[k] = Code(
+                self.alphabet,
+                len(words[0]),
+                tuple(words[g] for g in sub.generators),
+                tuple(words[x] for x in sub.members),
+            )
+        return self.built[k]
+
+
+def _code_map_from_tuple(lattice: _Lattice, i: int, j: int, fmap: Sequence[int]) -> CodeMap:
+    """The code map from codes[i] onto codes[j] of fmap, the images of the
+    members of codes[i] in order.  Only the mapping and the generator images
+    are built here; both codes come from the lattice."""
+    source = lattice.code(i)
+    mapping = dict(zip(source.elements, map(lattice.words.__getitem__, fmap)))
+    return CodeMap(source, lattice.code(j), tuple(mapping[g] for g in source.generators), mapping)
 
 
 def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) -> list[list[int]]:
@@ -602,25 +617,27 @@ def _sweep(
     tally: str,
     key: str,
 ):
-    """Yield (n, words, profiles, members, gens, fmap, weight) for the
-    isomorphisms between the codes of A^n, n = 1..max_n, that need at most
-    max_gens generators, each map as the images of members in order, when it
-    keeps the key weight ("hamming" or "swc") of every word.  A code larger
-    than the max_code guard raises GuardExceeded before its length is searched.
+    """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
+    lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
+    that need at most max_gens generators, each map as fmap, the images of
+    the members of codes[i] in order, when it keeps the key weight ("hamming"
+    or "swc") of every word.  A code larger than the max_code guard raises
+    GuardExceeded before its length is searched.
 
-    The codes are submodules_enumerate(A^n, guards, max_gens), gens their
-    generators.  words[x] is the word at ambient index x and profiles[x] an
-    id of its sorted orbit labels.  A length's codes are counted in
-    counts["codes"] when the length starts and split into orbits by
-    submodule_orbits under _monomial_generators (an unlisted image code
-    raises), and the first codes of the orbits into isomorphism classes by
-    isomorphism_leaders.  Then, for each pair (C, D) of first codes of one
-    class, in list order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)|
-    to counts[tally] before its maps are visited: Iso(C, D) is the coset
-    f.Aut(C), and stabilizer_chain gives |Aut(C)|.  Its maps are enumerated
-    once, keyed on the weights, so a partial map is dropped as soon as it
-    changes the weight of one word; each map the caller tallies adds the
-    pair weight |orbit(C)| * |orbit(D)| in place of 1.
+    The codes are submodules_enumerate(A^n, guards, max_gens), held with the
+    words and profiles of A^n in one _Lattice per length, which builds each
+    code as a Code once, for the first map that asks for it.  A length's
+    codes are counted in counts["codes"] when the length starts and split
+    into orbits by submodule_orbits under _monomial_generators (an unlisted
+    image code raises), and the first codes of the orbits into isomorphism
+    classes by isomorphism_leaders.  Then, for each pair (C, D) of first
+    codes of one class, in list order, the pair adds
+    |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally] before its maps are
+    visited: Iso(C, D) is the coset f.Aut(C), and stabilizer_chain gives
+    |Aut(C)|.  Its maps are enumerated once, keyed on the weights, so a
+    partial map is dropped as soon as it changes the weight of one word;
+    each map the caller tallies adds the pair weight |orbit(C)| * |orbit(D)|
+    in place of 1.
     This is exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
     C -> h(D); and every injective map on a code is onto a listed code of
@@ -659,14 +676,15 @@ def _sweep(
             i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
             for i in set(leader.values())
         }
+        lattice = _Lattice(alphabet, words, profiles, codes)
         for i in orbit_size:
-            members, gens = codes[i].members, codes[i].generators
+            gens = codes[i].generators
             for j in (j for j in orbit_size if leader[j] == leader[i]):
                 weight = orbit_size[i] * orbit_size[j]
                 counts[tally] += weight * aut[leader[i]]
                 target = frozenset(codes[j].members)
                 for fmap in iter_linear_maps(ambient, ambient, gens, True, None, target, keys):
-                    yield n, words, profiles, members, gens, fmap, weight
+                    yield n, lattice, i, j, fmap, weight
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
@@ -715,11 +733,12 @@ def verify_midway(
     details: dict = {}
     # 0 is alone in its orbit, so swc preservation implies Hamming
     # preservation: keying on Hamming weights loses no tallied map or witness
-    for n, words, profiles, members, gens, fmap, weight in _sweep(
+    for n, lattice, i, j, fmap, weight in _sweep(
         alphabet, guards, bounds, counts, details, "monomorphisms", "hamming"
     ):
-        if not all(profiles[x] == profiles[y] for x, y in zip(members, fmap)):
-            cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        profiles = lattice.profiles
+        if not all(profiles[x] == profiles[y] for x, y in zip(lattice.codes[i].members, fmap)):
+            cmap = _code_map_from_tuple(lattice, i, j, fmap)
             details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["hamming_preserving"] += weight
@@ -754,11 +773,11 @@ def verify_sufficiency(
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
-    for n, words, _, members, gens, fmap, weight in _sweep(
+    for n, lattice, i, j, fmap, weight in _sweep(
         alphabet, guards, bounds, counts, details, "isomorphisms", "swc"
     ):
         counts["swc_preserving"] += weight
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         if extension_search(cmap, guards=guards).transform is None:
             details["witness"] = _witness(n, cmap)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)

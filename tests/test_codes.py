@@ -33,7 +33,7 @@ from eplab.modules import (
     partition,
 )
 from eplab.rings import ring_make, submodules_enumerate
-from eplab.theorems import _code_map_from_tuple
+from eplab.theorems import _Lattice, _code_map_from_tuple
 
 
 def z4_alphabet():
@@ -439,10 +439,13 @@ def _injective_code_maps(alphabet, max_n):
     for n in range(1, max_n + 1):
         ambient = direct_power(alphabet, n)
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
-        for code in submodules_enumerate(ambient, max_gens=2):
-            gens = code.generators
-            for fmap in iter_linear_maps(ambient, ambient, gens, injective=True):
-                yield _code_map_from_tuple(alphabet, words, code.members, gens, fmap)
+        codes = submodules_enumerate(ambient, max_gens=2)
+        # the profiles of the words take no part in a code map
+        lattice = _Lattice(alphabet, words, [], codes)
+        index = {code.members: k for k, code in enumerate(codes)}
+        for i, code in enumerate(codes):
+            for fmap in iter_linear_maps(ambient, ambient, code.generators, injective=True):
+                yield _code_map_from_tuple(lattice, i, index[tuple(sorted(fmap))], fmap)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from eplab.codes import (
     CodeMap,
     code_generate,
     code_map_make,
+    column_fingerprint,
     extension_search,
     map_preserves,
     weight_profile,
@@ -156,13 +157,23 @@ def _orbit_firsts(alphabet, words, codes):
     return submodule_orbits(subs, _monomial_generators(alphabet, words, Guards()))
 
 
+def _image_code(lattice, fmap):
+    """The index in lattice.codes of the code whose members are fmap's images."""
+    image = tuple(sorted(fmap))
+    return next(k for k, code in enumerate(lattice.codes) if code.members == image)
+
+
 def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False):
-    """Yield (words, members, gens, fmap) for every injective linear map on
-    every code of A^n, n = 1..max_n, counting codes in counts["codes"]: the
-    sweep without orbit reduction, the oracle for theorems._sweep."""
+    """Yield (lattice, i, j, fmap) for every injective linear map fmap from
+    lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
+    counting codes in counts["codes"]: the sweep without orbit reduction,
+    the oracle for theorems._sweep.  The lattice's profiles are left empty."""
     for n in range(1, max_n + 1):
         ambient, words, codes = _codes_of_length(alphabet, n, max_gens)
-        for members, gens in codes:
+        lattice = theorems._Lattice(
+            alphabet, words, [], submodules_enumerate(ambient, max_gens=max_gens)
+        )
+        for i, (members, gens) in enumerate(codes):
             counts["codes"] += 1
             targets = [None]
             if onto:
@@ -171,7 +182,7 @@ def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False):
                 for fmap in iter_linear_maps(
                     ambient, ambient, gens, injective=True, target_members=target
                 ):
-                    yield words, members, gens, fmap
+                    yield lattice, i, _image_code(lattice, fmap), fmap
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +711,8 @@ def _same_report(fast, slow):
 )
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
-    for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+    for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         fast = midway_peeling(cmap)
         _same_report(fast, _peel_word_by_word(cmap))
         results[fast.result] += 1
@@ -849,8 +860,8 @@ def test_a_pair_tallies_its_maps_before_they_are_visited():
     counts = {"codes": 0, "maps": 0}
     z4 = module_make(mod_ring(4), {"kind": "regular"})
     sweep = _sweep(z4, Guards(), _sweep_bounds(Guards(), 1, None), counts, {}, "maps", "hamming")
-    *_, members, _, fmap, weight = next(itertools.islice(sweep, 2, None))
-    assert members == fmap == (0, 1, 2, 3) and weight == 1
+    _, lattice, i, _, fmap, weight = next(itertools.islice(sweep, 2, None))
+    assert lattice.codes[i].members == fmap == (0, 1, 2, 3) and weight == 1
     assert counts == {"codes": 3, "maps": 4}
 
 
@@ -944,9 +955,9 @@ def test_full_lattice_counts_match_the_closed_form(alphabet, q, dims, expected):
 
 def _unreduced_midway_counts(alphabet, max_n, max_gens):
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
-    for words, members, gens, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts):
+    for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts):
         counts["monomorphisms"] += 1
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         hamming_ok = map_preserves(cmap, "hamming")
         assert hamming_ok == map_preserves(cmap, "swc")
         if hamming_ok:
@@ -958,11 +969,11 @@ def _unreduced_midway_counts(alphabet, max_n, max_gens):
 
 def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
-    for words, members, gens, fmap in _unreduced_sweep(
+    for lattice, i, j, fmap in _unreduced_sweep(
         alphabet, max_n, max_gens, counts, onto=True
     ):
         counts["isomorphisms"] += 1
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         if map_preserves(cmap, "swc"):
             counts["swc_preserving"] += 1
             assert extension_search(cmap).transform is not None
@@ -1097,10 +1108,10 @@ def _midway_peeling_every_map(alphabet, max_n, max_gens):
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     details = {}
     bounds = _sweep_bounds(Guards(), max_n, max_gens)
-    for n, words, _, members, gens, fmap, weight in _sweep(
+    for n, lattice, i, j, fmap, weight in _sweep(
         alphabet, Guards(), bounds, counts, details, "monomorphisms", "hamming"
     ):
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         assert map_preserves(cmap, "swc")
         counts["hamming_preserving"] += weight
         verdict = midway_peeling(cmap)
@@ -1134,6 +1145,42 @@ def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
     assert _sweep_yields(alphabet, max_n, 2, "swc") < expected["swc_preserving"]
 
 
+@pytest.mark.parametrize(
+    "alphabet,max_n",
+    [(module_make(mod_ring(4), {"kind": "regular"}), 3), (matrix_module(1, 4, 1), 3),
+     (matrix_module(1, 8, 1), 2), (matrix_module(1, 2, 1), 4)],
+    ids=["z4", "f4", "f8", "f2"],
+)
+def test_shared_codes_extend_as_fresh_codes_do(alphabet, max_n):
+    """Every map the sufficiency sweep yields, built on the lattice's shared
+    codes, gives the same extension result as the map code_map_make builds on
+    codes closed afresh from its generators and their images; each shared
+    code's cached fingerprints are column_fingerprint at every position."""
+    index = partition(alphabet, "orbit")
+    # max_gens = max_n: the full lattice of every length
+    bounds = _sweep_bounds(Guards(), max_n, max_n)
+    counts = {"codes": 0, "maps": 0}
+    maps = 0
+    for n, lattice, i, j, fmap, _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", "swc"):
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        assert (cmap.source, cmap.target) == (lattice.code(i), lattice.code(j))
+        fresh = code_map_make(
+            code_generate(alphabet, n, cmap.source.generators),
+            code_generate(alphabet, n, cmap.gen_images),
+            cmap.gen_images,
+        )
+        assert fresh.source.elements == cmap.source.elements
+        assert fresh.target.elements == cmap.target.elements
+        assert fresh.mapping == cmap.mapping
+        assert extension_search(cmap) == extension_search(fresh)
+        for code in (cmap.source, cmap.target):
+            assert code.column_fingerprints(index) == tuple(
+                column_fingerprint(code, position, index) for position in range(n)
+            )
+        maps += 1
+    assert maps > 0 and counts["codes"] > 0
+
+
 def _preserves_by_profiles(cmap, kind):
     alphabet = cmap.source.alphabet
     return all(
@@ -1147,8 +1194,8 @@ def test_map_preserves_matches_the_weight_profile_oracle():
     table_alphabet = relabelled(z2_plus_z4(), random.Random(5).sample(range(8), 8))
     seen = set()
     for alphabet, max_n, max_gens in ((z4_klein(), 2, 2), (table_alphabet, 2, 1)):
-        for words, members, gens, fmap in _unreduced_sweep(alphabet, max_n, max_gens, {"codes": 0}):
-            cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+        for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, {"codes": 0}):
+            cmap = _code_map_from_tuple(lattice, i, j, fmap)
             verdicts = tuple(map_preserves(cmap, kind) for kind in ("hamming", "swc", "aw"))
             assert verdicts == tuple(
                 _preserves_by_profiles(cmap, kind) for kind in ("hamming", "swc", "aw")
@@ -1214,16 +1261,17 @@ def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
     # every g.f, so the peel must not tell g.f from f
     perms = {}
     moved = 0
-    for words, members, gens, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
-        cmap = _code_map_from_tuple(alphabet, words, members, gens, fmap)
+    for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
         if not map_preserves(cmap, "hamming"):
             continue
         report = midway_peeling(cmap)
-        n = len(words[0])
+        n = len(lattice.words[0])
         if n not in perms:
-            perms[n] = _monomial_generators(alphabet, words, Guards())
+            perms[n] = _monomial_generators(alphabet, lattice.words, Guards())
         for perm in perms[n]:
-            image = _code_map_from_tuple(alphabet, words, members, gens, [perm[y] for y in fmap])
+            moved_fmap = [perm[y] for y in fmap]
+            image = _code_map_from_tuple(lattice, i, _image_code(lattice, moved_fmap), moved_fmap)
             for peeled in (midway_peeling(image), _peel_word_by_word(image)):
                 assert (peeled.result, peeled.counts) == (report.result, report.counts)
             moved += 1
