@@ -1163,7 +1163,7 @@ def test_shared_codes_extend_as_fresh_codes_do(alphabet, max_n):
     maps = 0
     for n, lattice, i, j, fmap, _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", "swc"):
         cmap = _code_map_from_tuple(lattice, i, j, fmap)
-        assert (cmap.source, cmap.target) == (lattice.code(i), lattice.code(j))
+        assert cmap.source is lattice.code(i) and cmap.target is lattice.code(j)
         fresh = code_map_make(
             code_generate(alphabet, n, cmap.source.generators),
             code_generate(alphabet, n, cmap.gen_images),
