@@ -80,11 +80,14 @@ SPECS = {
     **ALPHABETS,
     "z2xz3-sum": {"ring": Z2xZ3, "module": {"kind": "direct_sum", "summands": [REGULAR, REGULAR]}},
     "z8": {"ring": {"kind": "mod_n", "n": 8}, "module": REGULAR},
+    "z9": {"ring": {"kind": "mod_n", "n": 9}, "module": REGULAR},
     "f2": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": REGULAR},
     "f4": {"ring": {"kind": "matrix", "m": 1, "q": 4}, "module": REGULAR},
     "f7": {"ring": {"kind": "matrix", "m": 1, "q": 7}, "module": REGULAR},
     "f8": {"ring": {"kind": "matrix", "m": 1, "q": 8}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
+    # F_3^2 over M_2(F_3): its central units {I, 2I} are fewer than GL(2, 3)
+    "m2f3-col1": {"ring": {"kind": "matrix", "m": 2, "q": 3}, "module": {"kind": "column", "k": 1}},
     # zero sits at index 5, not 0, so discovery order, sorted order and
     # group order of the maps all differ
     "z4-z2-table": {"ring": Z4, "module": _relabelled_sum(4, 2, (5, 2, 7, 0, 3, 6, 1, 4))},
@@ -184,6 +187,16 @@ def _cases() -> dict:
     # gens <= 6 is the full lattice of F_2^n for n <= 6: 3,289 codes
     f2n6 = ["verify-sufficiency", "--max-n", "6", "--max-gens", "6", "--max-order", "64"]
     cases["verify-sufficiency-f2-n6-g6"] = (f2n6, "f2")
+    # every code of F_4^4 and F_8^3: the full lattices
+    f4n4 = ["verify-sufficiency", "--max-n", "4", "--max-gens", "4", "--max-order", "256"]
+    cases["verify-sufficiency-f4-n4-g4"] = (f4n4, "f4")
+    f8n3 = ["verify-sufficiency", "--max-n", "3", "--max-gens", "3", "--max-order", "512"]
+    cases["verify-sufficiency-f8-n3-g3"] = (f8n3, "f8")
+    z9n3 = ["verify-midway", "--max-n", "3", "--max-gens", "2", "--max-order", "729"]
+    cases["verify-midway-z9-n3"] = (z9n3, "z9")
+    for command in ("verify-midway", "verify-sufficiency"):
+        argv = [command, "--max-n", "2", "--max-gens", "2", "--max-order", "81"]
+        cases[f"{command}-m2f3-col1-n2"] = (argv, "m2f3-col1")
     cases["verify-all-z4"] = (["verify-all", "--max-n", "2"], "z4")
     return cases
 
