@@ -282,6 +282,7 @@ def iter_linear_maps(
     base: Optional[dict] = None,
     target_members: Optional[frozenset] = None,
     key: Optional[Sequence] = None,
+    first_images: Optional[frozenset] = None,
 ):
     """Yield all linear maps span(base, gens) -> dst, in deterministic order,
     each as the tuple of images of the span's members in ascending order.
@@ -296,15 +297,22 @@ def iter_linear_maps(
     With a key, a sequence over element indices, a partial map is dropped as
     soon as a new element x of the span gets an image z with key[z] !=
     key[x]: the maps yielded are those of the unkeyed listing that keep the
-    key on every new element, in the same order.
+    key on every new element, in the same order.  With first_images, a set
+    of element indices of dst, gens[0] gets only the candidate images in it:
+    the maps yielded are those of the listing without it that send gens[0]
+    into first_images, in the same order.
     """
     if base is None:
         base = {src.zero: dst.zero}
-    search = _map_search(src, dst, gens, injective, tuple(base), target_members, key)
+    search = _map_search(
+        src, dst, gens, injective, tuple(base), target_members, key, first_images
+    )
     yield from search(list(base.values()))
 
 
-def _map_search(src, dst, gens, injective, domain, target_members=None, key=None):
+def _map_search(
+    src, dst, gens, injective, domain, target_members=None, key=None, first_images=None
+):
     """iter_linear_maps for bases on domain, its candidate lists built once:
     a function from a base's images, in domain order, to their extensions."""
     order, steps = _map_plan(src, tuple(gens), domain)
@@ -315,6 +323,8 @@ def _map_search(src, dst, gens, injective, domain, target_members=None, key=None
         else [y for y in pool if anns_src[g] <= anns_dst[y]]
         for g in gens
     ]
+    if first_images is not None and candidate_sets:
+        candidate_sets[0] = [y for y in candidate_sets[0] if y in first_images]
     dadd, dact, dzero = dst.add_table, dst.act_table, dst.zero
 
     def rec(i, values):

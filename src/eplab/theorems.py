@@ -54,6 +54,7 @@ from .modules import (
     is_pseudo_injective,
     isomorphism_leaders,
     iter_linear_maps,
+    least_in_orbit,
     module_generators,
     module_make,
     partition,
@@ -64,6 +65,7 @@ from .modules import (
 from .rings import (
     Submodule,
     block_projections,
+    central_units,
     exact_exponent,
     is_left_pir,
     principal_generator,
@@ -635,20 +637,34 @@ def _sweep(
     |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally] before its maps are
     visited: Iso(C, D) is the coset f.Aut(C), and stabilizer_chain gives
     |Aut(C)|.  Its maps are enumerated once, keyed on the weights, so a
-    partial map is dropped as soon as it changes the weight of one word;
-    each map the caller tallies adds the pair weight |orbit(C)| * |orbit(D)|
-    in place of 1.
+    partial map is dropped as soon as it changes the weight of one word, and
+    only the maps f whose image of g_1 = codes[i].generators[0] is the least
+    word of its orbit under U, the central units of R acting on A^n, are
+    visited; each map the caller tallies adds the weight
+    |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.
     This is exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
     C -> h(D); and every injective map on a code is onto a listed code of
-    the same size, its image.  A witness stops the caller at the first pair
-    and map, in this order, that holds one, with the tallies made so far.
+    the same size, its image.  x -> u.x for u in U is such a transform that
+    fixes every code, and f -> u.f sends the maps with f(g_1) = y onto those
+    with f(g_1) = u.y; it keeps weights when u keeps the alphabet's orbit
+    labels, which is checked before the first length (InternalConsistencyError
+    otherwise).  A witness stops the caller at the first pair and map, in
+    this order, that holds one, with the tallies made so far; a tally's
+    weights count the orbit-mates u.f of each map visited, the witness's
+    included.  Within a pair, the witness is the first failing map of the
+    listing without the restriction, since the u.f of a failing f all fail.
     details gets "lengths" and "max_generators".  bounds comes from
     _sweep_bounds.  A length whose ambient order overflows the guard ends the
     sweep, or raises when max_n was given explicitly or n = 1.
     """
     max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
+    labels = partition(alphabet, "orbit", guards=guards).labels
+    central = central_units(alphabet.ring)
+    act = alphabet.act_table
+    if any(labels[act[u][a]] != labels[a] for u in central for a in alphabet.elements()):
+        raise InternalConsistencyError("a central unit moves an element out of its orbit")
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:
             if strict or n == 1:
@@ -658,7 +674,6 @@ def _sweep(
             return
         details["lengths"].append(n)
         ambient = direct_power(alphabet, n, guards)
-        labels = partition(alphabet, "orbit", guards=guards).labels
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
         ids: dict = {}
         profiles = [ids.setdefault(tuple(sorted(labels[c] for c in w)), len(ids)) for w in words]
@@ -676,15 +691,23 @@ def _sweep(
             i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
             for i in set(leader.values())
         }
+        # U-orbit sizes on A^n, keyed by each orbit's least word
+        unit_orbit = Counter(least_in_orbit(len(words), [ambient.act_table[u] for u in central]))
+        firsts = frozenset(unit_orbit)
         lattice = _Lattice(alphabet, words, profiles, codes)
         for i in orbit_size:
             gens = codes[i].generators
+            # the position of gens[0] among the members; the zero code's one
+            # map sends its only member to zero, alone in its U-orbit
+            first = codes[i].members.index(gens[0]) if gens else 0
             for j in (j for j in orbit_size if leader[j] == leader[i]):
                 weight = orbit_size[i] * orbit_size[j]
                 counts[tally] += weight * aut[leader[i]]
                 target = frozenset(codes[j].members)
-                for fmap in iter_linear_maps(ambient, ambient, gens, True, None, target, keys):
-                    yield n, lattice, i, j, fmap, weight
+                for fmap in iter_linear_maps(
+                    ambient, ambient, gens, True, None, target, keys, firsts
+                ):
+                    yield n, lattice, i, j, fmap, weight * unit_orbit[fmap[first]]
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +48,7 @@ from eplab.modules import (
 from eplab.rings import (
     Module,
     Submodule,
+    central_units,
     exact_exponent,
     is_left_pir,
     principal_generator,
@@ -142,12 +144,12 @@ def local_xy_ring():
     return ring_make({"kind": "table", "add": add, "mul": mul})
 
 
-def _codes_of_length(alphabet, n, max_gens):
+def _codes_of_length(alphabet, n, max_gens, guards=Guards()):
     """(ambient A^n, its words by index, its codes as _sweep lists them, as
     (members, generators) pairs)."""
-    ambient = direct_power(alphabet, n)
+    ambient = direct_power(alphabet, n, guards)
     words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
-    codes = submodules_enumerate(ambient, max_gens=max_gens)
+    codes = submodules_enumerate(ambient, guards, max_gens)
     return ambient, words, [(code.members, code.generators) for code in codes]
 
 
@@ -163,15 +165,15 @@ def _image_code(lattice, fmap):
     return next(k for k, code in enumerate(lattice.codes) if code.members == image)
 
 
-def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False):
+def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False, guards=Guards()):
     """Yield (lattice, i, j, fmap) for every injective linear map fmap from
     lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
     counting codes in counts["codes"]: the sweep without orbit reduction,
     the oracle for theorems._sweep.  The lattice's profiles are left empty."""
     for n in range(1, max_n + 1):
-        ambient, words, codes = _codes_of_length(alphabet, n, max_gens)
+        ambient, words, codes = _codes_of_length(alphabet, n, max_gens, guards)
         lattice = theorems._Lattice(
-            alphabet, words, [], submodules_enumerate(ambient, max_gens=max_gens)
+            alphabet, words, [], submodules_enumerate(ambient, guards, max_gens)
         )
         for i, (members, gens) in enumerate(codes):
             counts["codes"] += 1
@@ -856,12 +858,13 @@ def test_a_pair_tallies_its_maps_before_they_are_visited():
     # Z/4 at n = 1 has the codes {0}, {0, 2} and Z/4, each its own orbit and
     # isomorphism class.  Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the
     # pair starts, so its first map, the identity and the third yield, already
-    # sees 1 + 1 + 2 maps tallied
+    # sees 1 + 1 + 2 maps tallied.  The central unit 3 sends 1 to 3, so the
+    # identity stands for x -> x and x -> 3x and weighs 2
     counts = {"codes": 0, "maps": 0}
     z4 = module_make(mod_ring(4), {"kind": "regular"})
     sweep = _sweep(z4, Guards(), _sweep_bounds(Guards(), 1, None), counts, {}, "maps", "hamming")
     _, lattice, i, _, fmap, weight = next(itertools.islice(sweep, 2, None))
-    assert lattice.codes[i].members == fmap == (0, 1, 2, 3) and weight == 1
+    assert lattice.codes[i].members == fmap == (0, 1, 2, 3) and weight == 2
     assert counts == {"codes": 3, "maps": 4}
 
 
@@ -880,30 +883,46 @@ def test_midway_raises_when_orbits_merge_annihilator_classes(monkeypatch):
         verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=1)
 
 
-def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
+def _own_orbits(monkeypatch):
+    """Give every element its own orbit in theorems.partition."""
     real_partition = theorems.partition
 
     def partition(module, kind, **kwargs):
-        # every element its own orbit: x -> 3x keeps weights but not profiles
         found = real_partition(module, kind, **kwargs)
         if kind == "orbit":
             return dataclasses.replace(found, labels=tuple(module.elements()))
         return found
 
     monkeypatch.setattr(theorems, "partition", partition)
-    report = verify_midway(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
+
+
+@pytest.mark.parametrize("verify", [verify_midway, verify_sufficiency])
+def test_sweeps_raise_when_a_central_unit_moves_an_orbit_label(verify, monkeypatch):
+    # the central unit 3 of Z/4 sends 1 to 3, which this partition keeps
+    # apart, so a map and its multiple by 3 could differ in swc preservation
+    _own_orbits(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="central unit"):
+        verify(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
+
+
+def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
+    # every element its own orbit: swapping 1 and 3 of (Z/2)^2 keeps weights
+    # but not profiles; Z/4 acts on (Z/2)^2 through Z/2, so its central units
+    # fix every element and keep every label
+    _own_orbits(monkeypatch)
+    report = verify_midway(z4_klein(), max_n=2, max_gens=2)
     assert report.as_json() == {
         "claim": "Hamming preservation is equivalent to swc preservation for code monomorphisms",
         "result": "counterexample",
         "hypotheses": {"ring_left_pir": True, "alphabet_pseudo_injective": True},
-        "counts": {"codes": 3, "monomorphisms": 4, "hamming_preserving": 3, "peeled": 3},
+        "counts": {"codes": 5, "monomorphisms": 16, "hamming_preserving": 11, "peeled": 11},
         "details": {
             "lengths": [1],
             "max_generators": 2,
             "witness": {
                 "length": 1,
-                "generators": [[1]],
-                "gen_images": [[3]],
+                "generators": [[1], [2]],
+                "gen_images": [[1], [3]],
                 "hamming_preserved": True,
                 "swc_preserved": False,
             },
@@ -953,9 +972,9 @@ def test_full_lattice_counts_match_the_closed_form(alphabet, q, dims, expected):
 # orbit reduction against the unreduced sweep
 
 
-def _unreduced_midway_counts(alphabet, max_n, max_gens):
+def _unreduced_midway_counts(alphabet, max_n, max_gens, guards=Guards()):
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
-    for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts):
+    for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts, False, guards):
         counts["monomorphisms"] += 1
         cmap = _code_map_from_tuple(lattice, i, j, fmap)
         hamming_ok = map_preserves(cmap, "hamming")
@@ -967,10 +986,10 @@ def _unreduced_midway_counts(alphabet, max_n, max_gens):
     return counts
 
 
-def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
+def _unreduced_sufficiency_counts(alphabet, max_n, max_gens, guards=Guards()):
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     for lattice, i, j, fmap in _unreduced_sweep(
-        alphabet, max_n, max_gens, counts, onto=True
+        alphabet, max_n, max_gens, counts, onto=True, guards=guards
     ):
         counts["isomorphisms"] += 1
         cmap = _code_map_from_tuple(lattice, i, j, fmap)
@@ -981,10 +1000,10 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens):
     return counts
 
 
-def _sweep_yields(alphabet, max_n, max_gens, key):
+def _sweep_yields(alphabet, max_n, max_gens, key, guards=Guards()):
     counts = {"codes": 0, "maps": 0}
-    bounds = _sweep_bounds(Guards(), max_n, max_gens)
-    return sum(1 for _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", key))
+    bounds = _sweep_bounds(guards, max_n, max_gens)
+    return sum(1 for _ in _sweep(alphabet, guards, bounds, counts, {}, "maps", key))
 
 
 MIDWAY_ALPHABETS = [
@@ -994,14 +1013,31 @@ MIDWAY_ALPHABETS = [
 ]
 MIDWAY_IDS = ["z4-klein", "z4", "z8", "f2-col2", "z4-klein-relabelled"]
 
+# A^2 has 81 elements on both, above the default order guard of 64
+WIDE_GUARDS = Guards(max_order=81)
 
-@pytest.mark.parametrize("alphabet", MIDWAY_ALPHABETS, ids=MIDWAY_IDS)
+
+def m2f3_column():
+    """F_3^2 over M_2(F_3), whose central units {I, 2I} are fewer than its
+    48 units."""
+    ring = ring_make({"kind": "matrix", "m": 2, "q": 3}, WIDE_GUARDS)
+    return module_make(ring, {"kind": "column", "k": 1}, WIDE_GUARDS)
+
+
+WIDE_ALPHABETS = [module_make(mod_ring(9), {"kind": "regular"}), m2f3_column()]
+WIDE_IDS = ["z9", "m2f3-col1"]
+
+
+@pytest.mark.parametrize(
+    "alphabet", MIDWAY_ALPHABETS + WIDE_ALPHABETS, ids=MIDWAY_IDS + WIDE_IDS
+)
 def test_midway_counts_match_the_unreduced_sweep(alphabet):
-    report = verify_midway(alphabet, max_n=2, max_gens=2)
+    report = verify_midway(alphabet, WIDE_GUARDS, max_n=2, max_gens=2)
     assert report.result == "verified"
-    expected = _unreduced_midway_counts(alphabet, 2, 2)
+    expected = _unreduced_midway_counts(alphabet, 2, 2, WIDE_GUARDS)
     assert report.counts == expected
-    assert _sweep_yields(alphabet, 2, 2, "hamming") < expected["hamming_preserving"]
+    yields = _sweep_yields(alphabet, 2, 2, "hamming", WIDE_GUARDS)
+    assert yields < expected["hamming_preserving"]
 
 
 # MIDWAY_ALPHABETS and every alphabet of the benchmark's certify workload, as
@@ -1130,19 +1166,91 @@ def test_the_sweep_peels_as_midway_peeling_does(alphabet):
     )
 
 
-@pytest.mark.parametrize(
-    "alphabet,max_n",
-    [(matrix_module(1, 2, 1), 3), (module_make(mod_ring(4), {"kind": "regular"}), 2),
-     (matrix_module(1, 4, 1), 2), (matrix_module(1, 8, 1), 2), (matrix_module(1, 7, 1), 2),
-     (relabelled(module_make(mod_ring(4), {"kind": "regular"}), [3, 2, 0, 1]), 2)],
-    ids=["f2", "z4", "f4", "f8", "f7", "z4-relabelled"],
-)
-def test_sufficiency_counts_match_the_unreduced_sweep(alphabet, max_n):
-    report = verify_sufficiency(alphabet, max_n=max_n, max_gens=2)
+# (alphabet, max_n) of the sufficiency oracles
+SUFFICIENCY_ALPHABETS = {
+    "f2": (matrix_module(1, 2, 1), 3),
+    "z4": (module_make(mod_ring(4), {"kind": "regular"}), 2),
+    "f4": (matrix_module(1, 4, 1), 2),
+    "f8": (matrix_module(1, 8, 1), 2),
+    "f7": (matrix_module(1, 7, 1), 2),
+    "z4-relabelled": (relabelled(module_make(mod_ring(4), {"kind": "regular"}), [3, 2, 0, 1]), 2),
+    **{name: (alphabet, 2) for name, alphabet in zip(WIDE_IDS, WIDE_ALPHABETS)},
+}
+
+
+@pytest.mark.parametrize("name", list(SUFFICIENCY_ALPHABETS))
+def test_sufficiency_counts_match_the_unreduced_sweep(name):
+    alphabet, max_n = SUFFICIENCY_ALPHABETS[name]
+    report = verify_sufficiency(alphabet, WIDE_GUARDS, max_n=max_n, max_gens=2)
     assert report.result == "verified"
-    expected = _unreduced_sufficiency_counts(alphabet, max_n, 2)
+    expected = _unreduced_sufficiency_counts(alphabet, max_n, 2, WIDE_GUARDS)
     assert report.counts == expected
-    assert _sweep_yields(alphabet, max_n, 2, "swc") < expected["swc_preserving"]
+    yields = _sweep_yields(alphabet, max_n, 2, "swc", WIDE_GUARDS)
+    assert yields < expected["swc_preserving"]
+
+
+def _relabelled_z9():
+    """Z/9 over itself as table descriptors, ring and module renamed by the
+    benchmark's seeded relabelling."""
+    spec = _load("workloads").relabelled_spec(
+        {"kind": "mod_n", "n": 9}, {"kind": "regular"}, random.Random(9)
+    )
+    return module_make(ring_make(spec["ring"]), spec["module"])
+
+
+# (alphabet, max_n): the midway and sufficiency oracle alphabets, Z/9,
+# F_3^2 over M_2(F_3), and Z/9 with its ring and module relabelled
+UNIT_ORBIT_ALPHABETS = {
+    **{name: (alphabet, 2) for name, alphabet in zip(MIDWAY_IDS, MIDWAY_ALPHABETS)},
+    **SUFFICIENCY_ALPHABETS,
+    "z9-relabelled": (_relabelled_z9(), 2),
+}
+
+
+@pytest.mark.parametrize("key", ["hamming", "swc"])
+@pytest.mark.parametrize("name", sorted(UNIT_ORBIT_ALPHABETS))
+def test_each_visited_map_stands_for_its_central_unit_orbit(name, key, monkeypatch):
+    """For every pair (C, D) that _sweep searches, the weights of the maps it
+    yields sum to |orbit(C)| * |orbit(D)| times the number of maps in the
+    keyed listing of Iso(C, D) without the first-image restriction, and the
+    images of the yielded maps under the central units make up that listing.
+    Only an alphabet that some central unit moves has a map left out."""
+    alphabet, max_n = UNIT_ORBIT_ALPHABETS[name]
+    real = theorems.iter_linear_maps
+    searches = []
+
+    def spy(*args):
+        searches.append((args, []))
+        return real(*args)
+
+    monkeypatch.setattr(theorems, "iter_linear_maps", spy)
+    bounds = _sweep_bounds(WIDE_GUARDS, max_n, 2)
+    counts = {"codes": 0, "maps": 0}
+    for n, _, i, j, fmap, weight in _sweep(alphabet, WIDE_GUARDS, bounds, counts, {}, "maps", key):
+        searches[-1][1].append((n, i, j, fmap, weight))
+
+    units = central_units(alphabet.ring)
+    orbit_sizes = {}
+    left_out = 0
+    for (ambient, _, gens, _, _, target, keys, _), yielded in searches:
+        listing = list(real(ambient, ambient, gens, True, None, target, keys))
+        images = {
+            tuple(ambient.act_table[u][y] for y in fmap)
+            for _, _, _, fmap, _ in yielded
+            for u in units
+        }
+        assert images == set(listing)
+        if yielded:
+            n, i, j = yielded[0][:3]
+            if n not in orbit_sizes:
+                _, words, codes = _codes_of_length(alphabet, n, 2, WIDE_GUARDS)
+                orbit_sizes[n] = Counter(_orbit_firsts(alphabet, words, codes))
+            sizes = orbit_sizes[n]
+            assert sum(weight for *_, weight in yielded) == sizes[i] * sizes[j] * len(listing)
+        left_out += len(listing) - len(yielded)
+    identity = alphabet.act_table[alphabet.ring.one]
+    assert (left_out > 0) == any(alphabet.act_table[u] != identity for u in units)
+    assert searches and counts["maps"] > 0
 
 
 @pytest.mark.parametrize(
@@ -1332,18 +1440,21 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
 
     monkeypatch.setattr(theorems, "extension_search", search)
     # _sweep visits the maps orbit pair by orbit pair, weighting each tally by
-    # the pair; the first that moves a word is (0, 1) -> (0, 3), and the 3 + 15
-    # codes of lengths 1 and 2 are counted when each length starts
-    report = verify_sufficiency(module_make(mod_ring(4), {"kind": "regular"}), max_n=2)
+    # the pair; the first that moves a word swaps (0, 1) and (1, 0), and the
+    # 2 + 5 codes of lengths 1 and 2 are counted when each length starts.
+    # The only central unit of F_2 is 1, so the sweep visits every map
+    report = verify_sufficiency(matrix_module(1, 2, 1), max_n=2)
     assert report.as_json() == {
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
         "result": "counterexample",
         "hypotheses": {"socle_cyclic": True},
-        "counts": {"codes": 18, "isomorphisms": 22, "swc_preserving": 18, "extended": 14},
+        "counts": {"codes": 7, "isomorphisms": 18, "swc_preserving": 10, "extended": 9},
         "details": {
             "lengths": [1, 2],
             "max_generators": 2,
-            "witness": {"length": 2, "generators": [[0, 1]], "gen_images": [[0, 3]]},
+            "witness": {
+                "length": 2, "generators": [[0, 1], [1, 0]], "gen_images": [[1, 0], [0, 1]],
+            },
         },
     }
 
