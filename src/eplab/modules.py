@@ -180,6 +180,7 @@ def socle(module: Module, guards: Guards = DEFAULT_GUARDS) -> Submodule:
     Cross-checked against the sum of all minimal submodules; a mismatch is an
     internal error.
     """
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
     if "socle" not in module._cache:
         rad = jacobson_radical(module.ring)
         zero = module.zero
@@ -279,42 +280,39 @@ def iter_linear_maps(
     dst: Module,
     gens: Sequence[int],
     injective: bool = False,
-    base: Optional[dict] = None,
+    *,
     target_members: Optional[frozenset] = None,
     key: Optional[Sequence] = None,
     first_images: Optional[frozenset] = None,
 ):
-    """Yield all linear maps span(base, gens) -> dst, in deterministic order,
-    each as the tuple of images of the span's members in ascending order.
-
-    The source generators are element indices of src; base (default {0: 0})
-    must already be a linear map on a submodule.  Candidate images are
-    filtered by annihilator containment (equality when injective) and, when
-    target_members is given, restricted to that submodule of dst; the
-    conductor checks of _map_plan then accept exactly the images that extend.
-    Each partial map is linear, so it is injective exactly when no new
-    element of the span maps to zero; injective assumes an injective base.
-    With a key, a sequence over element indices, a partial map is dropped as
-    soon as a new element x of the span gets an image z with key[z] !=
-    key[x]: the maps yielded are those of the unkeyed listing that keep the
-    key on every new element, in the same order.  With first_images, a set
-    of element indices of dst, gens[0] gets only the candidate images in it:
-    the maps yielded are those of the listing without it that send gens[0]
-    into first_images, in the same order.
-    """
-    if base is None:
-        base = {src.zero: dst.zero}
+    """Yield all linear maps span(gens) -> dst: the extensions of the zero
+    map on the zero submodule, as _map_search compiles them, with its
+    options."""
     search = _map_search(
-        src, dst, gens, injective, tuple(base), target_members, key, first_images
+        src, dst, gens, injective, (src.zero,),
+        target_members=target_members, key=key, first_images=first_images,
     )
-    yield from search(list(base.values()))
+    yield from search([dst.zero])
 
 
 def _map_search(
-    src, dst, gens, injective, domain, target_members=None, key=None, first_images=None
+    src, dst, gens, injective, domain, *, target_members=None, key=None, first_images=None
 ):
-    """iter_linear_maps for bases on domain, its candidate lists built once:
-    a function from a base's images, in domain order, to their extensions."""
+    """Compile the extensions along gens of a linear map on the submodule
+    domain: a function from the map's images, in domain order, to every
+    linear map span(domain, gens) -> dst that extends it, in deterministic
+    order, each as the images of the span's ascending members.
+
+    The candidate images of a generator g are the y with Ann(g) <= Ann(y)
+    (equality when injective), within target_members when given; the
+    conductor checks of _map_plan accept exactly those that extend.  Each
+    partial map is linear, so it is injective exactly when no new element
+    maps to zero; injective assumes an injective map on domain.  A key, a
+    sequence over element indices, drops a partial map as soon as a new
+    element x gets an image z with key[z] != key[x]; first_images, a set of
+    element indices of dst, restricts the images of gens[0] to it.  Either
+    keeps the order of the maps that remain.
+    """
     order, steps = _map_plan(src, tuple(gens), domain)
     anns_src, anns_dst = annihilator_sets(src), annihilator_sets(dst)
     pool = dst.elements() if target_members is None else sorted(target_members)
@@ -420,8 +418,9 @@ def isomorphism_leaders(
     for i in indices:
         shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
         for j in shape:
+            target = frozenset(subs[j].members)
             maps = iter_linear_maps(
-                module, module, subs[i].generators, True, None, frozenset(subs[j].members), anns
+                module, module, subs[i].generators, True, target_members=target, key=anns
             )
             if next(maps, None):
                 leader[i] = j
@@ -481,12 +480,14 @@ def stabilizer_chain(module: Module, gens: Sequence[int]):
     spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
     target = frozenset(spans[-1])
     position = {x: p for p, x in enumerate(spans[-1])}
+    search = functools.partial(_map_search, module, module, target_members=target)
     kept = []
     for i in reversed(range(len(gens))):
-        identity, size, level = dict(zip(spans[i], spans[i])), 0, []
-        extend = _map_search(module, module, gens[i + 1 :], True, spans[i + 1], target)
+        size, level = 0, []
+        steps = search(gens[i : i + 1], True, spans[i])
+        extend = search(gens[i + 1 :], True, spans[i + 1])
         at, orbit = spans[i + 1].index(gens[i]), {gens[i]}
-        for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
+        for step in steps(list(spans[i])):
             if step[at] not in orbit:
                 full = next(extend(list(step)), None)
                 if full is None:
@@ -507,8 +508,8 @@ def stabilizer_chain(module: Module, gens: Sequence[int]):
 def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
     """Aut(A) as the stabilizer_chain along module_generators(A): the product
     of its sizes and the automorphisms it kept, at most log2 |Aut(A)|."""
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
     if "aut_group" not in module._cache:
-        check_guard(module.order, guards.max_order, f"module order {module.order}")
         order, kept = 1, []
         for size, level in stabilizer_chain(module, module_generators(module)):
             order *= size
@@ -536,6 +537,8 @@ def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> Orb
     """Partition elements by automorphism orbits ("orbit") or by equal
     annihilator ("annihilator")."""
     cache_key = ("partition", kind)
+    if kind == "orbit":
+        check_guard(module.order, guards.max_order, f"module order {module.order}")
     if cache_key in module._cache:
         return module._cache[cache_key]
     n = module.order
@@ -563,7 +566,6 @@ def _is_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool:
     map f from a left ideal I of R into A is x -> x*a for some a in A.  The
     ideals 0 and R pass for every A, so only the proper nonzero ones are
     checked, each map f as the images of I's ascending members."""
-    check_guard(module.order, guards.max_order, f"module order {module.order}")
     ring, act = module.ring, module.act_table
     for ideal in submodules_enumerate(ring, guards):
         members = ideal.members
@@ -585,6 +587,7 @@ def is_pseudo_injective(module: Module, guards: Guards = DEFAULT_GUARDS) -> bool
     the monomorphism search over its own submodules,
     _pseudo_injective_by_search.
     """
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
     if "pseudo_injective" not in module._cache:
         module._cache["pseudo_injective"] = (
             _is_injective(module, guards) or _pseudo_injective_by_search(module, guards)
@@ -603,9 +606,10 @@ def _pseudo_injective_by_search(module: Module, guards: Guards = DEFAULT_GUARDS)
     into orbits under left composition by the same generators.  The first
     monomorphism f of each orbit, rebuilt on S from those images, then takes
     one search for a linear map that extends f, along greedy generators that
-    complete S to the whole module.  The search tries, for each of them g,
-    every image y with Ann(g) <= Ann(y), a condition every endomorphism
-    meets, so it finds an extension whenever one exists.
+    complete S to the whole module, compiled by _map_search once per S.  The
+    search tries, for each of them g, every image y with Ann(g) <= Ann(y), a
+    condition every endomorphism meets, so it finds an extension whenever
+    one exists.
     """
     autos = automorphism_group(module, guards).generators
     subs = submodules_enumerate(module, guards)
@@ -622,15 +626,11 @@ def _pseudo_injective_by_search(module: Module, guards: Guards = DEFAULT_GUARDS)
         columns = list(zip(*monos))
         moved = (zip(*(map(a.__getitem__, c) for c in columns)) for a in autos)
         mono_first = least_in_orbit(len(monos), (map(position.__getitem__, f) for f in moved))
-        rest = _greedy_generators(module, members)
-        bases = (
-            dict(zip(members, _map_from_images(module, module, gens, images)))
+        extend = _map_search(module, module, _greedy_generators(module, members), False, members)
+        if not all(
+            next(extend(list(_map_from_images(module, module, gens, images))), None) is not None
             for k, images in enumerate(monos)
             if mono_first[k] == k
-        )
-        if not all(
-            next(iter_linear_maps(module, module, rest, base=base), None) is not None
-            for base in bases
         ):
             return False
     return True
@@ -649,9 +649,9 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     (chi(0), ..., chi(n-1)), so the zero character, all zeros, has index 0.
     The tables meet the module axioms by construction and are not re-checked.
     """
+    check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
     if "character_module" in ring._cache:
         return ring._cache["character_module"]
-    check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
     n = ring.order
     m = exponent_of_addition(ring)
     z_m = ring_make({"kind": "mod_n", "n": m}, guards)
@@ -684,9 +684,7 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     return out
 
 
-def embedding_search(
-    src: Module, dst: Module, guards: Guards = DEFAULT_GUARDS
-) -> Optional[tuple[int, ...]]:
+def embedding_search(src: Module, dst: Module) -> Optional[tuple[int, ...]]:
     """First injective linear map src -> dst in search order, as a tuple."""
     if src.order > dst.order:
         return None
@@ -725,10 +723,10 @@ class SocleReport:
 
 
 def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport:
-    if "socle_report" in module._cache:
-        return module._cache["socle_report"]
     simples = simple_classes(module.ring, guards)
     soc = socle(module, guards)
+    if "socle_report" in module._cache:
+        return module._cache["socle_report"]
     rows = []
     size_check = 1
     for t in simples:
@@ -742,7 +740,7 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
     by_multiplicity = all(s <= mu for _, mu, s, _ in rows)
     by_generator = soc in submodules_enumerate(module, guards, 1)
     characters = character_module(module.ring, guards)
-    by_character = embedding_search(module, characters, guards) is not None
+    by_character = embedding_search(module, characters) is not None
     if not (by_multiplicity == by_generator == by_character):
         raise InternalConsistencyError(
             "cyclic-socle tests disagree: "

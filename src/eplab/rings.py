@@ -302,8 +302,8 @@ def submodules_enumerate(
     generators is new at level k: its tuple is shortest.
     """
     key = ("submodules", max_gens)
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
     if key not in module._cache:
-        check_guard(module.order, guards.max_order, f"module order {module.order}")
         add = module.add_table
         found: dict[frozenset, tuple[int, ...]] = {}
         for w in module.elements():
@@ -480,8 +480,8 @@ def simple_classes(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[SimpleC
     R/rad(R))| = q^mu recover its block M_mu(F_q); the annihilator of a
     nonzero t is pulled back to R through the projection.
     """
+    check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
     if "simples" not in ring._cache:
-        check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
         rbar, proj = ring_quotient(ring, jacobson_radical(ring))
         anns = annihilator_sets(rbar)
         seen, out = [], []

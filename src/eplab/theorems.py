@@ -705,7 +705,8 @@ def _sweep(
                 counts[tally] += weight * aut[leader[i]]
                 target = frozenset(codes[j].members)
                 for fmap in iter_linear_maps(
-                    ambient, ambient, gens, True, None, target, keys, firsts
+                    ambient, ambient, gens, True,
+                    target_members=target, key=keys, first_images=firsts,
                 ):
                     yield n, lattice, i, j, fmap, weight * unit_orbit[fmap[first]]
 
@@ -850,7 +851,7 @@ def verify_necessity(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Verdi
         tuple(block_alphabet.act_table[x] for x in chosen.proj),
         block_alphabet.zero, {"kind": "pullback_block"},
     )
-    iota = embedding_search(pulled, alphabet, guards)
+    iota = embedding_search(pulled, alphabet)
     if iota is None:
         raise InternalConsistencyError(
             "socle multiplicity guarantees an embedding of the pulled-back block module"

@@ -1,5 +1,6 @@
 """Module layer: socles, simple modules, automorphisms, partitions."""
 
+import functools
 import itertools
 import json
 import math
@@ -434,10 +435,11 @@ def listing_stabilizer_chain(module, gens):
     first.  The oracle for the orbit-pruned chain."""
     spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
     target = frozenset(spans[-1])
+    search = functools.partial(modules._map_search, module, module, target_members=target)
     for i in reversed(range(len(gens))):
-        identity, level = dict(zip(spans[i], spans[i])), []
-        extend = modules._map_search(module, module, gens[i + 1 :], True, spans[i + 1], target)
-        for step in iter_linear_maps(module, module, gens[i : i + 1], True, identity, target):
+        level = []
+        extend = search(gens[i + 1 :], True, spans[i + 1])
+        for step in search(gens[i : i + 1], True, spans[i])(list(spans[i])):
             full = next(extend(list(step)), None)
             if full is not None:
                 level.append(full)
@@ -540,7 +542,7 @@ def test_pseudo_injectivity_checks_the_order_guard_before_any_search(monkeypatch
         raise AssertionError("searched above the order guard")
 
     module = _column(2, 4)()
-    for name in ("submodules_enumerate", "iter_linear_maps", "stabilizer_chain"):
+    for name in ("submodules_enumerate", "iter_linear_maps", "_map_search", "stabilizer_chain"):
         monkeypatch.setattr(modules, name, refused)
     with pytest.raises(GuardExceeded, match=r"^module order 16 \(16\) exceeds guard \(8\)$"):
         is_pseudo_injective(module, Guards(max_order=8))
@@ -549,8 +551,8 @@ def test_pseudo_injectivity_checks_the_order_guard_before_any_search(monkeypatch
 def _rest_search(module, members, f):
     """The one endomorphism search that is_pseudo_injective runs for the
     monomorphism f on the submodule members: the first extension, or None."""
-    rest = _greedy_generators(module, members)
-    return next(iter_linear_maps(module, module, rest, base=f), None)
+    extend = modules._map_search(module, module, _greedy_generators(module, members), False, members)
+    return next(extend([f[x] for x in members]), None)
 
 
 def test_failing_mono_in_z2z4():
@@ -614,13 +616,21 @@ def _iter_linear_maps_oracle(src, dst, gens, injective=False, base=None, target_
     yield from rec(0, dict(base))
 
 
-def _assert_kernel_matches_oracle(src, dst, gens, **kwargs):
+def _assert_kernel_matches_oracle(src, dst, gens, injective=False, base=None, target_members=None):
     """The kernel yields the oracle's maps in the oracle's order, each as
-    the tuple of images of the sorted span; returns the number of maps."""
-    domain = list(kwargs.get("base") or [src.zero])
-    span = submodule_generated(src, domain + list(gens)).members
-    got = [dict(zip(span, f)) for f in iter_linear_maps(src, dst, gens, **kwargs)]
-    assert got == list(_iter_linear_maps_oracle(src, dst, gens, **kwargs))
+    the tuple of images of the sorted span; returns the number of maps.
+    The kernel is iter_linear_maps, or with base, a linear map on a
+    submodule, the search _map_search compiles on that submodule."""
+    if base is None:
+        maps = iter_linear_maps(src, dst, gens, injective, target_members=target_members)
+    else:
+        search = modules._map_search(
+            src, dst, gens, injective, tuple(base), target_members=target_members
+        )
+        maps = search(list(base.values()))
+    span = submodule_generated(src, list(base or [src.zero]) + list(gens)).members
+    got = [dict(zip(span, f)) for f in maps]
+    assert got == list(_iter_linear_maps_oracle(src, dst, gens, injective, base, target_members))
     return len(got)
 
 
@@ -957,8 +967,8 @@ def test_iter_linear_maps_extends_from_a_submodule_like_the_oracle(builder):
                 _assert_kernel_matches_oracle(module, module, rest, injective=injective, base=base)
 
 
-def _oracle_kernel(src, dst, gens, injective=False, base=None, target_members=None):
-    for f in _iter_linear_maps_oracle(src, dst, gens, injective, base, target_members):
+def _oracle_kernel(src, dst, gens, injective=False, *, target_members=None):
+    for f in _iter_linear_maps_oracle(src, dst, gens, injective, None, target_members):
         yield tuple(f[x] for x in sorted(f))
 
 
@@ -990,9 +1000,8 @@ def _extend_mono_oracle(module, members, f):
         assert all(f[act[r][a]] == act[r][f[a]] for r in module.ring.elements())
     gens_rest = _greedy_generators(module, members)
     for injective in (True, False):
-        found = next(
-            iter_linear_maps(module, module, gens_rest, injective=injective, base=f), None
-        )
+        extend = modules._map_search(module, module, gens_rest, injective, tuple(f))
+        found = next(extend(list(f.values())), None)
         if found is not None:
             return found
     return None
@@ -1165,11 +1174,12 @@ def test_relabelled_pseudo_injectivity_matches_the_oracle(case, data):
     assert expected or not injective
 
 
-def _orbit_pairs_by_brute_force(module):
+def _orbit_pairs_by_brute_force(module, representatives=None):
     """(verdict, pairs): the (submodule orbit, monomorphism orbit) pairs, with
     orbits taken under every element of Aut(A), in the order of their first
     members, up to the first pair whose first monomorphism does not extend
-    by _extend_mono_oracle."""
+    by _extend_mono_oracle.  The list representatives, when given, gets the
+    members of the first submodule of each orbit reached."""
     perms = automorphism_group(module).elements
     seen, pairs = set(), 0
     for sub in submodules_enumerate(module):
@@ -1177,6 +1187,8 @@ def _orbit_pairs_by_brute_force(module):
         if len(members) in (1, module.order) or members in seen:
             continue
         seen |= {tuple(sorted(p[x] for x in members)) for p in perms}
+        if representatives is not None:
+            representatives.append(members)
         reached = set()
         for f in iter_linear_maps(module, module, sub.generators, injective=True):
             if f in reached:
@@ -1189,20 +1201,26 @@ def _orbit_pairs_by_brute_force(module):
 
 
 def _counted_pseudo_injective(module, monkeypatch, check=modules._pseudo_injective_by_search):
-    """(verdict of check, the number of extension searches, i.e. calls with
-    base=).  Aut(A) is built first, so the stabilizer chain's own searches
-    are not counted, and neither are Baer's maps from left ideals, which
-    take no base."""
+    """(verdict of check, the number of extension searches, i.e. applications
+    of a search that _map_search compiled on a nonzero submodule).  Aut(A) is
+    built first, so the stabilizer chain's own searches are not counted, and
+    neither are Baer's maps from left ideals, which extend the zero map."""
     automorphism_group(module)
     searches = []
-    kernel = modules.iter_linear_maps
+    compile_search = modules._map_search
 
-    def counting(src, dst, gens, injective=False, base=None, target_members=None):
-        if base is not None:
-            searches.append(base)
-        return kernel(src, dst, gens, injective, base, target_members)
+    def counting(src, dst, gens, injective, domain, **options):
+        search = compile_search(src, dst, gens, injective, domain, **options)
+        if len(domain) == 1:
+            return search
 
-    monkeypatch.setattr(modules, "iter_linear_maps", counting)
+        def counted(values):
+            searches.append(values)
+            return search(values)
+
+        return counted
+
+    monkeypatch.setattr(modules, "_map_search", counting)
     return check(module), len(searches)
 
 
@@ -1213,6 +1231,34 @@ def test_pseudo_injectivity_searches_once_per_orbit_pair(name, builder, expected
     verdict, pairs = _orbit_pairs_by_brute_force(builder())
     assert verdict is expected
     assert _counted_pseudo_injective(builder(), monkeypatch) == (expected, pairs)
+
+
+@pytest.mark.parametrize(
+    "name,builder,expected", PSEUDO_INJECTIVITY_CASES, ids=[c[0] for c in PSEUDO_INJECTIVITY_CASES]
+)
+def test_pseudo_injectivity_compiles_one_extension_per_submodule_orbit(
+    name, builder, expected, monkeypatch
+):
+    """The search compiles one extension that need not be injective on the
+    first submodule of each orbit it reaches, however many monomorphism
+    orbits that submodule has.  The two modules that fail, (Z/2)+(Z/4) and
+    Z/4+(Z/2)^2 over Z/4, reach fewer submodule orbits than orbit pairs, so
+    one compile per pair would not pass."""
+    representatives = []
+    verdict, pairs = _orbit_pairs_by_brute_force(builder(), representatives)
+    assert verdict is expected
+    assert expected or pairs > len(representatives)
+    domains = []
+    compile_search = modules._map_search
+
+    def spy(src, dst, gens, injective, domain, **options):
+        if not injective and len(domain) > 1:
+            domains.append(domain)
+        return compile_search(src, dst, gens, injective, domain, **options)
+
+    monkeypatch.setattr(modules, "_map_search", spy)
+    assert modules._pseudo_injective_by_search(builder()) is expected
+    assert domains == representatives
 
 
 @pytest.mark.parametrize(
@@ -1377,6 +1423,43 @@ def test_embedding_search():
     assert emb == (0, 2)
     assert embedding_search(z4_regular(), z2) is None
     assert embedding_search(z2z2_over_z4(), character_module(r)) is None
+
+
+def _m2f2():
+    return ring_make({"kind": "matrix", "m": 2, "q": 2})
+
+
+# name -> (object of order 16, call(object, guards)): F_2^4, and M_2(F_2) for
+# the two cached on the ring
+CACHED_UNDER_GUARDS = {
+    "automorphism_group": (_column(2, 4), automorphism_group),
+    "submodules_enumerate": (_column(2, 4), submodules_enumerate),
+    "partition orbit": (_column(2, 4), lambda m, guards: partition(m, "orbit", guards)),
+    "is_pseudo_injective": (_column(2, 4), is_pseudo_injective),
+    "socle": (_column(2, 4), socle),
+    "socle_report": (_column(2, 4), socle_report),
+    "simple_classes": (_m2f2, simple_classes),
+    "character_module": (_m2f2, character_module),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_UNDER_GUARDS))
+def test_a_cache_hit_raises_the_guard_a_fresh_call_raises(name):
+    """A result cached under looser guards is not returned under tighter
+    ones: the call raises the GuardExceeded of a fresh call, message
+    included."""
+    build, call = CACHED_UNDER_GUARDS[name]
+    tight = Guards(max_order=8)
+    with pytest.raises(GuardExceeded) as fresh:
+        call(build(), tight)
+    assert str(fresh.value) in (
+        "module order 16 (16) exceeds guard (8)", "ring order 16 (16) exceeds guard (8)"
+    )
+    cached = build()
+    call(cached, Guards())
+    with pytest.raises(GuardExceeded) as hit:
+        call(cached, tight)
+    assert str(hit.value) == str(fresh.value)
 
 
 def test_socle_guard():

@@ -981,7 +981,7 @@ def _unreduced_midway_counts(alphabet, max_n, max_gens, guards=Guards()):
         assert hamming_ok == map_preserves(cmap, "swc")
         if hamming_ok:
             counts["hamming_preserving"] += 1
-            assert midway_peeling(cmap).result == "verified"
+            assert midway_peeling(cmap, guards).result == "verified"
             counts["peeled"] += 1
     return counts
 
@@ -1219,21 +1219,22 @@ def test_each_visited_map_stands_for_its_central_unit_orbit(name, key, monkeypat
     real = theorems.iter_linear_maps
     searches = []
 
-    def spy(*args):
-        searches.append((args, []))
-        return real(*args)
+    def spy(*args, **options):
+        searches.append((args, options, []))
+        return real(*args, **options)
 
     monkeypatch.setattr(theorems, "iter_linear_maps", spy)
     bounds = _sweep_bounds(WIDE_GUARDS, max_n, 2)
     counts = {"codes": 0, "maps": 0}
     for n, _, i, j, fmap, weight in _sweep(alphabet, WIDE_GUARDS, bounds, counts, {}, "maps", key):
-        searches[-1][1].append((n, i, j, fmap, weight))
+        searches[-1][2].append((n, i, j, fmap, weight))
 
     units = central_units(alphabet.ring)
     orbit_sizes = {}
     left_out = 0
-    for (ambient, _, gens, _, _, target, keys, _), yielded in searches:
-        listing = list(real(ambient, ambient, gens, True, None, target, keys))
+    for (ambient, _, gens, _), options, yielded in searches:
+        target, keys = options["target_members"], options["key"]
+        listing = list(real(ambient, ambient, gens, True, target_members=target, key=keys))
         images = {
             tuple(ambient.act_table[u][y] for y in fmap)
             for _, _, _, fmap, _ in yielded
