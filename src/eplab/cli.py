@@ -67,6 +67,11 @@ CONVENTIONS = {
 # input loading
 
 
+# a spec or codes file nests a few levels deep; building its descriptors and
+# echoing them recurse once per level, which a few hundred levels exhaust
+MAX_JSON_DEPTH = 100
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -78,6 +83,16 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object")
+    level = [data]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            v
+            for c in level
+            for v in (c.values() if isinstance(c, dict) else c)
+            if isinstance(v, (dict, list))
+        ]
+    if level:
+        raise InputError(f"{path} nests objects and lists more than {MAX_JSON_DEPTH} deep")
     return data
 
 
@@ -185,10 +200,30 @@ def load_codes(path: str, guards: Guards):
 _quote = json.encoder.encode_basestring_ascii
 
 
+_CHUNK_DIGITS = 500  # below 640, the least limit sys.set_int_max_str_digits accepts
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_repr(n: int) -> str:
+    """int.__repr__(n), exactly, also for an int with more digits than the
+    interpreter converts at once: such an int is written in chunks."""
+    if -_CHUNK < n < _CHUNK:
+        return int.__repr__(n)
+    if n < 0:
+        return "-" + _int_repr(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(int.__repr__(low).zfill(_CHUNK_DIGITS))
+    return int.__repr__(n) + "".join(reversed(chunks))
+
+
 def _dumps(obj, indent: str = "\n", memo: Optional[dict] = None) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for the types
     reports hold: dicts with str keys, lists, tuples, str, int, bool and None.
-    Any other type raises TypeError.  A list of plain ints is one join.  A
+    Any other type raises TypeError.  An int value, though not an entry of
+    a list of plain ints, may have more digits than the interpreter converts
+    to a string at once.  A list of plain ints is one join.  A
     list of lists met again at the same indent within one call, as a shared
     listing is, is taken from the memo, keyed by (id, indent): obj keeps
     every such list alive.  Lists of dicts, long and unshared, are not kept."""
@@ -220,7 +255,7 @@ def _dumps(obj, indent: str = "\n", memo: Optional[dict] = None) -> str:
     if obj is True or obj is False:
         return "true" if obj else "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _int_repr(obj)
     raise TypeError(f"a report cannot hold {type(obj).__name__} values")
 
 

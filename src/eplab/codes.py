@@ -86,8 +86,8 @@ class Code:
         return tuple(word) in self._members
 
     def column_fingerprints(self, index: OrbitIndex) -> tuple[tuple[int, ...], ...]:
-        """column_fingerprint at every position, computed once per code and
-        partition kind."""
+        """The multiset (sorted tuple) of partition labels in each column,
+        computed once per code and partition kind."""
         cache = self.__dict__.setdefault("_fingerprints", {})
         if index.kind not in cache:
             label = index.labels.__getitem__
@@ -160,12 +160,6 @@ class MonomialTransform:
 
     sigma: tuple[int, ...]
     taus: tuple[tuple[int, ...], ...]
-
-
-def monomial_apply(transform: MonomialTransform, word: Sequence[int]) -> Word:
-    return tuple(
-        transform.taus[i][word[transform.sigma[i]]] for i in range(len(transform.sigma))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +242,6 @@ def map_preserves(
     labels = partition(alphabet, "orbit" if kind == "swc" else "annihilator", guards=guards).labels
     pairs = cmap.mapping.items()
     return all(sorted(labels[x] for x in w) == sorted(labels[x] for x in v) for w, v in pairs)
-
-
-def column_fingerprint(code: Code, position: int, index: OrbitIndex) -> tuple[int, ...]:
-    """Multiset (sorted tuple) of partition labels in one column of the code."""
-    if not 0 <= position < code.length:
-        raise InputError(f"position {position} outside code of length {code.length}")
-    return tuple(sorted(index.labels[w[position]] for w in code.elements))
 
 
 # ---------------------------------------------------------------------------

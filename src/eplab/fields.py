@@ -17,34 +17,33 @@ from typing import Iterable, Sequence
 from .errors import DEFAULT_GUARDS, Guards, InputError, check_guard
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division up to
+    the square root of n."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, p prime, or raise InputError."""
     if q < 2:
         raise InputError(f"field order must be at least 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                break
-            return p, e
-    raise InputError(f"field order must be a prime power, got {q}")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise InputError(f"field order must be a prime power, got {q}")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    return p, e
 
 
 def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -107,7 +106,7 @@ class FiniteField:
     """GF(p^e) with precomputed add/mul tables over elements 0..q-1."""
 
     def __init__(self, q: int, guards: Guards = DEFAULT_GUARDS):
-        # the guard goes first: factoring a large prime takes time linear in it
+        # the guard goes first: factoring a large prime takes time linear in its square root
         check_guard(q, guards.max_field, f"field order {q}")
         p, e = factor_prime_power(q)
         self.q = q
@@ -165,20 +164,6 @@ class Matrix:
     entries: tuple[int, ...]
 
     @staticmethod
-    def from_rows(field: FiniteField, rows: Sequence[Sequence[int]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise InputError("ragged matrix rows")
-            for x in row:
-                if not 0 <= x < field.q:
-                    raise InputError(f"entry {x} outside field of order {field.q}")
-                flat.append(x)
-        return Matrix(field, r, c, tuple(flat))
-
-    @staticmethod
     def identity(field: FiniteField, n: int) -> "Matrix":
         return Matrix(
             field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
@@ -215,15 +200,22 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def product_map(maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The componentwise map of a product of maps, each from a factor to
+    itself: out[a] is the mixed-radix join of maps[i][a_i], first factor most
+    significant."""
+    out = [0]
+    for m in maps:
+        n = len(m)
+        # out[a] = out[a // n] * n + m[a % n]
+        out = [o * n + x for o in out for x in m]
+    return tuple(out)
+
+
 def product_table(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
-    """The componentwise table of a product of square tables: out[a][b] is the
-    mixed-radix join of tables[i][a_i][b_i], first factor most significant."""
-    out = ((0,),)
-    for t in tables:
-        n = len(t)
-        # out[a][b] = out[a // n][b // n] * n + t[a % n][b % n]
-        out = tuple(tuple(o * n + x for o in orow for x in trow) for orow in out for trow in t)
-    return out
+    """The componentwise table of a product of square tables: row a is the
+    product_map of the rows tables[i][a_i]."""
+    return tuple(map(product_map, itertools.product(*tables)))
 
 
 def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:

@@ -28,7 +28,7 @@ from .errors import (
     check_guard,
     check_power_guard,
 )
-from .fields import matrix_tables, mixed_radix_join, product_table
+from .fields import matrix_tables, mixed_radix_join, product_map, product_table
 from .rings import (
     Module,
     Ring,
@@ -112,12 +112,7 @@ def _module_direct_sum(ring: Ring, summands: Sequence[Module], guards: Guards) -
     check_guard(total, guards.max_order, f"module order {total}")
 
     add = product_table([s.add_table for s in summands])
-    act = ((0,),) * ring.order
-    for s in summands:
-        act = tuple(
-            tuple(o * s.order + x for o in row for x in srow)
-            for row, srow in zip(act, s.act_table)
-        )
+    act = tuple(map(product_map, zip(*(s.act_table for s in summands))))
     zero = mixed_radix_join([s.zero for s in summands], orders)
     return Module(
         ring, add, act, zero,
@@ -182,15 +177,10 @@ def socle(module: Module, guards: Guards = DEFAULT_GUARDS) -> Submodule:
     """
     check_guard(module.order, guards.max_order, f"module order {module.order}")
     if "socle" not in module._cache:
-        rad = jacobson_radical(module.ring)
-        zero = module.zero
-        members = tuple(
-            a
-            for a in module.elements()
-            if all(module.act_table[r][a] == zero for r in rad.members)
-        )
+        rad = frozenset(jacobson_radical(module.ring).members)
+        members = tuple(a for a, ann in enumerate(annihilator_sets(module)) if rad <= ann)
         atoms = minimal_submodules(module, guards)
-        union = sorted({x for s in atoms for x in s.members} | {zero})
+        union = sorted({x for s in atoms for x in s.members} | {module.zero})
         via_sum = submodule_generated(module, union).members
         if via_sum != members:
             raise InternalConsistencyError(

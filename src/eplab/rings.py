@@ -40,6 +40,7 @@ from .fields import (
     matrix_to_index,
     mixed_radix_join,
     mixed_radix_split,
+    prime_factors,
     product_table,
 )
 
@@ -81,13 +82,9 @@ class Ring(Module):
         self.mul_table = mul
         self.one = one
         self.field = field
-        self.neg_table = tuple(row.index(zero) for row in add)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -356,14 +353,12 @@ def minimal_submodules(module, guards: Guards = DEFAULT_GUARDS) -> tuple[Submodu
 
 
 def jacobson_radical(ring: Ring) -> Submodule:
-    """rad(R) = {r : 1 - s*r is a unit for every s}, by quasi-regularity."""
+    """rad(R) = {r : 1 - s*r is a unit for every s}, by quasi-regularity;
+    s -> -s permutes R, so 1 + s*r may stand for 1 - s*r."""
     if "radical" not in ring._cache:
-        us = units(ring)
-        members = []
-        for r in ring.elements():
-            if all(ring.sub(ring.one, ring.mul(s, r)) in us for s in ring.elements()):
-                members.append(r)
-        ring._cache["radical"] = Submodule(tuple(members))
+        us, one_plus, mul = units(ring), ring.add_table[ring.one], ring.mul_table
+        members = tuple(r for r in ring.elements() if all(one_plus[row[r]] in us for row in mul))
+        ring._cache["radical"] = Submodule(members)
     return ring._cache["radical"]
 
 
@@ -520,20 +515,6 @@ class BlockProjection:
     proj: tuple[int, ...]
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def block_projections(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[BlockProjection, ...]:
     """Explicit projections onto Wedderburn blocks, for structured rings only.
 
@@ -546,7 +527,7 @@ def block_projections(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> tuple[Bloc
         n = desc["n"]
         out = [
             BlockProjection(1, p, tuple(x % p for x in range(n)))
-            for p in _prime_factors(n)
+            for p in prime_factors(n)
         ]
         out.sort(key=lambda b: (b.q, b.mu))
         return tuple(out)

@@ -44,6 +44,7 @@ from .fields import (
     factor_prime_power,
     index_to_entries,
     linear_table,
+    product_map,
 )
 from .modules import (
     Module,
@@ -156,10 +157,7 @@ def _coordinate_table(field: FiniteField, m: int, add, p: Matrix) -> tuple[int, 
     independently, so the table for a is the mixed-radix product of m copies
     of that one, the first row most significant."""
     row = linear_table(field, add, [p.row(j) for j in range(p.rows)])
-    table = row
-    for _ in range(m - 1):
-        table = tuple(t * len(row) + x for t in table for x in row)
-    return table
+    return product_map([row] * m)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +574,7 @@ def _code_map_from_tuple(lattice: _Lattice, i: int, j: int, fmap: Sequence[int])
     return CodeMap(source, lattice.code(j), tuple(mapping[g] for g in source.generators), mapping)
 
 
-def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) -> list[list[int]]:
+def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) -> list[Sequence[int]]:
     """Generators of the monomial group S_n x| Aut(A)^n as permutations of
     the word indices: the transposition (0 1), the n-cycle and the
     generators of Aut(A) acting on position 0."""
@@ -584,9 +582,9 @@ def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) ->
     q = alphabet.order
     orders = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
     perms = [[entries_to_index([w[i] for i in order], q) for w in words] for order in orders]
-    place = q ** (n - 1)
+    rest = range(q ** (n - 1))
     for sigma in automorphism_group(alphabet, guards).generators:
-        perms.append([sigma[x // place] * place + x % place for x in range(len(words))])
+        perms.append(product_map([sigma, rest]))
     return perms
 
 

@@ -7,8 +7,11 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -254,6 +257,25 @@ def test_dumps_writes_shared_listings_as_json_dumps_does():
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int-to-str digit limit, to read a report back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_dumps_writes_ints_past_the_digit_limit():
+    values = [10**5000, -(10**5000) - 1, 7 * 10**4400 + 3, 3**9000, {"n": -(2**20000)}]
+    for value in values:
+        got = cli._dumps(value)
+        with _no_digit_limit():
+            assert got == json.dumps(value, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize(
     "value",
     [1.5, {1: "a"}, {"a": {3}}, [0, 1, object()], b"x"],
@@ -320,6 +342,27 @@ def _extension_by_scan(cmap):
         if None not in taus:
             return {"sigma": list(sigma), "taus": [list(t) for t in taus]}, len(perms), space
     return None, len(perms), space
+
+
+def test_ep_check_extension_reports_a_candidate_space_past_the_digit_limit(tmp_path):
+    """The identity on a length-1000 code over F_2^4 has candidate_space
+    1000! * |GL(4, 2)|^1000, about 6,900 digits."""
+    word = [15] * 1000
+    path = write_json(
+        tmp_path / "codes.json",
+        {
+            "alphabet": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
+            "length": 1000,
+            "codes": [{"name": "C", "generators": [word]}],
+            "maps": [{"from": "C", "to": "C", "gen_images": [word]}],
+        },
+    )
+    rc, out, err = run(["ep-check-extension", "--codes", path])
+    assert rc == 0 and err == ""
+    with _no_digit_limit():
+        report = json.loads(out)["result"]["maps"][0]
+    assert report["extends"] is True
+    assert report["candidate_space"] == math.factorial(1000) * 20160**1000
 
 
 def test_ep_check_extension_matches_a_scan_of_the_listing(tmp_path):
@@ -618,6 +661,59 @@ def test_invalid_json_is_input_error(tmp_path, content):
     rc, _, err = run(["ring-info", "--spec", str(path)])
     assert rc == 4
     assert "not valid JSON" in err
+
+
+def _nested(depth, leaf, wrap):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+def _direct_sums(depth):
+    return _nested(depth, {"kind": "mod_m", "m": 2}, lambda d: {"kind": "direct_sum", "summands": [d]})
+
+
+def test_a_deeply_nested_module_spec_exits_4_without_a_traceback(tmp_path):
+    spec = write_json(
+        tmp_path / "deep.json", {"ring": {"kind": "mod_n", "n": 2}, "module": _direct_sums(260)}
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "eplab.cli", "orbits", "--spec", spec],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "deep" in done.stderr
+
+
+@pytest.mark.parametrize("kind", ["ring", "codes"])
+def test_deeply_nested_documents_exit_4(tmp_path, kind):
+    if kind == "ring":
+        ring = _nested(400, {"kind": "mod_n", "n": 2}, lambda d: {"kind": "product", "factors": [d]})
+        argv = ["ring-info", "--spec", write_json(tmp_path / "deep.json", {"ring": ring})]
+    else:
+        alphabet = {"ring": {"kind": "mod_n", "n": 2}, "module": _direct_sums(260)}
+        codes = {"alphabet": alphabet, "length": 1, "codes": [{"name": "C", "generators": [[1]]}]}
+        argv = ["weights", "--codes", write_json(tmp_path / "deep.json", codes)]
+    rc, out, err = run(argv)
+    assert (rc, out) == (4, "")
+    assert "more than 100 deep" in err
+
+
+def test_nesting_is_bounded_at_the_depth_limit(tmp_path):
+    """A spec nested exactly cli.MAX_JSON_DEPTH deep loads; one level more
+    is refused."""
+    for extra, code in ((0, 0), (1, 4)):
+        # the spec object is level 1 and the note's lists the levels below it
+        note = _nested(cli.MAX_JSON_DEPTH - 2 + extra, [], lambda d: [d])
+        path = write_json(tmp_path / "note.json", {"ring": {"kind": "mod_n", "n": 2}, "note": note})
+        rc, _, _ = run(["ring-info", "--spec", path])
+        assert rc == code
 
 
 def test_non_object_spec_rejected(tmp_path):

@@ -14,10 +14,8 @@ from eplab.codes import (
     ExtensionResult,
     code_generate,
     code_map_make,
-    column_fingerprint,
     extension_search,
     map_preserves,
-    monomial_apply,
     MonomialTransform,
     weight_profile,
     word_act,
@@ -34,6 +32,22 @@ from eplab.modules import (
 )
 from eplab.rings import ring_make, submodules_enumerate
 from eplab.theorems import _Lattice, _code_map_from_tuple
+
+
+def monomial_apply(transform, word):
+    """The word a monomial transform sends word to: output position i
+    receives tau_i applied to input position sigma[i]."""
+    return tuple(
+        transform.taus[i][word[transform.sigma[i]]] for i in range(len(transform.sigma))
+    )
+
+
+def column_fingerprint(code, position, index):
+    """Multiset (sorted tuple) of partition labels in one column of the code,
+    the oracle for Code.column_fingerprints."""
+    if not 0 <= position < code.length:
+        raise InputError(f"position {position} outside code of length {code.length}")
+    return tuple(sorted(index.labels[w[position]] for w in code.elements))
 
 
 def z4_alphabet():

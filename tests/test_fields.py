@@ -1,6 +1,8 @@
 """Field and matrix layer: frozen oracles plus exhaustive axiom checks."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -16,6 +18,9 @@ from eplab.fields import (
     minimal_irreducible,
     mixed_radix_join,
     mixed_radix_split,
+    prime_factors,
+    product_map,
+    product_table,
 )
 from eplab.modules import automorphism_group, module_make
 from eplab.rings import ring_make
@@ -41,6 +46,23 @@ def test_factor_prime_power():
         factor_prime_power(12)
     with pytest.raises(InputError):
         factor_prime_power(1)
+
+
+def test_prime_factors_and_prime_powers_match_trial_division_on_1_to_1000():
+    for n in range(1, 1001):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        assert prime_factors(n) == primes
+        if n < 2:
+            message = f"field order must be at least 2, got {n}"
+        elif len(primes) > 1:
+            message = f"field order must be a prime power, got {n}"
+        else:
+            p = primes[0]
+            assert factor_prime_power(n) == (p, next(e for e in range(1, n) if p**e == n))
+            continue
+        with pytest.raises(InputError) as info:
+            factor_prime_power(n)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("pe,expected", sorted(EXPECTED_MODULI.items()))
@@ -221,13 +243,18 @@ def test_general_linear_group_orders(q, n, expected):
     assert automorphism_group(module_make(field_ring, {"kind": "column", "k": n})).order == expected
 
 
+def _matrix(field, rows):
+    """The matrix with the given rows, entries row-major."""
+    return Matrix(field, len(rows), len(rows[0]), tuple(x for row in rows for x in row))
+
+
 def test_matrix_arithmetic_matches_field():
     f4 = FiniteField(4)
-    a = Matrix.from_rows(f4, [[2, 1], [0, 3]])
-    b = Matrix.from_rows(f4, [[1, 2], [2, 0]])
+    a = _matrix(f4, [[2, 1], [0, 3]])
+    b = _matrix(f4, [[1, 2], [2, 0]])
     prod = a.mul(b)
     # hand computation: row 0 = (2*1+1*2, 2*2+1*0) = (0, 3); row 1 = (3*2, 0) = (1, 0)
-    assert prod == Matrix.from_rows(f4, [[0, 3], [1, 0]])
+    assert prod == _matrix(f4, [[0, 3], [1, 0]])
 
 
 def test_entry_encoding_first_entry_most_significant():
@@ -235,7 +262,7 @@ def test_entry_encoding_first_entry_most_significant():
     assert entries_to_index((0, 0, 0, 1), 2) == 1
     assert index_to_entries(8, 2, 4) == (1, 0, 0, 0)
     f2 = FiniteField(2)
-    m = Matrix.from_rows(f2, [[1, 0], [0, 0]])
+    m = _matrix(f2, [[1, 0], [0, 0]])
     assert matrix_to_index(m) == 8
     assert index_to_matrix(f2, 2, 2, 8) == m
     for idx in range(16):
@@ -253,13 +280,31 @@ def test_mixed_radix_first_part_most_significant():
     assert index_to_entries(11, 3, 3) == mixed_radix_split(11, (3, 3, 3))
 
 
+def test_product_map_and_table_match_the_mixed_radix_join_on_random_radices():
+    rng = random.Random(0)
+    for _ in range(40):
+        radices = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        maps = [[rng.randrange(n) for _ in range(n)] for n in radices]
+        out = product_map(maps)
+        assert len(out) == math.prod(radices)
+        for a, image in enumerate(out):
+            parts = mixed_radix_split(a, radices)
+            assert image == mixed_radix_join([m[x] for m, x in zip(maps, parts)], radices)
+        tables = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for n in radices]
+        table = product_table(tables)
+        assert len(table) == math.prod(radices)
+        for a, row in enumerate(table):
+            assert len(row) == len(table)
+            pa = mixed_radix_split(a, radices)
+            for b, entry in enumerate(row):
+                pb = mixed_radix_split(b, radices)
+                join = mixed_radix_join([t[x][y] for t, x, y in zip(tables, pa, pb)], radices)
+                assert entry == join
+
+
 def test_matrix_shape_errors():
     f2 = FiniteField(2)
-    a = Matrix.from_rows(f2, [[1, 0]])
-    b = Matrix.from_rows(f2, [[1, 0]])
+    a = _matrix(f2, [[1, 0]])
+    b = _matrix(f2, [[1, 0]])
     with pytest.raises(InputError):
         a.mul(b)
-    with pytest.raises(InputError):
-        Matrix.from_rows(f2, [[1, 0], [1]])
-    with pytest.raises(InputError):
-        Matrix.from_rows(f2, [[2, 0]])

@@ -259,21 +259,36 @@ def test_exact_exponent():
             exact_exponent(count, q)
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        lambda: mod_ring(4),
-        lambda: mod_ring(6),
-        lambda: mod_ring(8),
-        lambda: mod_ring(12),
-        lambda: matrix_ring(2, 2),
-        local_xy_ring,
-        upper_triangular_ring,
-    ],
-)
+RADICAL_BUILDERS = [
+    lambda: mod_ring(4),
+    lambda: mod_ring(6),
+    lambda: mod_ring(8),
+    lambda: mod_ring(12),
+    lambda: matrix_ring(2, 2),
+    local_xy_ring,
+    upper_triangular_ring,
+]
+
+
+@pytest.mark.parametrize("builder", RADICAL_BUILDERS)
 def test_radical_matches_maximal_ideal_oracle(builder):
     r = builder()
     assert jacobson_radical(r).members == radical_oracle(r)
+
+
+@pytest.mark.parametrize("builder", RADICAL_BUILDERS)
+def test_radical_matches_the_quasi_regular_definition(builder):
+    """rad(R) = {r : 1 - s*r is a unit for every s}, read literally: -x off
+    the addition table and the units by a search for two-sided inverses."""
+    r = builder()
+    neg = [row.index(r.zero) for row in r.add_table]
+    units = {
+        u for u in r.elements() if any(r.mul(u, v) == r.one == r.mul(v, u) for v in r.elements())
+    }
+    literal = tuple(
+        x for x in r.elements() if all(r.add(r.one, neg[r.mul(s, x)]) in units for s in r.elements())
+    )
+    assert jacobson_radical(r).members == literal
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from eplab.codes import (
     CodeMap,
     code_generate,
     code_map_make,
-    column_fingerprint,
     extension_search,
     map_preserves,
     weight_profile,
@@ -77,6 +76,7 @@ from eplab.theorems import (
     _sweep,
     _sweep_bounds,
 )
+from test_codes import column_fingerprint
 from test_golden import CASES, SPECS
 from test_modules import (
     check_chain_against_the_listing,
@@ -1385,6 +1385,29 @@ def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
                 assert (peeled.result, peeled.counts) == (report.result, report.counts)
             moved += 1
     assert moved > 0 and len(perms[2]) > 2
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [module_make(mod_ring(4), {"kind": "regular"}), z4_klein(), matrix_module(1, 4, 1),
+     matrix_module(1, 2, 2)],
+    ids=["z4", "z4-klein", "f4", "f2^2"],
+)
+def test_monomial_generators_lift_aut_a_to_position_0(alphabet):
+    """Each generator sigma of Aut(A) acts on the word indices of A^n by the
+    mixed-radix formula x -> sigma[x // place] * place + x % place, with
+    place = |A|^(n-1); the transposition and the n-cycle come first."""
+    q = alphabet.order
+    sigmas = automorphism_group(alphabet, Guards()).generators
+    for n in (1, 2, 3):
+        words = [index_to_entries(x, q, n) for x in range(q**n)]
+        perms = _monomial_generators(alphabet, words, Guards())
+        place = q ** (n - 1)
+        lifts = [[sigma[x // place] * place + x % place for x in range(q**n)] for sigma in sigmas]
+        assert len(perms) == (2 if n > 1 else 0) + len(sigmas)
+        assert [list(p) for p in perms[len(perms) - len(sigmas):]] == lifts
+        for perm, sigma in zip(perms[len(perms) - len(sigmas):], sigmas):
+            assert all(words[perm[x]] == (sigma[w[0]], *w[1:]) for x, w in enumerate(words))
 
 
 def test_sweep_rejects_a_code_list_not_closed_under_the_monomial_group(monkeypatch):
