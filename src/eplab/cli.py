@@ -73,9 +73,13 @@ MAX_JSON_DEPTH = 100
 
 
 def _load_json(path: str) -> dict:
+    def reject(number: str):
+        # reports hold no floats, and every number a spec gives is an integer
+        raise InputError(f"{path} holds the non-integer number {number}")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=reject, parse_constant=reject)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -330,12 +334,11 @@ def _cmd_aut_group(args, guards: Guards) -> int:
 def _cmd_orbits(args, guards: Guards) -> int:
     _, module, _, echo = load_spec(args.spec, guards)
     module = _need_module(module, "orbits")
-    index = partition(module, args.by, guards=guards)
-    result = {
-        "kind": index.kind,
-        "labels": list(index.labels),
-        "classes": {str(k): list(v) for k, v in index.classes().items()},
-    }
+    labels = partition(module, args.by, guards=guards)
+    classes: dict = {}
+    for a, label in enumerate(labels):
+        classes.setdefault(str(label), []).append(a)
+    result = {"kind": args.by, "labels": list(labels), "classes": classes}
     _emit("orbits", dict(echo, by=args.by), guards, result)
     return 0
 
@@ -348,10 +351,7 @@ def _cmd_weights(args, guards: Guards) -> int:
         code = codes[name]
         words = []
         for word in code.elements:
-            profiles = {
-                kind: weight_profile(module, word, kind, guards=guards).as_dict()
-                for kind in kinds
-            }
+            profiles = {kind: weight_profile(module, word, kind, guards=guards) for kind in kinds}
             words.append({"word": list(word), "profiles": profiles})
         listing.append({"name": name, "size": code.size, "words": words})
     _emit("weights", dict(echo, kind=args.kind), guards, {"codes": listing})

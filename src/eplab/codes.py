@@ -1,11 +1,12 @@
 """Linear codes over a finite module alphabet, weights, and extension search.
 
 A code is a materialized submodule of A^n, stored as sorted words (tuples of
-module element indices).  Three weight data are supported per word:
+module element indices).  Each weight labels the alphabet's elements, and two
+words have equal weight exactly when their sorted labels agree:
 
-    hamming  -- number of nonzero components
-    swc      -- counts per automorphism orbit of the alphabet
-    aw       -- counts per annihilator class of the alphabet
+    hamming  -- 0 for zero, 1 for every other element
+    swc      -- the automorphism orbit of the alphabet
+    aw       -- the annihilator class of the alphabet
 
 Monomial transforms combine a length-n position permutation with one alphabet
 automorphism per position; extension_search decides whether a code map is the
@@ -26,7 +27,7 @@ from .errors import (
     InternalConsistencyError,
     check_guard,
 )
-from .modules import Module, OrbitIndex, automorphism_group, partition
+from .modules import Module, automorphism_group, partition
 
 Word = tuple[int, ...]
 
@@ -85,14 +86,14 @@ class Code:
     def __contains__(self, word):
         return tuple(word) in self._members
 
-    def column_fingerprints(self, index: OrbitIndex) -> tuple[tuple[int, ...], ...]:
-        """The multiset (sorted tuple) of partition labels in each column,
-        computed once per code and partition kind."""
+    def column_fingerprints(self, labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The multiset (sorted tuple) of the labels in each column, computed
+        once per code and label tuple."""
         cache = self.__dict__.setdefault("_fingerprints", {})
-        if index.kind not in cache:
-            label = index.labels.__getitem__
-            cache[index.kind] = tuple(tuple(sorted(map(label, c))) for c in self._columns)
-        return cache[index.kind]
+        if labels not in cache:
+            label = labels.__getitem__
+            cache[labels] = tuple(tuple(sorted(map(label, c))) for c in self._columns)
+        return cache[labels]
 
 
 def code_generate(
@@ -116,15 +117,15 @@ def code_generate(
     return Code(alphabet, length, gens, tuple(sorted(members)))
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightProfile:
-    """A weight composition: kind plus sorted (key, count) pairs."""
-
-    kind: str
-    counts: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict:
-        return dict(self.counts)
+def weight_labels(alphabet: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> tuple[int, ...]:
+    """The labels of the alphabet's elements that a weight kind compares."""
+    if kind == "hamming":
+        return tuple(int(a != alphabet.zero) for a in alphabet.elements())
+    if kind == "swc":
+        return partition(alphabet, "orbit", guards)
+    if kind == "aw":
+        return partition(alphabet, "annihilator", guards)
+    raise InputError(f"unknown weight kind {kind!r}")
 
 
 def weight_profile(
@@ -132,19 +133,14 @@ def weight_profile(
     word: Sequence[int],
     kind: str,
     guards: Guards = DEFAULT_GUARDS,
-) -> WeightProfile:
+) -> dict[str, int]:
+    """The weight of a word as reports print it: the count of each label, by
+    label, and for Hamming weight the count of nonzero entries."""
     w = _validate_word(alphabet, None, word)
+    labels = sorted(map(weight_labels(alphabet, kind, guards).__getitem__, w))
     if kind == "hamming":
-        h = sum(1 for x in w if x != alphabet.zero)
-        return WeightProfile("hamming", (("nonzero", h),))
-    if kind in ("swc", "aw"):
-        idx = partition(alphabet, "orbit" if kind == "swc" else "annihilator", guards=guards)
-        counts: dict[int, int] = {}
-        for x in w:
-            lab = idx.labels[x]
-            counts[lab] = counts.get(lab, 0) + 1
-        return WeightProfile(kind, tuple((str(k), v) for k, v in sorted(counts.items())))
-    raise InputError(f"unknown weight kind {kind!r}")
+        return {"nonzero": sum(labels)}
+    return {str(k): labels.count(k) for k in sorted(set(labels))}
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +229,9 @@ def map_preserves(
     guards: Guards = DEFAULT_GUARDS,
 ) -> bool:
     """Whether each word and its image have equal weights of this kind."""
-    alphabet = cmap.source.alphabet
-    if kind == "hamming":
-        zero = alphabet.zero
-        return all(w.count(zero) == v.count(zero) for w, v in cmap.mapping.items())
-    if kind not in ("swc", "aw"):
-        raise InputError(f"unknown weight kind {kind!r}")
-    labels = partition(alphabet, "orbit" if kind == "swc" else "annihilator", guards=guards).labels
+    label = weight_labels(cmap.source.alphabet, kind, guards).__getitem__
     pairs = cmap.mapping.items()
-    return all(sorted(labels[x] for x in w) == sorted(labels[x] for x in v) for w, v in pairs)
+    return all(sorted(map(label, w)) == sorted(map(label, v)) for w, v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +274,9 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
     source = cmap.source
     n = source.length
     group = automorphism_group(source.alphabet, guards)
-    orbit_index = partition(source.alphabet, "orbit", guards=guards)
-    fp_src = source.column_fingerprints(orbit_index)
-    fp_dst = cmap.target.column_fingerprints(orbit_index)
+    orbits = partition(source.alphabet, "orbit", guards)
+    fp_src = source.column_fingerprints(orbits)
+    fp_dst = cmap.target.column_fingerprints(orbits)
     candidate_space = math.factorial(n) * group.order ** n
     if sorted(fp_src) != sorted(fp_dst):
         return ExtensionResult(None, 0, candidate_space, group.order)

@@ -214,8 +214,13 @@ def product_map(maps: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def product_table(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
     """The componentwise table of a product of square tables: row a is the
-    product_map of the rows tables[i][a_i]."""
-    return tuple(map(product_map, itertools.product(*tables)))
+    product_map of the rows tables[i][a_i], built one factor at a time, so
+    the rows that share their first i factors share one join of them."""
+    rows = [[0]]
+    for table in tables:
+        n = len(table)
+        rows = [[o * n + x for o in row for x in t] for row in rows for t in table]
+    return tuple(map(tuple, rows))
 
 
 def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:

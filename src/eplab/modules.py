@@ -403,7 +403,7 @@ def isomorphism_leaders(
     element annihilators, and then S is isomorphic to T exactly when an
     injective map S -> T exists: a first-leaf search, keyed on annihilator
     classes, which isomorphisms preserve."""
-    anns = partition(module, "annihilator").labels
+    anns = partition(module, "annihilator")
     leader, classes = {}, {}
     for i in indices:
         shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
@@ -508,24 +508,9 @@ def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGr
     return module._cache["aut_group"]
 
 
-@dataclasses.dataclass(frozen=True)
-class OrbitIndex:
-    """Partition of a module's elements; labels[a] is the smallest member of
-    a's class."""
-
-    kind: str
-    labels: tuple[int, ...]
-
-    def classes(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for a, lab in enumerate(self.labels):
-            out.setdefault(lab, []).append(a)
-        return {k: tuple(v) for k, v in sorted(out.items())}
-
-
-def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> OrbitIndex:
+def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> tuple[int, ...]:
     """Partition elements by automorphism orbits ("orbit") or by equal
-    annihilator ("annihilator")."""
+    annihilator ("annihilator"): labels[a] is the least member of a's class."""
     cache_key = ("partition", kind)
     if kind == "orbit":
         check_guard(module.order, guards.max_order, f"module order {module.order}")
@@ -537,14 +522,11 @@ def partition(module: Module, kind: str, guards: Guards = DEFAULT_GUARDS) -> Orb
     elif kind == "annihilator":
         anns = annihilator_sets(module)
         first: dict[frozenset, int] = {}
-        labels = [0] * n
-        for a in range(n):
-            labels[a] = first.setdefault(anns[a], a)
+        labels = [first.setdefault(anns[a], a) for a in range(n)]
     else:
         raise InputError(f"unknown partition kind {kind!r}")
-    out = OrbitIndex(kind, tuple(labels))
-    module._cache[cache_key] = out
-    return out
+    module._cache[cache_key] = tuple(labels)
+    return module._cache[cache_key]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .codes import (
     code_map_make,
     extension_search,
     map_preserves,
+    weight_labels,
 )
 from .errors import (
     DEFAULT_GUARDS,
@@ -434,28 +435,25 @@ def verify_orbit_lemma(alphabet: Module, guards: Guards = DEFAULT_GUARDS) -> Ver
     orbits = partition(alphabet, "orbit", guards=guards)
     anns = partition(alphabet, "annihilator", guards=guards)
 
-    violator = _orbit_refinement_violator(orbits.labels, anns.labels)
-    equal = orbits.labels == anns.labels
+    violator = _orbit_refinement_violator(orbits, anns)
+    equal = orbits == anns
 
     hypotheses = {"pseudo_injective": pseudo}
-    counts = {
-        "orbit_classes": len(orbits.classes()),
-        "annihilator_classes": len(anns.classes()),
-    }
+    counts = {"orbit_classes": len(set(orbits)), "annihilator_classes": len(set(anns))}
     details = {
         "refinement_holds": violator is None,
         "partitions_equal": equal,
-        "orbit_labels": list(orbits.labels),
-        "annihilator_labels": list(anns.labels),
+        "orbit_labels": list(orbits),
+        "annihilator_labels": list(anns),
     }
     if violator is not None:
-        rep = orbits.labels[violator]
+        rep = orbits[violator]
         details["refinement_witness"] = {"element": violator, "orbit_label": rep}
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     if not pseudo:
         return VerdictReport(claim, "hypotheses-unmet", hypotheses, counts, details)
     if not equal:
-        mism = next(a for a in alphabet.elements() if orbits.labels[a] != anns.labels[a])
+        mism = next(a for a in alphabet.elements() if orbits[a] != anns[a])
         details["witness"] = {"element": mism}
         return VerdictReport(claim, "counterexample", hypotheses, counts, details)
     return VerdictReport(claim, "verified", hypotheses, counts, details)
@@ -620,9 +618,9 @@ def _sweep(
     """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
     lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
     that need at most max_gens generators, each map as fmap, the images of
-    the members of codes[i] in order, when it keeps the key weight ("hamming"
-    or "swc") of every word.  A code larger than the max_code guard raises
-    GuardExceeded before its length is searched.
+    the members of codes[i] in order, when it keeps the key weight (a kind
+    of weight_labels) of every word.  A code larger than the max_code guard
+    raises GuardExceeded before its length is searched.
 
     The codes are submodules_enumerate(A^n, guards, max_gens), held with the
     words and profiles of A^n in one _Lattice per length, which builds each
@@ -658,7 +656,7 @@ def _sweep(
     """
     max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
-    labels = partition(alphabet, "orbit", guards=guards).labels
+    labels = partition(alphabet, "orbit", guards=guards)
     central = central_units(alphabet.ring)
     act = alphabet.act_table
     if any(labels[act[u][a]] != labels[a] for u in central for a in alphabet.elements()):
@@ -673,9 +671,13 @@ def _sweep(
         details["lengths"].append(n)
         ambient = direct_power(alphabet, n, guards)
         words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+        # one numbering of sorted label tuples: two words get equal ids in
+        # either list exactly when they have equal weights of its kind
         ids: dict = {}
-        profiles = [ids.setdefault(tuple(sorted(labels[c] for c in w)), len(ids)) for w in words]
-        keys = profiles if key == "swc" else [n - w.count(alphabet.zero) for w in words]
+        profiles, keys = (
+            [ids.setdefault(tuple(sorted(map(table.__getitem__, w))), len(ids)) for w in words]
+            for table in (labels, weight_labels(alphabet, key, guards))
+        )
         codes = submodules_enumerate(ambient, guards, max_gens)
         counts["codes"] += len(codes)
         for code in codes:
@@ -746,8 +748,8 @@ def verify_midway(
             claim, "hypotheses-unmet", hypotheses, {},
             {"note": "the equivalence is claimed for principal ideal rings and pseudo-injective alphabets"},
         )
-    orbit = partition(alphabet, "orbit", guards=guards).labels
-    anns = partition(alphabet, "annihilator", guards=guards).labels
+    orbit = partition(alphabet, "orbit", guards=guards)
+    anns = partition(alphabet, "annihilator", guards=guards)
     if _orbit_refinement_violator(orbit, anns) is not None:
         raise InternalConsistencyError("automorphism orbits do not refine annihilator classes")
 

@@ -716,6 +716,33 @@ def test_nesting_is_bounded_at_the_depth_limit(tmp_path):
         assert rc == code
 
 
+@pytest.mark.parametrize("number", ["1.5", "NaN", "Infinity", "-Infinity", "1e3"])
+def test_a_non_integer_number_in_a_spec_exits_4(tmp_path, number):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"ring": {"kind": "mod_n", "n": 4, "note": %s}, "module": {"kind": "regular"}}' % number
+    )
+    rc, out, err = run(["socle-report", "--spec", str(path)])
+    assert (rc, out) == (4, "")
+    assert len(err.splitlines()) == 1 and number in err
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "by-path"])
+def test_a_non_integer_number_in_a_codes_alphabet_exits_4(tmp_path, inline):
+    alphabet = '{"ring": {"kind": "mod_n", "n": 4}, "module": {"kind": "regular", "w": 0.5}}'
+    if not inline:
+        (tmp_path / "alphabet.json").write_text(alphabet)
+        alphabet = '"alphabet.json"'
+    path = tmp_path / "codes.json"
+    path.write_text(
+        '{"alphabet": %s, "length": 1, "codes": [{"name": "C", "generators": [[1]]}],'
+        ' "maps": [{"from": "C", "to": "C", "gen_images": [[3]]}]}' % alphabet
+    )
+    rc, out, err = run(["ep-check-extension", "--codes", str(path)])
+    assert (rc, out) == (4, "")
+    assert len(err.splitlines()) == 1 and "0.5" in err
+
+
 def test_non_object_spec_rejected(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2]")

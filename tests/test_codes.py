@@ -47,7 +47,7 @@ def column_fingerprint(code, position, index):
     the oracle for Code.column_fingerprints."""
     if not 0 <= position < code.length:
         raise InputError(f"position {position} outside code of length {code.length}")
-    return tuple(sorted(index.labels[w[position]] for w in code.elements))
+    return tuple(sorted(index[w[position]] for w in code.elements))
 
 
 def z4_alphabet():
@@ -98,12 +98,12 @@ def test_code_generate_validation_and_guard():
 def test_weight_profiles_frozen():
     a = z4_alphabet()
     # orbits of Z/4 under Aut = {1, 3}: {0}, {1,3}, {2} -> labels (0,1,2,1)
-    assert partition(a, "orbit").labels == (0, 1, 2, 1)
-    assert partition(a, "annihilator").labels == (0, 1, 2, 1)
+    assert partition(a, "orbit") == (0, 1, 2, 1)
+    assert partition(a, "annihilator") == (0, 1, 2, 1)
     w = (0, 1, 2)
-    assert weight_profile(a, w, "hamming").counts == (("nonzero", 2),)
-    assert weight_profile(a, w, "swc").counts == (("0", 1), ("1", 1), ("2", 1))
-    assert weight_profile(a, w, "aw").counts == (("0", 1), ("1", 1), ("2", 1))
+    assert weight_profile(a, w, "hamming") == {"nonzero": 2}
+    assert weight_profile(a, w, "swc") == {"0": 1, "1": 1, "2": 1}
+    assert weight_profile(a, w, "aw") == {"0": 1, "1": 1, "2": 1}
     with pytest.raises(InputError):
         weight_profile(a, w, "lee")
 
@@ -112,7 +112,7 @@ def test_weight_profile_sums_to_length():
     a = z4_alphabet()
     for w in itertools.product(range(4), repeat=3):
         for kind in ("swc", "aw"):
-            assert sum(weight_profile(a, w, kind).as_dict().values()) == 3
+            assert sum(weight_profile(a, w, kind).values()) == 3
 
 
 @pytest.mark.parametrize("kind", ["hamming", "swc", "aw"])

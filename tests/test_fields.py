@@ -302,6 +302,31 @@ def test_product_map_and_table_match_the_mixed_radix_join_on_random_radices():
                 assert entry == join
 
 
+def _product_table_by_rows(tables):
+    """The product_map of every row tuple, the oracle for product_table."""
+    return tuple(map(product_map, itertools.product(*tables)))
+
+
+def test_product_table_matches_the_per_row_product_map():
+    z2 = FiniteField(2).add_table
+    for k in range(9):
+        table = product_table([z2] * k)
+        assert table == _product_table_by_rows([z2] * k)
+        assert all(type(row) is tuple for row in table)
+        if 0 < k <= 6:
+            assert table == FiniteField(2**k).add_table
+    rng = random.Random(1)
+    fields = [FiniteField(q) for q in (3, 4, 5, 7, 8)]
+    pool = [f.add_table for f in fields] + [f.mul_table for f in fields]
+    for _ in range(40):
+        tables = []
+        while math.prod(map(len, tables)) <= 30:
+            n = rng.randint(1, 4)
+            random_table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            tables.append(rng.choice([random_table, rng.choice(pool)]))
+        assert product_table(tables) == _product_table_by_rows(tables)
+
+
 def test_matrix_shape_errors():
     f2 = FiniteField(2)
     a = _matrix(f2, [[1, 0]])

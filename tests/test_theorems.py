@@ -411,7 +411,7 @@ def test_kernel_choice_never_changes_an_orbit(m, k, q):
     """a.P(V, W) and a.P(V, W') share an orbit for all complements W, W' of V."""
     field = FiniteField(q)
     alphabet = matrix_module(m, q, k)
-    labels = partition(alphabet, "orbit").labels
+    labels = partition(alphabet, "orbit")
     mats = [index_to_matrix(field, m, k, a) for a in alphabet.elements()]
     subspaces, add = _subspaces(matrix_module(1, q, k), Guards())
     pairs = _complement_pairs(q, k, subspaces)
@@ -875,7 +875,7 @@ def test_midway_raises_when_orbits_merge_annihilator_classes(monkeypatch):
         # one orbit of every element: 1 and 2 of Z/4 share it, not an annihilator
         found = real_partition(module, kind, **kwargs)
         if kind == "orbit":
-            return dataclasses.replace(found, labels=(0,) * module.order)
+            return (0,) * module.order
         return found
 
     monkeypatch.setattr(theorems, "partition", partition)
@@ -890,7 +890,7 @@ def _own_orbits(monkeypatch):
     def partition(module, kind, **kwargs):
         found = real_partition(module, kind, **kwargs)
         if kind == "orbit":
-            return dataclasses.replace(found, labels=tuple(module.elements()))
+            return tuple(module.elements())
         return found
 
     monkeypatch.setattr(theorems, "partition", partition)
@@ -1313,6 +1313,71 @@ def test_map_preserves_matches_the_weight_profile_oracle():
     assert seen == {(True, True, True), (True, False, True), (False, False, False)}
     with pytest.raises(InputError, match="unknown weight kind"):
         map_preserves(cmap, "lee")
+
+
+def _former_labels(alphabet):
+    """The swc and aw labels as each element's least class-mate: its orbit
+    under the listing of Aut(A), and its annihilator class."""
+    perms = automorphism_group(alphabet).elements
+    anns = annihilator_sets(alphabet)
+    elements = alphabet.elements()
+    return {
+        "swc": [min(p[a] for p in perms) for a in elements],
+        "aw": [next(b for b in elements if anns[b] == anns[a]) for a in elements],
+    }
+
+
+def _former_profile(alphabet, labels, word, kind):
+    """The (key, count) pairs of the former per-kind weight_profile."""
+    if kind == "hamming":
+        return [("nonzero", sum(1 for x in word if x != alphabet.zero))]
+    counts = {}
+    for x in word:
+        counts[labels[kind][x]] = counts.get(labels[kind][x], 0) + 1
+    return [(str(k), v) for k, v in sorted(counts.items())]
+
+
+def _former_preserves(cmap, labels, kind):
+    """The former per-kind map_preserves: equal counts of zeros for Hamming,
+    equal sorted labels otherwise."""
+    pairs = cmap.mapping.items()
+    if kind == "hamming":
+        zero = cmap.source.alphabet.zero
+        return all(w.count(zero) == v.count(zero) for w, v in pairs)
+    lab = labels[kind]
+    return all(sorted(lab[x] for x in w) == sorted(lab[x] for x in v) for w, v in pairs)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["named", "relabelled"])
+@pytest.mark.parametrize(
+    "alphabet", MIDWAY_ALPHABETS + [z2_plus_z4()], ids=MIDWAY_IDS + ["z2+z4"]
+)
+def test_weights_keep_their_former_per_kind_definitions(alphabet, relabel):
+    """weight_profile and map_preserves read every kind through one label
+    table; on random words, and on every injective map of the codes of
+    length at most 2 with one generator, they agree with the former code,
+    also on table copies whose zero is not element 0.  On Z/2 (+) Z/4 the
+    orbits split an annihilator class, so swc and aw differ there."""
+    rng = random.Random(f"{alphabet.order}-{relabel}")
+    if relabel:
+        perm = rng.sample(range(alphabet.order), alphabet.order)
+        perm[perm.index(1)], perm[alphabet.zero] = perm[alphabet.zero], 1
+        alphabet = relabelled(alphabet, perm)
+        assert alphabet.zero == 1
+    labels = _former_labels(alphabet)
+    kinds = ("hamming", "swc", "aw")
+    for _ in range(200):
+        word = [rng.randrange(alphabet.order) for _ in range(rng.randint(0, 6))]
+        for kind in kinds:
+            profile = weight_profile(alphabet, word, kind)
+            assert list(profile.items()) == _former_profile(alphabet, labels, word, kind)
+    seen = Counter()
+    for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 1, {"codes": 0}):
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        verdicts = tuple(map_preserves(cmap, kind) for kind in kinds)
+        assert verdicts == tuple(_former_preserves(cmap, labels, kind) for kind in kinds)
+        seen[verdicts] += 1
+    assert seen[(True, True, True)] and seen[(False, False, False)]
 
 
 @pytest.mark.parametrize(
