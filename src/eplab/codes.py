@@ -5,8 +5,8 @@ module element indices).  Each weight labels the alphabet's elements, and two
 words have equal weight exactly when their sorted labels agree:
 
     hamming  -- 0 for zero, 1 for every other element
-    swc      -- the automorphism orbit of the alphabet
-    aw       -- the annihilator class of the alphabet
+    swc      -- the element's orbit under the alphabet's automorphisms
+    aw       -- the element's annihilator class
 
 Monomial transforms combine a length-n position permutation with one alphabet
 automorphism per position; extension_search decides whether a code map is the
