@@ -111,6 +111,8 @@ SPECS = {
     # T_1 (+) T_2 (+) T_2 over F_2 x F_2: two simples of one shape (q, mu) = (2, 1),
     # and only the second factor's block has s > mu
     "f2xf2-t1t2t2": {"ring": F2xF2, "module": _f2xf2_simples((0, 1, 1))},
+    # GF(256), the largest field the default field guard admits
+    "f256": {"ring": {"kind": "matrix", "m": 1, "q": 256}, "module": REGULAR},
 }
 
 
@@ -128,6 +130,8 @@ def _cases() -> dict:
     cases["ring-info-z2xz3"] = (["ring-info"], "z2xz3")
     # a non-commutative ring: its left ideals are the submodules of R acting on itself
     cases["ring-info-m2f2"] = (["ring-info"], "m2f2")
+    for command in ("ring-info", "socle-report"):
+        cases[f"{command}-f256"] = ([command, "--max-order", "256"], "f256")
     # a module that is not pseudo-injective, so the orbit lemma's hypotheses fail
     cases["verify-orbit-lemma-z4-z2z4"] = (["verify-orbit-lemma"], "z4-z2z4")
     cases["aut-group-z4-klein"] = (["aut-group"], "z4-klein")
