@@ -53,17 +53,6 @@ def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m, coefficients in F_p."""
     rem = list(a)
@@ -117,19 +106,19 @@ class FiniteField:
 
     def _build_tables(self):
         q, p, e = self.q, self.p, self.e
-        # polynomial coefficients are the base-p digits, constant term first
-        digits = [index_to_entries(a, p, e)[::-1] for a in range(q)]
         # addition is digit-wise mod p; all radices are p, so digit order is immaterial
         z_p = tuple(tuple((x + y) % p for y in range(p)) for x in range(p))
         self.add_table = product_table([z_p] * e)
-        mul = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                prod = _poly_mul(_poly_trim(digits[a]), _poly_trim(digits[b]), p)
-                row.append(entries_to_index(_poly_mod(prod, self.modulus, p)[::-1], p))
-            mul.append(tuple(row))
-        self.mul_table = tuple(mul)
+        # b -> a*b is F_p-linear, so row a is fixed by the images a*x^i, highest
+        # i first; polynomial coefficients are the base-p digits, constant term first
+        scalars = tuple(tuple(x * y % p for y in range(p)) for x in range(p))
+        self.mul_table = tuple(
+            linear_table(scalars, self.add_table, [
+                _poly_mod((0,) * i + index_to_entries(a, p, e)[::-1], self.modulus, p)[::-1]
+                for i in reversed(range(e))
+            ])
+            for a in range(q)
+        )
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -230,9 +219,9 @@ def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:
     # r.a is linear in r and in a, so products of unit matrices fix it: column
     # i lists r.E_i for every r, and row r of act is linear in a
     left, right = unit_matrices(field, m, m), unit_matrices(field, m, k)
-    columns = [linear_table(field, add, [u.mul(e).entries for u in left]) for e in right]
+    columns = [linear_table(field.mul_table, add, [u.mul(e).entries for u in left]) for e in right]
     act = tuple(
-        linear_table(field, add, [index_to_entries(x, field.q, m * k) for x in images])
+        linear_table(field.mul_table, add, [index_to_entries(x, field.q, m * k) for x in images])
         for images in zip(*columns)
     )
     return add, act
@@ -243,13 +232,14 @@ def unit_matrices(field: FiniteField, rows: int, cols: int) -> list[Matrix]:
     return [index_to_matrix(field, rows, cols, field.q**i) for i in reversed(range(rows * cols))]
 
 
-def linear_table(field: FiniteField, add, images: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def linear_table(mul, add, images: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Index table of the F_q-linear map sending unit vector i to images[i],
-    both sides numbered as entries_to_index does; add adds in the target."""
+    both sides numbered as entries_to_index does; mul is the table of F_q,
+    so q = len(mul), and add adds in the target."""
     out = [0]
     for image in images:
         # out[v * q + c] = out[v] + c * image: one base-q digit at a time
-        scaled = [entries_to_index([c[x] for x in image], field.q) for c in field.mul_table]
+        scaled = [entries_to_index([c[x] for x in image], len(mul)) for c in mul]
         out = [add[v][w] for v in out for w in scaled]
     return tuple(out)
 

@@ -33,9 +33,8 @@ from .rings import (
     Module,
     Ring,
     Submodule,
-    additive_zero,
+    _validate_module_tables,
     annihilator_sets,
-    check_table,
     exact_exponent,
     exponent_of_addition,
     hom_count,
@@ -47,31 +46,6 @@ from .rings import (
     submodule_generated,
     submodules_enumerate,
 )
-
-
-def _validate_module_tables(ring: Ring, add, act) -> int:
-    """Check full module axioms on raw tables; return the zero."""
-    n = len(add)
-    if n == 0:
-        raise InputError("module tables must be nonempty")
-    check_table(add, n, n, "module addition table")
-    check_table(act, ring.order, n, "module action table")
-    zero = additive_zero(add, "module addition table")
-    if any(act[ring.one][a] != a for a in range(n)):
-        raise InputError("ring identity does not act as the identity map")
-    for r in ring.elements():
-        for a in range(n):
-            for b in range(n):
-                if act[r][add[a][b]] != add[act[r][a]][act[r][b]]:
-                    raise InputError("action does not distribute over module addition")
-    for r in ring.elements():
-        for s in ring.elements():
-            for a in range(n):
-                if act[ring.add(r, s)][a] != add[act[r][a]][act[s][a]]:
-                    raise InputError("action does not distribute over ring addition")
-                if act[ring.mul(r, s)][a] != act[r][act[s][a]]:
-                    raise InputError("action is not associative with ring multiplication")
-    return zero
 
 
 def _module_regular(ring: Ring) -> Module:
@@ -618,7 +592,8 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
 
     The characters are the Z_m-linear maps from (R, +) to the regular Z_m
     module.  They are indexed by the lexicographic order of their value tuples
-    (chi(0), ..., chi(n-1)), so the zero character, all zeros, has index 0.
+    (chi(0), ..., chi(n-1)), so the zero character, all zeros, has index 0,
+    and looked up by their values on the generators of (R, +), which fix them.
     The tables meet the module axioms by construction and are not re-checked.
     """
     check_guard(ring.order, guards.max_order, f"ring order {ring.order}")
@@ -631,21 +606,22 @@ def character_module(ring: Ring, guards: Guards = DEFAULT_GUARDS) -> Module:
     for _ in range(1, m):
         multiples.append(tuple(ring.add(x, a) for a, x in enumerate(multiples[-1])))
     additive = Module(z_m, ring.add_table, tuple(multiples), ring.zero, {"kind": "additive"})
-    characters = list(
-        iter_linear_maps(additive, _module_regular(z_m), module_generators(additive))
-    )
+    gens = module_generators(additive)
+    characters = list(iter_linear_maps(additive, _module_regular(z_m), gens))
     if len(characters) != n:
         raise InternalConsistencyError(
             f"character count {len(characters)} differs from ring order {n}"
         )
     characters.sort()
-    index = {chi: i for i, chi in enumerate(characters)}
+    values = [tuple(chi[g] for g in gens) for chi in characters]
+    index = {v: i for i, v in enumerate(values)}
+    # (chi + psi)(g) = chi(g) + psi(g) and (r.chi)(g) = chi(g*r)
     add_t = tuple(
-        tuple(index[tuple((x + y) % m for x, y in zip(a, b))] for b in characters)
-        for a in characters
+        tuple(index[tuple((x + y) % m for x, y in zip(a, b))] for b in values)
+        for a in values
     )
     act_t = tuple(
-        tuple(index[tuple(chi[ring.mul(x, r)] for x in range(n))] for chi in characters)
+        tuple(index[tuple(chi[ring.mul(g, r)] for g in gens)] for chi in characters)
         for r in ring.elements()
     )
     out = Module(

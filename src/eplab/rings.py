@@ -133,6 +133,39 @@ def additive_zero(add, what: str) -> int:
     return zero
 
 
+def _check_action(ring_add, ring_mul, add, act, what: str) -> None:
+    """Raise InputError unless act[r][a] is additive in a and in r and
+    (rs).a = r.(s.a); a ring is its own regular module, so on the ring's own
+    tables these are its distributive and associative laws."""
+    elems, scalars = range(len(add)), range(len(ring_add))
+    for r in scalars:
+        for a in elems:
+            for b in elems:
+                if act[r][add[a][b]] != add[act[r][a]][act[r][b]]:
+                    raise InputError(f"{what} fails r.(a + b) = r.a + r.b")
+    for r in scalars:
+        for s in scalars:
+            for a in elems:
+                if act[ring_add[r][s]][a] != add[act[r][a]][act[s][a]]:
+                    raise InputError(f"{what} fails (r + s).a = r.a + s.a")
+                if act[ring_mul[r][s]][a] != act[r][act[s][a]]:
+                    raise InputError(f"{what} fails (rs).a = r.(s.a)")
+
+
+def _validate_module_tables(ring: Ring, add, act) -> int:
+    """Check full module axioms on raw tables; return the zero."""
+    n = len(add)
+    if n == 0:
+        raise InputError("module tables must be nonempty")
+    check_table(add, n, n, "module addition table")
+    check_table(act, ring.order, n, "module action table")
+    zero = additive_zero(add, "module addition table")
+    if any(act[ring.one][a] != a for a in range(n)):
+        raise InputError("ring identity does not act as the identity map")
+    _check_action(ring.add_table, ring.mul_table, add, act, "module action table")
+    return zero
+
+
 def _validate_ring_tables(add, mul) -> tuple[int, int]:
     """Check full ring axioms on raw tables; return (zero, one)."""
     n = len(add)
@@ -148,15 +181,7 @@ def _validate_ring_tables(add, mul) -> tuple[int, int]:
             break
     if one is None:
         raise InputError("multiplication table has no identity element")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise InputError("multiplication is not associative")
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise InputError("left distributivity fails")
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    raise InputError("right distributivity fails")
+    _check_action(add, mul, add, mul, "ring multiplication table")
     return zero, one
 
 
@@ -172,7 +197,7 @@ def _ring_matrix(m: int, q: int, guards: Guards) -> Ring:
     if m < 1:
         raise InputError(f"matrix ring size must be positive, got {m}")
     # q is checked as FiniteField checks it, so a malformed q still exits 4,
-    # and the ring order is guarded before the field's q^2 products
+    # and the ring order is guarded before the field's tables are built
     check_guard(q, guards.max_field, f"field order {q}")
     factor_prime_power(q)
     check_power_guard(q, m * m, guards.max_order, f"matrix ring order {q}^({m}*{m})")

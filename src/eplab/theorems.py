@@ -157,7 +157,7 @@ def _coordinate_table(field: FiniteField, m: int, add, p: Matrix) -> tuple[int, 
     rows, so linear_table gives x -> x.P on F_q^k; the rows of a map
     independently, so the table for a is the mixed-radix product of m copies
     of that one, the first row most significant."""
-    row = linear_table(field, add, [p.row(j) for j in range(p.rows)])
+    row = linear_table(field.mul_table, add, [p.row(j) for j in range(p.rows)])
     return product_map([row] * m)
 
 

@@ -639,6 +639,108 @@ def test_a_table_that_breaks_a_group_axiom_exits_4(tmp_path, broken_additions):
         assert "Traceback" not in err
 
 
+def _is_abelian_group(add):
+    elems = range(len(add))
+    zero = next((z for z in elems if all(add[z][a] == a for a in elems)), None)
+    return zero is not None and all(
+        zero in add[a]
+        and add[a][b] == add[b][a]
+        and all(add[add[a][b]][c] == add[a][add[b][c]] for c in elems)
+        for a in elems
+        for b in elems
+    )
+
+
+def _is_ring_and_module(ring_add, mul, add, act):
+    """Brute-force axiom oracle: (ring_add, mul) is a ring with identity and
+    (add, act) a unital left module over it."""
+    rs, xs = range(len(ring_add)), range(len(add))
+    one = next((u for u in rs if all(mul[u][r] == r == mul[r][u] for r in rs)), None)
+    return (
+        _is_abelian_group(ring_add)
+        and _is_abelian_group(add)
+        and one is not None
+        and all(act[one][a] == a for a in xs)
+        and all(
+            mul[mul[r][s]][t] == mul[r][mul[s][t]]
+            and mul[r][ring_add[s][t]] == ring_add[mul[r][s]][mul[r][t]]
+            and mul[ring_add[r][s]][t] == ring_add[mul[r][t]][mul[s][t]]
+            for r in rs
+            for s in rs
+            for t in rs
+        )
+        and all(act[r][add[a][b]] == add[act[r][a]][act[r][b]] for r in rs for a in xs for b in xs)
+        and all(
+            act[ring_add[r][s]][a] == add[act[r][a]][act[s][a]]
+            and act[mul[r][s]][a] == act[r][act[s][a]]
+            for r in rs
+            for s in rs
+            for a in xs
+        )
+    )
+
+
+_Z4_TABLE = {
+    "kind": "table",
+    "add": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+    "mul": [[a * b % 4 for b in range(4)] for a in range(4)],
+}
+# F_4 with x encoded as 2, and (Z/2)^2 over Z/4 with (a, b) encoded as 2a + b
+TABLE_SPECS = {
+    "z4": {"ring": _Z4_TABLE},
+    "f4": {
+        "ring": {
+            "kind": "table",
+            "add": [[a ^ b for b in range(4)] for a in range(4)],
+            "mul": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+        }
+    },
+    "klein-over-z4": {
+        "ring": _Z4_TABLE,
+        "module": {
+            "kind": "table",
+            "add": [[a ^ b for b in range(4)] for a in range(4)],
+            "act": [[a * (r % 2) for a in range(4)] for r in range(4)],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,part,table",
+    [
+        ("z4", "ring", "add"),
+        ("z4", "ring", "mul"),
+        ("f4", "ring", "add"),
+        ("f4", "ring", "mul"),
+        ("klein-over-z4", "module", "add"),
+        ("klein-over-z4", "module", "act"),
+    ],
+)
+def test_every_single_entry_change_of_a_table_exits_as_the_axiom_oracle_decides(
+    tmp_path, name, part, table
+):
+    """Each entry of the table takes every value, its own included: the
+    spec exits 0 exactly when the oracle accepts its tables, and otherwise
+    exits 4 with one line on stderr."""
+    spec = TABLE_SPECS[name]
+    for i, row in enumerate(spec[part][table]):
+        for j in range(len(row)):
+            for value in range(len(row)):
+                changed = json.loads(json.dumps(spec))
+                changed[part][table][i][j] = value
+                ring = changed["ring"]
+                module = changed.get("module", {"add": ring["add"], "act": ring["mul"]})
+                ok = _is_ring_and_module(ring["add"], ring["mul"], module["add"], module["act"])
+                rc, out, err = run(["ring-info", "--spec", write_json(tmp_path / "spec.json", changed)])
+                if ok:
+                    assert (rc, err) == (0, "")
+                else:
+                    assert (rc, out) == (4, "")
+                    assert err.endswith("\n") and err.count("\n") == 1
+                    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error():
     rc, _, err = run(["ring-info", "--spec", "/nonexistent/spec.json"])
     assert rc == 4

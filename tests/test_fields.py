@@ -198,6 +198,36 @@ def test_field_addition_matches_the_digit_loop(q):
     assert f.add_table == oracle
 
 
+def _field_mul_oracle(f):
+    """Multiplication as an earlier FiniteField built it: for every pair, the
+    product of the digit polynomials (constant term first), reduced modulo
+    f.modulus one leading term at a time."""
+    p, e = f.p, f.e
+    digits = [index_to_entries(a, p, e)[::-1] for a in range(f.q)]
+
+    def product(a, b):
+        out = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for top in range(2 * e - 2, e - 1, -1):
+            lead = out[top] % p
+            if lead:
+                for i, c in enumerate(f.modulus):
+                    out[top - e + i] -= lead * c
+        return entries_to_index([c % p for c in reversed(out[:e])], p)
+
+    return tuple(tuple(product(x, y) for y in digits) for x in digits)
+
+
+# every prime power up to 256 would take the oracle about 5 s
+@pytest.mark.parametrize("q", _prime_powers(128) + [243, 256])
+def test_field_multiplication_matches_the_polynomial_product(q):
+    f = FiniteField(q)
+    assert f.mul_table == _field_mul_oracle(f)
+
+
 def _matrix_tables_oracle(field, m, k):
     """The tables of M_{m x k}(F_q) over M_m(F_q) as earlier ring and column
     builders made them: an entrywise Matrix.add, and Matrix.mul."""

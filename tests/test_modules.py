@@ -1410,11 +1410,12 @@ def _field(q):
 @pytest.mark.parametrize(
     "descriptor",
     [{"kind": "mod_n", "n": n} for n in range(2, 13)]
-    + [_field(q) for q in (2, 3, 4, 8)]
+    + [_field(q) for q in (2, 3, 4, 8, 16, 64)]
     + [
         {"kind": "matrix", "m": 2, "q": 2},
         {"kind": "product", "factors": [{"kind": "mod_n", "n": 2}, {"kind": "mod_n", "n": 3}]},
         {"kind": "product", "factors": [{"kind": "mod_n", "n": 4}, {"kind": "mod_n", "n": 2}]},
+        pytest.param(local_xy_ring().descriptor, id="local-xy"),
     ],
     ids=lambda d: json.dumps(d, sort_keys=True),
 )
