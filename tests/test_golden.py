@@ -99,6 +99,7 @@ SPECS = {
     "f2-col4": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 4}},
     # F_3^3: Aut(A) is GL(3, 3), with 11,232 elements
     "f3-col3": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 3}},
+    "f3-col2": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 2}},
     # F_2^5: its proper subspaces have 651,961 monomorphisms into it
     "f2-col5": {"ring": {"kind": "matrix", "m": 1, "q": 2}, "module": {"kind": "column", "k": 5}},
     "f3-col4": {"ring": {"kind": "matrix", "m": 1, "q": 3}, "module": {"kind": "column", "k": 4}},
@@ -198,6 +199,8 @@ def _cases() -> dict:
     cases["verify-sufficiency-f8-n3-g3"] = (f8n3, "f8")
     z9n3 = ["verify-midway", "--max-n", "3", "--max-gens", "2", "--max-order", "729"]
     cases["verify-midway-z9-n3"] = (z9n3, "z9")
+    # F_3^2 at n <= 3 with two generators: 11,553 codes
+    cases["verify-midway-f3-col2-n3"] = (z9n3, "f3-col2")
     for command in ("verify-midway", "verify-sufficiency"):
         argv = [command, "--max-n", "2", "--max-gens", "2", "--max-order", "81"]
         cases[f"{command}-m2f3-col1-n2"] = (argv, "m2f3-col1")
