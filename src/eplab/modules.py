@@ -39,6 +39,7 @@ from .rings import (
     exponent_of_addition,
     hom_count,
     jacobson_radical,
+    lattice_walk,
     minimal_submodules,
     ring_make,
     simple_classes,
@@ -172,16 +173,20 @@ def _greedy_generators(module: Module, start: Iterable[int]) -> tuple[int, ...]:
     """Greedy generators of the module, starting from the submodule start.
 
     Each round adds the least element whose span with the current set is
-    largest.
+    largest.  Every member of a coset a + current spans the same submodule,
+    so each round tries only the first member met of each coset.
     """
+    add = module.add_table
     current = frozenset(start)
     gens = []
     while True:
         best_a, best_span = None, current
+        seen = set(current)  # the cosets tried so far
         for a in module.elements():
-            if a not in current:
+            if a not in seen:
+                seen.update(map(add[a].__getitem__, current))
                 grown = span_step(module, current, a)
-                if best_a is None or len(grown) > len(best_span):
+                if len(grown) > len(best_span):
                     best_a, best_span = a, grown
         if best_a is None:
             return tuple(gens)
@@ -245,7 +250,7 @@ def iter_linear_maps(
     gens: Sequence[int],
     injective: bool = False,
     *,
-    target_members: Optional[frozenset] = None,
+    target_members: Optional[Sequence[int]] = None,
     key: Optional[Sequence] = None,
     first_images: Optional[frozenset] = None,
 ):
@@ -351,22 +356,28 @@ def least_in_orbit(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
-def submodule_orbits(subs: Sequence[Submodule], perms: Iterable[Sequence[int]]) -> list[int]:
-    """least_in_orbit over a submodule list under element permutations:
-    out[i] is the position of the first submodule in the orbit of subs[i].
-    An image missing from the list raises InternalConsistencyError."""
-    position = {s.members: i for i, s in enumerate(subs)}
-
-    def image(perm):
-        for s in subs:
-            j = position.get(tuple(sorted(map(perm.__getitem__, s.members))))
-            if j is None:
-                raise InternalConsistencyError(
-                    f"an image of the submodule {list(s.members)} is not listed"
-                )
-            yield j
-
-    return least_in_orbit(len(subs), map(image, perms))
+def orbit_lattice(
+    module: Module,
+    perms: Iterable[Sequence[int]],
+    guards: Guards = DEFAULT_GUARDS,
+    max_gens: Optional[int] = None,
+) -> list[tuple[Submodule, int]]:
+    """lattice_walk(module, perms, max_gens) once every perm is checked to
+    be an R-linear bijection of the module (InternalConsistencyError
+    otherwise): a bijection p is one exactly when p(y) = r*p(g) and
+    p(y + x) = p(y) + p(x) for every x and every y = r*g, r in R and g a
+    generator of the module."""
+    check_guard(module.order, guards.max_order, f"module order {module.order}")
+    add, act = module.add_table, module.act_table
+    perms = [tuple(p) for p in perms]
+    gens = module_generators(module) if perms else ()
+    for p in perms:
+        if sorted(p) != list(module.elements()) or any(
+            p[y] != z or list(map(p.__getitem__, add[y])) != list(map(add[z].__getitem__, p))
+            for y, z in {(row[g], row[p[g]]) for g in gens for row in act}  # (r*g, r*p(g))
+        ):
+            raise InternalConsistencyError("an orbit map is not an R-linear bijection")
+    return lattice_walk(module, perms, max_gens)
 
 
 def isomorphism_leaders(
@@ -382,9 +393,8 @@ def isomorphism_leaders(
     for i in indices:
         shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
         for j in shape:
-            target = frozenset(subs[j].members)
             maps = iter_linear_maps(
-                module, module, subs[i].generators, True, target_members=target, key=anns
+                module, module, subs[i].generators, True, target_members=subs[j].members, key=anns
             )
             if next(maps, None):
                 leader[i] = j
@@ -441,10 +451,12 @@ def stabilizer_chain(module: Module, gens: Sequence[int]):
     takes one, and the automorphism it finds, as the images of C's ascending
     members, is kept.  The kept ones at levels i..k then generate G_i, by
     orbit-stabilizer, and each at least doubles the group they generate."""
-    spans = [submodule_generated(module, gens[:i]).members for i in range(len(gens) + 1)]
-    target = frozenset(spans[-1])
+    span, spans = {module.zero}, [(module.zero,)]
+    for g in gens:
+        span = span_step(module, span, g)
+        spans.append(tuple(sorted(span)))
     position = {x: p for p, x in enumerate(spans[-1])}
-    search = functools.partial(_map_search, module, module, target_members=target)
+    search = functools.partial(_map_search, module, module, target_members=spans[-1])
     kept = []
     for i in reversed(range(len(gens))):
         size, level = 0, []
@@ -547,7 +559,7 @@ def _pseudo_injective_by_search(module: Module, guards: Guards = DEFAULT_GUARDS)
     For automorphisms a and b, a monomorphism f: S -> A extends exactly when
     a*f*b^-1: b(S) -> A does, so one monomorphism per orbit suffices.  The
     proper nonzero submodules are split into orbits under the generators of
-    Aut(A) (submodule_orbits), and on the first submodule S of each orbit
+    Aut(A) (orbit_lattice), and on the first submodule S of each orbit
     the monomorphisms, each keyed by its images of S.generators, are split
     into orbits under left composition by the same generators.  The first
     monomorphism f of each orbit, rebuilt on S from those images, then takes
@@ -558,10 +570,9 @@ def _pseudo_injective_by_search(module: Module, guards: Guards = DEFAULT_GUARDS)
     one exists.
     """
     autos = automorphism_group(module, guards).generators
-    subs = submodules_enumerate(module, guards)
-    for i, first in enumerate(submodule_orbits(subs, autos)):
-        members, gens = subs[i].members, subs[i].generators
-        if first != i or len(members) in (1, module.order):
+    for sub, _ in orbit_lattice(module, autos, guards):
+        members, gens = sub.members, sub.generators
+        if len(members) in (1, module.order):
             continue
         at = [members.index(g) for g in gens]
         maps = iter_linear_maps(module, module, gens, injective=True)

@@ -298,56 +298,91 @@ def submodule_generated(module, gens: Iterable[int]) -> Submodule:
     """Smallest submodule containing the generators.
 
     Because the running set is a submodule at every step, one span_step per
-    generator is a full closure.
+    generator is a full closure, and a generator already in it adds nothing.
     """
     members = {module.zero}
     for g in gens:
         if not 0 <= g < module.order:
             raise InputError(f"generator {g} outside module of order {module.order}")
-        members = span_step(module, members, g)
+        if g not in members:
+            members = span_step(module, members, g)
     return Submodule(tuple(sorted(members)))
+
+
+def lattice_walk(
+    module, perms: Sequence[Sequence[int]] = (), max_gens: Optional[int] = None
+) -> list[tuple[Submodule, int]]:
+    """(first, size) for each orbit of the submodules needing at most
+    max_gens generators (all when None) under the group that perms, module
+    automorphisms as permutations, generate, in the (size, members) order of
+    first, the orbit's least member, with a shortest generator tuple.
+
+    Level 1 reaches each cyclic Rw by its least w.  Level k spans S + Rw
+    from the first S of each orbit opened at level k-1, in that order, w
+    ascending over the least generators of the cyclic submodules, once per
+    coset w + S, on which S + Rw alone depends.  A submodule needing k
+    generators is p(S) + Rw' for a first S needing k-1 and an automorphism
+    p, so its orbit holds S + R p^-1(w').  A sum not met before opens an
+    orbit, listed whole by a breadth-first pass over images under perms
+    that carries the generators along.  Submodules are keyed by bitmasks
+    with element x at bit N-1-x: an orbit's largest mask is its first.
+    """
+    n, add, act = module.order, module.add_table, module.act_table
+    bit = [1 << (n - 1 - x) for x in range(n)]
+    moved = [(p, [bit[y] for y in p]) for p in perms]  # bit of p(x) at x
+    met, out = set(), []
+
+    def open_orbit(members, gens):
+        best = sum(map(bit.__getitem__, members))
+        if best in met:
+            return
+        met.add(best)
+        queue, first = [(members, gens)], 0
+        for members, gens in queue:
+            for p, pbit in moved:
+                mask = sum(map(pbit.__getitem__, members))
+                if mask not in met:
+                    met.add(mask)
+                    if mask > best:
+                        best, first = mask, len(queue)
+                    image = list(map(p.__getitem__, members))
+                    queue.append((image, tuple(map(p.__getitem__, gens))))
+        members, gens = queue[first]
+        out.append((Submodule(tuple(sorted(members)), gens), len(queue)))
+
+    least, cyclic = {}, {}  # mask of Rw -> least w, and least w -> Rw
+    for w in range(n):
+        rw = {row[w] for row in act}
+        if least.setdefault(sum(map(bit.__getitem__, rw)), w) == w:
+            cyclic[w] = rw
+            open_orbit(rw, (w,))
+    level, depth = out[:], 1
+    while level and (max_gens is None or depth < max_gens):
+        start = len(out)
+        for first, _ in level:
+            members = first.members
+            seen = set(members)  # the cosets w + S spanned so far, S first
+            for w, rw in cyclic.items():
+                if w not in seen:
+                    seen.update(map(add[w].__getitem__, members))
+                    bigger = set(members)  # S + Rw as a union of cosets t + S
+                    for t in rw:
+                        if t not in bigger:
+                            bigger.update(map(add[t].__getitem__, members))
+                    open_orbit(bigger, first.generators + (w,))
+        level, depth = out[start:], depth + 1
+    return sorted(out, key=lambda orbit: (len(orbit[0].members), orbit[0].members))
 
 
 def submodules_enumerate(
     module, guards: Guards = DEFAULT_GUARDS, max_gens: Optional[int] = None
 ) -> tuple[Submodule, ...]:
-    """The submodules needing at most max_gens generators (all when None),
-    ordered by (size, members), each with the generators that reached it.
-
-    Level 1 reaches each cyclic submodule Rw by its least generator w; level
-    k adds w to each submodule S new at level k-1, in the order reached, w
-    ascending.  Past level 1, w ranges over least generators only: S + Rw
-    depends on Rw alone, and no other generator of Rw comes before the least.
-    It also depends on the coset w + S alone, as R(w + s) lies in S + Rw and
-    Rw in S + R(w + s), so each coset is spanned once, by its first w; the
-    others would only reach a sum already found.  A submodule needing k
-    generators is new at level k: its tuple is shortest.
-    """
+    """The lattice_walk without perms, one submodule per orbit, cached per
+    max_gens."""
     key = ("submodules", max_gens)
     check_guard(module.order, guards.max_order, f"module order {module.order}")
     if key not in module._cache:
-        add = module.add_table
-        found: dict[frozenset, tuple[int, ...]] = {}
-        for w in module.elements():
-            found.setdefault(frozenset(span_step(module, (module.zero,), w)), (w,))
-        cyclic = {gens[0]: members for members, gens in found.items()}  # least w -> Rw
-        level, depth = dict(found), 1
-        while level and (max_gens is None or depth < max_gens):
-            grown = {}
-            for members, gens in level.items():
-                seen = set(members)  # the cosets w + S spanned so far, S first
-                for w, rw in cyclic.items():
-                    if w not in seen:
-                        seen.update(add[w][s] for s in members)
-                        bigger = frozenset(add[s][t] for s in members for t in rw)
-                        if bigger not in found:
-                            found[bigger] = grown[bigger] = gens + (w,)
-            level, depth = grown, depth + 1
-        out = sorted(
-            (Submodule(tuple(sorted(m)), g) for m, g in found.items()),
-            key=lambda s: (len(s.members), s.members),
-        )
-        module._cache[key] = tuple(out)
+        module._cache[key] = tuple(s for s, _ in lattice_walk(module, (), max_gens))
     return module._cache[key]
 
 

@@ -59,10 +59,10 @@ from .modules import (
     least_in_orbit,
     module_generators,
     module_make,
+    orbit_lattice,
     partition,
     socle_report,
     stabilizer_chain,
-    submodule_orbits,
 )
 from .rings import (
     Submodule,
@@ -539,11 +539,12 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 @dataclasses.dataclass
 class _Lattice:
     """One length n of a sweep: words[x] is the word at ambient index x of
-    A^n, profiles[x] an id of its sorted orbit labels, and codes the
-    submodules_enumerate list.  code(k) builds codes[k] as a Code the first
-    time it is asked for, so every map of the length that starts or ends at
-    it shares one Code and its column fingerprints.  Ascending indices are
-    ascending words, so a code's elements follow its members."""
+    A^n, profiles[x] an id of its sorted orbit labels, and codes the first
+    code of each orbit that orbit_lattice lists.  code(k) builds codes[k]
+    as a Code the first time it is asked for, so every map of the length
+    that starts or ends at it shares one Code and its column fingerprints.
+    Ascending indices are ascending words, so a code's elements follow its
+    members."""
 
     alphabet: Module
     words: list[Word]
@@ -616,20 +617,22 @@ def _sweep(
     key: str,
 ):
     """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
-    lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
-    that need at most max_gens generators, each map as fmap, the images of
-    the members of codes[i] in order, when it keeps the key weight (a kind
-    of weight_labels) of every word.  A code larger than the max_code guard
-    raises GuardExceeded before its length is searched.
+    lattice.codes[i] onto lattice.codes[j], first codes of the orbits of the
+    codes of A^n, n = 1..max_n, that need at most max_gens generators, each
+    map as fmap, the images of the members of codes[i] in order, when it
+    keeps the key weight (a kind of weight_labels) of every word.  A code
+    larger than the max_code guard raises GuardExceeded before its length is
+    searched.
 
-    The codes are submodules_enumerate(A^n, guards, max_gens), held with the
-    words and profiles of A^n in one _Lattice per length, which builds each
-    code as a Code once, for the first map that asks for it.  A length's
-    codes are counted in counts["codes"] when the length starts and split
-    into orbits by submodule_orbits under _monomial_generators (an unlisted
-    image code raises), and the first codes of the orbits into isomorphism
-    classes by isomorphism_leaders.  Then, for each pair (C, D) of first
-    codes of one class, in list order, the pair adds
+    The firsts and orbit sizes come from orbit_lattice under
+    _monomial_generators (one that is not an R-linear bijection raises),
+    which spans codes only from firsts and lists each orbit by its images.
+    The firsts live with the words and profiles of A^n in one _Lattice per
+    length, which builds each code as a Code once, for the first map that
+    asks for it.  The sizes are summed into counts["codes"] when the length
+    starts, and the firsts split into isomorphism classes by
+    isomorphism_leaders.  Then, for each pair (C, D) of first codes of one
+    class, in list order, the pair adds
     |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally] before its maps are
     visited: Iso(C, D) is the coset f.Aut(C), and stabilizer_chain gives
     |Aut(C)|.  Its maps are enumerated once, keyed on the weights, so a
@@ -640,8 +643,8 @@ def _sweep(
     |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.
     This is exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
-    C -> h(D); and every injective map on a code is onto a listed code of
-    the same size, its image.  x -> u.x for u in U is such a transform that
+    C -> h(D); and every injective map on a code is onto a code of the same
+    size, its image.  x -> u.x for u in U is such a transform that
     fixes every code, and f -> u.f sends the maps with f(g_1) = y onto those
     with f(g_1) = u.y; it keeps weights when u keeps the alphabet's orbit
     labels, which is checked before the first length (InternalConsistencyError
@@ -678,15 +681,14 @@ def _sweep(
             [ids.setdefault(tuple(sorted(map(table.__getitem__, w))), len(ids)) for w in words]
             for table in (labels, weight_labels(alphabet, key, guards))
         )
-        codes = submodules_enumerate(ambient, guards, max_gens)
-        counts["codes"] += len(codes)
+        orbits = orbit_lattice(
+            ambient, _monomial_generators(alphabet, words, guards), guards, max_gens
+        )
+        codes, orbit_size = zip(*orbits)
+        counts["codes"] += sum(orbit_size)
         for code in codes:
             check_guard(len(code.members), guards.max_code, "code size")
-        # keyed by each orbit's first code, in list order
-        orbit_size = Counter(
-            submodule_orbits(codes, _monomial_generators(alphabet, words, guards))
-        )
-        leader = isomorphism_leaders(ambient, codes, orbit_size)
+        leader = isomorphism_leaders(ambient, codes, range(len(codes)))
         aut = {
             i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
             for i in set(leader.values())
@@ -695,18 +697,17 @@ def _sweep(
         unit_orbit = Counter(least_in_orbit(len(words), [ambient.act_table[u] for u in central]))
         firsts = frozenset(unit_orbit)
         lattice = _Lattice(alphabet, words, profiles, codes)
-        for i in orbit_size:
-            gens = codes[i].generators
+        for i, code in enumerate(codes):
+            gens = code.generators
             # the position of gens[0] among the members; the zero code's one
             # map sends its only member to zero, alone in its U-orbit
-            first = codes[i].members.index(gens[0]) if gens else 0
-            for j in (j for j in orbit_size if leader[j] == leader[i]):
+            first = code.members.index(gens[0]) if gens else 0
+            for j in (j for j in leader if leader[j] == leader[i]):
                 weight = orbit_size[i] * orbit_size[j]
                 counts[tally] += weight * aut[leader[i]]
-                target = frozenset(codes[j].members)
                 for fmap in iter_linear_maps(
                     ambient, ambient, gens, True,
-                    target_members=target, key=keys, first_images=firsts,
+                    target_members=codes[j].members, key=keys, first_images=firsts,
                 ):
                     yield n, lattice, i, j, fmap, weight * unit_orbit[fmap[first]]
 

@@ -29,6 +29,7 @@ from eplab.modules import (
     minimal_submodules,
     module_generators,
     module_make,
+    orbit_lattice,
     partition,
     socle,
     socle_report,
@@ -429,6 +430,26 @@ def union_find_least_in_orbit(size, maps):
     return [find(i) for i in range(size)]
 
 
+def submodule_orbits(subs, perms):
+    """The former modules.submodule_orbits, the oracle for orbit_lattice:
+    modules.least_in_orbit over a submodule list under element
+    permutations, out[i] the position of the first submodule in the orbit
+    of subs[i].  An image missing from the list raises
+    InternalConsistencyError."""
+    position = {s.members: i for i, s in enumerate(subs)}
+
+    def image(perm):
+        for s in subs:
+            j = position.get(tuple(sorted(map(perm.__getitem__, s.members))))
+            if j is None:
+                raise InternalConsistencyError(
+                    f"an image of the submodule {list(s.members)} is not listed"
+                )
+            yield j
+
+    return modules.least_in_orbit(len(subs), map(image, perms))
+
+
 def listing_stabilizer_chain(module, gens):
     """The former modules.stabilizer_chain: one search per candidate y of
     every level, each level listed as one automorphism per y, deepest
@@ -496,6 +517,46 @@ def test_least_in_orbit_rejects_a_map_that_is_not_a_permutation(maps):
         least_in_orbit(3, maps)
 
 
+def _f4_regular():
+    return module_make(ring_make({"kind": "matrix", "m": 1, "q": 4}), {"kind": "regular"})
+
+
+def _frobenius(module):
+    """x -> x^2 on F_4: additive and bijective, but not F_4-linear."""
+    return [module.ring.mul_table[x][x] for x in module.elements()]
+
+
+@pytest.mark.parametrize(
+    "build, maps",
+    [
+        (z4_regular, lambda _: [[0, 1, 1, 3]]),
+        (z4_regular, lambda _: [[0, 1, 2]]),
+        (z4_regular, lambda _: [[0, 3, 2, 7]]),
+        (z4_regular, lambda _: [[1, 2, 3, 0]]),
+        (z4_regular, lambda _: [[0, 3, 2, 1], [0, 2, 1, 3]]),
+        (_f4_regular, lambda m: [_frobenius(m)]),
+    ],
+    ids=["repeated-image", "short", "out-of-range", "translation", "second-map", "frobenius"],
+)
+def test_orbit_lattice_rejects_a_map_that_is_not_an_r_linear_bijection(build, maps):
+    module = build()
+    with pytest.raises(InternalConsistencyError, match="not an R-linear bijection"):
+        orbit_lattice(module, maps(module))
+
+
+def test_orbit_lattice_lists_orbit_firsts_sizes_and_generators():
+    # x -> 3x fixes every ideal of Z/4, and the swap of the summands of
+    # (Z/2)^2 joins <(0,1)> = {0, 1} and <(1,0)> = {0, 2} into one orbit
+    orbits = orbit_lattice(z4_regular(), [[0, 3, 2, 1]])
+    assert [(s.members, s.generators, k) for s, k in orbits] == [
+        ((0,), (0,), 1), ((0, 2), (2,), 1), ((0, 1, 2, 3), (1,), 1),
+    ]
+    orbits = orbit_lattice(z2z2_over_z4(), [[0, 2, 1, 3]], max_gens=1)
+    assert [(s.members, s.generators, k) for s, k in orbits] == [
+        ((0,), (0,), 1), ((0, 1), (1,), 2), ((0, 3), (3,), 1),
+    ]
+
+
 def _classes(labels):
     """The classes of a partition by label: each label's members, ascending."""
     out = {}
@@ -550,7 +611,9 @@ def test_pseudo_injectivity_checks_the_order_guard_before_any_search(monkeypatch
         raise AssertionError("searched above the order guard")
 
     module = _column(2, 4)()
-    for name in ("submodules_enumerate", "iter_linear_maps", "_map_search", "stabilizer_chain"):
+    for name in (
+        "submodules_enumerate", "orbit_lattice", "iter_linear_maps", "_map_search", "stabilizer_chain"
+    ):
         monkeypatch.setattr(modules, name, refused)
     with pytest.raises(GuardExceeded, match=r"^module order 16 \(16\) exceeds guard \(8\)$"):
         is_pseudo_injective(module, Guards(max_order=8))

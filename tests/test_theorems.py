@@ -10,6 +10,8 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eplab import modules, theorems
 
@@ -40,9 +42,9 @@ from eplab.modules import (
     iter_linear_maps,
     module_generators,
     module_make,
+    orbit_lattice,
     partition,
     socle_report,
-    submodule_orbits,
 )
 from eplab.rings import (
     Module,
@@ -81,6 +83,7 @@ from test_golden import CASES, SPECS
 from test_modules import (
     check_chain_against_the_listing,
     filtered_chain_generators,
+    submodule_orbits,
     union_find_least_in_orbit,
 )
 from test_perfbench_targets import _load
@@ -1053,11 +1056,11 @@ ORBIT_ALPHABETS = {
 @pytest.mark.parametrize("name", sorted(ORBIT_ALPHABETS))
 def test_every_orbit_labelling_matches_union_find(name, monkeypatch):
     """Each least_in_orbit call that partition(A, "orbit") makes, through
-    automorphism_group, that the pseudo-injectivity search makes, for its
-    submodule orbits and its monomorphism leaders, and that submodule_orbits
-    makes on the codes of A^n under the monomial group, gives the union-find
-    labels.  n runs to 2 while A^n has at most 1,024 elements, so the
-    alphabets of order 64 stop at n = 1."""
+    automorphism_group, that the pseudo-injectivity search makes for its
+    monomorphism leaders, and that the submodule_orbits oracle makes on the
+    codes of A^n under the monomial group, gives the union-find labels.  n
+    runs to 2 while A^n has at most 1,024 elements, so the alphabets of
+    order 64 stop at n = 1."""
     sweep = modules.least_in_orbit
     sizes = []
 
@@ -1189,13 +1192,15 @@ def test_sufficiency_counts_match_the_unreduced_sweep(name):
     assert yields < expected["swc_preserving"]
 
 
-def _relabelled_z9():
-    """Z/9 over itself as table descriptors, ring and module renamed by the
-    benchmark's seeded relabelling."""
-    spec = _load("workloads").relabelled_spec(
-        {"kind": "mod_n", "n": 9}, {"kind": "regular"}, random.Random(9)
-    )
+def _relabelled_table(ring_desc, module_desc, seed):
+    """The alphabet as table descriptors, ring and module renamed by the
+    benchmark's relabelling with the given seed."""
+    spec = _load("workloads").relabelled_spec(ring_desc, module_desc, random.Random(seed))
     return module_make(ring_make(spec["ring"]), spec["module"])
+
+
+def _relabelled_z9():
+    return _relabelled_table({"kind": "mod_n", "n": 9}, {"kind": "regular"}, 9)
 
 
 # (alphabet, max_n): the midway and sufficiency oracle alphabets, Z/9,
@@ -1226,8 +1231,10 @@ def test_each_visited_map_stands_for_its_central_unit_orbit(name, key, monkeypat
     monkeypatch.setattr(theorems, "iter_linear_maps", spy)
     bounds = _sweep_bounds(WIDE_GUARDS, max_n, 2)
     counts = {"codes": 0, "maps": 0}
-    for n, _, i, j, fmap, weight in _sweep(alphabet, WIDE_GUARDS, bounds, counts, {}, "maps", key):
-        searches[-1][2].append((n, i, j, fmap, weight))
+    for n, lattice, i, j, fmap, weight in _sweep(
+        alphabet, WIDE_GUARDS, bounds, counts, {}, "maps", key
+    ):
+        searches[-1][2].append((n, lattice, i, j, fmap, weight))
 
     units = central_units(alphabet.ring)
     orbit_sizes = {}
@@ -1237,21 +1244,88 @@ def test_each_visited_map_stands_for_its_central_unit_orbit(name, key, monkeypat
         listing = list(real(ambient, ambient, gens, True, target_members=target, key=keys))
         images = {
             tuple(ambient.act_table[u][y] for y in fmap)
-            for _, _, _, fmap, _ in yielded
+            for *_, fmap, _ in yielded
             for u in units
         }
         assert images == set(listing)
         if yielded:
-            n, i, j = yielded[0][:3]
+            n, lattice, i, j = yielded[0][:4]
             if n not in orbit_sizes:
                 _, words, codes = _codes_of_length(alphabet, n, 2, WIDE_GUARDS)
-                orbit_sizes[n] = Counter(_orbit_firsts(alphabet, words, codes))
-            sizes = orbit_sizes[n]
+                position = {members: k for k, (members, _) in enumerate(codes)}
+                orbit_sizes[n] = position, Counter(_orbit_firsts(alphabet, words, codes))
+            # i and j index the sweep's orbit firsts; sizes is keyed by the
+            # first's position in the whole code list
+            position, sizes = orbit_sizes[n]
+            i, j = (position[lattice.codes[k].members] for k in (i, j))
             assert sum(weight for *_, weight in yielded) == sizes[i] * sizes[j] * len(listing)
         left_out += len(listing) - len(yielded)
     identity = alphabet.act_table[alphabet.ring.one]
     assert (left_out > 0) == any(alphabet.act_table[u] != identity for u in units)
     assert searches and counts["maps"] > 0
+
+
+def _assert_orbit_lattice_matches_the_walk(alphabet, n, max_gens, guards):
+    """orbit_lattice on A^n under the monomial generators against the walk
+    submodules_enumerate split by the submodule_orbits oracle: the same
+    firsts in the same order, the same orbit sizes, which sum to the walk's
+    code count, and for each first a generator tuple that spans it and is
+    as long as the walk's."""
+    ambient = direct_power(alphabet, n, guards)
+    words = [index_to_entries(x, alphabet.order, n) for x in ambient.elements()]
+    perms = _monomial_generators(alphabet, words, guards)
+    walk = submodules_enumerate(ambient, guards, max_gens)
+    sizes = Counter(submodule_orbits(walk, perms))  # keyed by firsts, ascending
+    orbits = orbit_lattice(ambient, perms, guards, max_gens)
+    assert [(first.members, size) for first, size in orbits] == [
+        (walk[i].members, sizes[i]) for i in sizes
+    ]
+    assert sum(size for _, size in orbits) == len(walk)
+    for (first, _), i in zip(orbits, sizes):
+        assert len(first.generators) == len(walk[i].generators)
+        assert modules.submodule_generated(ambient, first.generators).members == first.members
+
+
+KLEIN = {"kind": "direct_sum", "summands": [{"kind": "mod_m", "m": 2}] * 2}
+
+# the midway and sufficiency oracle alphabets, Z/9 among them, and table
+# copies renamed by the benchmark's relabelling
+ORBIT_LATTICE_ALPHABETS = {
+    **dict(zip(MIDWAY_IDS, MIDWAY_ALPHABETS)),
+    **{f"sufficiency-{name}": alphabet for name, (alphabet, _) in SUFFICIENCY_ALPHABETS.items()},
+    "z9-table": _relabelled_z9(),
+    "z4-klein-table": _relabelled_table({"kind": "mod_n", "n": 4}, KLEIN, 1),
+    "z8-table": _relabelled_table({"kind": "mod_n", "n": 8}, {"kind": "regular"}, 2),
+    "f4-table": _relabelled_table({"kind": "matrix", "m": 1, "q": 4}, {"kind": "regular"}, 3),
+}
+
+
+@pytest.mark.parametrize("max_gens", [1, 2, 3, None], ids=["g1", "g2", "g3", "all"])
+@pytest.mark.parametrize("name", sorted(ORBIT_LATTICE_ALPHABETS))
+def test_orbit_lattice_matches_the_walk_split_into_orbits(name, max_gens):
+    """At n <= 3: every alphabet here has at most 9 elements."""
+    for n in (1, 2, 3):
+        _assert_orbit_lattice_matches_the_walk(
+            ORBIT_LATTICE_ALPHABETS[name], n, max_gens, Guards(max_order=729)
+        )
+
+
+@given(
+    case=st.sampled_from(
+        [({"kind": "mod_n", "n": 4}, {"kind": "regular"}),
+         ({"kind": "mod_n", "n": 4}, KLEIN),
+         ({"kind": "mod_n", "n": 8}, {"kind": "regular"}),
+         ({"kind": "matrix", "m": 1, "q": 4}, {"kind": "regular"}),
+         ({"kind": "matrix", "m": 1, "q": 2}, {"kind": "column", "k": 2})]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    max_gens=st.sampled_from([1, 2, None]),
+)
+@settings(max_examples=30, deadline=None)
+def test_orbit_lattice_matches_the_walk_on_relabelled_tables(case, seed, n, max_gens):
+    alphabet = _relabelled_table(*case, seed)
+    _assert_orbit_lattice_matches_the_walk(alphabet, n, max_gens, Guards())
 
 
 @pytest.mark.parametrize(
@@ -1475,21 +1549,22 @@ def test_monomial_generators_lift_aut_a_to_position_0(alphabet):
             assert all(words[perm[x]] == (sigma[w[0]], *w[1:]) for x, w in enumerate(words))
 
 
-def test_sweep_rejects_a_code_list_not_closed_under_the_monomial_group(monkeypatch):
+def test_sweep_rejects_a_monomial_generator_that_is_not_r_linear(monkeypatch):
+    # at n = 2 over Z/4, swapping the words (0, 1) and (0, 2) is a
+    # permutation of A^2 that does not commute with x -> 2x
     alphabet = module_make(mod_ring(4), {"kind": "regular"})
-    ambient, words, codes = _codes_of_length(alphabet, 2, 2)
-    reps = _orbit_firsts(alphabet, words, codes)
-    dropped = max(i for i, rep in enumerate(reps) if rep != i)
-    enumerate_all = theorems.submodules_enumerate
+    real = theorems._monomial_generators
 
-    def dropping(module, guards, max_gens=None):
-        found = list(enumerate_all(module, guards, max_gens))
-        if module.order == ambient.order:
-            del found[dropped]
-        return tuple(found)
+    def with_a_swap(alphabet, words, guards):
+        perms = real(alphabet, words, guards)
+        if len(words[0]) == 2:
+            swap = list(range(len(words)))
+            swap[1], swap[2] = 2, 1
+            perms.append(swap)
+        return perms
 
-    monkeypatch.setattr(theorems, "submodules_enumerate", dropping)
-    with pytest.raises(InternalConsistencyError, match="is not listed"):
+    monkeypatch.setattr(theorems, "_monomial_generators", with_a_swap)
+    with pytest.raises(InternalConsistencyError, match="not an R-linear bijection"):
         verify_midway(alphabet, max_n=2, max_gens=2)
 
 
