@@ -192,6 +192,9 @@ def _cases() -> dict:
     # gens <= 6 is the full lattice of F_2^n for n <= 6: 3,289 codes
     f2n6 = ["verify-sufficiency", "--max-n", "6", "--max-gens", "6", "--max-order", "64"]
     cases["verify-sufficiency-f2-n6-g6"] = (f2n6, "f2")
+    # and of F_2^n for n <= 7: 32,501 codes
+    f2n7 = ["verify-sufficiency", "--max-n", "7", "--max-gens", "7", "--max-order", "128"]
+    cases["verify-sufficiency-f2-n7-g7"] = (f2n7, "f2")
     # every code of F_4^4 and F_8^3: the full lattices
     f4n4 = ["verify-sufficiency", "--max-n", "4", "--max-gens", "4", "--max-order", "256"]
     cases["verify-sufficiency-f4-n4-g4"] = (f4n4, "f4")
