@@ -10,7 +10,8 @@ words have equal weight exactly when their sorted labels agree:
 
 Monomial transforms combine a length-n position permutation with one alphabet
 automorphism per position; extension_search decides whether a code map is the
-restriction of such a transform.
+restriction of such a transform, and fixing_order counts the transforms that
+fix a code word by word.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -156,6 +158,38 @@ class MonomialTransform:
 
     sigma: tuple[int, ...]
     taus: tuple[tuple[int, ...], ...]
+
+
+def fixing_order(
+    alphabet: Module, n: int, gen_words: Sequence[Word], guards: Guards = DEFAULT_GUARDS
+) -> int:
+    """|K(C)|, the number of monomial transforms (sigma, tau) of A^n that fix
+    every word of the code C spanned by gen_words.  Such a transform fixes
+    every generator exactly when tau_i sends column sigma[i] of the
+    generators, a tuple in A^k, to column i; so sigma permutes the columns
+    within their Aut(A)-orbits, freely, and each tau_i is one of the s
+    automorphisms in a coset of the column's stabilizer.  A class of m
+    columns, of stabilizer order s each, gives m! * s^m.  A zero column,
+    and every column of the zero code, has s = |Aut(A)|.  The orbit of each
+    column under the generators of Aut(A) is cached on the alphabet."""
+    group = automorphism_group(alphabet, guards)
+    orbits = alphabet._cache.setdefault("column_orbits", {})
+    classes = Counter()
+    for column in zip(*gen_words) if gen_words else [()] * n:
+        if column not in orbits:
+            orbit, queue = {column}, [column]
+            for c in queue:
+                for t in group.generators:
+                    d = tuple([t[a] for a in c])
+                    if d not in orbit:
+                        orbit.add(d)
+                        queue.append(d)
+            label = (min(orbit), len(orbit))
+            orbits.update(dict.fromkeys(orbit, label))
+        classes[orbits[column]] += 1
+    return math.prod(
+        math.factorial(m) * (group.order // size) ** m for (_, size), m in classes.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,
@@ -252,7 +252,7 @@ def iter_linear_maps(
     *,
     target_members: Optional[Sequence[int]] = None,
     key: Optional[Sequence] = None,
-    first_images: Optional[frozenset] = None,
+    first_images: Optional[AbstractSet[int]] = None,
 ):
     """Yield all linear maps span(gens) -> dst: the extensions of the zero
     map on the zero submodule, as _map_search compiles them, with its
@@ -439,10 +439,13 @@ class AutGroup:
         return perms
 
 
-def stabilizer_chain(module: Module, gens: Sequence[int]):
+def stabilizer_chain(module: Module, gens: Sequence[int], key: Optional[Sequence] = None):
     """Yield (size, kept) for the levels, deepest first, of a stabilizer
     chain (Sims 1970) of the automorphism group of C = span(gens) in the
-    module, along gens = (g_1..g_k).  G_i, the automorphisms fixing
+    module, along gens = (g_1..g_k).  With a key, a sequence over element
+    indices, it is the chain of the subgroup of the f with key[f(x)] = key[x]
+    for every x in C: both searches keep the key, and "automorphism" below
+    means one of that subgroup.  G_i, the automorphisms fixing
     g_1..g_{i-1}, moves g_i to exactly the y for which the identity on
     span(g_1..g_{i-1}) extended by g_i -> y extends to an automorphism; size
     counts those y, so |Aut(C)| is the product of the sizes.  A candidate y
@@ -456,7 +459,7 @@ def stabilizer_chain(module: Module, gens: Sequence[int]):
         span = span_step(module, span, g)
         spans.append(tuple(sorted(span)))
     position = {x: p for p, x in enumerate(spans[-1])}
-    search = functools.partial(_map_search, module, module, target_members=spans[-1])
+    search = functools.partial(_map_search, module, module, target_members=spans[-1], key=key)
     kept = []
     for i in reversed(range(len(gens))):
         size, level = 0, []

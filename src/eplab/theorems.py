@@ -26,6 +26,7 @@ from .codes import (
     code_generate,
     code_map_make,
     extension_search,
+    fixing_order,
     map_preserves,
     weight_labels,
 )
@@ -607,55 +608,29 @@ def _sweep_bounds(
     return max_n, max_gens, True
 
 
-def _sweep(
+def _sweep_lengths(
     alphabet: Module,
     guards: Guards,
     bounds: tuple[int, int, bool],
     counts: dict,
     details: dict,
-    tally: str,
     key: str,
 ):
-    """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
-    lattice.codes[i] onto lattice.codes[j], first codes of the orbits of the
-    codes of A^n, n = 1..max_n, that need at most max_gens generators, each
-    map as fmap, the images of the members of codes[i] in order, when it
-    keeps the key weight (a kind of weight_labels) of every word.  A code
-    larger than the max_code guard raises GuardExceeded before its length is
-    searched.
-
-    The firsts and orbit sizes come from orbit_lattice under
-    _monomial_generators (one that is not an R-linear bijection raises),
-    which spans codes only from firsts and lists each orbit by its images.
-    The firsts live with the words and profiles of A^n in one _Lattice per
-    length, which builds each code as a Code once, for the first map that
-    asks for it.  The sizes are summed into counts["codes"] when the length
-    starts, and the firsts split into isomorphism classes by
-    isomorphism_leaders.  Then, for each pair (C, D) of first codes of one
-    class, in list order, the pair adds
-    |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally] before its maps are
-    visited: Iso(C, D) is the coset f.Aut(C), and stabilizer_chain gives
-    |Aut(C)|.  Its maps are enumerated once, keyed on the weights, so a
-    partial map is dropped as soon as it changes the weight of one word, and
-    only the maps f whose image of g_1 = codes[i].generators[0] is the least
-    word of its orbit under U, the central units of R acting on A^n, are
-    visited; each map the caller tallies adds the weight
-    |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.
-    This is exact for tallies invariant under monomial transforms g and h, as
-    f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
-    C -> h(D); and every injective map on a code is onto a code of the same
-    size, its image.  x -> u.x for u in U is such a transform that
-    fixes every code, and f -> u.f sends the maps with f(g_1) = y onto those
-    with f(g_1) = u.y; it keeps weights when u keeps the alphabet's orbit
-    labels, which is checked before the first length (InternalConsistencyError
-    otherwise).  A witness stops the caller at the first pair and map, in
-    this order, that holds one, with the tallies made so far; a tally's
-    weights count the orbit-mates u.f of each map visited, the witness's
-    included.  Within a pair, the witness is the first failing map of the
-    listing without the restriction, since the u.f of a failing f all fail.
-    details gets "lengths" and "max_generators".  bounds comes from
-    _sweep_bounds.  A length whose ambient order overflows the guard ends the
-    sweep, or raises when max_n was given explicitly or n = 1.
+    """Yield (n, ambient, lattice, keys, sizes, leader, aut) for each length
+    n = 1..max_n: ambient = A^n; the _Lattice of its words, their profiles
+    and the first code of each orbit of its codes that need at most max_gens
+    generators, from orbit_lattice under _monomial_generators; keys[x], an
+    id of the key weight (a kind of weight_labels) of word x; sizes[i], the
+    orbit size of codes[i], summed into counts["codes"] when the length
+    starts; leader[i], the first code isomorphic to codes[i]
+    (isomorphism_leaders); and aut[leader[i]] = |Aut(codes[i])|, the order
+    of stabilizer_chain.  A code larger than the max_code guard raises
+    GuardExceeded before its length is searched.  Before the first length,
+    every central unit of R must keep the alphabet's orbit labels
+    (InternalConsistencyError otherwise).  details gets "lengths" and
+    "max_generators"; bounds comes from _sweep_bounds.  A length whose
+    ambient order overflows the guard ends the sweep, or raises when max_n
+    was given explicitly or n = 1.
     """
     max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
@@ -693,23 +668,81 @@ def _sweep(
             i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
             for i in set(leader.values())
         }
-        # U-orbit sizes on A^n, keyed by each orbit's least word
-        unit_orbit = Counter(least_in_orbit(len(words), [ambient.act_table[u] for u in central]))
-        firsts = frozenset(unit_orbit)
         lattice = _Lattice(alphabet, words, profiles, codes)
-        for i, code in enumerate(codes):
-            gens = code.generators
-            # the position of gens[0] among the members; the zero code's one
-            # map sends its only member to zero, alone in its U-orbit
-            first = code.members.index(gens[0]) if gens else 0
+        yield n, ambient, lattice, keys, orbit_size, leader, aut
+
+
+def _unit_orbits(ambient: Module) -> Counter:
+    """The sizes of the orbits of A^n under U, the central units of R, keyed
+    by each orbit's least word."""
+    central = central_units(ambient.ring)
+    return Counter(least_in_orbit(ambient.order, [ambient.act_table[u] for u in central]))
+
+
+def _pair_maps(ambient: Module, lattice: _Lattice, i: int, j: int, keys, units: Counter):
+    """Yield (fmap, |U.f(g_1)|) for the isomorphisms f from lattice.codes[i]
+    onto lattice.codes[j] that keep keys and send g_1, the first generator of
+    codes[i], to the least word of its orbit in units (_unit_orbits), each
+    as fmap, the images of the members of codes[i] in order."""
+    code = lattice.codes[i]
+    gens = code.generators
+    # the position of gens[0] among the members; the zero code's one map
+    # sends its only member to zero, alone in its U-orbit
+    first = code.members.index(gens[0]) if gens else 0
+    for fmap in iter_linear_maps(
+        ambient, ambient, gens, True,
+        target_members=lattice.codes[j].members, key=keys, first_images=units.keys(),
+    ):
+        yield fmap, units[fmap[first]]
+
+
+def _sweep(
+    alphabet: Module,
+    guards: Guards,
+    bounds: tuple[int, int, bool],
+    counts: dict,
+    details: dict,
+    tally: str,
+    key: str,
+):
+    """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
+    lattice.codes[i] onto lattice.codes[j], first codes of the orbits of the
+    codes of A^n that _sweep_lengths lists, each map as fmap, the images of
+    the members of codes[i] in order, when it keeps the key weight of every
+    word.
+
+    For each pair (C, D) of first codes of one isomorphism class, in list
+    order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally]
+    before its maps are visited: Iso(C, D) is the coset f.Aut(C).  Its maps
+    are enumerated once by _pair_maps, keyed on the weights, so a partial
+    map is dropped as soon as it changes the weight of one word, and only
+    the maps f whose image of g_1 = codes[i].generators[0] is the least word
+    of its orbit under U, the central units of R acting on A^n, are visited;
+    each map the caller tallies adds the weight
+    |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.
+    This is exact for tallies invariant under monomial transforms g and h, as
+    f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
+    C -> h(D); and every injective map on a code is onto a code of the same
+    size, its image.  x -> u.x for u in U is such a transform that
+    fixes every code, and f -> u.f sends the maps with f(g_1) = y onto those
+    with f(g_1) = u.y; it keeps weights when u keeps the alphabet's orbit
+    labels, which _sweep_lengths checks.  A witness stops the caller at the
+    first pair and map, in this order, that holds one, with the tallies made
+    so far; a tally's weights count the orbit-mates u.f of each map visited,
+    the witness's included.  Within a pair, the witness is the first failing
+    map of the listing without the restriction, since the u.f of a failing f
+    all fail.
+    """
+    for n, ambient, lattice, keys, sizes, leader, aut in _sweep_lengths(
+        alphabet, guards, bounds, counts, details, key
+    ):
+        units = _unit_orbits(ambient)
+        for i in range(len(lattice.codes)):
             for j in (j for j in leader if leader[j] == leader[i]):
-                weight = orbit_size[i] * orbit_size[j]
+                weight = sizes[i] * sizes[j]
                 counts[tally] += weight * aut[leader[i]]
-                for fmap in iter_linear_maps(
-                    ambient, ambient, gens, True,
-                    target_members=codes[j].members, key=keys, first_images=firsts,
-                ):
-                    yield n, lattice, i, j, fmap, weight * unit_orbit[fmap[first]]
+                for fmap, unit_weight in _pair_maps(ambient, lattice, i, j, keys, units):
+                    yield n, lattice, i, j, fmap, weight * unit_weight
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
@@ -785,7 +818,20 @@ def verify_sufficiency(
     max_gens: Optional[int] = None,
 ) -> VerdictReport:
     """For a cyclic-socle alphabet, check that every swc-preserving
-    isomorphism between enumerated codes extends to a monomial transform."""
+    isomorphism between enumerated codes extends to a monomial transform.
+
+    The pairs (C_i, C_j) are those of _sweep, in its order, and add to
+    "isomorphisms" as there, but group orders replace the listing.  A
+    transform extending C_i -> C_j maps C_i onto C_j, so for i != j every
+    swc-preserving map is a witness; none exists unless the codes have
+    equal multisets of swc profiles, and then a first-leaf search decides.
+    For i = j, the swc-preserving automorphisms form a group P(C), of the
+    order of the swc-keyed stabilizer_chain, and all of them extend exactly
+    when |P(C)| = |E(C)| (_extending_order); each such pair adds
+    |orbit(C)|^2 * |P(C)| to "swc_preserving" and "extended".  The first
+    pair that fails is listed alone as _sweep lists it, which gives the
+    witness and tallies of the listing of every pair, or raises
+    InternalConsistencyError if every map there extends."""
     claim = "every swc-preserving code isomorphism extends to a monomial transform"
     bounds = _sweep_bounds(guards, max_n, max_gens)
     report = socle_report(alphabet, guards)
@@ -798,16 +844,60 @@ def verify_sufficiency(
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
-    for n, lattice, i, j, fmap, weight in _sweep(
-        alphabet, guards, bounds, counts, details, "isomorphisms", "swc"
+    for n, ambient, lattice, keys, sizes, leader, aut in _sweep_lengths(
+        alphabet, guards, bounds, counts, details, "swc"
     ):
-        counts["swc_preserving"] += weight
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
-        if extension_search(cmap, guards=guards).transform is None:
-            details["witness"] = _witness(n, cmap)
-            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        counts["extended"] += weight
+        codes, words = lattice.codes, lattice.words
+        multisets = [sorted(map(keys.__getitem__, code.members)) for code in codes]
+        for i, code in enumerate(codes):
+            for j in (j for j in leader if leader[j] == leader[i]):
+                counts["isomorphisms"] += sizes[i] * sizes[j] * aut[leader[i]]
+                if i == j:
+                    chain = stabilizer_chain(ambient, code.generators, key=keys)
+                    kept = math.prod(size for size, _ in chain)
+                    gen_words = [words[g] for g in code.generators]
+                    if kept == _extending_order(alphabet, n, gen_words, sizes[i], guards):
+                        counts["swc_preserving"] += sizes[i] ** 2 * kept
+                        counts["extended"] += sizes[i] ** 2 * kept
+                        continue
+                elif multisets[i] != multisets[j] or next(iter_linear_maps(
+                    ambient, ambient, code.generators, True,
+                    target_members=codes[j].members, key=keys,
+                ), None) is None:
+                    continue
+                for fmap, unit_weight in _pair_maps(
+                    ambient, lattice, i, j, keys, _unit_orbits(ambient)
+                ):
+                    weight = sizes[i] * sizes[j] * unit_weight
+                    counts["swc_preserving"] += weight
+                    cmap = _code_map_from_tuple(lattice, i, j, fmap)
+                    if extension_search(cmap, guards=guards).transform is None:
+                        details["witness"] = _witness(n, cmap)
+                        return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+                    counts["extended"] += weight
+                raise InternalConsistencyError(
+                    f"the group orders of a code pair at length {n} disagree, "
+                    "yet every swc-preserving map between them extends"
+                )
     return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
+def _extending_order(
+    alphabet: Module, n: int, gen_words: Sequence[Word], orbit_size: int, guards: Guards
+) -> int:
+    """|E(C)|, the number of automorphisms of the code C spanned by gen_words
+    that extend to monomial transforms.  They are the restrictions to C of
+    its stabilizer in G = S_n x| Aut(A)^n, of order |G| / |orbit(C)|, and
+    two restrict alike exactly when they differ by a transform that fixes C
+    pointwise, so |E(C)| = |G| / (|orbit(C)| * |K(C)|).  An orbit size and
+    K(C) whose product does not divide |G| raise InternalConsistencyError."""
+    whole = math.factorial(n) * automorphism_group(alphabet, guards).order ** n
+    fixing = orbit_size * fixing_order(alphabet, n, gen_words, guards)
+    if whole % fixing:
+        raise InternalConsistencyError(
+            f"an orbit of {orbit_size} codes of length {n} does not divide the monomial group"
+        )
+    return whole // fixing
 
 
 # ---------------------------------------------------------------------------

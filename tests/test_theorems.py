@@ -1,6 +1,7 @@
 """Theorem layer: counterexample packs, peeling, and the bounded verifiers."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from eplab.codes import (
     code_generate,
     code_map_make,
     extension_search,
+    fixing_order,
     map_preserves,
     weight_profile,
 )
@@ -1596,17 +1598,25 @@ def test_sufficiency_f2_classical():
 
 def test_sufficiency_reports_a_non_extending_map(monkeypatch):
     real_search = theorems.extension_search
+    real_order = theorems._extending_order
 
     def search(cmap, guards):
         if cmap.source.length == 2 and _moves_a_word(cmap):
             return SimpleNamespace(transform=None, nodes=0)
         return real_search(cmap, guards=guards)
 
+    def order(alphabet, n, *rest):
+        # the same fault in group terms: at length 2 only the identity extends
+        return 1 if n == 2 else real_order(alphabet, n, *rest)
+
     monkeypatch.setattr(theorems, "extension_search", search)
-    # _sweep visits the maps orbit pair by orbit pair, weighting each tally by
-    # the pair; the first that moves a word swaps (0, 1) and (1, 0), and the
-    # 2 + 5 codes of lengths 1 and 2 are counted when each length starts.
-    # The only central unit of F_2 is 1, so the sweep visits every map
+    monkeypatch.setattr(theorems, "_extending_order", order)
+    # the pairs are taken orbit pair by orbit pair, weighting each tally by
+    # the pair; F_2^2 is the first code of length 2 with an automorphism
+    # that moves a word, which swaps (0, 1) and (1, 0), so its order check
+    # fails and its listing gives the witness.  The 2 + 5 codes of lengths 1
+    # and 2 are counted when each length starts.  The only central unit of
+    # F_2 is 1, so the listing visits every map
     report = verify_sufficiency(matrix_module(1, 2, 1), max_n=2)
     assert report.as_json() == {
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
@@ -1621,6 +1631,160 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
             },
         },
     }
+
+
+def _sufficiency_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None):
+    """The former verify_sufficiency, the oracle for the one by group
+    orders: every swc-keyed map that _sweep yields goes to extension_search,
+    and the first that does not extend is the witness.  The socle gate is
+    read through theorems, so that a test can force it open."""
+    claim = "every swc-preserving code isomorphism extends to a monomial transform"
+    bounds = _sweep_bounds(guards, max_n, max_gens)
+    hypotheses = {"socle_cyclic": theorems.socle_report(alphabet, guards).cyclic}
+    if not hypotheses["socle_cyclic"]:
+        return VerdictReport(
+            claim, "hypotheses-unmet", hypotheses, {},
+            {"note": "the extension property is only claimed for cyclic socles"},
+        )
+    counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
+    details = {}
+    for n, lattice, i, j, fmap, weight in _sweep(
+        alphabet, guards, bounds, counts, details, "isomorphisms", "swc"
+    ):
+        counts["swc_preserving"] += weight
+        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        if extension_search(cmap, guards=guards).transform is None:
+            details["witness"] = theorems._witness(n, cmap)
+            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+        counts["extended"] += weight
+    return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
+@pytest.mark.parametrize(
+    "name, max_n, max_gens",
+    [*((name, max_n, 2) for name, (_, max_n) in SUFFICIENCY_ALPHABETS.items()), ("f2", 5, 5)],
+    ids=[*SUFFICIENCY_ALPHABETS, "f2-n5-full"],
+)
+def test_sufficiency_by_group_orders_matches_the_listing(name, max_n, max_gens):
+    alphabet = SUFFICIENCY_ALPHABETS[name][0]
+    report = verify_sufficiency(alphabet, WIDE_GUARDS, max_n=max_n, max_gens=max_gens)
+    expected = _sufficiency_by_listing(alphabet, WIDE_GUARDS, max_n=max_n, max_gens=max_gens)
+    assert report.result == "verified"
+    assert report.as_json() == expected.as_json()
+
+
+def test_a_verified_sufficiency_sweep_searches_for_no_extension(monkeypatch):
+    """On the benchmark's sufficiency alphabets, each verified with its
+    pinned counts, extension_search is never called."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return extension_search(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "extension_search", spy)
+    for name, ring, module, max_n, counts in _load("workloads").SUFFICIENCY:
+        report = verify_sufficiency(module_make(ring_make(ring), module), max_n=max_n, max_gens=2)
+        assert (name, report.result, report.counts) == (name, "verified", counts)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alphabet", [matrix_module(1, 2, 2), z4_klein()], ids=["f2-col2", "z4-klein"])
+def test_sufficiency_reports_a_map_between_distinct_orbits(alphabet, monkeypatch):
+    """With the socle gate forced open, two alphabets whose socles are not
+    cyclic have an swc-preserving map between the first codes of two
+    orbits at length 3, which no monomial transform extends; the report is
+    the listing's, and its witness joins two distinct codes."""
+    monkeypatch.setattr(theorems, "socle_report", lambda *args: SimpleNamespace(cyclic=True))
+    report = verify_sufficiency(alphabet, max_n=3, max_gens=2)
+    assert report.as_json() == _sufficiency_by_listing(alphabet, max_n=3, max_gens=2).as_json()
+    assert report.result == "counterexample"
+    witness = report.details["witness"]
+    source, target = (
+        code_generate(alphabet, witness["length"], witness[words])
+        for words in ("generators", "gen_images")
+    )
+    assert source.elements != target.elements
+
+
+def test_sufficiency_raises_when_the_orders_disagree_but_every_map_extends(monkeypatch):
+    # no code has |E(C)| = 0, so the zero code of length 1 fails its order
+    # check, and the one map of its listing, the identity, extends
+    monkeypatch.setattr(theorems, "_extending_order", lambda *args: 0)
+    with pytest.raises(InternalConsistencyError, match="group orders .* disagree"):
+        verify_sufficiency(matrix_module(1, 2, 1), max_n=2)
+
+
+def test_sufficiency_raises_when_an_orbit_does_not_divide_the_group(monkeypatch):
+    # on F_2 the monomial group of length n has order n!, which 7 does not
+    # divide for n < 7
+    monkeypatch.setattr(theorems, "fixing_order", lambda *args: 7)
+    with pytest.raises(InternalConsistencyError, match="does not divide"):
+        verify_sufficiency(matrix_module(1, 2, 1), max_n=2)
+
+
+# the alphabets of the brute-force checks of the two group orders
+ORDER_ALPHABETS = {
+    "z4": lambda: module_make(mod_ring(4), {"kind": "regular"}),
+    "f3": lambda: matrix_module(1, 3, 1),
+    "f4": lambda: matrix_module(1, 4, 1),
+    "z9": lambda: module_make(mod_ring(9), {"kind": "regular"}),
+}
+
+
+@functools.cache
+def _full_lattice_lengths(name, key):
+    """The alphabet ORDER_ALPHABETS[name] and, for each length n <= 3 of a
+    sweep on its full lattice keyed on the given weight, (n, ambient,
+    lattice, keys, aut), with aut[i] = |Aut(lattice.codes[i])|."""
+    alphabet = ORDER_ALPHABETS[name]()
+    guards = Guards(max_order=729)
+    lengths = theorems._sweep_lengths(
+        alphabet, guards, _sweep_bounds(guards, 3, 3), {"codes": 0}, {}, key
+    )
+    return alphabet, [
+        (n, ambient, lattice, keys, [aut[leader[i]] for i in range(len(lattice.codes))])
+        for n, ambient, lattice, keys, _, leader, aut in lengths
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
+def test_fixing_order_counts_the_transforms_that_fix_every_generator(name):
+    """|K(C)| against the count of the (sigma, tau) in S_n x| Aut(A)^n, each
+    applied to every generator, on every orbit first of length n <= 3."""
+    alphabet, lengths = _full_lattice_lengths(name, "swc")
+    auts = automorphism_group(alphabet).elements
+    codes = 0
+    for n, _, lattice, *_ in lengths:
+        for code in lattice.codes:
+            gens = [lattice.words[g] for g in code.generators]
+            fixing = sum(
+                all(tau[g[s]] == g[i] for g in gens for i, (s, tau) in enumerate(zip(sigma, taus)))
+                for sigma in itertools.permutations(range(n))
+                for taus in itertools.product(auts, repeat=n)
+            )
+            assert fixing_order(alphabet, n, gens) == fixing
+            codes += 1
+    assert codes > 10
+
+
+@pytest.mark.parametrize("key", ["hamming", "swc"])
+@pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
+def test_keyed_chain_order_counts_the_keyed_automorphisms(name, key):
+    """The order of stabilizer_chain with a key against the listing of the
+    automorphisms of the code that keep the key, on every orbit first of
+    length n <= 3."""
+    smaller = 0
+    for _, ambient, lattice, keys, aut in _full_lattice_lengths(name, key)[1]:
+        for code, whole in zip(lattice.codes, aut):
+            chain = modules.stabilizer_chain(ambient, code.generators, key=keys)
+            listed = iter_linear_maps(
+                ambient, ambient, code.generators, True, target_members=code.members, key=keys
+            )
+            order = math.prod(size for size, _ in chain)
+            assert order == len(list(listed))
+            smaller += order < whole
+    assert smaller > 0
 
 
 def test_sufficiency_needs_cyclic_socle():
