@@ -195,6 +195,7 @@ def _cases() -> dict:
     # and of F_2^n for n <= 7: 32,501 codes
     f2n7 = ["verify-sufficiency", "--max-n", "7", "--max-gens", "7", "--max-order", "128"]
     cases["verify-sufficiency-f2-n7-g7"] = (f2n7, "f2")
+    cases["verify-midway-f2-n7-g7"] = (["verify-midway", *f2n7[1:]], "f2")
     # every code of F_4^4 and F_8^3: the full lattices
     f4n4 = ["verify-sufficiency", "--max-n", "4", "--max-gens", "4", "--max-order", "256"]
     cases["verify-sufficiency-f4-n4-g4"] = (f4n4, "f4")
