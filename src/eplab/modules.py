@@ -382,27 +382,27 @@ def orbit_lattice(
 
 def isomorphism_leaders(
     module: Module, subs: Sequence[Submodule], indices: Iterable[int]
-) -> dict[int, int]:
-    """leader[i], for i in indices, is the first j of indices with subs[j]
-    isomorphic to subs[i].  Isomorphic submodules have equal multisets of
-    element annihilators, and then S is isomorphic to T exactly when an
-    injective map S -> T exists: a first-leaf search, keyed on annihilator
-    classes, which isomorphisms preserve."""
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """(leader, isos): leader[i], for i in indices, is the first j of indices
+    with subs[j] isomorphic to subs[i], and isos[i] an isomorphism onto it,
+    as the images of the members of subs[i].  Isomorphic submodules have
+    equal annihilator multisets, and then S is isomorphic to T exactly when
+    an injective map S -> T exists: a first-leaf search keyed on them."""
     anns = partition(module, "annihilator")
-    leader, classes = {}, {}
+    leader, isos, classes = {}, {}, {}
     for i in indices:
         shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
         for j in shape:
-            maps = iter_linear_maps(
+            isos[i] = next(iter_linear_maps(
                 module, module, subs[i].generators, True, target_members=subs[j].members, key=anns
-            )
-            if next(maps, None):
+            ), None)
+            if isos[i] is not None:
                 leader[i] = j
                 break
         else:
-            leader[i] = i
+            leader[i], isos[i] = i, subs[i].members
             shape.append(i)
-    return leader
+    return leader, isos
 
 
 class AutGroup:
@@ -484,15 +484,20 @@ def stabilizer_chain(module: Module, gens: Sequence[int], key: Optional[Sequence
         yield size, level
 
 
+def chain_group(chain) -> tuple[int, list]:
+    """The order of a stabilizer_chain's group and the kept generators."""
+    order, kept = 1, []
+    for size, level in chain:
+        order, kept = order * size, kept + level
+    return order, kept
+
+
 def automorphism_group(module: Module, guards: Guards = DEFAULT_GUARDS) -> AutGroup:
     """Aut(A) as the stabilizer_chain along module_generators(A): the product
     of its sizes and the automorphisms it kept, at most log2 |Aut(A)|."""
     check_guard(module.order, guards.max_order, f"module order {module.order}")
     if "aut_group" not in module._cache:
-        order, kept = 1, []
-        for size, level in stabilizer_chain(module, module_generators(module)):
-            order *= size
-            kept += level
+        order, kept = chain_group(stabilizer_chain(module, module_generators(module)))
         module._cache["aut_group"] = AutGroup(module, order, tuple(kept))
     return module._cache["aut_group"]
 

@@ -16,6 +16,7 @@ nothing is emitted on trust.
 """
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 from typing import Optional, Sequence
@@ -52,6 +53,7 @@ from .modules import (
     Module,
     annihilator_sets,
     automorphism_group,
+    chain_group,
     direct_power,
     embedding_search,
     is_pseudo_injective,
@@ -542,10 +544,8 @@ class _Lattice:
     """One length n of a sweep: words[x] is the word at ambient index x of
     A^n, profiles[x] an id of its sorted orbit labels, and codes the first
     code of each orbit that orbit_lattice lists.  code(k) builds codes[k]
-    as a Code the first time it is asked for, so every map of the length
-    that starts or ends at it shares one Code and its column fingerprints.
-    Ascending indices are ascending words, so a code's elements follow its
-    members."""
+    as a Code once, shared with its column fingerprints by every map listed
+    from or onto it; a code's elements follow its ascending members."""
 
     alphabet: Module
     words: list[Word]
@@ -608,30 +608,22 @@ def _sweep_bounds(
     return max_n, max_gens, True
 
 
-def _sweep_lengths(
-    alphabet: Module,
-    guards: Guards,
-    bounds: tuple[int, int, bool],
-    counts: dict,
-    details: dict,
-    key: str,
-):
-    """Yield (n, ambient, lattice, keys, sizes, leader, aut) for each length
-    n = 1..max_n: ambient = A^n; the _Lattice of its words, their profiles
-    and the first code of each orbit of its codes that need at most max_gens
-    generators, from orbit_lattice under _monomial_generators; keys[x], an
-    id of the key weight (a kind of weight_labels) of word x; sizes[i], the
-    orbit size of codes[i], summed into counts["codes"] when the length
-    starts; leader[i], the first code isomorphic to codes[i]
-    (isomorphism_leaders); and aut[leader[i]] = |Aut(codes[i])|, the order
-    of stabilizer_chain.  A code larger than the max_code guard raises
-    GuardExceeded before its length is searched.  Before the first length,
-    every central unit of R must keep the alphabet's orbit labels
-    (InternalConsistencyError otherwise).  details gets "lengths" and
-    "max_generators"; bounds comes from _sweep_bounds.  A length whose
-    ambient order overflows the guard ends the sweep, or raises when max_n
-    was given explicitly or n = 1.
-    """
+def _sweep_lengths(alphabet: Module, guards: Guards, bounds, counts: dict, details: dict, key: str):
+    """Yield (n, ambient, lattice, keys, sizes, leader, aut, keyed) for each
+    length n = 1..max_n: ambient = A^n; the _Lattice of its words, their
+    profiles and the first code of each orbit of its codes that need at most
+    max_gens generators, from orbit_lattice under _monomial_generators;
+    keys[x], an id of the key weight (a kind of weight_labels) of word x;
+    sizes[i], the orbit size of codes[i], summed into counts["codes"] when
+    the length starts; leader[i], the first code isomorphic to codes[i]
+    (isomorphism_leaders); aut[leader[i]], the _group of codes[i]; and
+    keyed(i), that of the automorphisms of codes[i] that keep keys
+    (_keyed_group).  A code over the max_code guard raises GuardExceeded
+    before its length is searched, and a central unit of R that moves an
+    orbit label InternalConsistencyError before the first.  details gets
+    "lengths" and "max_generators"; bounds comes from _sweep_bounds.  A
+    length whose ambient order overflows the guard ends the sweep, or
+    raises when max_n was given explicitly or n = 1."""
     max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
     labels = partition(alphabet, "orbit", guards=guards)
@@ -639,6 +631,7 @@ def _sweep_lengths(
     act = alphabet.act_table
     if any(labels[act[u][a]] != labels[a] for u in central for a in alphabet.elements()):
         raise InternalConsistencyError("a central unit moves an element out of its orbit")
+    groups: dict = {}
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:
             if strict or n == 1:
@@ -663,27 +656,68 @@ def _sweep_lengths(
         counts["codes"] += sum(orbit_size)
         for code in codes:
             check_guard(len(code.members), guards.max_code, "code size")
-        leader = isomorphism_leaders(ambient, codes, range(len(codes)))
-        aut = {
-            i: math.prod(size for size, _ in stabilizer_chain(ambient, codes[i].generators))
-            for i in set(leader.values())
-        }
+        leader, isos = isomorphism_leaders(ambient, codes, range(len(codes)))
+        aut = {i: _group(groups, ambient, codes[i]) for i in set(leader.values())}
+        keyed = functools.partial(_keyed_group, groups, ambient, codes, keys, leader, isos, aut)
         lattice = _Lattice(alphabet, words, profiles, codes)
-        yield n, ambient, lattice, keys, orbit_size, leader, aut
+        yield n, ambient, lattice, keys, orbit_size, leader, aut, keyed
 
 
-def _unit_orbits(ambient: Module) -> Counter:
-    """The sizes of the orbits of A^n under U, the central units of R, keyed
-    by each orbit's least word."""
-    central = central_units(ambient.ring)
-    return Counter(least_in_orbit(ambient.order, [ambient.act_table[u] for u in central]))
+def _keeps(table: Sequence, members: Sequence[int], fmap: Sequence[int]) -> bool:
+    """Whether fmap, the images of members in order, keeps table on them."""
+    return list(map(table.__getitem__, members)) == list(map(table.__getitem__, fmap))
+
+
+def _group(groups: dict, ambient: Module, code: Submodule, keys=None) -> tuple[int, list]:
+    """The chain_group of stabilizer_chain on code, keyed on keys if given,
+    once per member tuple: a code of length n comes back at n + 1 as the same
+    indices with a zero first column, where tables and weights agree."""
+    slot = (code.members, keys is None)
+    if slot not in groups:
+        groups[slot] = chain_group(stabilizer_chain(ambient, code.generators, key=keys))
+    return groups[slot]
+
+
+def _keyed_group(groups, ambient, codes, keys, leader, isos, aut, i: int) -> tuple[int, list]:
+    """The _group of codes[i] keyed on keys, with no keyed chain when the
+    automorphisms aut[j] kept, j = leader[i], carried by isos[i] onto
+    generators of Aut(codes[i]), all keep keys, so that Aut(codes[i]) does."""
+    code, j = codes[i], leader[i]
+    if (code.members, False) not in groups:
+        back = dict(zip(isos[i], code.members))
+        position = {y: p for p, y in enumerate(codes[j].members)}
+        kept = [tuple([back[h[position[y]]] for y in isos[i]]) for h in aut[j][1]]
+        if all(_keeps(keys, code.members, h) for h in kept):
+            groups[code.members, False] = aut[j][0], kept
+    return _group(groups, ambient, code, keys)
+
+
+def _pairs(ambient: Module, codes: Sequence[Submodule], keys, leader: dict):
+    """Yield (i, j, first) for the pairs of codes of one isomorphism class, in
+    list order: first, the first map codes[i] -> codes[j] that keeps keys,
+    or None, is the identity for i = j, else a first-leaf search if the
+    multisets of keys agree.  The maps that keep keys are first.Aut_k(C_i)."""
+    multisets = [sorted(map(keys.__getitem__, code.members)) for code in codes]
+    classes: dict = {}
+    for j, first in leader.items():
+        classes.setdefault(first, []).append(j)
+    for i, code in enumerate(codes):
+        for j in classes[leader[i]]:
+            first = code.members if i == j else None
+            if i != j and multisets[i] == multisets[j]:
+                first = next(iter_linear_maps(
+                    ambient, ambient, code.generators, True,
+                    target_members=codes[j].members, key=keys,
+                ), None)
+            yield i, j, first
 
 
 def _pair_maps(ambient: Module, lattice: _Lattice, i: int, j: int, keys, units: Counter):
-    """Yield (fmap, |U.f(g_1)|) for the isomorphisms f from lattice.codes[i]
-    onto lattice.codes[j] that keep keys and send g_1, the first generator of
-    codes[i], to the least word of its orbit in units (_unit_orbits), each
-    as fmap, the images of the members of codes[i] in order."""
+    """Yield (fmap, |U.f(g_1)|) for the isomorphisms f, as the images of the
+    members of lattice.codes[i], onto codes[j] that keep keys and send g_1
+    to the least word of its orbit in units, the orbit sizes under U, the
+    central units of R, by least word.  x -> u.x fixes every code and keeps
+    weights, and f -> u.f sends f(g_1) = y to u.y: f stands for |U.f(g_1)|."""
     code = lattice.codes[i]
     gens = code.generators
     # the position of gens[0] among the members; the zero code's one map
@@ -696,53 +730,14 @@ def _pair_maps(ambient: Module, lattice: _Lattice, i: int, j: int, keys, units: 
         yield fmap, units[fmap[first]]
 
 
-def _sweep(
-    alphabet: Module,
-    guards: Guards,
-    bounds: tuple[int, int, bool],
-    counts: dict,
-    details: dict,
-    tally: str,
-    key: str,
-):
-    """Yield (n, lattice, i, j, fmap, weight) for the isomorphisms from
-    lattice.codes[i] onto lattice.codes[j], first codes of the orbits of the
-    codes of A^n that _sweep_lengths lists, each map as fmap, the images of
-    the members of codes[i] in order, when it keeps the key weight of every
-    word.
-
-    For each pair (C, D) of first codes of one isomorphism class, in list
-    order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally]
-    before its maps are visited: Iso(C, D) is the coset f.Aut(C).  Its maps
-    are enumerated once by _pair_maps, keyed on the weights, so a partial
-    map is dropped as soon as it changes the weight of one word, and only
-    the maps f whose image of g_1 = codes[i].generators[0] is the least word
-    of its orbit under U, the central units of R acting on A^n, are visited;
-    each map the caller tallies adds the weight
-    |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.
-    This is exact for tallies invariant under monomial transforms g and h, as
-    f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
-    C -> h(D); and every injective map on a code is onto a code of the same
-    size, its image.  x -> u.x for u in U is such a transform that
-    fixes every code, and f -> u.f sends the maps with f(g_1) = y onto those
-    with f(g_1) = u.y; it keeps weights when u keeps the alphabet's orbit
-    labels, which _sweep_lengths checks.  A witness stops the caller at the
-    first pair and map, in this order, that holds one, with the tallies made
-    so far; a tally's weights count the orbit-mates u.f of each map visited,
-    the witness's included.  Within a pair, the witness is the first failing
-    map of the listing without the restriction, since the u.f of a failing f
-    all fail.
-    """
-    for n, ambient, lattice, keys, sizes, leader, aut in _sweep_lengths(
-        alphabet, guards, bounds, counts, details, key
-    ):
-        units = _unit_orbits(ambient)
-        for i in range(len(lattice.codes)):
-            for j in (j for j in leader if leader[j] == leader[i]):
-                weight = sizes[i] * sizes[j]
-                counts[tally] += weight * aut[leader[i]]
-                for fmap, unit_weight in _pair_maps(ambient, lattice, i, j, keys, units):
-                    yield n, lattice, i, j, fmap, weight * unit_weight
+def _failing_pair(ambient: Module, lattice: _Lattice, n: int, i: int, j: int, keys, weight: int):
+    """Yield (fmap, weight * |U.f(g_1)|) for the maps _pair_maps lists on a
+    pair whose group orders show a witness; running out of maps raises."""
+    central = [ambient.act_table[u] for u in central_units(ambient.ring)]
+    units = Counter(least_in_orbit(ambient.order, central))
+    for fmap, unit_weight in _pair_maps(ambient, lattice, i, j, keys, units):
+        yield fmap, weight * unit_weight
+    raise InternalConsistencyError(f"the group orders at length {n} disagree, yet no map fails")
 
 
 def _witness(n: int, cmap: CodeMap, **extra) -> dict:
@@ -766,10 +761,15 @@ def verify_midway(
     max_gens: Optional[int] = None,
 ) -> VerdictReport:
     """Sweep all codes and linear monomorphisms within bounds and assert that
-    Hamming preservation and swc preservation coincide.  Every swc-preserving
-    map is tallied as peeled: midway_peeling cannot fail on it once orbits
-    refine annihilator classes, which is checked before the sweep.  Only a
-    witness becomes a CodeMap."""
+    Hamming preservation and swc preservation coincide.
+
+    Each pair (C_i, C_j) of _pairs adds |orbit_i| * |orbit_j| * |Aut(C_i)|
+    to "monomorphisms".  Its Hamming-preserving maps are none or the coset
+    first.H, H generated by the kept maps of keyed(i); all keep swc exactly
+    when first and those do, and then the pair adds |orbit_i| * |orbit_j| *
+    |H| to "hamming_preserving" and "peeled".  Unlike sufficiency, it passes
+    no code by |E(C)| = |Aut(C)|, which rests on monomial transforms keeping
+    swc profiles.  The first pair that fails is listed (_failing_pair)."""
     claim = "Hamming preservation is equivalent to swc preservation for code monomorphisms"
     bounds = _sweep_bounds(guards, max_n, max_gens)
     ring = alphabet.ring
@@ -791,19 +791,30 @@ def verify_midway(
     details: dict = {}
     # 0 is alone in its orbit, so swc preservation implies Hamming
     # preservation: keying on Hamming weights loses no tallied map or witness
-    for n, lattice, i, j, fmap, weight in _sweep(
-        alphabet, guards, bounds, counts, details, "monomorphisms", "hamming"
+    for n, ambient, lattice, keys, sizes, leader, aut, keyed in _sweep_lengths(
+        alphabet, guards, bounds, counts, details, "hamming"
     ):
-        profiles = lattice.profiles
-        if not all(profiles[x] == profiles[y] for x, y in zip(lattice.codes[i].members, fmap)):
-            cmap = _code_map_from_tuple(lattice, i, j, fmap)
-            details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
-            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-        counts["hamming_preserving"] += weight
-        # equal orbit profiles give equal annihilator multisets, as orbits
-        # refine annihilator classes, and a peel of equal multisets removes
-        # equal counts at every stage: midway_peeling verifies this map
-        counts["peeled"] += weight
+        for i, j, first in _pairs(ambient, lattice.codes, keys, leader):
+            weight = sizes[i] * sizes[j]
+            counts["monomorphisms"] += weight * aut[leader[i]][0]
+            if first is None:
+                continue
+            order, kept = keyed(i)
+            members = lattice.codes[i].members
+            # a map tallied counts as peeled: equal orbit profiles give equal
+            # annihilator multisets, as orbits refine annihilator classes, and a
+            # peel of equal multisets removes equal counts at every stage
+            if all(_keeps(lattice.profiles, members, h) for h in (first, *kept)):
+                counts["hamming_preserving"] += weight * order
+                counts["peeled"] += weight * order
+                continue
+            for fmap, map_weight in _failing_pair(ambient, lattice, n, i, j, keys, weight):
+                if not _keeps(lattice.profiles, members, fmap):
+                    cmap = _code_map_from_tuple(lattice, i, j, fmap)
+                    details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
+                    return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+                counts["hamming_preserving"] += map_weight
+                counts["peeled"] += map_weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 
@@ -820,18 +831,14 @@ def verify_sufficiency(
     """For a cyclic-socle alphabet, check that every swc-preserving
     isomorphism between enumerated codes extends to a monomial transform.
 
-    The pairs (C_i, C_j) are those of _sweep, in its order, and add to
-    "isomorphisms" as there, but group orders replace the listing.  A
-    transform extending C_i -> C_j maps C_i onto C_j, so for i != j every
-    swc-preserving map is a witness; none exists unless the codes have
-    equal multisets of swc profiles, and then a first-leaf search decides.
-    For i = j, the swc-preserving automorphisms form a group P(C), of the
-    order of the swc-keyed stabilizer_chain, and all of them extend exactly
-    when |P(C)| = |E(C)| (_extending_order); each such pair adds
-    |orbit(C)|^2 * |P(C)| to "swc_preserving" and "extended".  The first
-    pair that fails is listed alone as _sweep lists it, which gives the
-    witness and tallies of the listing of every pair, or raises
-    InternalConsistencyError if every map there extends."""
+    Each pair (C_i, C_j) of _pairs adds |orbit_i| * |orbit_j| * |Aut(C_i)|
+    to "isomorphisms".  A transform extending C_i -> C_j maps C_i onto C_j,
+    so for i != j the pair's first map is a witness.  For i = j, the
+    swc-preserving automorphisms P(C), of the order of keyed(i), all extend
+    exactly when |P(C)| = |E(C)| (_extending_order), which holds with no
+    keyed chain when |E(C)| = |Aut(C)|, as E(C) <= P(C) <= Aut(C); the pair
+    then adds |orbit(C)|^2 * |E(C)| to "swc_preserving" and "extended".  The
+    first pair that fails is listed (_failing_pair) for extension_search."""
     claim = "every swc-preserving code isomorphism extends to a monomial transform"
     bounds = _sweep_bounds(guards, max_n, max_gens)
     report = socle_report(alphabet, guards)
@@ -844,41 +851,29 @@ def verify_sufficiency(
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
-    for n, ambient, lattice, keys, sizes, leader, aut in _sweep_lengths(
+    for n, ambient, lattice, keys, sizes, leader, aut, keyed in _sweep_lengths(
         alphabet, guards, bounds, counts, details, "swc"
     ):
-        codes, words = lattice.codes, lattice.words
-        multisets = [sorted(map(keys.__getitem__, code.members)) for code in codes]
-        for i, code in enumerate(codes):
-            for j in (j for j in leader if leader[j] == leader[i]):
-                counts["isomorphisms"] += sizes[i] * sizes[j] * aut[leader[i]]
-                if i == j:
-                    chain = stabilizer_chain(ambient, code.generators, key=keys)
-                    kept = math.prod(size for size, _ in chain)
-                    gen_words = [words[g] for g in code.generators]
-                    if kept == _extending_order(alphabet, n, gen_words, sizes[i], guards):
-                        counts["swc_preserving"] += sizes[i] ** 2 * kept
-                        counts["extended"] += sizes[i] ** 2 * kept
-                        continue
-                elif multisets[i] != multisets[j] or next(iter_linear_maps(
-                    ambient, ambient, code.generators, True,
-                    target_members=codes[j].members, key=keys,
-                ), None) is None:
+        for i, j, first in _pairs(ambient, lattice.codes, keys, leader):
+            weight = sizes[i] * sizes[j]
+            whole = aut[leader[i]][0]
+            counts["isomorphisms"] += weight * whole
+            if i == j:
+                gen_words = [lattice.words[g] for g in lattice.codes[i].generators]
+                extending = _extending_order(alphabet, n, gen_words, sizes[i], guards)
+                if extending == whole or extending == keyed(i)[0]:
+                    counts["swc_preserving"] += weight * extending
+                    counts["extended"] += weight * extending
                     continue
-                for fmap, unit_weight in _pair_maps(
-                    ambient, lattice, i, j, keys, _unit_orbits(ambient)
-                ):
-                    weight = sizes[i] * sizes[j] * unit_weight
-                    counts["swc_preserving"] += weight
-                    cmap = _code_map_from_tuple(lattice, i, j, fmap)
-                    if extension_search(cmap, guards=guards).transform is None:
-                        details["witness"] = _witness(n, cmap)
-                        return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-                    counts["extended"] += weight
-                raise InternalConsistencyError(
-                    f"the group orders of a code pair at length {n} disagree, "
-                    "yet every swc-preserving map between them extends"
-                )
+            elif first is None:
+                continue
+            for fmap, map_weight in _failing_pair(ambient, lattice, n, i, j, keys, weight):
+                counts["swc_preserving"] += map_weight
+                cmap = _code_map_from_tuple(lattice, i, j, fmap)
+                if extension_search(cmap, guards=guards).transform is None:
+                    details["witness"] = _witness(n, cmap)
+                    return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+                counts["extended"] += map_weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 

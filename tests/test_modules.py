@@ -950,21 +950,23 @@ def test_chain_order_counts_every_automorphism_of_every_code(name):
 @pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
 def test_isomorphism_leaders_match_the_injective_map_relation(name):
     """C and D are isomorphic exactly when |C| = |D| and some injective
-    linear map C -> D exists; the leader of C is the first such D."""
+    linear map C -> D exists; the leader of C is the first such D, and the
+    isomorphism returned with it is one of those maps, onto the leader."""
     classes = listed = 0
     for ambient, codes, _ in _every_code(name):
 
-        def injects(c, d):
+        def injections(c, d):
             if len(c) != len(d):
-                return False
-            maps = iter_linear_maps(
+                return []
+            return list(iter_linear_maps(
                 ambient, ambient, c.generators, injective=True, target_members=frozenset(d.members)
-            )
-            return next(maps, None) is not None
+            ))
 
-        leader = isomorphism_leaders(ambient, codes, range(len(codes)))
+        leader, isos = isomorphism_leaders(ambient, codes, range(len(codes)))
         for i, code in enumerate(codes):
-            assert leader[i] == next(j for j, other in enumerate(codes) if injects(code, other))
+            assert leader[i] == next(j for j, other in enumerate(codes) if injections(code, other))
+            assert isos[i] in injections(code, codes[leader[i]])
+            assert leader[i] != i or isos[i] == code.members
         classes += len(set(leader.values()))
         listed += len(codes)
     assert 4 < classes < listed
@@ -1020,7 +1022,7 @@ def test_isomorphism_leaders_split_a_shape_class():
         {m.act_table[r][a] for r in (2, 4, 6) for a in m.elements()} for m in (m1, m2)
     ]
     assert [len(submodule_generated(m, rad)) for m, rad in zip((m1, m2), radicals)] == [4, 8]
-    assert isomorphism_leaders(ambient, subs, range(2)) == {0: 0, 1: 1}
+    assert isomorphism_leaders(ambient, subs, range(2))[0] == {0: 0, 1: 1}
 
 
 @pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, _relabelled_klein])

@@ -77,7 +77,6 @@ from eplab.theorems import (
     _monomial_generators,
     _projection,
     _subspaces,
-    _sweep,
     _sweep_bounds,
 )
 from test_codes import column_fingerprint
@@ -1633,6 +1632,61 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
     }
 
 
+def _sweep(alphabet, guards, bounds, counts, details, tally, key):
+    """The former listing kernel of both sweeps, the oracle for the sweeps by
+    group orders: yield (n, lattice, i, j, fmap, weight) for the
+    isomorphisms from lattice.codes[i] onto lattice.codes[j], first codes
+    of the orbits of the codes of A^n that _sweep_lengths lists, each map as
+    fmap, the images of the members of codes[i] in order, when it keeps the
+    key weight of every word.
+
+    For each pair (C, D) of first codes of one isomorphism class, in list
+    order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally]
+    before its maps are visited: Iso(C, D) is the coset f.Aut(C).  Its maps
+    are enumerated once by _pair_maps, keyed on the weights, and only the
+    maps f whose image of g_1 = codes[i].generators[0] is the least word of
+    its orbit under U, the central units of R acting on A^n, are visited;
+    each weighs |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.  This is
+    exact for tallies invariant under monomial transforms g and h, as
+    f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
+    C -> h(D)."""
+    for n, ambient, lattice, keys, sizes, leader, aut, _ in theorems._sweep_lengths(
+        alphabet, guards, bounds, counts, details, key
+    ):
+        central = [ambient.act_table[u] for u in central_units(ambient.ring)]
+        units = Counter(modules.least_in_orbit(ambient.order, central))
+        for i in range(len(lattice.codes)):
+            for j in (j for j in leader if leader[j] == leader[i]):
+                weight = sizes[i] * sizes[j]
+                counts[tally] += weight * aut[leader[i]][0]
+                for fmap, unit_weight in theorems._pair_maps(ambient, lattice, i, j, keys, units):
+                    yield n, lattice, i, j, fmap, weight * unit_weight
+
+
+def _midway_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None):
+    """The former verify_midway, the oracle for the one by group orders:
+    every Hamming-keyed map that _sweep yields is checked for swc profiles,
+    and the first that breaks one is the witness.  The alphabet must meet
+    the midway hypotheses."""
+    claim = "Hamming preservation is equivalent to swc preservation for code monomorphisms"
+    bounds = _sweep_bounds(guards, max_n, max_gens)
+    hypotheses = {"ring_left_pir": True, "alphabet_pseudo_injective": True}
+    assert is_left_pir(alphabet.ring, guards) and modules.is_pseudo_injective(alphabet, guards)
+    counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
+    details = {}
+    for n, lattice, i, j, fmap, weight in _sweep(
+        alphabet, guards, bounds, counts, details, "monomorphisms", "hamming"
+    ):
+        profiles = lattice.profiles
+        if not all(profiles[x] == profiles[y] for x, y in zip(lattice.codes[i].members, fmap)):
+            cmap = _code_map_from_tuple(lattice, i, j, fmap)
+            details["witness"] = theorems._witness(n, cmap, hamming_preserved=True, swc_preserved=False)
+            return VerdictReport(claim, "counterexample", hypotheses, counts, details)
+        counts["hamming_preserving"] += weight
+        counts["peeled"] += weight
+    return VerdictReport(claim, "verified", hypotheses, counts, details)
+
+
 def _sufficiency_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None):
     """The former verify_sufficiency, the oracle for the one by group
     orders: every swc-keyed map that _sweep yields goes to extension_search,
@@ -1671,6 +1725,78 @@ def test_sufficiency_by_group_orders_matches_the_listing(name, max_n, max_gens):
     expected = _sufficiency_by_listing(alphabet, WIDE_GUARDS, max_n=max_n, max_gens=max_gens)
     assert report.result == "verified"
     assert report.as_json() == expected.as_json()
+
+
+# (alphabet, max_n, max_gens, guards) of the midway oracle: the midway
+# alphabets at n <= 3, the benchmark's scope, and F_2 on its full lattice
+MIDWAY_LISTING_CASES = {
+    **{name: (alphabet, 3, 2, Guards(max_order=512))
+       for name, alphabet in zip(MIDWAY_IDS, MIDWAY_ALPHABETS)},
+    "f2-n5-full": (matrix_module(1, 2, 1), 5, 5, Guards()),
+}
+
+
+@pytest.mark.parametrize("name", list(MIDWAY_LISTING_CASES))
+def test_midway_by_group_orders_matches_the_listing(name):
+    alphabet, max_n, max_gens, guards = MIDWAY_LISTING_CASES[name]
+    report = verify_midway(alphabet, guards, max_n=max_n, max_gens=max_gens)
+    expected = _midway_by_listing(alphabet, guards, max_n=max_n, max_gens=max_gens)
+    assert report.result == "verified"
+    assert report.as_json() == expected.as_json()
+
+
+@pytest.mark.parametrize("name", ["z4-klein", "f2-col2", "z4-klein-relabelled"])
+def test_midway_witness_matches_the_listing_when_every_element_is_its_own_orbit(
+    name, monkeypatch
+):
+    """With every element its own orbit, maps that keep Hamming weights break
+    swc profiles; the central units of these alphabets fix every element.
+    The witness, its pair and the tallies so far are the listing's."""
+    _own_orbits(monkeypatch)
+    alphabet, max_n, max_gens, guards = MIDWAY_LISTING_CASES[name]
+    report = verify_midway(alphabet, guards, max_n=max_n, max_gens=max_gens)
+    expected = _midway_by_listing(alphabet, guards, max_n=max_n, max_gens=max_gens)
+    assert report.result == "counterexample"
+    assert report.as_json() == expected.as_json()
+
+
+def test_a_verified_sweep_lists_no_pair(monkeypatch):
+    """On the benchmark's midway and sufficiency alphabets, each verified with
+    its pinned counts, neither _pair_maps nor extension_search is called."""
+    calls = []
+
+    def spy(real):
+        def called(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return called
+
+    for name in ("_pair_maps", "extension_search"):
+        monkeypatch.setattr(theorems, name, spy(getattr(theorems, name)))
+    workloads = _load("workloads")
+    for verify, cases in ((verify_midway, workloads.MIDWAY), (verify_sufficiency, workloads.SUFFICIENCY)):
+        for name, ring, module, max_n, counts in cases:
+            report = verify(module_make(ring_make(ring), module), max_n=max_n, max_gens=2)
+            assert (name, report.result, report.counts) == (name, "verified", counts)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "ring, module",
+    [({"kind": "mod_n", "n": 1}, {"kind": "regular"}),
+     ({"kind": "mod_n", "n": 4}, {"kind": "mod_m", "m": 1})],
+    ids=["z1-regular", "z4-on-z1"],
+)
+def test_sweeps_of_a_zero_alphabet_match_the_listing(ring, module):
+    """A^n is {0} at every length, so each length holds only the zero code,
+    with one map onto itself: no generator, no chain level, no kept map."""
+    alphabet = module_make(ring_make(ring), module)
+    midway = verify_midway(alphabet, max_n=3)
+    sufficiency = verify_sufficiency(alphabet, max_n=3)
+    assert midway.as_json() == _midway_by_listing(alphabet, max_n=3).as_json()
+    assert sufficiency.as_json() == _sufficiency_by_listing(alphabet, max_n=3).as_json()
+    assert midway.counts == {"codes": 3, "monomorphisms": 3, "hamming_preserving": 3, "peeled": 3}
+    assert sufficiency.counts == {"codes": 3, "isomorphisms": 3, "swc_preserving": 3, "extended": 3}
 
 
 def test_a_verified_sufficiency_sweep_searches_for_no_extension(monkeypatch):
@@ -1734,18 +1860,30 @@ ORDER_ALPHABETS = {
 
 @functools.cache
 def _full_lattice_lengths(name, key):
-    """The alphabet ORDER_ALPHABETS[name] and, for each length n <= 3 of a
-    sweep on its full lattice keyed on the given weight, (n, ambient,
-    lattice, keys, aut), with aut[i] = |Aut(lattice.codes[i])|."""
+    """The alphabet ORDER_ALPHABETS[name] and what _sweep_lengths yields for
+    each length n <= 3 of a sweep on its full lattice keyed on the given
+    weight."""
     alphabet = ORDER_ALPHABETS[name]()
     guards = Guards(max_order=729)
     lengths = theorems._sweep_lengths(
         alphabet, guards, _sweep_bounds(guards, 3, 3), {"codes": 0}, {}, key
     )
-    return alphabet, [
-        (n, ambient, lattice, keys, [aut[leader[i]] for i in range(len(lattice.codes))])
-        for n, ambient, lattice, keys, _, leader, aut in lengths
-    ]
+    return alphabet, list(lengths)
+
+
+def _generated_order(members, perms):
+    """The order of the group that perms generate, each the images of the
+    sorted members in order, by closing the identity under them."""
+    position = {x: p for p, x in enumerate(members)}
+    identity = tuple(members)
+    seen, queue = {identity}, [identity]
+    for f in queue:
+        for h in perms:
+            g = tuple(h[position[x]] for x in f)
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    return len(seen)
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
@@ -1775,16 +1913,97 @@ def test_keyed_chain_order_counts_the_keyed_automorphisms(name, key):
     automorphisms of the code that keep the key, on every orbit first of
     length n <= 3."""
     smaller = 0
-    for _, ambient, lattice, keys, aut in _full_lattice_lengths(name, key)[1]:
-        for code, whole in zip(lattice.codes, aut):
+    for _, ambient, lattice, keys, _, leader, aut, keyed in _full_lattice_lengths(name, key)[1]:
+        for i, code in enumerate(lattice.codes):
             chain = modules.stabilizer_chain(ambient, code.generators, key=keys)
             listed = iter_linear_maps(
                 ambient, ambient, code.generators, True, target_members=code.members, key=keys
             )
             order = math.prod(size for size, _ in chain)
             assert order == len(list(listed))
-            smaller += order < whole
+            # keyed(i), with or without its shortcut, gives that order and
+            # generators of that group, as the midway generator test needs
+            assert keyed(i)[0] == order == _generated_order(code.members, keyed(i)[1])
+            smaller += order < aut[leader[i]][0]
     assert smaller > 0
+
+
+@pytest.mark.parametrize("key", ["hamming", "swc"])
+@pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
+def test_a_chain_whose_kept_automorphisms_keep_the_key_has_the_keyed_order(name, key):
+    """When every automorphism that the unkeyed chain of a code keeps also
+    keeps the key, the keyed chain's order is |Aut(C)|, on every leader of
+    length n <= 3: the codes whose unkeyed chain the sweep runs."""
+    decided = searched = 0
+    for _, ambient, lattice, keys, _, _, aut, _ in _full_lattice_lengths(name, key)[1]:
+        for i, (whole, kept) in aut.items():
+            code = lattice.codes[i]
+            if all(theorems._keeps(keys, code.members, h) for h in kept):
+                chain = modules.stabilizer_chain(ambient, code.generators, key=keys)
+                assert math.prod(size for size, _ in chain) == whole
+                decided += 1
+            else:
+                searched += 1
+    assert decided > 0 and searched > 0
+
+
+@pytest.mark.parametrize("key", ["hamming", "swc"])
+@pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
+def test_a_chain_runs_once_per_code_and_keyed_only_where_the_group_is_smaller(
+    name, key, monkeypatch
+):
+    """A sweep runs each chain, keyed or not, at most once per member tuple:
+    a code of length n comes back at n + 1 with a zero first column under
+    the same indices.  keyed(i) runs a keyed chain exactly for the new codes
+    whose keyed group is smaller than Aut(C), leaders or not: the
+    automorphisms kept on the leader, carried over by the class isomorphism,
+    generate Aut(C), so they all keep the key exactly when Aut(C) does."""
+    chained = []
+
+    def spy(ambient, gens, key=None):
+        chained.append((modules.submodule_generated(ambient, gens).members, key is None))
+        return modules.stabilizer_chain(ambient, gens, key=key)
+
+    monkeypatch.setattr(theorems, "stabilizer_chain", spy)
+    alphabet = ORDER_ALPHABETS[name]()
+    guards = Guards(max_order=729)
+    lengths = theorems._sweep_lengths(
+        alphabet, guards, _sweep_bounds(guards, 3, 3), {"codes": 0}, {}, key
+    )
+    seen, smaller, carried, again = set(), 0, 0, 0
+    for _, _, lattice, _, _, leader, aut, keyed in lengths:
+        for i, code in enumerate(lattice.codes):
+            before = len(chained)
+            order, _ = keyed(i)
+            ran = chained[before:] == [(code.members, False)]
+            assert ran == (order < aut[leader[i]][0] and code.members not in seen)
+            assert len(chained) - before == ran
+            smaller += ran
+            carried += not ran and leader[i] != i and code.members not in seen
+            again += code.members in seen
+            seen.add(code.members)
+    assert len(set(chained)) == len(chained)
+    assert smaller > 0 and carried > 0 and again > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_ALPHABETS))
+def test_a_code_whose_automorphisms_all_extend_has_the_swc_keyed_order(name):
+    """When _extending_order equals |Aut(C)|, the swc-keyed chain's order is
+    |Aut(C)| too, on every orbit first of length n <= 3: E(C) <= P(C) <=
+    Aut(C)."""
+    alphabet, lengths = _full_lattice_lengths(name, "swc")
+    decided = searched = 0
+    for n, ambient, lattice, keys, sizes, leader, aut, _ in lengths:
+        for i, code in enumerate(lattice.codes):
+            whole = aut[leader[i]][0]
+            gen_words = [lattice.words[g] for g in code.generators]
+            if theorems._extending_order(alphabet, n, gen_words, sizes[i], Guards()) == whole:
+                chain = modules.stabilizer_chain(ambient, code.generators, key=keys)
+                assert math.prod(size for size, _ in chain) == whole
+                decided += 1
+            else:
+                searched += 1
+    assert decided > 0 and searched > 0
 
 
 def test_sufficiency_needs_cyclic_socle():
