@@ -23,7 +23,7 @@ from .codes import (
     map_preserves,
     weight_profile,
 )
-from .errors import DEFAULT_GUARDS, EplabError, Guards, InputError, check_guard
+from .errors import EplabError, Guards, InputError, check_guard
 from .modules import (
     Module,
     automorphism_group,

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 import math
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,

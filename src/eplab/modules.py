@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_GUARDS,
@@ -252,21 +252,17 @@ def iter_linear_maps(
     *,
     target_members: Optional[Sequence[int]] = None,
     key: Optional[Sequence] = None,
-    first_images: Optional[AbstractSet[int]] = None,
 ):
     """Yield all linear maps span(gens) -> dst: the extensions of the zero
     map on the zero submodule, as _map_search compiles them, with its
     options."""
     search = _map_search(
-        src, dst, gens, injective, (src.zero,),
-        target_members=target_members, key=key, first_images=first_images,
+        src, dst, gens, injective, (src.zero,), target_members=target_members, key=key
     )
     yield from search([dst.zero])
 
 
-def _map_search(
-    src, dst, gens, injective, domain, *, target_members=None, key=None, first_images=None
-):
+def _map_search(src, dst, gens, injective, domain, *, target_members=None, key=None):
     """Compile the extensions along gens of a linear map on the submodule
     domain: a function from the map's images, in domain order, to every
     linear map span(domain, gens) -> dst that extends it, in deterministic
@@ -278,9 +274,8 @@ def _map_search(
     partial map is linear, so it is injective exactly when no new element
     maps to zero; injective assumes an injective map on domain.  A key, a
     sequence over element indices, drops a partial map as soon as a new
-    element x gets an image z with key[z] != key[x]; first_images, a set of
-    element indices of dst, restricts the images of gens[0] to it.  Either
-    keeps the order of the maps that remain.
+    element x gets an image z with key[z] != key[x], and keeps the order of
+    the maps that remain.
     """
     order, steps = _map_plan(src, tuple(gens), domain)
     anns_src, anns_dst = annihilator_sets(src), annihilator_sets(dst)
@@ -290,8 +285,6 @@ def _map_search(
         else [y for y in pool if anns_src[g] <= anns_dst[y]]
         for g in gens
     ]
-    if first_images is not None and candidate_sets:
-        candidate_sets[0] = [y for y in candidate_sets[0] if y in first_images]
     dadd, dact, dzero = dst.add_table, dst.act_table, dst.zero
 
     def rec(i, values):

@@ -271,17 +271,6 @@ def units(ring: Ring) -> frozenset[int]:
     return ring._cache["units"]
 
 
-def central_units(ring: Ring) -> frozenset[int]:
-    """Units of the ring that commute with every element: for such a u,
-    x -> u*x is an automorphism of every module over the ring."""
-    if "central_units" not in ring._cache:
-        mul = ring.mul_table
-        ring._cache["central_units"] = frozenset(
-            u for u in units(ring) if all(mul[u][r] == mul[r][u] for r in ring.elements())
-        )
-    return ring._cache["central_units"]
-
-
 # ---------------------------------------------------------------------------
 # the submodule lattice
 #

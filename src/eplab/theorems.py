@@ -18,7 +18,6 @@ nothing is emitted on trust.
 import dataclasses
 import functools
 import math
-from collections import Counter
 from typing import Optional, Sequence
 
 from .codes import (
@@ -59,7 +58,6 @@ from .modules import (
     is_pseudo_injective,
     isomorphism_leaders,
     iter_linear_maps,
-    least_in_orbit,
     module_generators,
     module_make,
     orbit_lattice,
@@ -70,7 +68,6 @@ from .modules import (
 from .rings import (
     Submodule,
     block_projections,
-    central_units,
     exact_exponent,
     is_left_pir,
     principal_generator,
@@ -619,18 +616,13 @@ def _sweep_lengths(alphabet: Module, guards: Guards, bounds, counts: dict, detai
     (isomorphism_leaders); aut[leader[i]], the _group of codes[i]; and
     keyed(i), that of the automorphisms of codes[i] that keep keys
     (_keyed_group).  A code over the max_code guard raises GuardExceeded
-    before its length is searched, and a central unit of R that moves an
-    orbit label InternalConsistencyError before the first.  details gets
-    "lengths" and "max_generators"; bounds comes from _sweep_bounds.  A
-    length whose ambient order overflows the guard ends the sweep, or
-    raises when max_n was given explicitly or n = 1."""
+    before its length is searched.  details gets "lengths" and
+    "max_generators"; bounds comes from _sweep_bounds.  A length whose
+    ambient order overflows the guard ends the sweep, or raises when max_n
+    was given explicitly or n = 1."""
     max_n, max_gens, strict = bounds
     details.update(lengths=[], max_generators=max_gens)
     labels = partition(alphabet, "orbit", guards=guards)
-    central = central_units(alphabet.ring)
-    act = alphabet.act_table
-    if any(labels[act[u][a]] != labels[a] for u in central for a in alphabet.elements()):
-        raise InternalConsistencyError("a central unit moves an element out of its orbit")
     groups: dict = {}
     for n in range(1, max_n + 1):
         if alphabet.order**n > guards.max_order:
@@ -712,31 +704,14 @@ def _pairs(ambient: Module, codes: Sequence[Submodule], keys, leader: dict):
             yield i, j, first
 
 
-def _pair_maps(ambient: Module, lattice: _Lattice, i: int, j: int, keys, units: Counter):
-    """Yield (fmap, |U.f(g_1)|) for the isomorphisms f, as the images of the
-    members of lattice.codes[i], onto codes[j] that keep keys and send g_1
-    to the least word of its orbit in units, the orbit sizes under U, the
-    central units of R, by least word.  x -> u.x fixes every code and keeps
-    weights, and f -> u.f sends f(g_1) = y to u.y: f stands for |U.f(g_1)|."""
-    code = lattice.codes[i]
-    gens = code.generators
-    # the position of gens[0] among the members; the zero code's one map
-    # sends its only member to zero, alone in its U-orbit
-    first = code.members.index(gens[0]) if gens else 0
-    for fmap in iter_linear_maps(
-        ambient, ambient, gens, True,
-        target_members=lattice.codes[j].members, key=keys, first_images=units.keys(),
-    ):
-        yield fmap, units[fmap[first]]
-
-
-def _failing_pair(ambient: Module, lattice: _Lattice, n: int, i: int, j: int, keys, weight: int):
-    """Yield (fmap, weight * |U.f(g_1)|) for the maps _pair_maps lists on a
-    pair whose group orders show a witness; running out of maps raises."""
-    central = [ambient.act_table[u] for u in central_units(ambient.ring)]
-    units = Counter(least_in_orbit(ambient.order, central))
-    for fmap, unit_weight in _pair_maps(ambient, lattice, i, j, keys, units):
-        yield fmap, weight * unit_weight
+def _failing_pair(ambient: Module, lattice: _Lattice, n: int, i: int, j: int, keys):
+    """Yield the isomorphisms lattice.codes[i] -> codes[j] that keep keys, as
+    the images of the members of codes[i], for a pair whose group orders show
+    a witness; running out of maps raises."""
+    yield from iter_linear_maps(
+        ambient, ambient, lattice.codes[i].generators, True,
+        target_members=lattice.codes[j].members, key=keys,
+    )
     raise InternalConsistencyError(f"the group orders at length {n} disagree, yet no map fails")
 
 
@@ -808,13 +783,13 @@ def verify_midway(
                 counts["hamming_preserving"] += weight * order
                 counts["peeled"] += weight * order
                 continue
-            for fmap, map_weight in _failing_pair(ambient, lattice, n, i, j, keys, weight):
+            for fmap in _failing_pair(ambient, lattice, n, i, j, keys):
                 if not _keeps(lattice.profiles, members, fmap):
                     cmap = _code_map_from_tuple(lattice, i, j, fmap)
                     details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
                     return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-                counts["hamming_preserving"] += map_weight
-                counts["peeled"] += map_weight
+                counts["hamming_preserving"] += weight
+                counts["peeled"] += weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 
@@ -837,8 +812,11 @@ def verify_sufficiency(
     swc-preserving automorphisms P(C), of the order of keyed(i), all extend
     exactly when |P(C)| = |E(C)| (_extending_order), which holds with no
     keyed chain when |E(C)| = |Aut(C)|, as E(C) <= P(C) <= Aut(C); the pair
-    then adds |orbit(C)|^2 * |E(C)| to "swc_preserving" and "extended".  The
-    first pair that fails is listed (_failing_pair) for extension_search."""
+    then adds |orbit(C)|^2 * |E(C)| to "swc_preserving" and "extended".  That
+    pass rests on monomial transforms keeping swc profiles, so a generator of
+    Aut(A) that moves an orbit label raises InternalConsistencyError before
+    the first length.  The first pair that fails is listed (_failing_pair)
+    for extension_search."""
     claim = "every swc-preserving code isomorphism extends to a monomial transform"
     bounds = _sweep_bounds(guards, max_n, max_gens)
     report = socle_report(alphabet, guards)
@@ -848,6 +826,11 @@ def verify_sufficiency(
             claim, "hypotheses-unmet", hypotheses, {},
             {"note": "the extension property is only claimed for cyclic socles"},
         )
+
+    labels = partition(alphabet, "orbit", guards=guards)
+    for sigma in automorphism_group(alphabet, guards).generators:
+        if any(labels[sigma[a]] != labels[a] for a in alphabet.elements()):
+            raise InternalConsistencyError("an automorphism moves an element out of its orbit")
 
     counts = {"codes": 0, "isomorphisms": 0, "swc_preserving": 0, "extended": 0}
     details: dict = {}
@@ -867,13 +850,13 @@ def verify_sufficiency(
                     continue
             elif first is None:
                 continue
-            for fmap, map_weight in _failing_pair(ambient, lattice, n, i, j, keys, weight):
-                counts["swc_preserving"] += map_weight
+            for fmap in _failing_pair(ambient, lattice, n, i, j, keys):
+                counts["swc_preserving"] += weight
                 cmap = _code_map_from_tuple(lattice, i, j, fmap)
                 if extension_search(cmap, guards=guards).transform is None:
                     details["witness"] = _witness(n, cmap)
                     return VerdictReport(claim, "counterexample", hypotheses, counts, details)
-                counts["extended"] += map_weight
+                counts["extended"] += weight
     return VerdictReport(claim, "verified", hypotheses, counts, details)
 
 

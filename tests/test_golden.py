@@ -86,7 +86,8 @@ SPECS = {
     "f7": {"ring": {"kind": "matrix", "m": 1, "q": 7}, "module": REGULAR},
     "f8": {"ring": {"kind": "matrix", "m": 1, "q": 8}, "module": REGULAR},
     "m2f2": {"ring": {"kind": "matrix", "m": 2, "q": 2}, "module": REGULAR},
-    # F_3^2 over M_2(F_3): its central units {I, 2I} are fewer than GL(2, 3)
+    # F_3^2 over M_2(F_3): a non-commutative ring whose 48 units act as GL(2, 3),
+    # while Aut(A) is only the scalars 1 and 2
     "m2f3-col1": {"ring": {"kind": "matrix", "m": 2, "q": 3}, "module": {"kind": "column", "k": 1}},
     # zero sits at index 5, not 0, so discovery order, sorted order and
     # group order of the maps all differ

@@ -914,30 +914,6 @@ def test_keyed_maps_are_the_unkeyed_listing_filtered_by_the_key(name):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
-def test_first_images_filter_the_listing_by_the_first_image(name):
-    """first_images keeps the maps of the listing without it that send the
-    first generator into the set, in order, keyed or not; a code with no
-    generator keeps its one map.  The sets are seeded random halves."""
-    rng = random.Random(name)
-    dropped = 0
-    for ambient, codes, weights in _every_code(name, max_gens=2):
-        for code in codes:
-            firsts = frozenset(x for x in ambient.elements() if rng.randrange(2))
-            for key in (None, weights):
-                maps = list(iter_linear_maps(ambient, ambient, code.generators, True, key=key))
-                got = list(iter_linear_maps(
-                    ambient, ambient, code.generators, True, key=key, first_images=firsts
-                ))
-                if code.generators:
-                    at = code.members.index(code.generators[0])
-                    assert got == [f for f in maps if f[at] in firsts]
-                else:
-                    assert got == maps
-                dropped += len(maps) - len(got)
-    assert dropped > 0
-
-
-@pytest.mark.parametrize("name", sorted(SWEEP_ALPHABETS))
 def test_chain_order_counts_every_automorphism_of_every_code(name):
     for ambient, codes, _ in _every_code(name):
         for code in codes:

@@ -20,7 +20,6 @@ from eplab.rings import (
     Submodule,
     annihilator_sets,
     block_projections,
-    central_units,
     exact_exponent,
     exponent_of_addition,
     hom_count,
@@ -146,44 +145,6 @@ def test_matrix_ring_identity_encoding():
     # identity matrix (1,0,0,1) row-major base 2, first entry most significant
     assert r.one == 0b1001
     assert r.zero == 0
-
-
-def _relabelled_ring(ring, perm, guards):
-    """The same ring as a "table" descriptor, element a renamed perm[a]."""
-    add = [[0] * ring.order for _ in ring.elements()]
-    mul = [[0] * ring.order for _ in ring.elements()]
-    for a in ring.elements():
-        for b in ring.elements():
-            add[perm[a]][perm[b]] = perm[ring.add_table[a][b]]
-            mul[perm[a]][perm[b]] = perm[ring.mul_table[a][b]]
-    return ring_make({"kind": "table", "add": add, "mul": mul}, guards)
-
-
-def _scalar(q, c):
-    """The index of c*I in M_2(F_q): row-major digits base q, first most significant."""
-    return c * q**3 + c
-
-
-@pytest.mark.parametrize(
-    "desc,expected",
-    [
-        ({"kind": "mod_n", "n": 4}, {1, 3}),
-        ({"kind": "mod_n", "n": 6}, {1, 5}),
-        *(({"kind": "matrix", "m": 1, "q": q}, set(range(1, q))) for q in (2, 3, 4, 5, 7, 8, 9)),
-        # GL(2, q) has 6 and 48 elements; only the nonzero scalars are central
-        ({"kind": "matrix", "m": 2, "q": 2}, {_scalar(2, 1)}),
-        ({"kind": "matrix", "m": 2, "q": 3}, {_scalar(3, 1), _scalar(3, 2)}),
-    ],
-    ids=["z4", "z6", *(f"f{q}" for q in (2, 3, 4, 5, 7, 8, 9)), "m2f2", "m2f3"],
-)
-def test_central_units(desc, expected):
-    guards = Guards(max_order=81)
-    ring = ring_make(desc, guards)
-    assert central_units(ring) == frozenset(expected)
-    assert central_units(ring) <= units(ring)
-    perm = list(reversed(ring.elements()))
-    table = _relabelled_ring(ring, perm, guards)
-    assert central_units(table) == frozenset(perm[u] for u in expected)
 
 
 def test_product_ring_structure():

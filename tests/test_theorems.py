@@ -51,7 +51,6 @@ from eplab.modules import (
 from eplab.rings import (
     Module,
     Submodule,
-    central_units,
     exact_exponent,
     is_left_pir,
     principal_generator,
@@ -862,13 +861,13 @@ def test_a_pair_tallies_its_maps_before_they_are_visited():
     # Z/4 at n = 1 has the codes {0}, {0, 2} and Z/4, each its own orbit and
     # isomorphism class.  Iso(Z/4, Z/4) = {1, 3} adds |Aut(Z/4)| = 2 when the
     # pair starts, so its first map, the identity and the third yield, already
-    # sees 1 + 1 + 2 maps tallied.  The central unit 3 sends 1 to 3, so the
-    # identity stands for x -> x and x -> 3x and weighs 2
+    # sees 1 + 1 + 2 maps tallied.  Each map weighs the pair's orbit weight,
+    # here 1 * 1
     counts = {"codes": 0, "maps": 0}
     z4 = module_make(mod_ring(4), {"kind": "regular"})
     sweep = _sweep(z4, Guards(), _sweep_bounds(Guards(), 1, None), counts, {}, "maps", "hamming")
     _, lattice, i, _, fmap, weight = next(itertools.islice(sweep, 2, None))
-    assert lattice.codes[i].members == fmap == (0, 1, 2, 3) and weight == 2
+    assert lattice.codes[i].members == fmap == (0, 1, 2, 3) and weight == 1
     assert counts == {"codes": 3, "maps": 4}
 
 
@@ -900,19 +899,19 @@ def _own_orbits(monkeypatch):
     monkeypatch.setattr(theorems, "partition", partition)
 
 
-@pytest.mark.parametrize("verify", [verify_midway, verify_sufficiency])
-def test_sweeps_raise_when_a_central_unit_moves_an_orbit_label(verify, monkeypatch):
-    # the central unit 3 of Z/4 sends 1 to 3, which this partition keeps
-    # apart, so a map and its multiple by 3 could differ in swc preservation
+@pytest.mark.parametrize("m", [4, 8], ids=["z4", "z8"])
+def test_sufficiency_raises_when_an_automorphism_moves_an_orbit_label(m, monkeypatch):
+    # every automorphism x -> u.x of Z/m but the identity moves 1 to another
+    # unit, which this partition keeps apart, so a monomial transform could
+    # break swc profiles and the pass by |E(C)| = |Aut(C)| would not hold
     _own_orbits(monkeypatch)
-    with pytest.raises(InternalConsistencyError, match="central unit"):
-        verify(module_make(mod_ring(4), {"kind": "regular"}), max_n=2, max_gens=2)
+    with pytest.raises(InternalConsistencyError, match="an automorphism moves an element"):
+        verify_sufficiency(module_make(mod_ring(m), {"kind": "regular"}), max_n=2, max_gens=2)
 
 
 def test_midway_reports_a_hamming_swc_mismatch(monkeypatch):
     # every element its own orbit: swapping 1 and 3 of (Z/2)^2 keeps weights
-    # but not profiles; Z/4 acts on (Z/2)^2 through Z/2, so its central units
-    # fix every element and keep every label
+    # but not profiles
     _own_orbits(monkeypatch)
     report = verify_midway(z4_klein(), max_n=2, max_gens=2)
     assert report.as_json() == {
@@ -1022,8 +1021,8 @@ WIDE_GUARDS = Guards(max_order=81)
 
 
 def m2f3_column():
-    """F_3^2 over M_2(F_3), whose central units {I, 2I} are fewer than its
-    48 units."""
+    """F_3^2 over M_2(F_3): its ring is not commutative, and its Aut(A), the
+    scalars 1 and 2, is far smaller than the 48 units that act on it."""
     ring = ring_make({"kind": "matrix", "m": 2, "q": 3}, WIDE_GUARDS)
     return module_make(ring, {"kind": "column", "k": 1}, WIDE_GUARDS)
 
@@ -1202,68 +1201,6 @@ def _relabelled_table(ring_desc, module_desc, seed):
 
 def _relabelled_z9():
     return _relabelled_table({"kind": "mod_n", "n": 9}, {"kind": "regular"}, 9)
-
-
-# (alphabet, max_n): the midway and sufficiency oracle alphabets, Z/9,
-# F_3^2 over M_2(F_3), and Z/9 with its ring and module relabelled
-UNIT_ORBIT_ALPHABETS = {
-    **{name: (alphabet, 2) for name, alphabet in zip(MIDWAY_IDS, MIDWAY_ALPHABETS)},
-    **SUFFICIENCY_ALPHABETS,
-    "z9-relabelled": (_relabelled_z9(), 2),
-}
-
-
-@pytest.mark.parametrize("key", ["hamming", "swc"])
-@pytest.mark.parametrize("name", sorted(UNIT_ORBIT_ALPHABETS))
-def test_each_visited_map_stands_for_its_central_unit_orbit(name, key, monkeypatch):
-    """For every pair (C, D) that _sweep searches, the weights of the maps it
-    yields sum to |orbit(C)| * |orbit(D)| times the number of maps in the
-    keyed listing of Iso(C, D) without the first-image restriction, and the
-    images of the yielded maps under the central units make up that listing.
-    Only an alphabet that some central unit moves has a map left out."""
-    alphabet, max_n = UNIT_ORBIT_ALPHABETS[name]
-    real = theorems.iter_linear_maps
-    searches = []
-
-    def spy(*args, **options):
-        searches.append((args, options, []))
-        return real(*args, **options)
-
-    monkeypatch.setattr(theorems, "iter_linear_maps", spy)
-    bounds = _sweep_bounds(WIDE_GUARDS, max_n, 2)
-    counts = {"codes": 0, "maps": 0}
-    for n, lattice, i, j, fmap, weight in _sweep(
-        alphabet, WIDE_GUARDS, bounds, counts, {}, "maps", key
-    ):
-        searches[-1][2].append((n, lattice, i, j, fmap, weight))
-
-    units = central_units(alphabet.ring)
-    orbit_sizes = {}
-    left_out = 0
-    for (ambient, _, gens, _), options, yielded in searches:
-        target, keys = options["target_members"], options["key"]
-        listing = list(real(ambient, ambient, gens, True, target_members=target, key=keys))
-        images = {
-            tuple(ambient.act_table[u][y] for y in fmap)
-            for *_, fmap, _ in yielded
-            for u in units
-        }
-        assert images == set(listing)
-        if yielded:
-            n, lattice, i, j = yielded[0][:4]
-            if n not in orbit_sizes:
-                _, words, codes = _codes_of_length(alphabet, n, 2, WIDE_GUARDS)
-                position = {members: k for k, (members, _) in enumerate(codes)}
-                orbit_sizes[n] = position, Counter(_orbit_firsts(alphabet, words, codes))
-            # i and j index the sweep's orbit firsts; sizes is keyed by the
-            # first's position in the whole code list
-            position, sizes = orbit_sizes[n]
-            i, j = (position[lattice.codes[k].members] for k in (i, j))
-            assert sum(weight for *_, weight in yielded) == sizes[i] * sizes[j] * len(listing)
-        left_out += len(listing) - len(yielded)
-    identity = alphabet.act_table[alphabet.ring.one]
-    assert (left_out > 0) == any(alphabet.act_table[u] != identity for u in units)
-    assert searches and counts["maps"] > 0
 
 
 def _assert_orbit_lattice_matches_the_walk(alphabet, n, max_gens, guards):
@@ -1614,8 +1551,7 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
     # the pair; F_2^2 is the first code of length 2 with an automorphism
     # that moves a word, which swaps (0, 1) and (1, 0), so its order check
     # fails and its listing gives the witness.  The 2 + 5 codes of lengths 1
-    # and 2 are counted when each length starts.  The only central unit of
-    # F_2 is 1, so the listing visits every map
+    # and 2 are counted when each length starts
     report = verify_sufficiency(matrix_module(1, 2, 1), max_n=2)
     assert report.as_json() == {
         "claim": "every swc-preserving code isomorphism extends to a monomial transform",
@@ -1643,24 +1579,24 @@ def _sweep(alphabet, guards, bounds, counts, details, tally, key):
     For each pair (C, D) of first codes of one isomorphism class, in list
     order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally]
     before its maps are visited: Iso(C, D) is the coset f.Aut(C).  Its maps
-    are enumerated once by _pair_maps, keyed on the weights, and only the
-    maps f whose image of g_1 = codes[i].generators[0] is the least word of
-    its orbit under U, the central units of R acting on A^n, are visited;
-    each weighs |orbit(C)| * |orbit(D)| * |U.f(g_1)| in place of 1.  This is
+    are listed by iter_linear_maps onto the members of D, keyed on the
+    weights, and each weighs |orbit(C)| * |orbit(D)| in place of 1.  This is
     exact for tallies invariant under monomial transforms g and h, as
     f -> h.f.g is a bijection from the maps g(C) -> D onto the maps
     C -> h(D)."""
     for n, ambient, lattice, keys, sizes, leader, aut, _ in theorems._sweep_lengths(
         alphabet, guards, bounds, counts, details, key
     ):
-        central = [ambient.act_table[u] for u in central_units(ambient.ring)]
-        units = Counter(modules.least_in_orbit(ambient.order, central))
-        for i in range(len(lattice.codes)):
+        codes = lattice.codes
+        for i in range(len(codes)):
             for j in (j for j in leader if leader[j] == leader[i]):
                 weight = sizes[i] * sizes[j]
                 counts[tally] += weight * aut[leader[i]][0]
-                for fmap, unit_weight in theorems._pair_maps(ambient, lattice, i, j, keys, units):
-                    yield n, lattice, i, j, fmap, weight * unit_weight
+                for fmap in iter_linear_maps(
+                    ambient, ambient, codes[i].generators, True,
+                    target_members=codes[j].members, key=keys,
+                ):
+                    yield n, lattice, i, j, fmap, weight
 
 
 def _midway_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None):
@@ -1745,13 +1681,14 @@ def test_midway_by_group_orders_matches_the_listing(name):
     assert report.as_json() == expected.as_json()
 
 
-@pytest.mark.parametrize("name", ["z4-klein", "f2-col2", "z4-klein-relabelled"])
+@pytest.mark.parametrize("name", ["z4-klein", "z4", "z8", "f2-col2", "z4-klein-relabelled"])
 def test_midway_witness_matches_the_listing_when_every_element_is_its_own_orbit(
     name, monkeypatch
 ):
     """With every element its own orbit, maps that keep Hamming weights break
-    swc profiles; the central units of these alphabets fix every element.
-    The witness, its pair and the tallies so far are the listing's."""
+    swc profiles.  The witness, its pair and the tallies so far are the
+    listing's, also on Z/4 and Z/8, whose units move words: midway reads the
+    profiles of each map it lists, so it needs no orbit labels kept."""
     _own_orbits(monkeypatch)
     alphabet, max_n, max_gens, guards = MIDWAY_LISTING_CASES[name]
     report = verify_midway(alphabet, guards, max_n=max_n, max_gens=max_gens)
@@ -1762,7 +1699,7 @@ def test_midway_witness_matches_the_listing_when_every_element_is_its_own_orbit(
 
 def test_a_verified_sweep_lists_no_pair(monkeypatch):
     """On the benchmark's midway and sufficiency alphabets, each verified with
-    its pinned counts, neither _pair_maps nor extension_search is called."""
+    its pinned counts, neither _failing_pair nor extension_search is called."""
     calls = []
 
     def spy(real):
@@ -1771,7 +1708,7 @@ def test_a_verified_sweep_lists_no_pair(monkeypatch):
             return real(*args, **kwargs)
         return called
 
-    for name in ("_pair_maps", "extension_search"):
+    for name in ("_failing_pair", "extension_search"):
         monkeypatch.setattr(theorems, name, spy(getattr(theorems, name)))
     workloads = _load("workloads")
     for verify, cases in ((verify_midway, workloads.MIDWAY), (verify_sufficiency, workloads.SUFFICIENCY)):
