@@ -17,7 +17,6 @@ fix a code word by word.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from collections import Counter
 from typing import Optional, Sequence
@@ -75,27 +74,6 @@ class Code:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @functools.cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.elements)
-
-    @functools.cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column i holds position i of every word, in the order of elements."""
-        return tuple(zip(*self.elements))
-
-    def __contains__(self, word):
-        return tuple(word) in self._members
-
-    def column_fingerprints(self, labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The multiset (sorted tuple) of the labels in each column, computed
-        once per code and label tuple."""
-        cache = self.__dict__.setdefault("_fingerprints", {})
-        if labels not in cache:
-            label = labels.__getitem__
-            cache[labels] = tuple(tuple(sorted(map(label, c))) for c in self._columns)
-        return cache[labels]
 
 
 def code_generate(
@@ -299,8 +277,8 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
     Matching each target position i, in increasing order, to the first free
     source position j of its block therefore never backtracks, finds a
     transform exactly when one exists, and finds the least sigma; tau is the
-    first match in the sorted group.  Column fingerprints over the orbit
-    partition, which each code computes once, are a necessary condition that
+    first match in the sorted group.  Column fingerprints, the sorted orbit
+    labels of each column of either code, are a necessary condition that
     rules out most pairs cheaply.  A transform found is checked on every word,
     one column at a time: tau_i must send source column sigma[i] to image
     column i.
@@ -308,9 +286,10 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
     source = cmap.source
     n = source.length
     group = automorphism_group(source.alphabet, guards)
-    orbits = partition(source.alphabet, "orbit", guards)
-    fp_src = source.column_fingerprints(orbits)
-    fp_dst = cmap.target.column_fingerprints(orbits)
+    label = partition(source.alphabet, "orbit", guards).__getitem__
+    columns = list(zip(*source.elements))
+    fp_src = [sorted(map(label, c)) for c in columns]
+    fp_dst = [sorted(map(label, c)) for c in zip(*cmap.target.elements)]
     candidate_space = math.factorial(n) * group.order ** n
     if sorted(fp_src) != sorted(fp_dst):
         return ExtensionResult(None, 0, candidate_space, group.order)
@@ -337,7 +316,7 @@ def extension_search(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> Extensio
 
     image_columns = tuple(zip(*map(cmap.mapping.__getitem__, source.elements)))
     for tau, j, image in zip(taus, sigma, image_columns):
-        if tuple(map(tau.__getitem__, source._columns[j])) != image:
+        if tuple(map(tau.__getitem__, columns[j])) != image:
             raise InternalConsistencyError(
                 "extension search produced an inconsistent transform"
             )

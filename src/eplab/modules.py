@@ -374,16 +374,16 @@ def orbit_lattice(
 
 
 def isomorphism_leaders(
-    module: Module, subs: Sequence[Submodule], indices: Iterable[int]
+    module: Module, subs: Sequence[Submodule]
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-    """(leader, isos): leader[i], for i in indices, is the first j of indices
+    """(leader, isos): leader[i], for each index i of subs, is the first j
     with subs[j] isomorphic to subs[i], and isos[i] an isomorphism onto it,
     as the images of the members of subs[i].  Isomorphic submodules have
     equal annihilator multisets, and then S is isomorphic to T exactly when
     an injective map S -> T exists: a first-leaf search keyed on them."""
     anns = partition(module, "annihilator")
     leader, isos, classes = {}, {}, {}
-    for i in indices:
+    for i in range(len(subs)):
         shape = classes.setdefault(tuple(sorted(anns[x] for x in subs[i].members)), [])
         for j in shape:
             isos[i] = next(iter_linear_maps(

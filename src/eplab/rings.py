@@ -98,9 +98,6 @@ class Submodule:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, x):
-        return x in self.members
-
 
 def check_table(table, rows: int, n: int, what: str) -> None:
     """Raise InputError unless table has the given number of rows, each a

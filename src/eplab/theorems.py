@@ -217,6 +217,9 @@ def pack_from_json(obj: dict) -> CounterexamplePack:
         if key not in obj["params"]:
             raise InputError(f"pack params need {key!r}")
         plain_int(obj["params"][key])
+    # _pack_checks falls back to the code's own size when code_size is absent
+    if "code_size" in obj["params"]:
+        plain_int(obj["params"]["code_size"])
     required = obj["transcript"].get("required_checks", [])
     if not isinstance(required, list) or not all(isinstance(c, str) for c in required):
         raise InputError("pack transcript 'required_checks' must be a list of check names")
@@ -540,35 +543,29 @@ def midway_peeling(cmap: CodeMap, guards: Guards = DEFAULT_GUARDS) -> VerdictRep
 class _Lattice:
     """One length n of a sweep: words[x] is the word at ambient index x of
     A^n, profiles[x] an id of its sorted orbit labels, and codes the first
-    code of each orbit that orbit_lattice lists.  code(k) builds codes[k]
-    as a Code once, shared with its column fingerprints by every map listed
-    from or onto it; a code's elements follow its ascending members."""
+    code of each orbit that orbit_lattice lists."""
 
     alphabet: Module
     words: list[Word]
     profiles: list[int]
     codes: tuple[Submodule, ...]
-    built: dict[int, Code] = dataclasses.field(default_factory=dict)
-
-    def code(self, k: int) -> Code:
-        if k not in self.built:
-            words, sub = self.words, self.codes[k]
-            self.built[k] = Code(
-                self.alphabet,
-                len(words[0]),
-                tuple(words[g] for g in sub.generators),
-                tuple(words[x] for x in sub.members),
-            )
-        return self.built[k]
 
 
-def _code_map_from_tuple(lattice: _Lattice, i: int, j: int, fmap: Sequence[int]) -> CodeMap:
+def _code_map_from_tuple(
+    lattice: _Lattice, i: int, j: int, fmap: Sequence[int], guards: Guards = DEFAULT_GUARDS
+) -> CodeMap:
     """The code map from codes[i] onto codes[j] of fmap, the images of the
-    members of codes[i] in order.  Only the mapping and the generator images
-    are built here; both codes come from the lattice."""
-    source = lattice.code(i)
-    mapping = dict(zip(source.elements, map(lattice.words.__getitem__, fmap)))
-    return CodeMap(source, lattice.code(j), tuple(mapping[g] for g in source.generators), mapping)
+    members of codes[i] in order: code_generate closes both codes from
+    their generating words under guards, and code_map_make builds and
+    checks the map from the images of the generators of codes[i]."""
+    words, source, target = lattice.words, lattice.codes[i], lattice.codes[j]
+    image = dict(zip(source.members, fmap))
+    n = len(words[0])
+    return code_map_make(
+        code_generate(lattice.alphabet, n, [words[g] for g in source.generators], guards),
+        code_generate(lattice.alphabet, n, [words[g] for g in target.generators], guards),
+        [words[image[g]] for g in source.generators],
+    )
 
 
 def _monomial_generators(alphabet: Module, words: list[Word], guards: Guards) -> list[Sequence[int]]:
@@ -648,7 +645,7 @@ def _sweep_lengths(alphabet: Module, guards: Guards, bounds, counts: dict, detai
         counts["codes"] += sum(orbit_size)
         for code in codes:
             check_guard(len(code.members), guards.max_code, "code size")
-        leader, isos = isomorphism_leaders(ambient, codes, range(len(codes)))
+        leader, isos = isomorphism_leaders(ambient, codes)
         aut = {i: _group(groups, ambient, codes[i]) for i in set(leader.values())}
         keyed = functools.partial(_keyed_group, groups, ambient, codes, keys, leader, isos, aut)
         lattice = _Lattice(alphabet, words, profiles, codes)
@@ -785,7 +782,7 @@ def verify_midway(
                 continue
             for fmap in _failing_pair(ambient, lattice, n, i, j, keys):
                 if not _keeps(lattice.profiles, members, fmap):
-                    cmap = _code_map_from_tuple(lattice, i, j, fmap)
+                    cmap = _code_map_from_tuple(lattice, i, j, fmap, guards)
                     details["witness"] = _witness(n, cmap, hamming_preserved=True, swc_preserved=False)
                     return VerdictReport(claim, "counterexample", hypotheses, counts, details)
                 counts["hamming_preserving"] += weight
@@ -852,7 +849,7 @@ def verify_sufficiency(
                 continue
             for fmap in _failing_pair(ambient, lattice, n, i, j, keys):
                 counts["swc_preserving"] += weight
-                cmap = _code_map_from_tuple(lattice, i, j, fmap)
+                cmap = _code_map_from_tuple(lattice, i, j, fmap, guards)
                 if extension_search(cmap, guards=guards).transform is None:
                     details["witness"] = _witness(n, cmap)
                     return VerdictReport(claim, "counterexample", hypotheses, counts, details)

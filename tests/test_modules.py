@@ -938,7 +938,7 @@ def test_isomorphism_leaders_match_the_injective_map_relation(name):
                 ambient, ambient, c.generators, injective=True, target_members=frozenset(d.members)
             ))
 
-        leader, isos = isomorphism_leaders(ambient, codes, range(len(codes)))
+        leader, isos = isomorphism_leaders(ambient, codes)
         for i, code in enumerate(codes):
             assert leader[i] == next(j for j, other in enumerate(codes) if injections(code, other))
             assert isos[i] in injections(code, codes[leader[i]])
@@ -998,7 +998,7 @@ def test_isomorphism_leaders_split_a_shape_class():
         {m.act_table[r][a] for r in (2, 4, 6) for a in m.elements()} for m in (m1, m2)
     ]
     assert [len(submodule_generated(m, rad)) for m, rad in zip((m1, m2), radicals)] == [4, 8]
-    assert isomorphism_leaders(ambient, subs, range(2))[0] == {0: 0, 1: 1}
+    assert isomorphism_leaders(ambient, subs)[0] == {0: 0, 1: 1}
 
 
 @pytest.mark.parametrize("builder", [z4_regular, z2z2_over_z4, z2z4_over_z4, _relabelled_klein])

@@ -78,7 +78,7 @@ from eplab.theorems import (
     _subspaces,
     _sweep_bounds,
 )
-from test_codes import column_fingerprint
+from test_codes import SharedLattice
 from test_golden import CASES, SPECS
 from test_modules import (
     check_chain_against_the_listing,
@@ -172,10 +172,11 @@ def _unreduced_sweep(alphabet, max_n, max_gens, counts, onto=False, guards=Guard
     """Yield (lattice, i, j, fmap) for every injective linear map fmap from
     lattice.codes[i] onto lattice.codes[j], the codes of A^n, n = 1..max_n,
     counting codes in counts["codes"]: the sweep without orbit reduction,
-    the oracle for theorems._sweep.  The lattice's profiles are left empty."""
+    the oracle for theorems._sweep.  The lattice is a SharedLattice whose
+    profiles are left empty."""
     for n in range(1, max_n + 1):
         ambient, words, codes = _codes_of_length(alphabet, n, max_gens, guards)
-        lattice = theorems._Lattice(
+        lattice = SharedLattice(
             alphabet, words, [], submodules_enumerate(ambient, guards, max_gens)
         )
         for i, (members, gens) in enumerate(codes):
@@ -484,6 +485,10 @@ _MISSING = object()
         ("params.k", "3"),
         ("transcript.required_checks", 5),
         ("transcript.required_checks", [["no_extension"]]),
+        ("params.code_size", "4"),
+        ("params.code_size", True),
+        ("params.code_size", 4.0),
+        ("params.code_size", None),
     ],
 )
 def test_pack_from_json_rejects_malformed_fields(field, value):
@@ -717,7 +722,7 @@ def _same_report(fast, slow):
 def test_peeling_matches_the_word_by_word_oracle(alphabet):
     results = {"verified": 0, "hypotheses-unmet": 0}
     for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         fast = midway_peeling(cmap)
         _same_report(fast, _peel_word_by_word(cmap))
         results[fast.result] += 1
@@ -979,7 +984,7 @@ def _unreduced_midway_counts(alphabet, max_n, max_gens, guards=Guards()):
     counts = {"codes": 0, "monomorphisms": 0, "hamming_preserving": 0, "peeled": 0}
     for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, counts, False, guards):
         counts["monomorphisms"] += 1
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         hamming_ok = map_preserves(cmap, "hamming")
         assert hamming_ok == map_preserves(cmap, "swc")
         if hamming_ok:
@@ -995,7 +1000,7 @@ def _unreduced_sufficiency_counts(alphabet, max_n, max_gens, guards=Guards()):
         alphabet, max_n, max_gens, counts, onto=True, guards=guards
     ):
         counts["isomorphisms"] += 1
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         if map_preserves(cmap, "swc"):
             counts["swc_preserving"] += 1
             assert extension_search(cmap).transform is not None
@@ -1150,7 +1155,7 @@ def _midway_peeling_every_map(alphabet, max_n, max_gens):
     for n, lattice, i, j, fmap, weight in _sweep(
         alphabet, Guards(), bounds, counts, details, "monomorphisms", "hamming"
     ):
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         assert map_preserves(cmap, "swc")
         counts["hamming_preserving"] += weight
         verdict = midway_peeling(cmap)
@@ -1273,33 +1278,38 @@ def test_orbit_lattice_matches_the_walk_on_relabelled_tables(case, seed, n, max_
     ids=["z4", "f4", "f8", "f2"],
 )
 def test_shared_codes_extend_as_fresh_codes_do(alphabet, max_n):
-    """Every map the sufficiency sweep yields, built on the lattice's shared
-    codes, gives the same extension result as the map code_map_make builds on
-    codes closed afresh from its generators and their images; each shared
-    code's cached fingerprints are column_fingerprint at every position."""
-    index = partition(alphabet, "orbit")
+    """Every map the sufficiency sweep yields, built by the oracles' builder
+    on codes closed once per lattice, has the same elements, mapping and
+    extension result as the map theorems._code_map_from_tuple builds and
+    checks on codes closed afresh from their generators."""
     # max_gens = max_n: the full lattice of every length
     bounds = _sweep_bounds(Guards(), max_n, max_n)
     counts = {"codes": 0, "maps": 0}
     maps = 0
     for n, lattice, i, j, fmap, _ in _sweep(alphabet, Guards(), bounds, counts, {}, "maps", "swc"):
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
-        assert cmap.source is lattice.code(i) and cmap.target is lattice.code(j)
-        fresh = code_map_make(
-            code_generate(alphabet, n, cmap.source.generators),
-            code_generate(alphabet, n, cmap.gen_images),
-            cmap.gen_images,
-        )
+        cmap = lattice.code_map(i, j, fmap)
+        fresh = _code_map_from_tuple(lattice, i, j, fmap)
         assert fresh.source.elements == cmap.source.elements
         assert fresh.target.elements == cmap.target.elements
+        assert fresh.gen_images == cmap.gen_images
         assert fresh.mapping == cmap.mapping
         assert extension_search(cmap) == extension_search(fresh)
-        for code in (cmap.source, cmap.target):
-            assert code.column_fingerprints(index) == tuple(
-                column_fingerprint(code, position, index) for position in range(n)
-            )
         maps += 1
     assert maps > 0 and counts["codes"] > 0
+
+
+def test_a_witness_map_closes_its_codes_under_the_sweep_guards():
+    # the sweeps pass their guards, so a witness code the sweep accepted is
+    # closed under the same max_code, not under the default one
+    z4 = module_make(mod_ring(4), {"kind": "regular"})
+    ambient = direct_power(z4, 1)
+    codes = submodules_enumerate(ambient)
+    lattice = theorems._Lattice(z4, [(x,) for x in ambient.elements()], [], codes)
+    k = next(k for k, code in enumerate(codes) if len(code.members) == 4)
+    fmap = [3 * x % 4 for x in codes[k].members]
+    assert _code_map_from_tuple(lattice, k, k, fmap, Guards(max_code=4)).gen_images == ((3,),)
+    with pytest.raises(GuardExceeded):
+        _code_map_from_tuple(lattice, k, k, fmap, Guards(max_code=3))
 
 
 def _preserves_by_profiles(cmap, kind):
@@ -1316,7 +1326,7 @@ def test_map_preserves_matches_the_weight_profile_oracle():
     seen = set()
     for alphabet, max_n, max_gens in ((z4_klein(), 2, 2), (table_alphabet, 2, 1)):
         for lattice, i, j, fmap in _unreduced_sweep(alphabet, max_n, max_gens, {"codes": 0}):
-            cmap = _code_map_from_tuple(lattice, i, j, fmap)
+            cmap = lattice.code_map(i, j, fmap)
             verdicts = tuple(map_preserves(cmap, kind) for kind in ("hamming", "swc", "aw"))
             assert verdicts == tuple(
                 _preserves_by_profiles(cmap, kind) for kind in ("hamming", "swc", "aw")
@@ -1385,7 +1395,7 @@ def test_weights_keep_their_former_per_kind_definitions(alphabet, relabel):
             assert list(profile.items()) == _former_profile(alphabet, labels, word, kind)
     seen = Counter()
     for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 1, {"codes": 0}):
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         verdicts = tuple(map_preserves(cmap, kind) for kind in kinds)
         assert verdicts == tuple(_former_preserves(cmap, labels, kind) for kind in kinds)
         seen[verdicts] += 1
@@ -1448,7 +1458,7 @@ def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
     perms = {}
     moved = 0
     for lattice, i, j, fmap in _unreduced_sweep(alphabet, 2, 2, {"codes": 0}):
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         if not map_preserves(cmap, "hamming"):
             continue
         report = midway_peeling(cmap)
@@ -1457,7 +1467,7 @@ def test_peeling_is_invariant_under_the_monomial_generators(alphabet):
             perms[n] = _monomial_generators(alphabet, lattice.words, Guards())
         for perm in perms[n]:
             moved_fmap = [perm[y] for y in fmap]
-            image = _code_map_from_tuple(lattice, i, _image_code(lattice, moved_fmap), moved_fmap)
+            image = lattice.code_map(i, _image_code(lattice, moved_fmap), moved_fmap)
             for peeled in (midway_peeling(image), _peel_word_by_word(image)):
                 assert (peeled.result, peeled.counts) == (report.result, report.counts)
             moved += 1
@@ -1570,11 +1580,11 @@ def test_sufficiency_reports_a_non_extending_map(monkeypatch):
 
 def _sweep(alphabet, guards, bounds, counts, details, tally, key):
     """The former listing kernel of both sweeps, the oracle for the sweeps by
-    group orders: yield (n, lattice, i, j, fmap, weight) for the
-    isomorphisms from lattice.codes[i] onto lattice.codes[j], first codes
-    of the orbits of the codes of A^n that _sweep_lengths lists, each map as
-    fmap, the images of the members of codes[i] in order, when it keeps the
-    key weight of every word.
+    group orders: yield (n, lattice, i, j, fmap, weight), lattice a
+    SharedLattice, for the isomorphisms from lattice.codes[i] onto
+    lattice.codes[j], first codes of the orbits of the codes of A^n that
+    _sweep_lengths lists, each map as fmap, the images of the members of
+    codes[i] in order, when it keeps the key weight of every word.
 
     For each pair (C, D) of first codes of one isomorphism class, in list
     order, the pair adds |orbit(C)| * |orbit(D)| * |Aut(C)| to counts[tally]
@@ -1587,6 +1597,7 @@ def _sweep(alphabet, guards, bounds, counts, details, tally, key):
     for n, ambient, lattice, keys, sizes, leader, aut, _ in theorems._sweep_lengths(
         alphabet, guards, bounds, counts, details, key
     ):
+        lattice = SharedLattice(**vars(lattice))
         codes = lattice.codes
         for i in range(len(codes)):
             for j in (j for j in leader if leader[j] == leader[i]):
@@ -1615,7 +1626,7 @@ def _midway_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None):
     ):
         profiles = lattice.profiles
         if not all(profiles[x] == profiles[y] for x, y in zip(lattice.codes[i].members, fmap)):
-            cmap = _code_map_from_tuple(lattice, i, j, fmap)
+            cmap = lattice.code_map(i, j, fmap)
             details["witness"] = theorems._witness(n, cmap, hamming_preserved=True, swc_preserved=False)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
         counts["hamming_preserving"] += weight
@@ -1642,7 +1653,7 @@ def _sufficiency_by_listing(alphabet, guards=Guards(), max_n=None, max_gens=None
         alphabet, guards, bounds, counts, details, "isomorphisms", "swc"
     ):
         counts["swc_preserving"] += weight
-        cmap = _code_map_from_tuple(lattice, i, j, fmap)
+        cmap = lattice.code_map(i, j, fmap)
         if extension_search(cmap, guards=guards).transform is None:
             details["witness"] = theorems._witness(n, cmap)
             return VerdictReport(claim, "counterexample", hypotheses, counts, details)
