@@ -152,15 +152,6 @@ class Matrix:
     cols: int
     entries: tuple[int, ...]
 
-    @staticmethod
-    def identity(field: FiniteField, n: int) -> "Matrix":
-        return Matrix(
-            field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        )
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in mul")
@@ -183,8 +174,9 @@ class Matrix:
         return Matrix(f, n, m, tuple(out))
 
     def __repr__(self):
+        c = self.cols
         body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
+            " ".join(map(str, self.entries[i * c : (i + 1) * c])) for i in range(self.rows)
         )
         return f"Matrix[{body}]"
 
@@ -215,21 +207,19 @@ def product_table(tables: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int,
 def matrix_tables(field: FiniteField, m: int, k: int) -> tuple[tuple, tuple]:
     """(add, act) of the column module M_{m x k}(F_q) over M_m(F_q), both
     indexed as matrix_to_index does; with k = m they are the ring's tables."""
+    q = field.q
     add = product_table([field.add_table] * (m * k))
-    # r.a is linear in r and in a, so products of unit matrices fix it: column
-    # i lists r.E_i for every r, and row r of act is linear in a
-    left, right = unit_matrices(field, m, m), unit_matrices(field, m, k)
-    columns = [linear_table(field.mul_table, add, [u.mul(e).entries for u in left]) for e in right]
+    # a -> r.a is linear, so row r of act is fixed by the images r.E_ij in
+    # row-major (i, j) order; column j of r.E_ij is column i of r, the rest 0
     act = tuple(
-        linear_table(field.mul_table, add, [index_to_entries(x, field.q, m * k) for x in images])
-        for images in zip(*columns)
+        linear_table(field.mul_table, add, [
+            [r[t * m + i] if c == j else 0 for t in range(m) for c in range(k)]
+            for i in range(m)
+            for j in range(k)
+        ])
+        for r in (index_to_entries(x, q, m * m) for x in range(q ** (m * m)))
     )
     return add, act
-
-
-def unit_matrices(field: FiniteField, rows: int, cols: int) -> list[Matrix]:
-    """The unit matrices, entry by entry in row-major order."""
-    return [index_to_matrix(field, rows, cols, field.q**i) for i in reversed(range(rows * cols))]
 
 
 def linear_table(mul, add, images: Sequence[Sequence[int]]) -> tuple[int, ...]:

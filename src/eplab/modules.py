@@ -668,7 +668,6 @@ class SocleReport:
     socle: Submodule
     rows: tuple[tuple[int, int, int, int], ...]
     cyclic: bool
-    methods_agree: bool
 
     def as_json(self):
         return {
@@ -678,7 +677,8 @@ class SocleReport:
                 for q, mu, s, t in self.rows
             ],
             "cyclic": self.cyclic,
-            "methods_agree": self.methods_agree,
+            # socle_report raises when the three methods disagree
+            "methods_agree": True,
         }
 
 
@@ -707,6 +707,6 @@ def socle_report(module: Module, guards: Guards = DEFAULT_GUARDS) -> SocleReport
             f"multiplicity={by_multiplicity} generator={by_generator} "
             f"character={by_character}"
         )
-    report = SocleReport(soc, tuple(rows), by_multiplicity, True)
+    report = SocleReport(soc, tuple(rows), by_multiplicity)
     module._cache["socle_report"] = report
     return report

@@ -34,10 +34,9 @@ from .errors import (
 )
 from .fields import (
     FiniteField,
-    Matrix,
+    entries_to_index,
     factor_prime_power,
     matrix_tables,
-    matrix_to_index,
     mixed_radix_join,
     mixed_radix_split,
     prime_factors,
@@ -200,7 +199,7 @@ def _ring_matrix(m: int, q: int, guards: Guards) -> Ring:
     check_power_guard(q, m * m, guards.max_order, f"matrix ring order {q}^({m}*{m})")
     field = FiniteField(q, guards)
     add, mul = matrix_tables(field, m, m)
-    one = matrix_to_index(Matrix.identity(field, m))
+    one = entries_to_index([int(i == j) for i in range(m) for j in range(m)], q)
     return Ring(add, mul, 0, one, {"kind": "matrix", "m": m, "q": q}, field)
 
 

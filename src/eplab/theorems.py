@@ -41,7 +41,6 @@ from .errors import (
 )
 from .fields import (
     FiniteField,
-    Matrix,
     entries_to_index,
     factor_prime_power,
     index_to_entries,
@@ -140,24 +139,22 @@ def _subspaces(alphabet: Module, guards: Guards) -> tuple[list, tuple]:
     return [s.members for s in submodules_enumerate(space, guards)], space.add_table
 
 
-def _projection(field: FiniteField, k: int, add, v: Sequence[int], w: Sequence[int]) -> Matrix:
-    """The idempotent P with column space V and kernel W, for F_q^k = V + W
-    direct, both given as member indices of the add table of F_q^k.  Each
-    vector is x + y for exactly one x in V and y in W, and P sends it to x;
-    column j of P is the image of the unit vector e_j, at index q^(k-1-j)."""
+def _coordinate_table(
+    field: FiniteField, m: int, add, v: Sequence[int], w: Sequence[int]
+) -> tuple[int, ...]:
+    """The index table of a -> a.P on M_{m x k}(F_q), for the idempotent P
+    with column space V and kernel W, F_q^k = V + W direct, both given as
+    member indices of the add table of F_q^k.  Each vector is x + y for
+    exactly one x in V and y in W, and P sends it to x; column j of P is the
+    image of the unit vector e_j, at index q^(k-1-j).  The rows of P are the
+    images of the unit rows, so linear_table gives x -> x.P on F_q^k; the
+    rows of a map independently, so the table for a is the mixed-radix
+    product of m copies of that one, the first row most significant."""
     q = field.q
+    k = exact_exponent(len(add), q)
     part = {add[x][y]: x for x in v for y in w}
     cols = [index_to_entries(part[q ** (k - 1 - j)], q, k) for j in range(k)]
-    return Matrix(field, k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
-
-
-def _coordinate_table(field: FiniteField, m: int, add, p: Matrix) -> tuple[int, ...]:
-    """The index table of a -> a.P on M_{m x k}(F_q), for the k x k matrix P
-    and the add table of F_q^k.  The rows of P are the images of the unit
-    rows, so linear_table gives x -> x.P on F_q^k; the rows of a map
-    independently, so the table for a is the mixed-radix product of m copies
-    of that one, the first row most significant."""
-    row = linear_table(field.mul_table, add, [p.row(j) for j in range(p.rows)])
+    row = linear_table(field.mul_table, add, list(zip(*cols)))
     return product_map([row] * m)
 
 
@@ -373,8 +370,7 @@ def _subspace_pack(alphabet: Module, guards: Guards) -> CounterexamplePack:
     assign_minus = assignment(coords_minus)
     tables = {}  # one table of the linear map a -> a.P per distinct P
     for si, wi in set(assign_plus + assign_minus):
-        p = _projection(field, k, add, subspaces[si], subspaces[wi])
-        tables[si, wi] = _coordinate_table(field, m, add, p)
+        tables[si, wi] = _coordinate_table(field, m, add, subspaces[si], subspaces[wi])
     gens_minus = tuple(word_of(g, assign_minus) for g in gens)
     pack = CounterexamplePack(
         ring=ring.descriptor,

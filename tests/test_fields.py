@@ -261,6 +261,9 @@ def test_matrix_rings_and_column_modules_match_the_matrix_oracle(m, q, k):
     assert (column.add_table, column.act_table) == (add, act)
     if k == m:
         assert (ring.add_table, ring.mul_table) == (add, act)
+        identity = Matrix(ring.field, m, m, tuple(int(i == j) for i in range(m) for j in range(m)))
+        assert ring.one == matrix_to_index(identity)
+        assert ring.mul_table[ring.one] == tuple(range(ring.order))
 
 
 @pytest.mark.parametrize(

@@ -74,7 +74,6 @@ from eplab.theorems import (
 from eplab.theorems import (
     _code_map_from_tuple,
     _monomial_generators,
-    _projection,
     _subspaces,
     _sweep_bounds,
 )
@@ -301,6 +300,18 @@ def _complement_pairs(q, k, subspaces):
     ]
 
 
+def _projection(field, k, add, v, w):
+    """Matrix oracle: the idempotent P with column space V and kernel W, for
+    F_q^k = V + W direct, both given as member indices of the add table of
+    F_q^k.  Each vector is x + y for exactly one x in V and y in W, and P
+    sends it to x; column j of P is the image of the unit vector e_j, at
+    index q^(k-1-j)."""
+    q = field.q
+    part = {add[x][y]: x for x in v for y in w}
+    cols = [index_to_entries(part[q ** (k - 1 - j)], q, k) for j in range(k)]
+    return Matrix(field, k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
+
+
 @pytest.mark.parametrize("q,k", SUBSPACE_SHAPES)
 def test_projection_fixes_its_subspace_and_kills_its_kernel(q, k):
     """P.P = P, P.v = v on V and P.w = 0 on W: together they fix P."""
@@ -372,28 +383,31 @@ def test_build_is_a_single_pass(m, k, q):
 
 
 def _logged(real, log):
+    """real, logging the arguments and result of each call."""
     def wrapper(*args):
-        log.append(real(*args))
-        return log[-1]
+        log.append((args, real(*args)))
+        return log[-1][1]
 
     return wrapper
 
 
-@pytest.mark.parametrize("m,k,q", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 4), (1, 3, 3)])
+@pytest.mark.parametrize(
+    "m,k,q", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 4), (1, 3, 3), (1, 4, 2)]
+)
 def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch):
     """Each final table of a -> a.P, the m-fold product of the row table
-    x -> x.P, equals the product a.P for every a; there is one per
-    (subspace, kernel) pair, and the generator words read the products of
-    the pair each coordinate names."""
-    projections, tables = [], []
-    monkeypatch.setattr(theorems, "_projection", _logged(_projection, projections))
+    x -> x.P, equals the product a.P with the Matrix oracle's P for every a;
+    there is one per (subspace, kernel) pair, and the generator words read
+    the products of the pair each coordinate names."""
+    calls = []
     monkeypatch.setattr(
-        theorems, "_coordinate_table", _logged(theorems._coordinate_table, tables)
+        theorems, "_coordinate_table", _logged(theorems._coordinate_table, calls)
     )
     pack = build_counterexample(m, k, q)
     field = FiniteField(q)
     mats = [index_to_matrix(field, m, k, a) for a in range(q ** (m * k))]
-    for proj, table in zip(projections, tables, strict=True):
+    for (_, _, add, v, w), table in calls:
+        proj = _projection(field, k, add, v, w)
         assert table == tuple(matrix_to_index(a.mul(proj)) for a in mats)
 
     subspaces, add = _subspaces(matrix_module(1, q, k), Guards())
@@ -407,7 +421,7 @@ def test_coordinate_tables_match_the_matrix_product_oracle(m, k, q, monkeypatch)
         pairs.update(coords)
         projs = [_projection(field, k, add, members[v], members[w]) for v, w in coords]
         assert words == tuple(tuple(matrix_to_index(mats[g].mul(p)) for p in projs) for g in gens)
-    assert len(tables) == len(pairs)
+    assert len(calls) == len(pairs)
 
 
 @pytest.mark.parametrize("m,k,q", [(1, 3, 2), (2, 3, 2), (1, 2, 3)])
